@@ -9,12 +9,13 @@ of a prefix of the ansatz never depends on what comes later.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pauli import PauliString
-from .statevector import StateVector, _pauli_rows, _rotation_rows
+from .statevector import StateVector, _pauli_rows, _rotate_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,10 +55,11 @@ class Ansatz:
 
 def prepare_state(a: Ansatz) -> StateVector:
     """Apply the rotations in index order to the reference state."""
-    amps = a.reference.amplitudes
+    rows = a.reference.amplitudes.reshape(1, -1).copy()
+    buf = np.empty_like(rows)
     for p, theta in zip(a.generators, a.angles):
-        amps = _rotation_rows(p, theta, amps)
-    return StateVector(a.n_qubits, amps)
+        _rotate_rows(p, theta, rows, buf)
+    return StateVector(a.n_qubits, rows[0])
 
 
 def tangent_states(a: Ansatz) -> np.ndarray:
@@ -65,17 +67,19 @@ def tangent_states(a: Ansatz) -> np.ndarray:
 
     Row k is built as soon as rotation k has been applied in the forward
     pass, and later rotations are applied to all finished rows in one block
-    operation each, so the sweep costs O(n_params) rotations per state.
+    operation each, so the sweep costs O(n_params) rotations per state. The
+    running state rides along as the row after the finished ones, so each
+    generator costs one in-place block rotation.
     """
     n = a.n_params
-    rows = np.empty((n, 1 << a.n_qubits), dtype=np.complex128)
-    phi = a.reference.amplitudes
+    block = np.empty((n + 1, 1 << a.n_qubits), dtype=np.complex128)
+    buf = np.empty_like(block)
+    block[0] = a.reference.amplitudes
     for k, (p, theta) in enumerate(zip(a.generators, a.angles)):
-        if k:
-            rows[:k] = _rotation_rows(p, theta, rows[:k])
-        phi = _rotation_rows(p, theta, phi)
-        rows[k] = -1j * _pauli_rows(p, phi)
-    return rows
+        _rotate_rows(p, theta, block[: k + 1], buf)
+        block[k + 1] = block[k]
+        block[k] = -1j * _pauli_rows(p, block[k + 1])
+    return block[:n]
 
 
 def cnot_cost(p: PauliString) -> int:
@@ -108,6 +112,10 @@ class CircuitLayout:
             raise IndexError(f"unitary index {last_index} out of range")
         return max(self.layer_of[: last_index + 1]) + 1
 
+    def prefix_depths(self) -> np.ndarray:
+        """``prefix_depth(k)`` for every k at once: the running max of ``layer_of``, plus one."""
+        return np.maximum.accumulate(np.array(self.layer_of, dtype=np.int64)) + 1
+
     def idle_qubits_in_last_layer(self) -> int:
         """Bit mask of qubits untouched by the final layer (0 if no layers)."""
         if not self.layers:
@@ -118,6 +126,12 @@ class CircuitLayout:
 
 def layout(generators, n_qubits: int) -> CircuitLayout:
     """Pack generators into disjoint-support layers by the ASAP rule."""
+    return _layout(tuple(generators), n_qubits)
+
+
+@functools.lru_cache(maxsize=256)
+def _layout(generators: tuple[PauliString, ...], n_qubits: int) -> CircuitLayout:
+    # CircuitLayout is frozen and holds only tuples, so callers may share it
     next_free = [0] * n_qubits
     layers: list[list[int]] = []
     masks: list[int] = []

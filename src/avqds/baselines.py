@@ -16,7 +16,7 @@ import numpy as np
 from .ansatz import Ansatz, cnot_cost
 from .engine import run_fixed_ansatz  # re-exported as the fixed-ansatz runner
 from .pauli import WeightedPauliSum
-from .statevector import StateVector, _rotation_rows
+from .statevector import StateVector, _rotate_rows
 
 vqds_fixed_run = run_fixed_ansatz
 
@@ -125,13 +125,14 @@ def trotter_run(
     depth_per_step = len(sublayers)
     cnots_per_step = sum(cnot_cost(p) for _, p in h.terms)
 
-    amps = psi0.amplitudes
-    states = [StateVector(psi0.n_qubits, amps.copy())]
+    rows = psi0.amplitudes.reshape(1, -1).copy()
+    buf = np.empty_like(rows)
+    states = [StateVector(psi0.n_qubits, rows[0].copy())]
     for _ in range(n_steps):
         for idx in order:
             coeff, p = h.terms[idx]
-            amps = _rotation_rows(p, dt * coeff, amps)
-        states.append(StateVector(psi0.n_qubits, amps))
+            _rotate_rows(p, dt * coeff, rows, buf)
+        states.append(StateVector(psi0.n_qubits, rows[0].copy()))
     steps = np.arange(n_steps + 1)
     return TrotterResult(
         times=steps * dt,

@@ -300,6 +300,7 @@ class AvqdsRun:
         self.rng = np.random.default_rng(seed)
         self.t = 0.0
         self.records: list[TrajectoryRecord] = []
+        self._depth_cap_warned = False
         self._oracle = (
             ExactPropagator(hamiltonian, prepare_state(initial))
             if compute_infidelity
@@ -323,8 +324,11 @@ class AvqdsRun:
             while l2 >= self.growth.l2_cut and iters < self.growth.max_grow_iters:
                 # scoring works on the exact frame; noise only enters the
                 # per-step equations of motion
-                exact_td, _ = solve(frame.system, self.solver)
-                exact_l2 = mclachlan_distance(frame.system, exact_td)
+                if system is frame.system:  # no noise drawn: l2 is already exact
+                    exact_l2 = l2
+                else:
+                    exact_td, _ = solve(frame.system, self.solver)
+                    exact_l2 = mclachlan_distance(frame.system, exact_td)
                 result = grow_once(frame, self.pool, self.growth, self.solver, exact_l2)
                 stalled |= result.stalled
                 suppressed |= result.suppressed
@@ -338,6 +342,14 @@ class AvqdsRun:
             if l2 >= self.growth.l2_cut and iters >= self.growth.max_grow_iters:
                 log.warning(
                     "growth budget exhausted at t=%g with l2=%.3e", self.t, l2
+                )
+            if suppressed and l2 >= self.growth.l2_cut and not self._depth_cap_warned:
+                self._depth_cap_warned = True
+                log.warning(
+                    "growth.max_depth=%d suppressed growth at t=%g with l2=%.3e "
+                    ">= l2_cut=%.3e; the run continues above the cutoff "
+                    "(warned once per run)",
+                    self.growth.max_depth, self.t, l2, self.growth.l2_cut,
                 )
 
         max_rate = float(np.max(np.abs(theta_dot))) if theta_dot.size else 0.0

@@ -76,8 +76,7 @@ def noisy_system(
         )
     if math.isinf(cfg.n_shots) or n == 0:
         return s
-    prefix_depths = np.array([layout.prefix_depth(k) for k in range(n)])
-    deep = prefix_depths > cfg.d_c  # fragment depth of (mu, nu) depends on max index only
+    deep = layout.prefix_depths() > cfg.d_c  # fragment depth of (mu, nu) depends on max index only
     rows, cols = np.triu_indices(n)
     noisy = deep[cols]
     if not np.any(noisy) and not cfg.noisy_v:

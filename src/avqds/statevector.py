@@ -1,8 +1,10 @@
 """Statevector operations: Pauli action, rotations, expectations, evolution.
 
-All functions are pure; inputs are never mutated. The hot kernels also come
-in row-block form (operating on a ``(k, 2**n)`` array of states at once) so
-tangent-state sweeps stay vectorized.
+Public functions are pure; inputs are never mutated. The hot kernels also
+come in row-block form (operating on a ``(k, 2**n)`` array of states at once)
+so tangent-state sweeps stay vectorized. The one exception to purity is the
+private rotation kernel ``_rotate_rows``, which overwrites the block it is
+given; its callers hand it arrays they own.
 """
 
 from __future__ import annotations
@@ -76,10 +78,56 @@ def _pauli_rows(p: PauliString, rows: np.ndarray) -> np.ndarray:
     return phase * (signs * rows[..., src])
 
 
-def _rotation_rows(p: PauliString, theta: float, rows: np.ndarray) -> np.ndarray:
-    """exp(-i·theta·P) on each row (valid because P squares to identity)."""
-    src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
-    return np.cos(theta) * rows + (-1j * np.sin(theta) * phase) * (signs * rows[..., src])
+@functools.lru_cache(maxsize=4096)
+def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int):
+    """Strided form of a Pauli's permutation: (axes shape, reversal, coefficients).
+
+    The index bits are split into axes from the most significant bit down:
+    every flipped (X or Y) bit is its own length-2 axis and each run of other
+    bits is one merged axis. Reversing the flipped axes of a row block
+    reshaped to ``(k, *shape)`` then reads ``rows[..., i ^ x_bits]`` at
+    position i without a gather. The coefficients are ``phase·signs`` in the
+    same shape.
+    """
+    shape: list[int] = []
+    flipped: list[bool] = []
+    run = 0
+    for q in range(n_qubits - 1, -1, -1):
+        if x_bits >> q & 1:
+            if run:
+                shape.append(1 << run)
+                flipped.append(False)
+                run = 0
+            shape.append(2)
+            flipped.append(True)
+        else:
+            run += 1
+    if run:
+        shape.append(1 << run)
+        flipped.append(False)
+    reverse = (slice(None),) + tuple(slice(None, None, -1) if f else slice(None) for f in flipped)
+    _, signs, phase = _pauli_tables(n_qubits, x_bits, z_bits)
+    coeffs = (phase * signs).reshape(shape)
+    coeffs.setflags(write=False)
+    return tuple(shape), reverse, coeffs
+
+
+def _rotate_rows(p: PauliString, theta: float, rows: np.ndarray, buf: np.ndarray) -> None:
+    """exp(-i·theta·P) applied in place to each row of a C-contiguous (k, dim) block.
+
+    ``buf`` is C-contiguous scratch with at least k rows of width dim. The
+    three operations below round exactly as cos·rows + (-i·sin·phase)·
+    (signs·rows[..., src]) does: each product has a factor with one zero
+    component. Folding a diagonal P into a single multiply by cos - i·sin·s
+    would not, so Z-only strings take the same route.
+    """
+    shape, reverse, coeffs = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
+    k = rows.shape[0]
+    block = (k,) + shape
+    scratch = buf[:k]
+    np.multiply(rows.reshape(block)[reverse], (-1j * np.sin(theta)) * coeffs, out=scratch.reshape(block))
+    rows *= np.cos(theta)
+    rows += scratch
 
 
 def _hamiltonian_rows(h: WeightedPauliSum, rows: np.ndarray) -> np.ndarray:
@@ -99,7 +147,9 @@ def apply_pauli(p: PauliString, psi: StateVector) -> StateVector:
 def apply_rotation(p: PauliString, theta: float, psi: StateVector) -> StateVector:
     """Return exp(-i·theta·P)|psi> = cos(theta)|psi> - i·sin(theta)·P|psi>."""
     _check_match(p.n_qubits, psi.n_qubits)
-    return StateVector(psi.n_qubits, _rotation_rows(p, theta, psi.amplitudes))
+    rows = psi.amplitudes.reshape(1, -1).copy()
+    _rotate_rows(p, theta, rows, np.empty_like(rows))
+    return StateVector(psi.n_qubits, rows[0])
 
 
 def apply_hamiltonian(h: WeightedPauliSum, psi: StateVector) -> StateVector:

@@ -1,8 +1,10 @@
 """Shared fixtures and independent dense-matrix oracles.
 
-The oracles here deliberately avoid the package's bitmask kernels: operators
-are built as explicit Kronecker products so agreement between the two routes
-is meaningful.
+The dense oracles here deliberately avoid the package's bitmask kernels:
+operators are built as explicit Kronecker products so agreement between the
+two routes is meaningful. The one exception is ``_rotation_rows``, the
+fancy-index gather that the in-place rotation kernel replaced; it is kept as
+the reference that kernel must reproduce bit for bit.
 """
 
 from functools import reduce
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from avqds.pauli import PauliString, WeightedPauliSum
+from avqds.statevector import _pauli_tables
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -24,6 +27,12 @@ def dense_pauli(p: PauliString) -> np.ndarray:
     """Kronecker-product matrix of a Pauli string (qubit 0 = index LSB)."""
     mats = [SINGLE[p.letter(i)] for i in range(p.n_qubits)]
     return reduce(np.kron, mats[::-1])
+
+
+def _rotation_rows(p: PauliString, theta: float, rows: np.ndarray) -> np.ndarray:
+    """exp(-i·theta·P) on each row (valid because P squares to identity)."""
+    src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
+    return np.cos(theta) * rows + (-1j * np.sin(theta) * phase) * (signs * rows[..., src])
 
 
 def dense_sum(h: WeightedPauliSum) -> np.ndarray:

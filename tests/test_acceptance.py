@@ -10,6 +10,7 @@ measurements behind the form each clause takes.
 import time
 
 import numpy as np
+import pytest
 
 from avqds.ansatz import Ansatz, prepare_state, tangent_states
 from avqds.baselines import build_hva, trotter_run, vqds_fixed_run
@@ -157,6 +158,7 @@ def test_criterion_04_solver_oracle_equivalence():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05_desk_scale_fidelity():
     """Layer-packed adaptive run tracks an 8-site quench below 1% infidelity."""
     start = time.time()
@@ -182,6 +184,7 @@ def test_criterion_05_desk_scale_fidelity():
     )
 
 
+@pytest.mark.slow
 def test_criterion_06_layer_packing_compression():
     """Layer-filling growth vs single-operator growth, identical config.
 
@@ -295,6 +298,7 @@ def test_criterion_07_trotter_step_halving():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_fixed_ansatz_failure_mode():
     """A two-layer fixed ansatz collapses while the adaptive run stays accurate."""
     spec = ModelSpec("tfim", 8, j=1.0, h_x=-2.0)
@@ -324,6 +328,7 @@ def test_criterion_08_fixed_ansatz_failure_mode():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_noisy_solver_ordering():
     """Truncation outlasts ridge regularization in the acceptance band."""
     start = time.time()
@@ -357,6 +362,7 @@ def test_criterion_09_noisy_solver_ordering():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_hybrid_noiseless_prefix():
     """Runs are bit-identical until the depth threshold, then depart."""
     spec = ModelSpec("tfim", 8, j=1.0, h_x=-2.0)

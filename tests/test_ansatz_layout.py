@@ -10,8 +10,8 @@ from avqds.ansatz import (
     tangent_states,
 )
 from avqds.pauli import PauliString
-from avqds.statevector import StateVector, apply_rotation
-from conftest import random_pauli, random_state
+from avqds.statevector import StateVector, _pauli_rows, apply_rotation
+from conftest import _rotation_rows, random_pauli, random_state
 
 
 def make_ansatz(rng, n_qubits, n_params):
@@ -40,6 +40,17 @@ def test_prepare_matches_sequential_rotations(rng):
     for p, theta in zip(a.generators, a.angles):
         psi = apply_rotation(p, theta, psi)
     np.testing.assert_array_equal(prepare_state(a).amplitudes, psi.amplitudes)
+
+
+def test_prepare_and_tangents_leave_inputs_unchanged(rng):
+    for a in (make_ansatz(rng, 4, 6), Ansatz(StateVector(3, random_state(rng, 3)))):
+        ref_before = a.reference.amplitudes.copy()
+        angles_before = a.angles.copy()
+        psi = prepare_state(a)
+        tangent_states(a)
+        np.testing.assert_array_equal(a.reference.amplitudes, ref_before)
+        np.testing.assert_array_equal(a.angles, angles_before)
+        assert not np.shares_memory(psi.amplitudes, a.reference.amplitudes)
 
 
 def test_mismatched_lengths_rejected():
@@ -91,6 +102,21 @@ def test_tangents_match_finite_differences(rng):
         xi = tangent_states(a)
         fd = finite_difference_tangents(a)
         assert np.max(np.abs(xi - fd)) < 1e-8
+
+
+def test_tangents_match_gather_sweep_bitwise(rng):
+    # the sweep as written before the in-place kernel: two gathers per generator
+    for n, n_params in ((3, 9), (6, 20)):
+        a = make_ansatz(rng, n, n_params)
+        a = Ansatz(a.reference, a.generators + (g("Z" * n),), np.append(a.angles, 0.3))
+        expected = np.empty((a.n_params, 1 << n), dtype=np.complex128)
+        phi = a.reference.amplitudes
+        for k, (p, theta) in enumerate(zip(a.generators, a.angles)):
+            expected[:k] = _rotation_rows(p, theta, expected[:k])
+            phi = _rotation_rows(p, theta, phi)
+            expected[k] = -1j * _pauli_rows(p, phi)
+        assert np.array_equal(tangent_states(a), expected)
+        assert np.array_equal(prepare_state(a).amplitudes, phi)
 
 
 def test_tangents_unit_norm(rng):
@@ -165,6 +191,9 @@ def test_prefix_depth_is_prefix_of_full_schedule(rng):
         lo = layout(gens, n)
         for k in range(len(gens)):
             assert lo.prefix_depth(k) == layout(gens[: k + 1], n).depth
+        np.testing.assert_array_equal(
+            lo.prefix_depths(), [lo.prefix_depth(k) for k in range(len(gens))]
+        )
 
 
 def test_idle_qubits_mask():

@@ -1,6 +1,9 @@
+import logging
+
 import numpy as np
 import pytest
 
+import avqds.ansatz
 from avqds.ansatz import Ansatz, prepare_state
 from avqds.engine import (
     AvqdsRun,
@@ -18,7 +21,7 @@ from avqds.mclachlan import assemble_frame, assemble_system, mclachlan_distance
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig, solve
 from avqds.statevector import StateVector, fidelity
-from conftest import random_hamiltonian, random_pauli, random_state
+from conftest import _rotation_rows, random_hamiltonian, random_pauli, random_state
 
 
 def g(label):
@@ -340,8 +343,6 @@ def test_run_continues_after_growth_stall():
 
 
 def test_growth_budget_exhaustion_warns(caplog):
-    import logging
-
     n = 4
     h = tfim(n)
     with caplog.at_level(logging.WARNING, logger="avqds.engine"):
@@ -369,6 +370,49 @@ def test_depth_cap_suppresses_and_flags():
     )
     assert all(rec.depth <= 1 for rec in records)
     assert any(rec.growth_suppressed for rec in records)
+
+
+def test_depth_cap_warns_once_when_run_continues_above_cutoff(caplog):
+    n = 4
+    run = AvqdsRun(
+        tfim(n),
+        Ansatz(StateVector.basis_state(n)),
+        StepConfig(dtheta_max=0.005, t_final=0.05),
+        SOLVER,
+        pool=nearest_neighbour_pool(n),
+        growth_cfg=GrowthConfig(l2_cut=1e-3, method=3, max_depth=1),
+    )
+    with caplog.at_level(logging.WARNING, logger="avqds.engine"):
+        records = run.run()
+    capped = [rec for rec in records if rec.growth_suppressed and rec.l2 >= 1e-3]
+    assert len(capped) > 1
+    warnings = [rec.getMessage() for rec in caplog.records if "max_depth" in rec.getMessage()]
+    assert len(warnings) == 1
+    assert f"t={capped[0].t:g}" in warnings[0]
+    assert f"l2={capped[0].l2:.3e}" in warnings[0]
+
+
+def test_run_matches_gather_oracle_kernel(monkeypatch):
+    n = 4
+    kwargs = dict(
+        psi0=StateVector.basis_state(n),
+        hamiltonian=tfim(n),
+        pool=nearest_neighbour_pool(n),
+        growth_cfg=GrowthConfig(l2_cut=1e-3, method=3),
+        step_cfg=StepConfig(dtheta_max=0.01, t_final=0.5),
+        solver_cfg=SOLVER,
+    )
+    fast = run_avqds(**kwargs)
+    calls = []
+
+    def gather_kernel(p, theta, rows, buf):
+        calls.append(rows.shape[0])
+        rows[...] = _rotation_rows(p, theta, rows)
+
+    monkeypatch.setattr(avqds.ansatz, "_rotate_rows", gather_kernel)
+    slow = run_avqds(**kwargs)
+    assert calls and fast[-1].n_params > 4
+    assert slow == fast
 
 
 def test_fixed_ansatz_run_never_grows(rng):

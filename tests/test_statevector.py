@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -10,6 +12,7 @@ from avqds.statevector import (
     StateVector,
     apply_hamiltonian,
     apply_pauli,
+    _rotate_rows,
     apply_rotation,
     dense_hamiltonian,
     exact_evolve,
@@ -18,7 +21,14 @@ from avqds.statevector import (
     inner,
     variance,
 )
-from conftest import dense_pauli, dense_sum, random_hamiltonian, random_pauli, random_state
+from conftest import (
+    _rotation_rows,
+    dense_pauli,
+    dense_sum,
+    random_hamiltonian,
+    random_pauli,
+    random_state,
+)
 
 
 def tfim_chain(n, j=1.0, hx=-2.0):
@@ -122,6 +132,51 @@ def test_rotation_unitarity_and_composition(seed):
     assert abs(once.norm() - 1.0) < 1e-12
     combined = apply_rotation(p, t1 + t2, psi)
     np.testing.assert_allclose(once.amplitudes, combined.amplitudes, atol=1e-12)
+
+
+def test_apply_rotation_leaves_input_unchanged(rng):
+    psi = StateVector(4, random_state(rng, 4))
+    before = psi.amplitudes.copy()
+    out = apply_rotation(PauliString.from_label("XYZI"), 0.7, psi)
+    np.testing.assert_array_equal(psi.amplitudes, before)
+    assert not np.shares_memory(out.amplitudes, psi.amplitudes)
+
+
+# --- in-place rotation kernel against the gather oracle --------------------
+
+
+def _kernel_cases(rng):
+    """All strings up to 3 qubits; random 6-8 qubit strings with X/Y on qubit 0 and Y·Y pairs."""
+    for n in (1, 2, 3):
+        for letters in itertools.product("IXYZ", repeat=n):
+            yield PauliString.from_label("".join(letters))
+    for n in (6, 7, 8):
+        for i in range(12):
+            label = list(rng.choice(list("IXYZ"), size=n))
+            label[0] = "XY"[i % 2]
+            if i % 3 == 0:
+                a, b = rng.choice(np.arange(1, n), size=2, replace=False)
+                label[a] = label[b] = "Y"
+            yield PauliString.from_label("".join(label))
+        yield PauliString.from_label("Y" * n)
+
+
+def test_rotation_kernel_matches_gather_oracle_bitwise(rng):
+    cases = 0
+    for p in _kernel_cases(rng):
+        dim = 1 << p.n_qubits
+        for k in (1, 2, 7):
+            rows = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+            rows[0] = 0.0
+            rows[0, int(rng.integers(dim))] = 1.0  # a basis state: exact zeros
+            for theta in (0.0, np.pi / 2, float(rng.uniform(-np.pi, np.pi))):
+                expected = _rotation_rows(p, theta, rows)
+                out = rows.copy()
+                buf = np.full((k + 2, dim), np.nan + 0j)  # larger than needed, garbage-filled
+                _rotate_rows(p, theta, out, buf)
+                assert np.array_equal(out, expected), (p.label(), k, theta)
+                cases += 1
+    assert cases == (4 + 16 + 64 + 3 * 13) * 3 * 3
 
 
 # --- apply_hamiltonian / expectation / variance --------------------------
