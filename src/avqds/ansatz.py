@@ -62,24 +62,56 @@ def prepare_state(a: Ansatz) -> StateVector:
     return StateVector(a.n_qubits, rows[0])
 
 
+# Scratch budget of one row tile in the tangent sweep: 32 rows at 10 qubits,
+# 128 at 8, so a tile and its scratch stay inside a 2 MiB L2 cache.
+_TILE_BYTES = 512 * 1024
+
+
 def tangent_states(a: Ansatz) -> np.ndarray:
     """All derivative states d|psi>/d(angle_k), one per row, each unit norm.
 
     Row k is built as soon as rotation k has been applied in the forward
-    pass, and later rotations are applied to all finished rows in one block
-    operation each, so the sweep costs O(n_params) rotations per state. The
+    pass, and later rotations are applied to finished rows in block
+    operations, so the sweep costs O(n_params) rotations per state. The
     running state rides along as the row after the finished ones, so each
-    generator costs one in-place block rotation.
+    generator costs one in-place rotation of the rows in flight.
+
+    Finished rows go in tiles of ``max(1, _TILE_BYTES // (16·2**n))`` rows.
+    When a tile fills it is pushed alone through every remaining generator,
+    with scratch the size of one tile, and the sweep carries on from the
+    running row; each amplitude meets the same operations in the same order
+    as in one untiled block, so the result does not depend on the tile size.
+
+    The result is an (n_params, 2**n) view of an (n_params + 1)-row block
+    whose last row is the prepared state; ``swept_state`` reads it.
     """
     n = a.n_params
-    block = np.empty((n + 1, 1 << a.n_qubits), dtype=np.complex128)
-    buf = np.empty_like(block)
+    dim = 1 << a.n_qubits
+    tile = max(1, _TILE_BYTES // (16 * dim))
+    block = np.empty((n + 1, dim), dtype=np.complex128)
+    buf = np.empty((min(n, tile), dim), dtype=np.complex128)
     block[0] = a.reference.amplitudes
-    for k, (p, theta) in enumerate(zip(a.generators, a.angles)):
-        _rotate_rows(p, theta, block[: k + 1], buf)
+    steps = tuple(zip(a.generators, a.angles))
+    start = 0  # first row of the tile being filled
+    for k, (p, theta) in enumerate(steps):
+        _rotate_rows(p, theta, block[start : k + 1], buf)
         block[k + 1] = block[k]
         block[k] = -1j * _pauli_rows(p, block[k + 1])
+        if k + 1 - start == tile:
+            rows = block[start : k + 1]
+            for q, phi in steps[k + 1 :]:
+                _rotate_rows(q, phi, rows, buf)
+            start = k + 1
     return block[:n]
+
+
+def swept_state(tangents: np.ndarray) -> np.ndarray:
+    """The prepared state left by ``tangent_states``: the row after its result.
+
+    Equal bit for bit to ``prepare_state(a).amplitudes``, because the running
+    row meets the same rotations with the same kernel.
+    """
+    return tangents.base[tangents.shape[0]]
 
 
 def cnot_cost(p: PauliString) -> int:

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import Ansatz, prepare_state, tangent_states
+from .ansatz import Ansatz, swept_state, tangent_states
+from .ansatz import prepare_state  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .pauli import PauliString, WeightedPauliSum
 from .statevector import _hamiltonian_rows, _pauli_rows
 
@@ -49,16 +50,17 @@ class TangentFrame:
 def assemble_frame(a: Ansatz, h: WeightedPauliSum) -> TangentFrame:
     if h.n_qubits != a.n_qubits:
         raise ValueError("Hamiltonian and ansatz qubit counts differ")
-    psi = prepare_state(a).amplitudes
+    xi = tangent_states(a)
+    psi = swept_state(xi)
     h_psi = _hamiltonian_rows(h, psi)
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
-    xi = tangent_states(a)
-    gram = xi.conj() @ xi.T
-    overlaps = xi.conj() @ psi
+    xi_conj = xi.conj()
+    gram = xi_conj @ xi.T
+    overlaps = xi_conj @ psi
     m = np.real(gram - np.outer(overlaps, overlaps.conj()))
     m = 0.5 * (m + m.T)
-    v = np.imag(xi.conj() @ h_psi - overlaps * energy)
+    v = np.imag(xi_conj @ h_psi - overlaps * energy)
     return TangentFrame(
         ansatz=a,
         hamiltonian=h,

@@ -5,6 +5,10 @@ come in row-block form (operating on a ``(k, 2**n)`` array of states at once)
 so tangent-state sweeps stay vectorized. The one exception to purity is the
 private rotation kernel ``_rotate_rows``, which overwrites the block it is
 given; its callers hand it arrays they own.
+
+A Pauli string is a real matrix iff it has an even number of Y factors, so
+the Hamiltonians of the built-in models (tfim, mfim, hm) are real. The dense
+oracle diagonalizes those in real arithmetic.
 """
 
 from __future__ import annotations
@@ -185,16 +189,35 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
 
 
+def _is_real(p: PauliString) -> bool:
+    """True iff the matrix of ``p`` is real: an even number of Y factors."""
+    return bin(p.x_bits & p.z_bits).count("1") % 2 == 0
+
+
 def dense_hamiltonian(h: WeightedPauliSum) -> np.ndarray:
-    """Dense matrix of H; intended for small systems and oracles."""
+    """Dense matrix of H; intended for small systems and oracles.
+
+    The matrix is float64 when every term is real and complex128 otherwise.
+    """
     dim = 1 << h.n_qubits
     idx = np.arange(dim, dtype=np.int64)
-    out = np.zeros((dim, dim), dtype=np.complex128)
+    real = all(_is_real(p) for _, p in h.terms)
+    out = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
     for coeff, p in h.terms:
         src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
+        scale = coeff * phase  # phase is +-1 for a real term
         # column b of P has its single entry at row b ^ x with the sign of b
-        out[idx ^ p.x_bits, idx] += (coeff * phase) * signs[idx ^ p.x_bits]
+        out[idx ^ p.x_bits, idx] += (scale.real if real else scale) * signs[idx ^ p.x_bits]
     return out
+
+
+def _modes_times(m: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """``m @ vec`` for a complex vector. A real ``m`` acts as one real product
+    on the (dim, 2) float view of ``vec``, so it is never cast to complex."""
+    if np.iscomplexobj(m):
+        return m @ vec
+    pairs = np.ascontiguousarray(vec).view(np.float64).reshape(-1, 2)
+    return (m @ pairs).view(np.complex128).ravel()
 
 
 def _lanczos(h: WeightedPauliSum, vec: np.ndarray, m_max: int):
@@ -294,6 +317,12 @@ class ExactPropagator:
     For up to ``dense_cutoff`` qubits the Hamiltonian is diagonalized once
     and states at arbitrary times come from the spectral representation;
     beyond that a running Krylov-stepped state is advanced monotonically.
+
+    When every term of H is real (an even number of Y factors), the dense
+    matrix is float64 and ``eigh`` runs in real arithmetic; the real modes
+    then act on the complex coefficients through ``_modes_times`` and are
+    never cast to complex. A Hamiltonian with a complex term is diagonalized
+    as a complex Hermitian matrix.
     """
 
     def __init__(self, h: WeightedPauliSum, psi0: StateVector, dense_cutoff: int = 12):
@@ -305,14 +334,14 @@ class ExactPropagator:
             w, u = np.linalg.eigh(dense_hamiltonian(h))
             self._eigvals = w
             self._modes = u
-            self._coeffs = u.conj().T @ psi0.amplitudes
+            self._coeffs = _modes_times(u.conj().T, psi0.amplitudes)
         else:
             self._t = 0.0
             self._state = psi0.copy()
 
     def state_at(self, t: float) -> StateVector:
         if self._dense:
-            amps = self._modes @ (np.exp(-1j * self._eigvals * t) * self._coeffs)
+            amps = _modes_times(self._modes, np.exp(-1j * self._eigvals * t) * self._coeffs)
             return StateVector(self.n_qubits, amps)
         if t < self._t - 1e-12:
             raise ValueError("Krylov-backed propagator only advances forward in time")

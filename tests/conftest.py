@@ -3,8 +3,9 @@
 The dense oracles here deliberately avoid the package's bitmask kernels:
 operators are built as explicit Kronecker products so agreement between the
 two routes is meaningful. The one exception is ``_rotation_rows``, the
-fancy-index gather that the in-place rotation kernel replaced; it is kept as
-the reference that kernel must reproduce bit for bit.
+fancy-index gather that the in-place rotation kernel replaced, and the
+tangent sweep ``gather_sweep`` built on it; they are kept as the references
+the kernel and the tiled sweep must reproduce bit for bit.
 """
 
 from functools import reduce
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from avqds.pauli import PauliString, WeightedPauliSum
-from avqds.statevector import _pauli_tables
+from avqds.statevector import _pauli_rows, _pauli_tables
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -33,6 +34,18 @@ def _rotation_rows(p: PauliString, theta: float, rows: np.ndarray) -> np.ndarray
     """exp(-i·theta·P) on each row (valid because P squares to identity)."""
     src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
     return np.cos(theta) * rows + (-1j * np.sin(theta) * phase) * (signs * rows[..., src])
+
+
+def gather_sweep(a):
+    """(tangents, psi) of an ansatz by the sweep as written before the in-place
+    kernel: two gathers per generator, every finished row rotated at once."""
+    tangents = np.empty((a.n_params, 1 << a.n_qubits), dtype=np.complex128)
+    phi = a.reference.amplitudes
+    for k, (p, theta) in enumerate(zip(a.generators, a.angles)):
+        tangents[:k] = _rotation_rows(p, theta, tangents[:k])
+        phi = _rotation_rows(p, theta, phi)
+        tangents[k] = -1j * _pauli_rows(p, phi)
+    return tangents, phi
 
 
 def dense_sum(h: WeightedPauliSum) -> np.ndarray:

@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+import avqds.ansatz
 from avqds.ansatz import (
     Ansatz,
     ansatz_layout,
     cnot_cost,
     layout,
     prepare_state,
+    swept_state,
     tangent_states,
 )
 from avqds.pauli import PauliString
-from avqds.statevector import StateVector, _pauli_rows, apply_rotation
-from conftest import _rotation_rows, random_pauli, random_state
+from avqds.statevector import StateVector, apply_rotation
+from conftest import gather_sweep, random_pauli, random_state
 
 
 def make_ansatz(rng, n_qubits, n_params):
@@ -105,18 +107,47 @@ def test_tangents_match_finite_differences(rng):
 
 
 def test_tangents_match_gather_sweep_bitwise(rng):
-    # the sweep as written before the in-place kernel: two gathers per generator
     for n, n_params in ((3, 9), (6, 20)):
         a = make_ansatz(rng, n, n_params)
         a = Ansatz(a.reference, a.generators + (g("Z" * n),), np.append(a.angles, 0.3))
-        expected = np.empty((a.n_params, 1 << n), dtype=np.complex128)
-        phi = a.reference.amplitudes
-        for k, (p, theta) in enumerate(zip(a.generators, a.angles)):
-            expected[:k] = _rotation_rows(p, theta, expected[:k])
-            phi = _rotation_rows(p, theta, phi)
-            expected[k] = -1j * _pauli_rows(p, phi)
+        expected, phi = gather_sweep(a)
         assert np.array_equal(tangent_states(a), expected)
         assert np.array_equal(prepare_state(a).amplitudes, phi)
+
+
+def flipping_ansatz(rng, n_qubits, n_params):
+    """Random weight-1..3 generators, every other one with X or Y on qubit 0."""
+    gens = []
+    for k in range(n_params):
+        p = random_pauli(rng, n_qubits, max_weight=3)
+        if k % 2 == 0:
+            p = g("XY"[k // 2 % 2] + p.label()[1:])
+        gens.append(p)
+    angles = rng.uniform(-1.5, 1.5, size=n_params)
+    return Ansatz(StateVector(n_qubits, random_state(rng, n_qubits)), tuple(gens), angles)
+
+
+def assert_sweep_matches_gather(a):
+    xi = tangent_states(a)
+    expected, phi = gather_sweep(a)
+    assert isinstance(xi, np.ndarray) and xi.shape == (a.n_params, 1 << a.n_qubits)
+    assert np.array_equal(xi, expected)
+    psi = swept_state(xi)
+    assert np.array_equal(psi, phi)
+    assert np.array_equal(psi, prepare_state(a).amplitudes)
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3, 7])
+@pytest.mark.parametrize("n_qubits", [3, 6])
+def test_tiled_sweep_matches_gather_sweep_bitwise(rng, monkeypatch, n_qubits, tile):
+    monkeypatch.setattr(avqds.ansatz, "_TILE_BYTES", tile * 16 << n_qubits)
+    for n_params in sorted({0, 1, tile - 1, tile, tile + 1, 2 * tile + 3}):
+        assert_sweep_matches_gather(flipping_ansatz(rng, n_qubits, n_params))
+
+
+def test_ten_qubit_sweep_spans_tiles_and_matches_gather_sweep(rng):
+    assert avqds.ansatz._TILE_BYTES // (16 << 10) == 32
+    assert_sweep_matches_gather(flipping_ansatz(rng, 10, 40))
 
 
 def test_tangents_unit_norm(rng):

@@ -415,6 +415,23 @@ def test_run_matches_gather_oracle_kernel(monkeypatch):
     assert slow == fast
 
 
+def test_run_with_one_row_tiles_matches_default_run(monkeypatch):
+    n = 4
+    kwargs = dict(
+        psi0=StateVector.basis_state(n),
+        hamiltonian=tfim(n),
+        pool=nearest_neighbour_pool(n),
+        growth_cfg=GrowthConfig(l2_cut=1e-3, method=3),
+        step_cfg=StepConfig(dtheta_max=0.01, t_final=0.5),
+        solver_cfg=SOLVER,
+    )
+    default = run_avqds(**kwargs)
+    monkeypatch.setattr(avqds.ansatz, "_TILE_BYTES", 16 << n)
+    one_row = run_avqds(**kwargs)
+    assert default[-1].n_params > 4
+    assert one_row == default
+
+
 def test_fixed_ansatz_run_never_grows(rng):
     n = 3
     h = tfim(n)

@@ -334,3 +334,36 @@ def test_exact_propagator_matches_evolve(rng):
         a = prop.state_at(t)
         b = exact_evolve(h, t, psi)
         assert fidelity(a, b) > 1 - 1e-10
+
+
+def _real_hamiltonian(rng, n, n_terms):
+    """Random weight-1..3 terms with an even number of Y factors."""
+    terms = []
+    while len(terms) < n_terms:
+        p = random_pauli(rng, n, max_weight=3)
+        if p.label().count("Y") % 2 == 0:
+            terms.append((float(rng.normal()), p))
+    return WeightedPauliSum(n, terms)
+
+
+def test_exact_propagator_real_path(rng):
+    n = 5
+    h = _real_hamiltonian(rng, n, 12)
+    assert any("Y" in p.label() for _, p in h.terms)
+    assert dense_hamiltonian(h).dtype == np.float64
+    psi = StateVector(n, random_state(rng, n))
+    prop = ExactPropagator(h, psi)
+    assert prop._modes.dtype == np.float64
+    for t in (0.0, 0.3, 1.7):
+        assert fidelity(prop.state_at(t), exact_evolve(h, t, psi)) > 1 - 1e-12
+
+
+def test_exact_propagator_complex_path(rng):
+    n = 5
+    h = WeightedPauliSum(n, list(_real_hamiltonian(rng, n, 8).terms) + [(0.7, PauliString.from_label("IIIXY"))])
+    assert dense_hamiltonian(h).dtype == np.complex128
+    psi = StateVector(n, random_state(rng, n))
+    prop = ExactPropagator(h, psi)
+    assert prop._modes.dtype == np.complex128
+    for t in (0.0, 0.3, 1.7):
+        assert fidelity(prop.state_at(t), exact_evolve(h, t, psi)) > 1 - 1e-12
