@@ -1,31 +1,32 @@
 """Adaptive variational quantum dynamics on a statevector simulator."""
 
 from .ansatz import Ansatz, CircuitLayout, ansatz_layout, layout, prepare_state, tangent_states
-from .baselines import HvaSpec, TrotterResult, build_hva, greedy_sublayers, trotter_run, vqds_fixed_run
+from .baselines import TrotterResult, build_hva, trotter_run
 from .engine import (
     AvqdsRun,
     GrowthConfig,
-    OperatorPool,
     StepConfig,
     TrajectoryRecord,
     grow_once,
-    nearest_neighbour_pool,
     run_avqds,
     run_fixed_ansatz,
     score_candidates,
 )
-from .mclachlan import (
-    McLachlanSystem,
-    TangentFrame,
-    assemble_frame,
-    assemble_system,
-    augment_candidate,
-    mclachlan_distance,
+from .mclachlan import McLachlanSystem, TangentFrame, assemble_frame, mclachlan_distance
+from .models import (
+    ModelSpec,
+    OperatorPool,
+    build_model,
+    default_model,
+    greedy_sublayers,
+    hamiltonian_term_pool,
+    model_pool,
+    model_sublayers,
+    nearest_neighbour_pool,
 )
-from .models import ModelSpec, build_model, hamiltonian_term_pool, model_pool, model_sublayers
-from .noise import NoiseConfig, fragment_depth, noisy_system, shot_sigma
+from .noise import NoiseConfig, noisy_system, shot_sigma
 from .pauli import PauliString, WeightedPauliSum
-from .solvers import EigenDecomposition, SolverConfig, null_space_diagnostics, solve, symmetric_eig
+from .solvers import SolverConfig, null_space_diagnostics, solve, symmetric_eig
 from .statevector import (
     EvolveError,
     ExactPropagator,

@@ -148,6 +148,10 @@ class CircuitLayout:
         """``prefix_depth(k)`` for every k at once: the running max of ``layer_of``, plus one."""
         return np.maximum.accumulate(np.array(self.layer_of, dtype=np.int64)) + 1
 
+    def placement_level(self, support_mask: int) -> int:
+        """Layer an appended unitary on ``support_mask`` lands in under the ASAP rule."""
+        return _asap_level(self.layer_masks, support_mask)
+
     def idle_qubits_in_last_layer(self) -> int:
         """Bit mask of qubits untouched by the final layer (0 if no layers)."""
         if not self.layers:
@@ -161,25 +165,29 @@ def layout(generators, n_qubits: int) -> CircuitLayout:
     return _layout(tuple(generators), n_qubits)
 
 
+def _asap_level(masks, support_mask: int) -> int:
+    """One past the last layer whose mask meets ``support_mask``, 0 if none does."""
+    for level in range(len(masks) - 1, -1, -1):
+        if masks[level] & support_mask:
+            return level + 1
+    return 0
+
+
 @functools.lru_cache(maxsize=256)
 def _layout(generators: tuple[PauliString, ...], n_qubits: int) -> CircuitLayout:
     # CircuitLayout is frozen and holds only tuples, so callers may share it
-    next_free = [0] * n_qubits
     layers: list[list[int]] = []
     masks: list[int] = []
     layer_of: list[int] = []
     cnots = 0
     for idx, g in enumerate(generators):
-        support = g.support
-        level = max((next_free[q] for q in support), default=0)
+        level = _asap_level(masks, g.support_mask)
         if level == len(layers):
             layers.append([])
             masks.append(0)
         layers[level].append(idx)
         masks[level] |= g.support_mask
         layer_of.append(level)
-        for q in support:
-            next_free[q] = level + 1
         cnots += cnot_cost(g)
     return CircuitLayout(
         n_qubits=n_qubits,

@@ -1,10 +1,7 @@
 """Product-formula evolution and the layered fixed ansatz.
 
-Both share one grouping convention: Hamiltonian terms are packed first-fit
-(in construction order) into sub-layers of pairwise-disjoint support. For
-the periodic chain models built by this package that reproduces the usual
-brick-wall pattern, e.g. even bonds / odd bonds / transverse fields for the
-transverse-field Ising chain.
+Both order Hamiltonian terms by sub-layers of pairwise-disjoint support,
+by default the brick-wall grouping ``models.greedy_sublayers``.
 """
 
 from __future__ import annotations
@@ -14,43 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ansatz import Ansatz, cnot_cost
-from .engine import run_fixed_ansatz  # re-exported as the fixed-ansatz runner
+from .models import greedy_sublayers
 from .pauli import WeightedPauliSum
 from .statevector import StateVector, _rotate_rows
-
-vqds_fixed_run = run_fixed_ansatz
-
-
-def greedy_sublayers(h: WeightedPauliSum) -> tuple[tuple[int, ...], ...]:
-    """First-fit partition of term indices into disjoint-support groups."""
-    groups: list[list[int]] = []
-    masks: list[int] = []
-    for idx, (_, p) in enumerate(h.terms):
-        for g_idx, mask in enumerate(masks):
-            if mask & p.support_mask == 0:
-                groups[g_idx].append(idx)
-                masks[g_idx] |= p.support_mask
-                break
-        else:
-            groups.append([idx])
-            masks.append(p.support_mask)
-    return tuple(tuple(g) for g in groups)
-
-
-@dataclass(frozen=True)
-class HvaSpec:
-    """Layer count plus the ordered sub-layer grouping of Hamiltonian terms."""
-
-    layers: int
-    sublayers: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self) -> None:
-        if self.layers < 1:
-            raise ValueError("layered ansatz needs at least one layer")
-
-    @classmethod
-    def for_hamiltonian(cls, h: WeightedPauliSum, layers: int) -> "HvaSpec":
-        return cls(layers=layers, sublayers=greedy_sublayers(h))
 
 
 def _validate_sublayers(h: WeightedPauliSum, sublayers) -> None:

@@ -4,37 +4,42 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, config_from_mapping, parse_assignments, serialize_config
 
 
+# flag, configuration key it overrides, add_argument keywords
+_OVERRIDE_FLAGS = (
+    ("--seed", "run.seed", {"type": int}),
+    ("--runs", "run.runs", {"type": int}),
+    ("--out", "run.out", {}),
+    ("--workers", "run.workers", {"type": int}),
+    ("--t-final", "step.t_final", {"type": float}),
+    ("--method", "growth.method", {"type": int, "help": "growth method 1, 2 or 3"}),
+    ("--solver", "solver.method", {"help": "lsq_unbounded | lsq_bounded | tikhonov | truncation"}),
+    ("--epsilon", "solver.epsilon", {"type": float}),
+    ("--ns", "noise.n_shots", {"help": "shots per matrix element (number or 'inf')"}),
+    ("--dc", "noise.d_c", {"type": int, "help": "exact-evaluation depth threshold"}),
+    ("--l2-cut", "growth.l2_cut", {"type": float}),
+    ("--model", "model.kind", {"help": "tfim | mfim | hm"}),
+    ("--nq", "model.n_qubits", {"type": int}),
+    ("--pool", "pool.kind", {"help": "model | hamiltonian"}),
+    ("--algorithm", "run.algorithm", {"help": "avqds | hva | trotter"}),
+    ("--oracle", "run.oracle", {"help": "true | false"}),
+)
+
+
+def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+    for flag, key, kwargs in _OVERRIDE_FLAGS:
+        parser.add_argument(flag, dest=key, **kwargs)
+
+
 def _override_pairs(args: argparse.Namespace) -> dict[str, str]:
     """CLI flags mapped onto their dotted configuration keys."""
-    mapping = {
-        "seed": "run.seed",
-        "runs": "run.runs",
-        "out": "run.out",
-        "workers": "run.workers",
-        "t_final": "step.t_final",
-        "method": "growth.method",
-        "solver": "solver.method",
-        "epsilon": "solver.epsilon",
-        "ns": "noise.n_shots",
-        "dc": "noise.d_c",
-        "l2_cut": "growth.l2_cut",
-        "model": "model.kind",
-        "nq": "model.n_qubits",
-        "pool": "pool.kind",
-        "algorithm": "run.algorithm",
-        "oracle_flag": "run.oracle",
-    }
-    out = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = str(value)
-    return out
+    values = ((key, getattr(args, key, None)) for _, key, _ in _OVERRIDE_FLAGS)
+    return {key: str(value) for key, value in values if value is not None}
 
 
 def _merge_overrides(assignments: dict[str, str], overrides: dict[str, str]) -> dict[str, str]:
@@ -46,25 +51,6 @@ def _merge_overrides(assignments: dict[str, str], overrides: dict[str, str]) -> 
             merged.pop(key, None)
     merged.update(overrides)
     return merged
-
-
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--runs", type=int)
-    parser.add_argument("--out")
-    parser.add_argument("--workers", type=int)
-    parser.add_argument("--t-final", dest="t_final", type=float)
-    parser.add_argument("--method", type=int, help="growth method 1, 2 or 3")
-    parser.add_argument("--solver", help="lsq_unbounded | lsq_bounded | tikhonov | truncation")
-    parser.add_argument("--epsilon", type=float)
-    parser.add_argument("--ns", help="shots per matrix element (number or 'inf')")
-    parser.add_argument("--dc", type=int, help="exact-evaluation depth threshold")
-    parser.add_argument("--l2-cut", dest="l2_cut", type=float)
-    parser.add_argument("--model", help="tfim | mfim | hm")
-    parser.add_argument("--nq", type=int)
-    parser.add_argument("--pool", help="model | hamiltonian")
-    parser.add_argument("--algorithm", help="avqds | hva | trotter")
-    parser.add_argument("--oracle", dest="oracle_flag", help="true | false")
 
 
 def _fail(key: str, message: str) -> int:
@@ -99,7 +85,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    from .config import serialize_config as _ser
     from .experiment import PRESETS, run_experiment
 
     if args.list:
@@ -114,7 +99,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         labelled = PRESETS[args.name]()
         configs = []
         for label, cfg in labelled:
-            assignments = parse_assignments(_ser(cfg))
+            assignments = parse_assignments(serialize_config(cfg))
             configs.append((label, config_from_mapping(_merge_overrides(assignments, overrides))))
     except ConfigError as exc:
         return _fail(exc.key, str(exc))
@@ -127,14 +112,13 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     import numpy as np
 
-    from .models import ModelSpec, build_model
+    from .models import build_model, default_model
     from .statevector import ExactPropagator, expectation
 
-    kind = args.model or "tfim"
-    h_x = args.hx if args.hx is not None else (0.0 if kind == "hm" else -2.0)
-    h_z = args.hz if args.hz is not None else (0.5 if kind == "mfim" else 0.0)
+    couplings = {"j": args.j, "h_x": args.hx, "h_z": args.hz}
     try:
-        spec = ModelSpec(kind=kind, n_qubits=args.nq or 8, j=args.j, h_x=h_x, h_z=h_z)
+        spec = default_model(args.model, args.nq)
+        spec = replace(spec, **{k: v for k, v in couplings.items() if v is not None})
         _, h, psi0 = build_model(spec)
     except ValueError as exc:
         return _fail("model", str(exc))
@@ -180,9 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_or = sub.add_parser("oracle", help="dump exact-evolution observables for a model")
     p_or.add_argument("--model", default="tfim")
     p_or.add_argument("--nq", type=int, default=8)
-    p_or.add_argument("--j", type=float, default=1.0)
-    p_or.add_argument("--hx", type=float, default=None, help="defaults per model kind")
-    p_or.add_argument("--hz", type=float, default=None, help="defaults per model kind")
+    p_or.add_argument("--j", type=float, help="defaults per model kind")
+    p_or.add_argument("--hx", type=float, help="defaults per model kind")
+    p_or.add_argument("--hz", type=float, help="defaults per model kind")
     p_or.add_argument("--t-final", dest="t_final", type=float, default=2.0)
     p_or.add_argument("--dt", type=float, default=0.05)
     p_or.add_argument("--out")

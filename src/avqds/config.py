@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .engine import GrowthConfig, StepConfig
-from .models import ModelSpec
+from .models import ModelSpec, default_model
 from .noise import NoiseConfig
 from .solvers import SolverConfig
 
@@ -62,7 +62,7 @@ def _fmt(value) -> str:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    model: ModelSpec = field(default_factory=lambda: ModelSpec("tfim", 8, h_x=-2.0))
+    model: ModelSpec = field(default_factory=default_model)
     algorithm: str = "avqds"
     pool: str = "model"
     growth: GrowthConfig = field(default_factory=GrowthConfig)
@@ -127,14 +127,6 @@ _SCHEMA = {
     "run.out": (None, "out", str),
 }
 
-_SECTION_TYPES = {
-    "model": ModelSpec,
-    "growth": GrowthConfig,
-    "step": StepConfig,
-    "solver": SolverConfig,
-    "noise": NoiseConfig,
-}
-
 
 def parse_assignments(text: str) -> dict[str, str]:
     """Raw key -> value strings, validating grammar but not values."""
@@ -156,21 +148,8 @@ def parse_assignments(text: str) -> dict[str, str]:
     return out
 
 
-def _model_from_fields(fields: dict) -> ModelSpec:
-    """Model section with kind-appropriate field defaults."""
-    kind = fields.get("kind", "tfim")
-    defaults = {
-        "n_qubits": 8,
-        "j": 1.0,
-        "h_x": 0.0 if kind == "hm" else -2.0,
-        "h_z": 0.5 if kind == "mfim" else 0.0,
-    }
-    merged = {name: fields.get(name, default) for name, default in defaults.items()}
-    return ModelSpec(kind=kind, **merged)
-
-
 def config_from_mapping(assignments: dict[str, str]) -> ExperimentConfig:
-    sections: dict[str, dict] = {name: {} for name in _SECTION_TYPES}
+    sections: dict[str, dict] = {name: {} for name, _, _ in _SCHEMA.values() if name}
     top: dict = {}
     for key, raw in assignments.items():
         section, fieldname, parser = _SCHEMA[key]
@@ -184,15 +163,15 @@ def config_from_mapping(assignments: dict[str, str]) -> ExperimentConfig:
             sections[section][fieldname] = value
 
     kwargs = dict(top)
-    for name in _SECTION_TYPES:
-        if not sections[name]:
+    for name, fields in sections.items():
+        if not fields:
             continue
         try:
-            if name == "model":
-                kwargs[name] = _model_from_fields(sections[name])
+            if name == "model":  # unset couplings take the kind's values
+                base = default_model(fields.get("kind", "tfim"))
             else:
                 base = ExperimentConfig.__dataclass_fields__[name].default_factory()
-                kwargs[name] = replace(base, **sections[name])
+            kwargs[name] = replace(base, **fields)
         except ValueError as exc:
             raise ConfigError(f"{name}.*", str(exc)) from None
     try:

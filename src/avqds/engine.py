@@ -31,6 +31,7 @@ from .mclachlan import (
     extend_system,
     mclachlan_distance,
 )
+from .models import OperatorPool
 from .noise import NoiseConfig, noisy_system
 from .pauli import PauliString, WeightedPauliSum
 from .solvers import SolverConfig, solve
@@ -39,43 +40,6 @@ from .statevector import ExactPropagator, StateVector
 log = logging.getLogger(__name__)
 
 STALL_RATE_FLOOR = 1e-12  # below this max |theta_dot| the adaptive step has no scale
-
-
-@dataclass(frozen=True)
-class OperatorPool:
-    n_qubits: int
-    operators: tuple[PauliString, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "operators", tuple(self.operators))
-        seen = set()
-        for op in self.operators:
-            if op.n_qubits != self.n_qubits:
-                raise ValueError("pool operator qubit count mismatch")
-            if op.weight < 1:
-                raise ValueError("identity operators are not allowed in the pool")
-            key = (op.x_bits, op.z_bits)
-            if key in seen:
-                raise ValueError(f"duplicate pool operator {op.label()}")
-            seen.add(key)
-
-    def __len__(self) -> int:
-        return len(self.operators)
-
-
-def nearest_neighbour_pool(n_qubits: int, include_single_qubit: bool = True) -> OperatorPool:
-    """Single-site X/Y/Z plus all two-site Pauli pairs on PBC bonds."""
-    ops: list[PauliString] = []
-    if include_single_qubit:
-        for q in range(n_qubits):
-            for letter in "XYZ":
-                ops.append(PauliString.single(n_qubits, q, letter))
-    for i in range(n_qubits):
-        j = (i + 1) % n_qubits
-        for a in "XYZ":
-            for b in "XYZ":
-                ops.append(PauliString.two_site(n_qubits, (i, j), a + b))
-    return OperatorPool(n_qubits, tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -155,19 +119,6 @@ def score_candidates(
     return scores
 
 
-def _next_free_levels(generators, n_qubits: int) -> list[int]:
-    levels = [0] * n_qubits
-    for g in generators:
-        level = max((levels[q] for q in g.support), default=0)
-        for q in g.support:
-            levels[q] = level + 1
-    return levels
-
-
-def _placement_level(levels: list[int], op: PauliString) -> int:
-    return max(levels[q] for q in op.support)
-
-
 @dataclass(frozen=True)
 class GrowthResult:
     ansatz: Ansatz
@@ -190,11 +141,11 @@ def select_additions(
     pool index. Returns (indices, depth_suppressed).
     """
     ranked = sorted(scores, key=lambda item: (-item[1], item[0]))
-    levels = _next_free_levels(ansatz.generators, ansatz.n_qubits)
+    layout = ansatz_layout(ansatz)
     suppressed = False
 
     def allowed(op: PauliString) -> bool:
-        return max_depth is None or _placement_level(levels, op) < max_depth
+        return max_depth is None or layout.placement_level(op.support_mask) < max_depth
 
     if method == 1:
         for idx, score in ranked:
@@ -207,7 +158,6 @@ def select_additions(
         return [], suppressed
 
     if method == 2:
-        layout = ansatz_layout(ansatz)
         idle = layout.idle_qubits_in_last_layer()
         for idx, score in ranked:
             if score <= score_cut:

@@ -19,7 +19,7 @@ import numpy as np
 from .baselines import build_hva, trotter_run
 from .config import ExperimentConfig, serialize_config
 from .engine import GrowthConfig, TrajectoryRecord, run_avqds, run_fixed_ansatz
-from .models import ModelSpec, build_model, hamiltonian_term_pool, model_pool, model_sublayers
+from .models import build_model, default_model, hamiltonian_term_pool, model_pool, model_sublayers
 from .noise import NoiseConfig
 from .solvers import SolverConfig
 from .statevector import ExactPropagator, expectation
@@ -127,12 +127,12 @@ def run_single(cfg: ExperimentConfig, run_index: int) -> list[TrajectoryRecord]:
     )
 
 
-def _run_and_write(args: tuple[ExperimentConfig, int, str]) -> str:
+def _run_and_write(args: tuple[ExperimentConfig, int, str]) -> tuple[str, list[TrajectoryRecord]]:
     cfg, run_index, out_dir = args
     records = run_single(cfg, run_index)
     path = Path(out_dir) / f"run_{run_index:03d}.csv"
     write_trajectory_csv(path, cfg, cfg.seed + run_index, records)
-    return str(path)
+    return str(path), records
 
 
 def _aggregate(per_run: list[list[TrajectoryRecord]]) -> list[str]:
@@ -166,42 +166,17 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     jobs = [(cfg, i, str(out)) for i in range(cfg.runs)]
     if cfg.workers > 1 and cfg.runs > 1:
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            paths = [Path(p) for p in pool.map(_run_and_write, jobs)]
+            results = list(pool.map(_run_and_write, jobs))
     else:
-        paths = [Path(_run_and_write(job)) for job in jobs]
+        results = [_run_and_write(job) for job in jobs]
+    paths = [Path(p) for p, _ in results]
     if cfg.runs > 1:
-        per_run = [_read_records(p) for p in paths]
+        # the CSVs print every float with 17 significant digits, so the
+        # aggregate equals one recomputed from the files
         agg_path = out / "aggregate.csv"
-        agg_path.write_text("\n".join(_aggregate(per_run)) + "\n")
+        agg_path.write_text("\n".join(_aggregate([r for _, r in results])) + "\n")
         paths.append(agg_path)
     return paths
-
-
-def _read_records(path: Path) -> list[TrajectoryRecord]:
-    """Parse a trajectory CSV back into records (aggregation input)."""
-    records = []
-    seed = 0
-    for line in path.read_text().splitlines():
-        if line.startswith("# seed = "):
-            seed = int(line.removeprefix("# seed = "))
-            continue
-        if line.startswith("#") or line.startswith("t,") or not line.strip():
-            continue
-        parts = line.split(",")
-        records.append(
-            TrajectoryRecord(
-                t=float(parts[0]),
-                n_params=int(parts[1]),
-                l2=float(parts[2]),
-                depth=int(parts[3]),
-                cnot_count=int(parts[4]),
-                dt=float(parts[5]),
-                energy=float(parts[6]),
-                infidelity=float(parts[7]),
-                seed=seed,
-            )
-        )
-    return records
 
 
 # --- presets ---------------------------------------------------------------
@@ -210,17 +185,9 @@ TROTTER_DT = {"tfim": 0.04, "mfim": 0.03, "hm": 0.01}
 HVA_LAYERS = {"tfim": 10, "mfim": 30, "hm": 20}
 
 
-def _base_model(kind: str, n_qubits: int) -> dict:
-    if kind == "tfim":
-        return dict(kind="tfim", n_qubits=n_qubits, j=1.0, h_x=-2.0)
-    if kind == "mfim":
-        return dict(kind="mfim", n_qubits=n_qubits, j=1.0, h_x=-2.0, h_z=0.5)
-    return dict(kind="hm", n_qubits=n_qubits, j=1.0)
-
-
 def preset_solver_comparison(n_qubits: int = 8, t_final: float = 5.0) -> list[tuple[str, ExperimentConfig]]:
     """Adaptive layer-packed runs under the four equation-of-motion solvers."""
-    model = ModelSpec(**_base_model("tfim", n_qubits))
+    model = default_model("tfim", n_qubits)
     out = []
     for method in ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation"):
         solver = SolverConfig(method, epsilon=1e-6, bound=5.0)
@@ -237,7 +204,7 @@ def preset_solver_comparison(n_qubits: int = 8, t_final: float = 5.0) -> list[tu
 
 def preset_benchmark(kind: str = "tfim", n_qubits: int = 8, t_final: float = 4.0) -> list[tuple[str, ExperimentConfig]]:
     """Adaptive (methods 1 and 3), product-formula and fixed-layer baselines."""
-    model = ModelSpec(**_base_model(kind, n_qubits))
+    model = default_model(kind, n_qubits)
     base = ExperimentConfig(model=model)
     step = replace(base.step, t_final=t_final)
     return [
@@ -259,7 +226,7 @@ def preset_hybrid_noise(
     Compares the adaptive layer-packed run (depth-capped) against the
     fixed 10-layer ansatz of equal final depth; V stays exact.
     """
-    model = ModelSpec(**_base_model("tfim", n_qubits))
+    model = default_model("tfim", n_qubits)
     base = ExperimentConfig(
         model=model,
         solver=SolverConfig("truncation", epsilon=1e-3),
@@ -309,7 +276,7 @@ def preset_noisy_regularization(
     t_final: float = 2.0,
 ) -> list[tuple[str, ExperimentConfig]]:
     """Shot-noisy fixed-ansatz runs: eigenvalue truncation vs ridge shift."""
-    model = ModelSpec(**_base_model("tfim", n_qubits))
+    model = default_model("tfim", n_qubits)
     base = ExperimentConfig(
         model=model,
         algorithm="hva",

@@ -73,10 +73,6 @@ def assemble_frame(a: Ansatz, h: WeightedPauliSum) -> TangentFrame:
     )
 
 
-def assemble_system(a: Ansatz, h: WeightedPauliSum) -> McLachlanSystem:
-    return assemble_frame(a, h).system
-
-
 def mclachlan_distance(s: McLachlanSystem, theta_dot: np.ndarray) -> float:
     theta_dot = np.asarray(theta_dot, dtype=float)
     if theta_dot.shape != (s.n_params,):
@@ -113,13 +109,6 @@ def augment_block(frame: TangentFrame, candidates: list[PauliString]):
     diags = 1.0 - np.abs(c_new) ** 2
     v_new = np.imag(new_tangents.conj() @ frame.h_psi - c_new * frame.energy)
     return cols, diags, v_new
-
-
-def augment_candidate(frame: TangentFrame, candidate: PauliString):
-    """Border entries for one candidate: (M column incl. diagonal, V element)."""
-    cols, diags, v_new = augment_block(frame, [candidate])
-    column = np.concatenate([cols[0], diags[:1]])
-    return column, float(v_new[0])
 
 
 def extend_system(s: McLachlanSystem, col: np.ndarray, diag: float, v_new: float) -> McLachlanSystem:

@@ -1,20 +1,28 @@
-"""Quench setups on periodic spin chains.
+"""Quench setups on periodic spin chains, with every fact tied to a model.
 
 Each model provides the pre-quench Hamiltonian (whose eigenstate is the
-initial state), the post-quench Hamiltonian driving the dynamics, and the
-matching operator pool convention: field Ising chains use single-site plus
-nearest-neighbour generators, the Heisenberg chain two-site generators only.
+initial state), the post-quench Hamiltonian driving the dynamics, the
+couplings of the quench studied for its kind, the matching operator pool
+convention (field Ising chains use single-site plus nearest-neighbour
+generators, the Heisenberg chain two-site generators only) and the
+brick-wall grouping of its terms used by the product formula and the
+layered fixed ansatz.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .engine import OperatorPool, nearest_neighbour_pool
 from .pauli import PauliString, WeightedPauliSum
 from .statevector import StateVector, variance
 
-KINDS = ("tfim", "mfim", "hm")
+# couplings of each kind's quench; fields left out are zero
+KIND_FIELDS = {
+    "tfim": {"j": 1.0, "h_x": -2.0},
+    "mfim": {"j": 1.0, "h_x": -2.0, "h_z": 0.5},
+    "hm": {"j": 1.0},
+}
+KINDS = tuple(KIND_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -36,6 +44,69 @@ class ModelSpec:
             raise ValueError("tfim has no longitudinal field; use kind=mfim for h_z != 0")
         if self.kind == "hm" and (self.h_x != 0.0 or self.h_z != 0.0):
             raise ValueError("the Heisenberg chain takes no field terms")
+
+
+def default_model(kind: str = "tfim", n_qubits: int = 8) -> ModelSpec:
+    """The model of a kind with its quench couplings; an unknown kind fails in ModelSpec."""
+    return ModelSpec(kind, n_qubits, **KIND_FIELDS.get(kind, {}))
+
+
+@dataclass(frozen=True)
+class OperatorPool:
+    n_qubits: int
+    operators: tuple[PauliString, ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "operators", tuple(self.operators))
+        seen = set()
+        for op in self.operators:
+            if op.n_qubits != self.n_qubits:
+                raise ValueError("pool operator qubit count mismatch")
+            if op.weight < 1:
+                raise ValueError("identity operators are not allowed in the pool")
+            key = (op.x_bits, op.z_bits)
+            if key in seen:
+                raise ValueError(f"duplicate pool operator {op.label()}")
+            seen.add(key)
+
+    def __len__(self) -> int:
+        return len(self.operators)
+
+
+def nearest_neighbour_pool(n_qubits: int, include_single_qubit: bool = True) -> OperatorPool:
+    """Single-site X/Y/Z plus all two-site Pauli pairs on PBC bonds."""
+    ops: list[PauliString] = []
+    if include_single_qubit:
+        for q in range(n_qubits):
+            for letter in "XYZ":
+                ops.append(PauliString.single(n_qubits, q, letter))
+    for i in range(n_qubits):
+        j = (i + 1) % n_qubits
+        for a in "XYZ":
+            for b in "XYZ":
+                ops.append(PauliString.two_site(n_qubits, (i, j), a + b))
+    return OperatorPool(n_qubits, tuple(ops))
+
+
+def greedy_sublayers(h: WeightedPauliSum) -> tuple[tuple[int, ...], ...]:
+    """First-fit partition of term indices into disjoint-support groups.
+
+    Terms are packed in construction order; for the chains built here that
+    gives the brick-wall pattern, e.g. even bonds / odd bonds / transverse
+    fields for the transverse-field Ising chain.
+    """
+    groups: list[list[int]] = []
+    masks: list[int] = []
+    for idx, (_, p) in enumerate(h.terms):
+        for g_idx, mask in enumerate(masks):
+            if mask & p.support_mask == 0:
+                groups[g_idx].append(idx)
+                masks[g_idx] |= p.support_mask
+                break
+        else:
+            groups.append([idx])
+            masks.append(p.support_mask)
+    return tuple(tuple(g) for g in groups)
 
 
 def _bonds(n: int) -> list[tuple[int, int]]:
@@ -98,8 +169,6 @@ def model_sublayers(spec: ModelSpec) -> tuple[tuple[int, ...], ...]:
     Periodic brick-wall packing needs an even chain; odd sizes are rejected
     rather than silently regrouped.
     """
-    from .baselines import greedy_sublayers
-
     if spec.n_qubits % 2:
         raise ValueError(
             f"brick-wall grouping needs an even number of qubits, got {spec.n_qubits}"

@@ -34,26 +34,25 @@ class NoiseConfig:
             raise ValueError("noise.truncate_sigmas must be positive or None")
 
 
-def shot_sigma(m_element: float, n_shots: float) -> float:
-    """Standard deviation of a metric element measured with n_shots samples.
+def shot_sigma(m_elements, n_shots: float):
+    """Standard deviation of metric elements measured with n_shots samples each.
 
-    The ancilla probability is clamped to [0, 1]; elements at or beyond the
-    representable range therefore come back noiseless.
+    Takes a scalar or an array. The ancilla probability is clamped to
+    [0, 1]; elements at or beyond the representable range therefore come
+    back noiseless, and every element is noiseless at ``n_shots = inf``.
     """
-    if math.isinf(n_shots):
-        return 0.0
-    p = min(max((4.0 * m_element + 1.0) / 2.0, 0.0), 1.0)
-    return math.sqrt(p * (1.0 - p) / (4.0 * n_shots))
-
-
-def _sigma_array(values: np.ndarray, n_shots: float) -> np.ndarray:
-    p = np.clip((4.0 * values + 1.0) / 2.0, 0.0, 1.0)
+    p = np.clip((4.0 * m_elements + 1.0) / 2.0, 0.0, 1.0)
     return np.sqrt(p * (1.0 - p) / (4.0 * n_shots))
 
 
-def fragment_depth(layout: CircuitLayout, mu: int, nu: int) -> int:
-    """Depth of the circuit restricted to unitaries up to max(mu, nu)."""
-    return layout.prefix_depth(max(mu, nu))
+def _shot_draws(means: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
+    """One Gaussian shot estimate per element, in order, clipped to the configured width."""
+    sigmas = shot_sigma(means, cfg.n_shots)
+    draws = rng.normal(means, sigmas)
+    if cfg.truncate_sigmas is not None:
+        half_width = cfg.truncate_sigmas * sigmas
+        draws = np.clip(draws, means - half_width, means + half_width)
+    return draws
 
 
 def noisy_system(
@@ -84,22 +83,11 @@ def noisy_system(
     m = s.m.copy()
     if np.any(noisy):
         r, c = rows[noisy], cols[noisy]
-        means = m[r, c]
-        sigmas = _sigma_array(means, cfg.n_shots)
-        draws = rng.normal(means, sigmas)
-        if cfg.truncate_sigmas is not None:
-            half_width = cfg.truncate_sigmas * sigmas
-            draws = np.clip(draws, means - half_width, means + half_width)
+        draws = _shot_draws(m[r, c], cfg, rng)
         m[r, c] = draws
         m[c, r] = draws
     v = s.v
     if cfg.noisy_v and np.any(deep):
         v = v.copy()
-        means = v[deep]
-        sigmas = _sigma_array(means, cfg.n_shots)
-        draws = rng.normal(means, sigmas)
-        if cfg.truncate_sigmas is not None:
-            half_width = cfg.truncate_sigmas * sigmas
-            draws = np.clip(draws, means - half_width, means + half_width)
-        v[deep] = draws
+        v[deep] = _shot_draws(v[deep], cfg, rng)
     return McLachlanSystem(m=m, v=v, var_h=s.var_h)

@@ -36,12 +36,6 @@ class SolverConfig:
             raise ValueError(f"solver.bound must be positive, got {self.bound}")
 
 
-@dataclass(frozen=True, eq=False)
-class EigenDecomposition:
-    eigenvalues: np.ndarray  # ascending
-    eigenvectors: np.ndarray  # column k pairs with eigenvalue k
-
-
 @dataclass(frozen=True)
 class SolveDiagnostics:
     n_null: int
@@ -50,15 +44,14 @@ class SolveDiagnostics:
     residual: float
 
 
-def symmetric_eig(m: np.ndarray) -> EigenDecomposition:
-    """Eigendecomposition of a real symmetric matrix, eigenvalues ascending."""
+def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors (as columns) of a real symmetric matrix."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size and np.max(np.abs(m - m.T)) > 1e-10:
         raise ValueError("matrix is not symmetric within 1e-10")
-    w, u = np.linalg.eigh(m)
-    return EigenDecomposition(eigenvalues=w, eigenvectors=u)
+    return np.linalg.eigh(m)
 
 
 def _cgls(m: np.ndarray, v: np.ndarray, max_iters: int, tol: float) -> np.ndarray:
@@ -94,8 +87,7 @@ def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagn
     if n == 0:
         return np.zeros(0), SolveDiagnostics(0, np.inf, -np.inf, 0.0)
 
-    eig = symmetric_eig(m)
-    w, u = eig.eigenvalues, eig.eigenvectors
+    w, u = symmetric_eig(m)
     n_null = int(np.sum(w <= cfg.epsilon))
 
     if cfg.method == "tikhonov":
@@ -130,10 +122,10 @@ def null_space_diagnostics(s: McLachlanSystem, epsilon: float) -> tuple[int, flo
     """
     if s.n_params == 0:
         return 0, 0.0
-    eig = symmetric_eig(s.m)
-    null_mask = eig.eigenvalues <= epsilon
+    w, u = symmetric_eig(s.m)
+    null_mask = w <= epsilon
     n_null = int(np.sum(null_mask))
     if n_null == 0:
         return 0, 0.0
-    defect = float(np.max(np.abs(eig.eigenvectors[:, null_mask].T @ s.v)))
+    defect = float(np.max(np.abs(u[:, null_mask].T @ s.v)))
     return n_null, defect

@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from avqds.ansatz import Ansatz, prepare_state, tangent_states
-from avqds.baselines import build_hva, trotter_run, vqds_fixed_run
+from avqds.baselines import build_hva, trotter_run
 from avqds.cli import main as cli_main
-from avqds.engine import GrowthConfig, StepConfig, run_avqds
-from avqds.mclachlan import McLachlanSystem, assemble_system
+from avqds.engine import GrowthConfig, StepConfig, run_avqds, run_fixed_ansatz
+from avqds.mclachlan import McLachlanSystem, assemble_frame
 from avqds.models import ModelSpec, build_model, hamiltonian_term_pool, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system, shot_sigma
 from avqds.pauli import PauliString, WeightedPauliSum
@@ -50,7 +50,7 @@ def test_criterion_01_metric_structure():
         n_p = int(rng.integers(1, 13))
         a = random_ansatz(rng, n_q, n_p)
         h = random_hamiltonian(rng, n_q, n_terms=int(rng.integers(2, 7)))
-        s = assemble_system(a, h)
+        s = assemble_frame(a, h).system
         w, u = np.linalg.eigh(s.m)
         worst_eig = min(worst_eig, float(w[0]))
         for k in range(n_p):
@@ -92,10 +92,10 @@ def test_criterion_03_exactly_representable_dynamics():
     """Single X rotation under an X field: unit velocity, zero distance."""
     h = WeightedPauliSum(1, [(1.0, PauliString.from_label("X"))])
     a = Ansatz(StateVector.basis_state(1), (PauliString.from_label("X"),), [0.0])
-    records = vqds_fixed_run(
+    records = run_fixed_ansatz(
         a, h, StepConfig(dtheta_max=0.005, t_final=2.0), TRUNC, seed=0
     )
-    td, _ = solve(assemble_system(a.with_angles([0.7]), h), TRUNC)
+    td, _ = solve(assemble_frame(a.with_angles([0.7]), h).system, TRUNC)
     max_l2 = max(r.l2 for r in records)
     max_inf = max(r.infidelity for r in records)
     dt_dev = max(abs(r.dt - 0.005) for r in records)
@@ -305,7 +305,7 @@ def test_criterion_08_fixed_ansatz_failure_mode():
     _, h, psi0 = build_model(spec)
     solver = TRUNC
     hva = build_hva(h, psi0, 2, model_sublayers(spec))
-    rec_hva = vqds_fixed_run(
+    rec_hva = run_fixed_ansatz(
         hva, h, StepConfig(dtheta_max=0.005, dt_fixed=0.005, t_final=10.0), solver
     )
     worst_hva = max(r.infidelity for r in rec_hva)
@@ -341,7 +341,7 @@ def test_criterion_09_noisy_solver_ordering():
     def acceptance_time(solver):
         times = []
         for seed in range(20):
-            records = vqds_fixed_run(hva, h, step, solver, noise_cfg=noise, seed=seed)
+            records = run_fixed_ansatz(hva, h, step, solver, noise_cfg=noise, seed=seed)
             t_exit = step.t_final
             for r in records:
                 if r.infidelity >= 0.1:  # fidelity drops to 0.9

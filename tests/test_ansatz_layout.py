@@ -225,6 +225,8 @@ def test_prefix_depth_is_prefix_of_full_schedule(rng):
         np.testing.assert_array_equal(
             lo.prefix_depths(), [lo.prefix_depth(k) for k in range(len(gens))]
         )
+        op = random_pauli(rng, n)
+        assert lo.placement_level(op.support_mask) == layout(gens + (op,), n).layer_of[-1]
 
 
 def test_idle_qubits_mask():

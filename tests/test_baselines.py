@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from avqds.ansatz import ansatz_layout, prepare_state
-from avqds.baselines import HvaSpec, build_hva, greedy_sublayers, trotter_run, vqds_fixed_run
-from avqds.engine import StepConfig
-from avqds.models import ModelSpec, model_sublayers
+from avqds.baselines import build_hva, trotter_run
+from avqds.engine import StepConfig, run_fixed_ansatz
+from avqds.models import ModelSpec, greedy_sublayers, model_sublayers
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig
 from avqds.statevector import StateVector, exact_evolve, fidelity
@@ -72,10 +72,8 @@ def test_hva_zero_angles_prepare_reference():
     np.testing.assert_array_equal(out.amplitudes, ref.amplitudes)
 
 
-def test_hva_spec_validation():
+def test_build_hva_rejects_bad_sublayers():
     h = tfim(4)
-    with pytest.raises(ValueError):
-        HvaSpec(layers=0, sublayers=greedy_sublayers(h))
     # overlapping supports inside a declared sub-layer are rejected
     with pytest.raises(ValueError):
         build_hva(h, StateVector.basis_state(4), 1, ((0, 1), (2, 3), (4, 5, 6, 7)))
@@ -146,7 +144,7 @@ def test_hva_dynamics_tracks_short_quench():
     h = tfim(n)
     psi0 = StateVector.basis_state(n)
     hva = build_hva(h, psi0, 4)
-    records = vqds_fixed_run(
+    records = run_fixed_ansatz(
         hva, h, StepConfig(dtheta_max=0.005, t_final=1.0), SOLVER
     )
     assert records[0].infidelity == pytest.approx(0.0, abs=1e-12)

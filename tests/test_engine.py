@@ -8,16 +8,15 @@ from avqds.ansatz import Ansatz, prepare_state
 from avqds.engine import (
     AvqdsRun,
     GrowthConfig,
-    OperatorPool,
     StepConfig,
     grow_once,
-    nearest_neighbour_pool,
     run_avqds,
     run_fixed_ansatz,
     score_candidates,
     select_additions,
 )
-from avqds.mclachlan import assemble_frame, assemble_system, mclachlan_distance
+from avqds.mclachlan import assemble_frame, mclachlan_distance
+from avqds.models import OperatorPool, nearest_neighbour_pool
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig, solve
 from avqds.statevector import StateVector, fidelity
@@ -94,7 +93,7 @@ def test_scores_match_full_reassembly(rng):
         td, _ = solve(frame.system, SOLVER)
         l2_before = mclachlan_distance(frame.system, td)
         for idx, delta in score_candidates(frame, pool, SOLVER):
-            full = assemble_system(a.extended([pool.operators[idx]]), h)
+            full = assemble_frame(a.extended([pool.operators[idx]]), h).system
             td_full, _ = solve(full, SOLVER)
             l2_full = mclachlan_distance(full, td_full)
             assert delta == pytest.approx(l2_before - l2_full, abs=1e-10)
@@ -193,7 +192,7 @@ def test_grow_keeps_state_and_reduces_distance(rng):
     after_state = prepare_state(result.ansatz)
     assert fidelity(before_state, after_state) == pytest.approx(1.0, abs=1e-12)
 
-    new_system = assemble_system(result.ansatz, h)
+    new_system = assemble_frame(result.ansatz, h).system
     td_new, _ = solve(new_system, SOLVER)
     assert mclachlan_distance(new_system, td_new) <= l2_before + 1e-9
 

@@ -5,7 +5,7 @@ import pytest
 
 from avqds.config import parse_config, serialize_config
 from avqds.engine import TrajectoryRecord
-from avqds.experiment import PRESETS, _aggregate, run_experiment, _read_records
+from avqds.experiment import PRESETS, _aggregate, run_experiment
 
 
 def rec(t, infidelity, dt=0.1, seed=0):
@@ -82,10 +82,38 @@ run.runs = 2
         assert [l for l in a if "workers" not in l] == [l for l in b if "workers" not in l]
 
 
-def test_read_records_round_trip(tmp_path):
-    cfg = parse_config("model.kind = tfim\nmodel.n_qubits = 3\nstep.t_final = 0.02\n")
-    paths = run_experiment(cfg, tmp_path / "rt")
-    records = _read_records(paths[0])
-    assert records
-    assert records[0].t == 0.0
-    assert all(not math.isnan(r.infidelity) for r in records)
+def _parse_records(path):
+    """Trajectory records read back from a per-run CSV."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    assert lines[0] == "t,n_params,l2,depth,cnots,dt,energy,infidelity"
+    records = []
+    for line in lines[1:]:
+        t, n_params, l2, depth, cnots, dt, energy, infidelity = line.split(",")
+        records.append(
+            TrajectoryRecord(
+                t=float(t),
+                n_params=int(n_params),
+                l2=float(l2),
+                depth=int(depth),
+                cnot_count=int(cnots),
+                dt=float(dt),
+                energy=float(energy),
+                infidelity=float(infidelity),
+                seed=0,
+            )
+        )
+    return records
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_aggregate_is_recomputable_from_per_run_files(tmp_path, workers):
+    cfg = parse_config(
+        "model.kind = tfim\nmodel.n_qubits = 4\nstep.t_final = 0.02\n"
+        "noise.enabled = true\nnoise.n_shots = 1e4\nrun.runs = 3\n"
+        f"run.workers = {workers}\n"
+    )
+    paths = run_experiment(cfg, tmp_path / "agg")
+    assert [p.name for p in paths] == ["run_000.csv", "run_001.csv", "run_002.csv", "aggregate.csv"]
+    per_run = [_parse_records(p) for p in paths[:3]]
+    assert all(records and not any(math.isnan(r.infidelity) for r in records) for records in per_run)
+    assert paths[3].read_text() == "\n".join(_aggregate(per_run)) + "\n"

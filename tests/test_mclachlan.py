@@ -4,8 +4,7 @@ import pytest
 from avqds.ansatz import Ansatz, prepare_state, tangent_states
 from avqds.mclachlan import (
     assemble_frame,
-    assemble_system,
-    augment_candidate,
+    augment_block,
     extend_system,
     mclachlan_distance,
 )
@@ -33,7 +32,7 @@ Z1 = WeightedPauliSum(1, [(1.0, PauliString.from_label("Z"))])
 
 def test_empty_ansatz_system():
     ref = StateVector(1, np.array([1, 1]) / np.sqrt(2))
-    s = assemble_system(Ansatz(ref), Z1)
+    s = assemble_frame(Ansatz(ref), Z1).system
     assert s.m.shape == (0, 0)
     assert s.v.shape == (0,)
     assert s.var_h == pytest.approx(variance(Z1, ref))
@@ -41,14 +40,14 @@ def test_empty_ansatz_system():
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.2, -2.0])
 def test_single_x_with_x_field(theta):
-    s = assemble_system(x_ansatz(theta), X1)
+    s = assemble_frame(x_ansatz(theta), X1).system
     np.testing.assert_allclose(s.m, [[1.0]], atol=1e-12)
     np.testing.assert_allclose(s.v, [1.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.3, 1.2, -2.0])
 def test_single_x_with_z_field(theta):
-    s = assemble_system(x_ansatz(theta), Z1)
+    s = assemble_frame(x_ansatz(theta), Z1).system
     np.testing.assert_allclose(s.m, [[1.0]], atol=1e-12)
     np.testing.assert_allclose(s.v, [0.0], atol=1e-12)
 
@@ -79,7 +78,7 @@ def test_assembly_matches_finite_difference_definition(rng):
         n = int(rng.integers(2, 5))
         a = make_ansatz(rng, n, int(rng.integers(1, 6)))
         h = random_hamiltonian(rng, n)
-        s = assemble_system(a, h)
+        s = assemble_frame(a, h).system
         m_ref, v_ref = fd_reference_system(a, h)
         np.testing.assert_allclose(s.m, m_ref, atol=5e-9)
         np.testing.assert_allclose(s.v, v_ref, atol=5e-9)
@@ -90,7 +89,7 @@ def test_metric_psd_and_null_orthogonal_to_force(rng):
         n = int(rng.integers(2, 5))
         a = make_ansatz(rng, n, int(rng.integers(1, 8)))
         h = random_hamiltonian(rng, n)
-        s = assemble_system(a, h)
+        s = assemble_frame(a, h).system
         np.testing.assert_allclose(s.m, s.m.T, atol=1e-12)
         w, u = np.linalg.eigh(s.m)
         assert w.min(initial=np.inf) >= -1e-10
@@ -105,12 +104,12 @@ def test_metric_psd_and_null_orthogonal_to_force(rng):
 def test_distance_at_zero_velocity(rng):
     a = make_ansatz(rng, 3, 4)
     h = random_hamiltonian(rng, 3)
-    s = assemble_system(a, h)
+    s = assemble_frame(a, h).system
     assert mclachlan_distance(s, np.zeros(4)) == pytest.approx(2 * s.var_h)
 
 
 def test_distance_exactly_representable_case():
-    s = assemble_system(x_ansatz(0.7), X1)
+    s = assemble_frame(x_ansatz(0.7), X1).system
     assert mclachlan_distance(s, np.array([1.0])) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -133,7 +132,7 @@ def test_distance_matches_dense_defect(rng):
         n = int(rng.integers(2, 4))
         a = make_ansatz(rng, n, int(rng.integers(1, 6)))
         h = random_hamiltonian(rng, n)
-        s = assemble_system(a, h)
+        s = assemble_frame(a, h).system
         theta_dot = rng.normal(size=a.n_params)
         assert mclachlan_distance(s, theta_dot) == pytest.approx(
             dense_defect_norm(a, h, theta_dot), abs=1e-9, rel=1e-9
@@ -141,7 +140,7 @@ def test_distance_matches_dense_defect(rng):
 
 
 def test_distance_dimension_check():
-    s = assemble_system(x_ansatz(0.1), X1)
+    s = assemble_frame(x_ansatz(0.1), X1).system
     with pytest.raises(ValueError):
         mclachlan_distance(s, np.zeros(3))
 
@@ -156,12 +155,12 @@ def test_augment_matches_full_assembly(rng):
         h = random_hamiltonian(rng, n)
         frame = assemble_frame(a, h)
         cand = random_pauli(rng, n)
-        column, v_new = augment_candidate(frame, cand)
-        full = assemble_system(a.extended([cand]), h)
-        np.testing.assert_allclose(column[:-1], full.m[:-1, -1], atol=1e-12)
-        assert column[-1] == pytest.approx(full.m[-1, -1], abs=1e-12)
-        assert v_new == pytest.approx(full.v[-1], abs=1e-12)
-        ext = extend_system(frame.system, column[:-1], column[-1], v_new)
+        cols, diags, v_new = augment_block(frame, [cand])
+        full = assemble_frame(a.extended([cand]), h).system
+        np.testing.assert_allclose(cols[0], full.m[:-1, -1], atol=1e-12)
+        assert diags[0] == pytest.approx(full.m[-1, -1], abs=1e-12)
+        assert v_new[0] == pytest.approx(full.v[-1], abs=1e-12)
+        ext = extend_system(frame.system, cols[0], diags[0], v_new[0])
         np.testing.assert_allclose(ext.m, full.m, atol=1e-12)
         np.testing.assert_allclose(ext.v, full.v, atol=1e-12)
 
@@ -171,15 +170,15 @@ def test_augment_with_repeat_of_last_generator(rng):
     a = make_ansatz(rng, 3, 4)
     h = random_hamiltonian(rng, 3)
     frame = assemble_frame(a, h)
-    column, _ = augment_candidate(frame, a.generators[-1])
-    assert column[-1] == pytest.approx(frame.system.m[-1, -1], abs=1e-12)
+    _, diags, _ = augment_block(frame, [a.generators[-1]])
+    assert diags[0] == pytest.approx(frame.system.m[-1, -1], abs=1e-12)
 
 
 def test_augment_empty_ansatz_y_candidate():
     ref = StateVector.basis_state(1)
     frame = assemble_frame(Ansatz(ref), Z1)
-    column, v_new = augment_candidate(frame, PauliString.from_label("Y"))
+    cols, diags, v_new = augment_block(frame, [PauliString.from_label("Y")])
     # tangent -iY|0> = -i(i|1>) = |1>, orthogonal to |0>; force element vanishes
-    assert column.shape == (1,)
-    assert column[0] == pytest.approx(1.0)
-    assert v_new == pytest.approx(0.0, abs=1e-14)
+    assert cols.shape == (1, 0)
+    assert diags[0] == pytest.approx(1.0)
+    assert v_new[0] == pytest.approx(0.0, abs=1e-14)

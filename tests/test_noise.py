@@ -5,7 +5,7 @@ import pytest
 
 from avqds.ansatz import layout
 from avqds.mclachlan import McLachlanSystem
-from avqds.noise import NoiseConfig, fragment_depth, noisy_system, shot_sigma
+from avqds.noise import NoiseConfig, noisy_system, shot_sigma
 from avqds.pauli import PauliString
 
 
@@ -44,26 +44,26 @@ def test_sigma_infinite_shots():
     assert shot_sigma(0.1, math.inf) == 0.0
 
 
-# --- fragment_depth -------------------------------------------------------
+# --- fragment depth ---------------------------------------------------------
 
 
 def test_fragment_depth_examples():
     lo = chain_layout()
-    assert fragment_depth(lo, 0, 0) == 1
-    assert fragment_depth(lo, 0, 1) == 2
-    assert fragment_depth(lo, 2, 2) == lo.depth == 2
-    assert fragment_depth(lo, 0, 2) == 2
+    assert lo.prefix_depth(max(0, 0)) == 1
+    assert lo.prefix_depth(max(0, 1)) == 2
+    assert lo.prefix_depth(max(2, 2)) == lo.depth == 2
+    assert lo.prefix_depth(max(0, 2)) == 2
     with pytest.raises(IndexError):
-        fragment_depth(lo, 0, 7)
+        lo.prefix_depth(max(0, 7))
 
 
 def test_fragment_depth_on_six_layer_circuit():
     gens = tuple(g(lbl) for lbl in ("ZZII", "IIZZ", "IZZI", "ZIIZ", "XIII", "IXII"))
     lo = layout(gens, 4)
     # first two unitaries fill layer one; element (0,1) sees only that layer
-    assert fragment_depth(lo, 0, 1) == 1
-    assert fragment_depth(lo, 1, 3) == 2
-    assert fragment_depth(lo, 0, 5) == 3
+    assert lo.prefix_depth(max(0, 1)) == 1
+    assert lo.prefix_depth(max(1, 3)) == 2
+    assert lo.prefix_depth(max(0, 5)) == 3
 
 
 # --- noisy_system ---------------------------------------------------------

@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import avqds.statevector
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.statevector import (
     ExactPropagator,
@@ -367,3 +368,23 @@ def test_exact_propagator_complex_path(rng):
     assert prop._modes.dtype == np.complex128
     for t in (0.0, 0.3, 1.7):
         assert fidelity(prop.state_at(t), exact_evolve(h, t, psi)) > 1 - 1e-12
+
+
+def test_exact_propagator_krylov_path_matches_dense(rng, monkeypatch):
+    n = 5
+    h = tfim_chain(n)
+    psi = StateVector(n, random_state(rng, n))
+    dense = ExactPropagator(h, psi)
+    monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
+    krylov = ExactPropagator(h, psi)
+    assert not krylov._dense
+    for t in (0.2, 0.9, 2.4):
+        assert fidelity(krylov.state_at(t), dense.state_at(t)) > 1 - 1e-10
+    with pytest.raises(ValueError):
+        krylov.state_at(0.9)
+
+
+def test_twelve_qubit_oracle_builds_in_krylov_mode():
+    n = 12
+    prop = ExactPropagator(tfim_chain(n), StateVector.basis_state(n))
+    assert not prop._dense
