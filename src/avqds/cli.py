@@ -115,6 +115,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     from .models import build_model, default_model
     from .statevector import ExactPropagator, expectation
 
+    if not args.dt > 0:
+        return _fail("dt", f"must be positive, got {args.dt}")
+    if not args.t_final >= 0:
+        return _fail("t_final", f"must be non-negative, got {args.t_final}")
     couplings = {"j": args.j, "h_x": args.hx, "h_z": args.hz}
     try:
         spec = default_model(args.model, args.nq)

@@ -33,7 +33,7 @@ from .mclachlan import (
 )
 from .models import OperatorPool
 from .noise import NoiseConfig, noisy_system
-from .pauli import PauliString, WeightedPauliSum
+from .pauli import WeightedPauliSum
 from .solvers import SolverConfig, solve
 from .statevector import ExactPropagator, StateVector
 
@@ -140,56 +140,29 @@ def select_additions(
     Pure selection logic on precomputed scores; ties break toward the lower
     pool index. Returns (indices, depth_suppressed).
     """
-    ranked = sorted(scores, key=lambda item: (-item[1], item[0]))
+    ranked = [i for i, s in sorted(scores, key=lambda item: (-item[1], item[0])) if s > score_cut]
     layout = ansatz_layout(ansatz)
-    suppressed = False
-
-    def allowed(op: PauliString) -> bool:
-        return max_depth is None or layout.placement_level(op.support_mask) < max_depth
-
-    if method == 1:
-        for idx, score in ranked:
-            if score <= score_cut:
-                break
-            if not allowed(pool.operators[idx]):
-                suppressed = True
-                continue
-            return [idx], suppressed
-        return [], suppressed
-
     if method == 2:
         idle = layout.idle_qubits_in_last_layer()
-        for idx, score in ranked:
-            if score <= score_cut:
-                break
-            op = pool.operators[idx]
-            if op.support_mask & ~idle:
-                continue
-            return [idx], suppressed  # fits in the last layer, depth unchanged
-        # nothing helpful fits on idle qubits: open a new layer with the best
-        for idx, score in ranked:
-            if score <= score_cut:
-                break
-            if not allowed(pool.operators[idx]):
-                suppressed = True
-                continue
-            return [idx], suppressed
-        return [], suppressed
-
-    # method 3: fill a layer with disjoint supports in score order
+        for idx in ranked:
+            if not pool.operators[idx].support_mask & ~idle:
+                return [idx], False  # fits in the last layer, depth unchanged
+    # method 3 fills a layer with disjoint supports in score order; methods 1
+    # and 2 (nothing helpful fits on idle qubits) open one with the best
     chosen: list[int] = []
     occupied = 0
-    for idx, score in ranked:
-        if score <= score_cut:
-            break
-        op = pool.operators[idx]
-        if op.support_mask & occupied:
+    suppressed = False
+    for idx in ranked:
+        mask = pool.operators[idx].support_mask
+        if mask & occupied:
             continue
-        if not allowed(op):
+        if max_depth is not None and layout.placement_level(mask) >= max_depth:
             suppressed = True
             continue
         chosen.append(idx)
-        occupied |= op.support_mask
+        occupied |= mask
+        if method != 3:
+            break
     return chosen, suppressed
 
 

@@ -38,7 +38,6 @@ class TangentFrame:
     """An assembled system together with the states needed to extend it."""
 
     ansatz: Ansatz
-    hamiltonian: WeightedPauliSum
     system: McLachlanSystem
     psi: np.ndarray
     h_psi: np.ndarray
@@ -63,7 +62,6 @@ def assemble_frame(a: Ansatz, h: WeightedPauliSum) -> TangentFrame:
     v = np.imag(xi_conj @ h_psi - overlaps * energy)
     return TangentFrame(
         ansatz=a,
-        hamiltonian=h,
         system=McLachlanSystem(m=m, v=v, var_h=var_h),
         psi=psi,
         h_psi=h_psi,

@@ -42,6 +42,7 @@ class SolveDiagnostics:
     min_eigenvalue: float
     max_eigenvalue: float
     residual: float
+    null_defect: float  # max |u_k·V| over eigenvalues <= epsilon; 0.0 if none
 
 
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -79,24 +80,28 @@ def _cgls(m: np.ndarray, v: np.ndarray, max_iters: int, tol: float) -> np.ndarra
 
 
 def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Solve the equations of motion with the configured strategy."""
+    """Solve the equations of motion with the configured strategy.
+
+    The diagnostics report the null-space defect, the worst overlap of V with
+    an eigenvector at or below epsilon. It is never enforced: noiseless
+    assembly keeps it at the numerical floor, noise does not.
+    """
     m, v = s.m, s.v
     n = s.n_params
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
         raise ValueError("non-finite entries in the linear system")
     if n == 0:
-        return np.zeros(0), SolveDiagnostics(0, np.inf, -np.inf, 0.0)
+        return np.zeros(0), SolveDiagnostics(0, np.inf, -np.inf, 0.0, 0.0)
 
     w, u = symmetric_eig(m)
-    n_null = int(np.sum(w <= cfg.epsilon))
+    null = w <= cfg.epsilon
+    y = u.T @ v
 
     if cfg.method == "tikhonov":
-        theta_dot = u @ ((u.T @ v) / (w + cfg.epsilon))
+        theta_dot = u @ (y / (w + cfg.epsilon))
     elif cfg.method == "truncation":
-        y = u.T @ v
         scale = np.zeros(n)
-        keep = w > cfg.epsilon
-        np.divide(y, w, out=scale, where=keep)
+        np.divide(y, w, out=scale, where=~null)
         theta_dot = u @ scale
     elif cfg.method == "lsq_unbounded":
         theta_dot = _cgls(m, v, max_iters=10 * n, tol=1e-12)
@@ -106,26 +111,10 @@ def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagn
 
     residual = float(np.linalg.norm(m @ theta_dot - v))
     diag = SolveDiagnostics(
-        n_null=n_null,
+        n_null=int(np.sum(null)),
         min_eigenvalue=float(w[0]),
         max_eigenvalue=float(w[-1]),
         residual=residual,
+        null_defect=float(np.max(np.abs(y[null]))) if null.any() else 0.0,
     )
     return theta_dot, diag
-
-
-def null_space_diagnostics(s: McLachlanSystem, epsilon: float) -> tuple[int, float]:
-    """Size of the sub-threshold eigenspace and its worst overlap with V.
-
-    The overlap defect is reported, never enforced; noiseless assembly keeps
-    it at the numerical floor, noise does not.
-    """
-    if s.n_params == 0:
-        return 0, 0.0
-    w, u = symmetric_eig(s.m)
-    null_mask = w <= epsilon
-    n_null = int(np.sum(null_mask))
-    if n_null == 0:
-        return 0, 0.0
-    defect = float(np.max(np.abs(u[:, null_mask].T @ s.v)))
-    return n_null, defect

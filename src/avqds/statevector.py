@@ -8,7 +8,8 @@ given; its callers hand it arrays they own.
 
 A Pauli string is a real matrix iff it has an even number of Y factors, so
 the Hamiltonians of the built-in models (tfim, mfim, hm) are real. The dense
-oracle diagonalizes those in real arithmetic.
+oracle diagonalizes those in real arithmetic; both oracle paths read H from
+one COO builder.
 """
 
 from __future__ import annotations
@@ -16,19 +17,22 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+from scipy.sparse import coo_array, csr_array
+from scipy.sparse.linalg import expm_multiply
 
 from .pauli import PauliString, WeightedPauliSum
 
 
 # Largest system the exact oracle diagonalizes densely. Dense init costs
 # 0.27 s at 10 qubits, 1.6 s at 11 and 13.8 s at 12 (real eigh, one thread),
-# while a dense call saves only about 4 ms against a Krylov step at 12, so
-# larger systems step a Krylov state instead.
+# while an ``expm_multiply`` call over dt = 0.005 on the sparse H takes about
+# 4 ms at 12, so larger systems step a sparse state instead.
 _DENSE_MAX_QUBITS = 11
 
 
 class EvolveError(RuntimeError):
-    """Raised when the Krylov propagator cannot meet its error target."""
+    """Raised when sparse exact evolution returns a state whose norm is not
+    that of its input (including a non-finite one)."""
 
 
 class StateVector:
@@ -196,9 +200,23 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
 
 
-def _is_real(p: PauliString) -> bool:
-    """True iff the matrix of ``p`` is real: an even number of Y factors."""
-    return bin(p.x_bits & p.z_bits).count("1") % 2 == 0
+def _hamiltonian_coo(h: WeightedPauliSum) -> coo_array:
+    """H as COO entries, term by term: column b of each term P has its single
+    entry at row b ^ x with value coeff·phase·(sign of b).
+
+    The entries are float64 when every term is real and complex128 otherwise.
+    """
+    dim = 1 << h.n_qubits
+    real = all(bin(p.x_bits & p.z_bits).count("1") % 2 == 0 for _, p in h.terms)  # even Y count
+    rows = [np.empty(0, dtype=np.int64)]  # the seeds give an empty H its shape and dtype
+    vals = [np.empty(0, dtype=np.float64 if real else np.complex128)]
+    for coeff, p in h.terms:
+        src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
+        scale = coeff * phase  # phase is +-1 for a real term
+        rows.append(src)
+        vals.append((scale.real if real else scale) * signs[src])
+    cols = np.tile(np.arange(dim, dtype=np.int64), len(h.terms))
+    return coo_array((np.concatenate(vals), (np.concatenate(rows), cols)), shape=(dim, dim))
 
 
 def dense_hamiltonian(h: WeightedPauliSum) -> np.ndarray:
@@ -206,16 +224,7 @@ def dense_hamiltonian(h: WeightedPauliSum) -> np.ndarray:
 
     The matrix is float64 when every term is real and complex128 otherwise.
     """
-    dim = 1 << h.n_qubits
-    idx = np.arange(dim, dtype=np.int64)
-    real = all(_is_real(p) for _, p in h.terms)
-    out = np.zeros((dim, dim), dtype=np.float64 if real else np.complex128)
-    for coeff, p in h.terms:
-        src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
-        scale = coeff * phase  # phase is +-1 for a real term
-        # column b of P has its single entry at row b ^ x with the sign of b
-        out[idx ^ p.x_bits, idx] += (scale.real if real else scale) * signs[idx ^ p.x_bits]
-    return out
+    return _hamiltonian_coo(h).toarray()
 
 
 def _modes_times(m: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -227,95 +236,28 @@ def _modes_times(m: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (m @ pairs).view(np.complex128).ravel()
 
 
-def _lanczos(h: WeightedPauliSum, vec: np.ndarray, m_max: int):
-    """Lanczos basis with full reorthogonalization.
-
-    Returns (basis rows V (m, dim), alpha (m,), beta (m-1,), residual), where
-    residual is the coupling to the next Krylov vector; ~0 means the space is
-    invariant and a step of any size is exact within it.
-    """
-    dim = vec.shape[0]
-    m_max = min(m_max, dim)
-    basis = np.empty((m_max, dim), dtype=np.complex128)
-    alpha = np.empty(m_max)
-    beta = np.empty(max(m_max - 1, 0))
-    basis[0] = vec
-    b = 0.0
-    for j in range(m_max):
-        w = _hamiltonian_rows(h, basis[j])
-        alpha[j] = np.real(np.vdot(basis[j], w))
-        w -= alpha[j] * basis[j]
-        if j > 0:
-            w -= beta[j - 1] * basis[j - 1]
-        # full reorthogonalization; m_max is small so this is cheap
-        proj = basis[: j + 1].conj() @ w
-        w -= basis[: j + 1].T @ proj
-        b = float(np.linalg.norm(w))
-        if j + 1 == m_max or b < 1e-13:
-            return basis[: j + 1], alpha[: j + 1], beta[:j], b
-        beta[j] = b
-        basis[j + 1] = w / b
-    return basis, alpha, beta, b
+def _evolve_sparse(h_csr: csr_array, t: float, vec: np.ndarray) -> np.ndarray:
+    """exp(-iHt)·vec for a sparse H; raises EvolveError unless the norm is kept."""
+    out = expm_multiply((-1j * t) * h_csr, vec)
+    nrm, nrm0 = np.linalg.norm(out), np.linalg.norm(vec)
+    if not abs(nrm - nrm0) <= 1e-8 * nrm0:
+        raise EvolveError(f"norm went from {nrm0} to {nrm} over t={t:g}")
+    return out
 
 
-def _expm_tridiag_e1(alpha: np.ndarray, beta: np.ndarray, scale: complex) -> np.ndarray:
-    """exp(scale·T)·e1 for the real symmetric tridiagonal T(alpha, beta)."""
-    m = alpha.shape[0]
-    t = np.diag(alpha)
-    if m > 1:
-        t += np.diag(beta[: m - 1], 1) + np.diag(beta[: m - 1], -1)
-    w, u = np.linalg.eigh(t)
-    return u @ (np.exp(scale * w) * u[0, :])
+def exact_evolve(h: WeightedPauliSum, t: float, psi0: StateVector) -> StateVector:
+    """exp(-iHt)|psi0> by ``expm_multiply`` on the sparse H.
 
-
-def exact_evolve(
-    h: WeightedPauliSum,
-    t: float,
-    psi0: StateVector,
-    krylov_dim: int = 30,
-    local_tol: float = 1e-10,
-) -> StateVector:
-    """exp(-iHt)|psi0> by short-iterate Krylov stepping.
-
-    The step size is adapted so the leaked-amplitude estimate of each
-    sub-step stays below ``local_tol``; failure to converge raises
-    EvolveError rather than returning a degraded state.
+    A result whose norm differs from that of ``psi0`` raises EvolveError
+    rather than being returned as a degraded state.
     """
     _check_match(h.n_qubits, psi0.n_qubits)
     if t < 0:
         raise ValueError(f"evolution time must be non-negative, got {t}")
     if t == 0:
         return psi0.copy()
-    vec = psi0.amplitudes.copy()
-    remaining = t
-    tau = t
-    substeps = 0
-    while remaining > 1e-15 * t:
-        tau = min(tau, remaining)
-        basis, alpha, beta, residual = _lanczos(h, vec, krylov_dim)
-        m = alpha.shape[0]
-        while True:
-            y = _expm_tridiag_e1(alpha, beta, -1j * tau)
-            err = residual * float(abs(y[m - 1]))
-            if err < local_tol:
-                break
-            tau *= 0.5
-            if tau < 1e-14 * t:
-                raise EvolveError(
-                    f"Krylov step size underflow at t={t - remaining:g} "
-                    f"(error estimate {err:.3e})"
-                )
-        vec = basis[:m].T @ y
-        nrm = np.linalg.norm(vec)
-        if abs(nrm - 1.0) > 1e-8:
-            raise EvolveError(f"norm drifted to {nrm} during Krylov stepping")
-        vec /= nrm
-        remaining -= tau
-        tau *= 2.0
-        substeps += 1
-        if substeps > 1_000_000:
-            raise EvolveError("sub-step budget exhausted")
-    return StateVector(psi0.n_qubits, vec)
+    h_csr = _hamiltonian_coo(h).tocsr()
+    return StateVector(psi0.n_qubits, _evolve_sparse(h_csr, t, psi0.amplitudes))
 
 
 class ExactPropagator:
@@ -323,7 +265,8 @@ class ExactPropagator:
 
     For up to ``_DENSE_MAX_QUBITS`` qubits the Hamiltonian is diagonalized once
     and states at arbitrary times come from the spectral representation;
-    beyond that a running Krylov-stepped state is advanced monotonically.
+    beyond that the sparse H is stored once and a running state is advanced
+    monotonically by ``expm_multiply``.
 
     When every term of H is real (an even number of Y factors), the dense
     matrix is float64 and ``eigh`` runs in real arithmetic; the real modes
@@ -334,7 +277,6 @@ class ExactPropagator:
 
     def __init__(self, h: WeightedPauliSum, psi0: StateVector):
         _check_match(h.n_qubits, psi0.n_qubits)
-        self._h = h
         self.n_qubits = h.n_qubits
         self._dense = h.n_qubits <= _DENSE_MAX_QUBITS
         if self._dense:
@@ -343,6 +285,7 @@ class ExactPropagator:
             self._modes = u
             self._coeffs = _modes_times(u.conj().T, psi0.amplitudes)
         else:
+            self._h_csr = _hamiltonian_coo(h).tocsr()
             self._t = 0.0
             self._state = psi0.copy()
 
@@ -351,8 +294,9 @@ class ExactPropagator:
             amps = _modes_times(self._modes, np.exp(-1j * self._eigvals * t) * self._coeffs)
             return StateVector(self.n_qubits, amps)
         if t < self._t - 1e-12:
-            raise ValueError("Krylov-backed propagator only advances forward in time")
+            raise ValueError("sparse-backed propagator only advances forward in time")
         if t > self._t:
-            self._state = exact_evolve(self._h, t - self._t, self._state)
+            amps = _evolve_sparse(self._h_csr, t - self._t, self._state.amplitudes)
+            self._state = StateVector(self.n_qubits, amps)
             self._t = t
         return self._state

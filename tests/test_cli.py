@@ -191,3 +191,20 @@ def test_oracle_dump(tmp_path):
     energies = [float(r[1]) for r in rows]
     assert max(energies) - min(energies) < 1e-8  # energy conserved
     assert float(rows[0][2]) == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--dt", "0"], "dt"),
+        (["--dt", "-0.1"], "dt"),
+        (["--dt", "nan"], "dt"),
+        (["--t-final", "-1"], "t_final"),
+    ],
+    ids=["dt-zero", "dt-negative", "dt-nan", "t-final-negative"],
+)
+def test_oracle_rejects_bad_time_grid(tmp_path, capsys, flags, key):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--nq", "4", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith(f"error key={key} message=")
+    assert not out.exists()

@@ -1,6 +1,7 @@
 """Package layering: the modules of ``avqds`` import each other without a
-cycle, and ``models`` (the problem definition) depends only on the Pauli
-algebra and the statevector, never on the integrator built on top of it.
+cycle, ``models`` (the problem definition) depends only on the Pauli
+algebra and the statevector, never on the integrator built on top of it,
+and the statevector kernels and oracle depend only on the Pauli algebra.
 
 Imports are read from the source with ``ast``, function-level imports
 included, so a deferred import cannot hide a dependency.
@@ -51,3 +52,7 @@ def test_package_import_graph_is_acyclic():
 
 def test_models_imports_only_pauli_and_statevector():
     assert import_graph()["models"] == {"pauli", "statevector"}
+
+
+def test_statevector_imports_only_pauli():
+    assert import_graph()["statevector"] == {"pauli"}

@@ -4,7 +4,6 @@ import pytest
 from avqds.mclachlan import McLachlanSystem, assemble_frame
 from avqds.solvers import (
     SolverConfig,
-    null_space_diagnostics,
     solve,
     symmetric_eig,
 )
@@ -190,15 +189,15 @@ def test_residual_reported(rng):
 
 
 def test_null_diagnostics_rank_one():
-    n_null, defect = null_space_diagnostics(system(np.diag([1.0, 0.0]), [1.0, 0.0]), 1e-6)
-    assert n_null == 1
-    assert defect == pytest.approx(0.0, abs=1e-15)
+    diag = solve(system(np.diag([1.0, 0.0]), [1.0, 0.0]), SolverConfig(epsilon=1e-6))[1]
+    assert diag.n_null == 1
+    assert diag.null_defect == pytest.approx(0.0, abs=1e-15)
 
 
 def test_null_diagnostics_identity():
-    n_null, defect = null_space_diagnostics(system(np.eye(3), [1.0, 2.0, 3.0]), 1e-6)
-    assert n_null == 0
-    assert defect == 0.0
+    diag = solve(system(np.eye(3), [1.0, 2.0, 3.0]), SolverConfig(epsilon=1e-6))[1]
+    assert diag.n_null == 0
+    assert diag.null_defect == 0.0
 
 
 def test_null_diagnostics_on_assembled_systems(rng):
@@ -207,5 +206,5 @@ def test_null_diagnostics_on_assembled_systems(rng):
         a = make_ansatz(rng, n, int(rng.integers(2, 9)))
         h = random_hamiltonian(rng, n)
         s = assemble_frame(a, h).system
-        _, defect = null_space_diagnostics(s, 1e-10)
+        defect = solve(s, SolverConfig(epsilon=1e-10))[1].null_defect
         assert defect <= 1e-8

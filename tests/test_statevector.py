@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import avqds.statevector
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.statevector import (
+    EvolveError,
     ExactPropagator,
     StateVector,
     apply_hamiltonian,
@@ -252,6 +253,24 @@ def test_dense_hamiltonian_matches_kron(rng):
         np.testing.assert_allclose(dense_hamiltonian(h), dense_sum(h), atol=1e-12)
 
 
+def test_dense_hamiltonian_is_bitwise_the_per_term_sum(rng):
+    """The COO builder adds entries in term order, exactly as a per-term
+    fancy-index ``+=`` does, so the oracle's bits do not depend on the route."""
+    for complex_term in (False, True):
+        terms = list(_real_hamiltonian(rng, 5, 12).terms)
+        if complex_term:
+            terms.append((0.7, PauliString.from_label("IIIXY")))
+        h = WeightedPauliSum(5, terms)
+        expected = np.zeros((32, 32), dtype=np.complex128 if complex_term else np.float64)
+        idx = np.arange(32)
+        for coeff, p in h.terms:
+            column = dense_pauli(p)[idx ^ p.x_bits, idx]
+            expected[idx ^ p.x_bits, idx] += coeff * (column if complex_term else column.real)
+        got = dense_hamiltonian(h)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
 # --- inner / fidelity -----------------------------------------------------
 
 
@@ -382,6 +401,32 @@ def test_exact_propagator_krylov_path_matches_dense(rng, monkeypatch):
         assert fidelity(krylov.state_at(t), dense.state_at(t)) > 1 - 1e-10
     with pytest.raises(ValueError):
         krylov.state_at(0.9)
+
+
+def test_sparse_path_tracks_dense_over_engine_sized_steps(rng, monkeypatch):
+    """The engine asks the oracle for every step time in increasing order."""
+    n = 5
+    h = tfim_chain(n)
+    psi = StateVector(n, random_state(rng, n))
+    dense = ExactPropagator(h, psi)
+    monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
+    sparse = ExactPropagator(h, psi)
+    for k in range(1, 401):
+        t = k * 0.005
+        assert fidelity(sparse.state_at(t), dense.state_at(t)) > 1 - 1e-12
+
+
+def test_norm_drift_raises_evolve_error(rng, monkeypatch):
+    n = 4
+    h = tfim_chain(n)
+    psi = StateVector(n, random_state(rng, n))
+    monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
+    sparse = ExactPropagator(h, psi)
+    monkeypatch.setattr(avqds.statevector, "expm_multiply", lambda a, v: 2 * v)
+    with pytest.raises(EvolveError):
+        exact_evolve(h, 0.3, psi)
+    with pytest.raises(EvolveError):
+        sparse.state_at(0.3)
 
 
 def test_twelve_qubit_oracle_builds_in_krylov_mode():
