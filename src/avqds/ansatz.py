@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .pauli import PauliString
-from .statevector import StateVector, _pauli_rows, _rotate_rows
+from .statevector import StateVector, _pauli_into, _rotate_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +96,7 @@ def tangent_states(a: Ansatz) -> np.ndarray:
     for k, (p, theta) in enumerate(steps):
         _rotate_rows(p, theta, block[start : k + 1], buf)
         block[k + 1] = block[k]
-        block[k] = -1j * _pauli_rows(p, block[k + 1])
+        _pauli_into(p, -1j, block[k + 1 : k + 2], block[k : k + 1])
         if k + 1 - start == tile:
             rows = block[start : k + 1]
             for q, phi in steps[k + 1 :]:

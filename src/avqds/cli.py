@@ -117,8 +117,12 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     if not args.dt > 0:
         return _fail("dt", f"must be positive, got {args.dt}")
-    if not args.t_final >= 0:
-        return _fail("t_final", f"must be non-negative, got {args.t_final}")
+    if not 0 <= args.t_final < np.inf:
+        return _fail("t_final", f"must be finite and non-negative, got {args.t_final}")
+    try:
+        times = np.arange(0.0, args.t_final + 1e-12, args.dt)
+    except (ValueError, MemoryError) as exc:
+        return _fail("dt", f"too small for a time grid up to {args.t_final}: {exc}")
     couplings = {"j": args.j, "h_x": args.hx, "h_z": args.hz}
     try:
         spec = default_model(args.model, args.nq)
@@ -127,7 +131,6 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     except ValueError as exc:
         return _fail("model", str(exc))
     prop = ExactPropagator(h, psi0)
-    times = np.arange(0.0, args.t_final + 1e-12, args.dt)
     lines = ["t,energy,return_probability"]
     for t in times:
         state = prop.state_at(float(t))

@@ -19,7 +19,7 @@ import numpy as np
 from .ansatz import Ansatz, swept_state, tangent_states
 from .ansatz import prepare_state  # noqa: F401  perfbench/tracing.py wraps it under this module
 from .pauli import PauliString, WeightedPauliSum
-from .statevector import _hamiltonian_rows, _pauli_rows
+from .statevector import _hamiltonian_rows, _pauli_into
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,7 +97,7 @@ def augment_block(frame: TangentFrame, candidates: list[PauliString]):
     psi = frame.psi
     new_tangents = np.empty((len(candidates), psi.shape[0]), dtype=np.complex128)
     for j, op in enumerate(candidates):
-        new_tangents[j] = -1j * _pauli_rows(op, psi)
+        _pauli_into(op, -1j, psi.reshape(1, -1), new_tangents[j : j + 1])
     c_new = new_tangents.conj() @ psi
     if frame.tangents.shape[0]:
         gram = frame.tangents.conj() @ new_tangents.T  # (N, P)

@@ -2,9 +2,10 @@
 
 Public functions are pure; inputs are never mutated. The hot kernels also
 come in row-block form (operating on a ``(k, 2**n)`` array of states at once)
-so tangent-state sweeps stay vectorized. The one exception to purity is the
-private rotation kernel ``_rotate_rows``, which overwrites the block it is
-given; its callers hand it arrays they own.
+so tangent-state sweeps stay vectorized. The exceptions to purity are the
+private kernels ``_rotate_rows``, which overwrites the block it is given,
+and ``_pauli_into``, which writes into the block it is given; their callers
+hand them arrays they own.
 
 A Pauli string is a real matrix iff it has an even number of Y factors, so
 the Hamiltonians of the built-in models (tfim, mfim, hm) are real. The dense
@@ -23,11 +24,13 @@ from scipy.sparse.linalg import expm_multiply
 from .pauli import PauliString, WeightedPauliSum
 
 
-# Largest system the exact oracle diagonalizes densely. Dense init costs
-# 0.27 s at 10 qubits, 1.6 s at 11 and 13.8 s at 12 (real eigh, one thread),
-# while an ``expm_multiply`` call over dt = 0.005 on the sparse H takes about
-# 4 ms at 12, so larger systems step a sparse state instead.
-_DENSE_MAX_QUBITS = 11
+# Largest system the exact oracle diagonalizes densely. Timed on TFIM with
+# one thread, dt = 0.005, median of 100 calls: at 11 qubits the sparse path
+# wins on both counts (dense init 1.67 s and 4.04 ms a call, against 0.002 s
+# and 2.44 ms for ``expm_multiply`` on the sparse H). At 10 qubits the calls
+# cost about the same (1.12 ms dense, 1.43 ms sparse) after 0.27 s of dense
+# init, so the dense path, and the bits of its outputs, stay.
+_DENSE_MAX_QUBITS = 10
 
 
 class EvolveError(RuntimeError):
@@ -87,22 +90,26 @@ def _pauli_tables(n_qubits: int, x_bits: int, z_bits: int):
     return src, signs, complex(phase)
 
 
-def _pauli_rows(p: PauliString, rows: np.ndarray) -> np.ndarray:
-    """Apply a Pauli string to each row of a (k, dim) array."""
-    src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
-    return phase * (signs * rows[..., src])
-
-
 @functools.lru_cache(maxsize=4096)
 def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int):
-    """Strided form of a Pauli's permutation: (axes shape, reversal, coefficients).
+    """Strided form of a Pauli's permutation: (axes shape, reversal, axis order, coefficients).
 
     The index bits are split into axes from the most significant bit down:
     every flipped (X or Y) bit is its own length-2 axis and each run of other
     bits is one merged axis. Reversing the flipped axes of a row block
     reshaped to ``(k, *shape)`` then reads ``rows[..., i ^ x_bits]`` at
-    position i without a gather. The coefficients are ``phase·signs`` in the
-    same shape.
+    position i without a gather.
+
+    The axis order is the order the kernel iterates the block in, axis 0
+    being the row axis. It is the natural one unless the last axis is shorter
+    than 8 amplitudes (a flip on qubit 0, 1 or 2): then the longest axis goes
+    last, directly after the row axis, so the inner loop stays long whichever
+    qubit is flipped.
+
+    The coefficients are ``phase·signs``, shaped ``(1, *shape)`` and put in
+    that order. When they are all equal (every pure-X string) they are one
+    Python complex instead, so nothing pins the row axis and numpy can merge
+    it with the axis after it into one loop over the rows.
     """
     shape: list[int] = []
     flipped: list[bool] = []
@@ -121,10 +128,42 @@ def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int):
         shape.append(1 << run)
         flipped.append(False)
     reverse = (slice(None),) + tuple(slice(None, None, -1) if f else slice(None) for f in flipped)
+    axes = list(range(1, len(shape) + 1))
+    if shape[-1] < 8:
+        longest = 1 + shape.index(max(shape))
+        axes.remove(longest)
+        order = tuple(axes) + (0, longest)
+    else:
+        order = (0, *axes)
     _, signs, phase = _pauli_tables(n_qubits, x_bits, z_bits)
-    coeffs = (phase * signs).reshape(shape)
-    coeffs.setflags(write=False)
-    return tuple(shape), reverse, coeffs
+    coeffs = phase * signs
+    if np.all(coeffs == coeffs[0]):
+        coeffs = complex(coeffs[0])
+    else:
+        coeffs = coeffs.reshape((1, *shape)).transpose(order)
+        coeffs.setflags(write=False)
+    return tuple(shape), reverse, order, coeffs
+
+
+def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray) -> None:
+    """out = scale·P·src for C-contiguous (k, dim) blocks; ``out`` must not overlap ``src``.
+
+    One strided multiply of ``src`` by ``scale·phase·signs``, iterated in the
+    plan's axis order (``order="C"`` on the transposed views keeps numpy from
+    sorting the axes back by stride). ``phase·signs`` is ±1 or ±i, so when
+    ``scale`` is real or imaginary every product has a factor with one zero
+    component, and each output component is rounded once whatever the loop
+    order, SIMD path or FMA use: the result equals ``scale·(phase·(signs·
+    src[..., i ^ x_bits]))`` bit for bit, up to the sign of a zero.
+    """
+    shape, reverse, order, coeffs = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
+    block = (src.shape[0], *shape)
+    np.multiply(
+        src.reshape(block)[reverse].transpose(order),
+        scale * coeffs,
+        out=out.reshape(block).transpose(order),
+        order="C",
+    )
 
 
 def _rotate_rows(p: PauliString, theta: float, rows: np.ndarray, buf: np.ndarray) -> None:
@@ -132,15 +171,14 @@ def _rotate_rows(p: PauliString, theta: float, rows: np.ndarray, buf: np.ndarray
 
     ``buf`` is C-contiguous scratch with at least k rows of width dim. The
     three operations below round exactly as cos·rows + (-i·sin·phase)·
-    (signs·rows[..., src]) does: each product has a factor with one zero
-    component. Folding a diagonal P into a single multiply by cos - i·sin·s
-    would not, so Z-only strings take the same route.
+    (signs·rows[..., src]) does: ``_pauli_into`` with the imaginary scale
+    -i·sin rounds once per component, and so does the real cos. Only the
+    iteration order of the first operation depends on the flipped qubits.
+    Folding a diagonal P into a single multiply by cos - i·sin·s would not
+    keep the bits, so Z-only strings take the same route.
     """
-    shape, reverse, coeffs = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
-    k = rows.shape[0]
-    block = (k,) + shape
-    scratch = buf[:k]
-    np.multiply(rows.reshape(block)[reverse], (-1j * np.sin(theta)) * coeffs, out=scratch.reshape(block))
+    scratch = buf[: rows.shape[0]]
+    _pauli_into(p, -1j * np.sin(theta), rows, scratch)
     rows *= np.cos(theta)
     rows += scratch
 
@@ -156,7 +194,9 @@ def _hamiltonian_rows(h: WeightedPauliSum, rows: np.ndarray) -> np.ndarray:
 def apply_pauli(p: PauliString, psi: StateVector) -> StateVector:
     """Return P|psi>, with exact phase tracking from Y sites and Z signs."""
     _check_match(p.n_qubits, psi.n_qubits)
-    return StateVector(psi.n_qubits, _pauli_rows(p, psi.amplitudes))
+    out = np.empty((1, 1 << psi.n_qubits), dtype=np.complex128)
+    _pauli_into(p, 1.0, psi.amplitudes.reshape(1, -1), out)
+    return StateVector(psi.n_qubits, out[0])
 
 
 def apply_rotation(p: PauliString, theta: float, psi: StateVector) -> StateVector:

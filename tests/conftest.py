@@ -2,10 +2,11 @@
 
 The dense oracles here deliberately avoid the package's bitmask kernels:
 operators are built as explicit Kronecker products so agreement between the
-two routes is meaningful. The one exception is ``_rotation_rows``, the
-fancy-index gather that the in-place rotation kernel replaced, and the
-tangent sweep ``gather_sweep`` built on it; they are kept as the references
-the kernel and the tiled sweep must reproduce bit for bit.
+two routes is meaningful. The exceptions are ``_pauli_rows`` and
+``_rotation_rows``, the fancy-index gathers that the strided kernels
+``_pauli_into`` and ``_rotate_rows`` replaced, and the tangent sweep
+``gather_sweep`` built on them; they are kept as the references the kernels
+and the tiled sweep must reproduce bit for bit.
 """
 
 from functools import reduce
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 from avqds.pauli import PauliString, WeightedPauliSum
-from avqds.statevector import _pauli_rows, _pauli_tables
+from avqds.statevector import _pauli_tables
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -28,6 +29,12 @@ def dense_pauli(p: PauliString) -> np.ndarray:
     """Kronecker-product matrix of a Pauli string (qubit 0 = index LSB)."""
     mats = [SINGLE[p.letter(i)] for i in range(p.n_qubits)]
     return reduce(np.kron, mats[::-1])
+
+
+def _pauli_rows(p: PauliString, rows: np.ndarray) -> np.ndarray:
+    """P applied to each row of a (k, dim) array by one fancy-index gather."""
+    src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
+    return phase * (signs * rows[..., src])
 
 
 def _rotation_rows(p: PauliString, theta: float, rows: np.ndarray) -> np.ndarray:

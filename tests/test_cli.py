@@ -200,8 +200,10 @@ def test_oracle_dump(tmp_path):
         (["--dt", "-0.1"], "dt"),
         (["--dt", "nan"], "dt"),
         (["--t-final", "-1"], "t_final"),
+        (["--t-final", "inf"], "t_final"),
+        (["--dt", "1e-300"], "dt"),
     ],
-    ids=["dt-zero", "dt-negative", "dt-nan", "t-final-negative"],
+    ids=["dt-zero", "dt-negative", "dt-nan", "t-final-negative", "t-final-inf", "dt-tiny"],
 )
 def test_oracle_rejects_bad_time_grid(tmp_path, capsys, flags, key):
     out = tmp_path / "oracle.csv"

@@ -14,7 +14,9 @@ from avqds.statevector import (
     StateVector,
     apply_hamiltonian,
     apply_pauli,
+    _pauli_into,
     _rotate_rows,
+    _rotation_plan,
     apply_rotation,
     dense_hamiltonian,
     exact_evolve,
@@ -24,6 +26,7 @@ from avqds.statevector import (
     variance,
 )
 from conftest import (
+    _pauli_rows,
     _rotation_rows,
     dense_pauli,
     dense_sum,
@@ -148,7 +151,9 @@ def test_apply_rotation_leaves_input_unchanged(rng):
 
 
 def _kernel_cases(rng):
-    """All strings up to 3 qubits; random 6-8 qubit strings with X/Y on qubit 0 and Y·Y pairs."""
+    """All strings up to 3 qubits; random 6-8 qubit strings with X/Y on qubit 0
+    and Y·Y pairs; at 8 and 10 qubits, single X/Y/Z on qubits 0, 1, 2 and n-1,
+    and pure-X strings (scalar coefficient) beside an X·Z string (array)."""
     for n in (1, 2, 3):
         for letters in itertools.product("IXYZ", repeat=n):
             yield PauliString.from_label("".join(letters))
@@ -161,16 +166,33 @@ def _kernel_cases(rng):
                 label[a] = label[b] = "Y"
             yield PauliString.from_label("".join(label))
         yield PauliString.from_label("Y" * n)
+    for n in (8, 10):
+        for q in (0, 1, 2, n - 1):
+            for letter in "XYZ":
+                yield PauliString.single(n, q, letter)
+        yield PauliString.from_label("X" * n)
+        yield PauliString.from_label("XX" + "I" * (n - 2))
+        yield PauliString.from_label("X" + "I" * (n - 2) + "X")
+        yield PauliString.from_label("IIX" + "I" * (n - 4) + "Z")
+
+
+_N_KERNEL_CASES = 4 + 16 + 64 + 3 * 13 + 2 * 16
+_KERNEL_ROWS = (1, 2, 7, 64)  # 64 rows: one merged row loop for pure-X strings
+
+
+def _kernel_block(rng, k, dim):
+    rows = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+    rows[0] = 0.0
+    rows[0, int(rng.integers(dim))] = 1.0  # a basis state: exact zeros
+    return rows
 
 
 def test_rotation_kernel_matches_gather_oracle_bitwise(rng):
     cases = 0
     for p in _kernel_cases(rng):
         dim = 1 << p.n_qubits
-        for k in (1, 2, 7):
-            rows = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
-            rows[0] = 0.0
-            rows[0, int(rng.integers(dim))] = 1.0  # a basis state: exact zeros
+        for k in _KERNEL_ROWS:
+            rows = _kernel_block(rng, k, dim)
             for theta in (0.0, np.pi / 2, float(rng.uniform(-np.pi, np.pi))):
                 expected = _rotation_rows(p, theta, rows)
                 out = rows.copy()
@@ -178,7 +200,37 @@ def test_rotation_kernel_matches_gather_oracle_bitwise(rng):
                 _rotate_rows(p, theta, out, buf)
                 assert np.array_equal(out, expected), (p.label(), k, theta)
                 cases += 1
-    assert cases == (4 + 16 + 64 + 3 * 13) * 3 * 3
+    assert cases == _N_KERNEL_CASES * len(_KERNEL_ROWS) * 3
+
+
+def test_pauli_into_matches_gather_bitwise(rng):
+    cases = 0
+    for p in _kernel_cases(rng):
+        dim = 1 << p.n_qubits
+        for k in _KERNEL_ROWS:
+            rows = _kernel_block(rng, k, dim)
+            theta = float(rng.uniform(-np.pi, np.pi))
+            for scale in (1.0, -1j, -1j * np.sin(theta)):
+                out = np.full((k, dim), np.nan + 0j)
+                _pauli_into(p, scale, rows, out)
+                assert np.array_equal(out, scale * _pauli_rows(p, rows)), (p.label(), k, scale)
+                cases += 1
+    assert cases == _N_KERNEL_CASES * len(_KERNEL_ROWS) * 3
+
+
+@pytest.mark.parametrize("letter", "XYZ")
+def test_rotation_plan_iterates_a_long_axis_last(letter):
+    """The bitwise tests cannot see the iteration order; this pins it, so that
+    low-qubit flips keep a long inner loop."""
+    n = 8
+    for q in range(n):
+        p = PauliString.single(n, q, letter)
+        shape, _, order, coeffs = _rotation_plan(n, p.x_bits, p.z_bits)
+        assert sorted(order) == list(range(len(shape) + 1))
+        assert order[-1] != 0  # never the row axis
+        last = shape[order[-1] - 1]
+        assert last == max(shape) or last >= 8, (p.label(), shape, order)
+        assert isinstance(coeffs, complex) == (letter == "X")
 
 
 # --- apply_hamiltonian / expectation / variance --------------------------
@@ -389,18 +441,18 @@ def test_exact_propagator_complex_path(rng):
         assert fidelity(prop.state_at(t), exact_evolve(h, t, psi)) > 1 - 1e-12
 
 
-def test_exact_propagator_krylov_path_matches_dense(rng, monkeypatch):
+def test_exact_propagator_sparse_path_matches_dense(rng, monkeypatch):
     n = 5
     h = tfim_chain(n)
     psi = StateVector(n, random_state(rng, n))
     dense = ExactPropagator(h, psi)
     monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
-    krylov = ExactPropagator(h, psi)
-    assert not krylov._dense
+    sparse = ExactPropagator(h, psi)
+    assert not sparse._dense
     for t in (0.2, 0.9, 2.4):
-        assert fidelity(krylov.state_at(t), dense.state_at(t)) > 1 - 1e-10
+        assert fidelity(sparse.state_at(t), dense.state_at(t)) > 1 - 1e-10
     with pytest.raises(ValueError):
-        krylov.state_at(0.9)
+        sparse.state_at(0.9)
 
 
 def test_sparse_path_tracks_dense_over_engine_sized_steps(rng, monkeypatch):
@@ -429,7 +481,7 @@ def test_norm_drift_raises_evolve_error(rng, monkeypatch):
         sparse.state_at(0.3)
 
 
-def test_twelve_qubit_oracle_builds_in_krylov_mode():
-    n = 12
+@pytest.mark.parametrize("n", [11, 12])
+def test_oracle_builds_in_sparse_mode(n):
     prop = ExactPropagator(tfim_chain(n), StateVector.basis_state(n))
     assert not prop._dense
