@@ -26,7 +26,7 @@ from .models import (
 )
 from .noise import NoiseConfig, noisy_system, shot_sigma
 from .pauli import PauliString, WeightedPauliSum
-from .solvers import SolverConfig, solve, symmetric_eig
+from .solvers import NonFiniteSystemError, SolverConfig, solve, symmetric_eig
 from .statevector import (
     EvolveError,
     ExactPropagator,

@@ -10,7 +10,10 @@ at or before the grid time).
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -159,13 +162,36 @@ def _aggregate(per_run: list[list[TrajectoryRecord]]) -> list[str]:
     return lines
 
 
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_env():
+    """BLAS pinned to one thread in the environment that spawned workers
+    inherit, then the parent's values back. Workers that each kept the
+    parent's thread count would oversubscribe the cores; two-way contention
+    made ``eigh`` six times slower."""
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for k, v in saved.items():
+            if v is None:
+                os.environ.pop(k, None)
+            else:
+                os.environ[k] = v
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> list[Path]:
     """Execute all runs of a config; returns the written CSV paths."""
     out = Path(out_dir) if out_dir is not None else Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, i, str(out)) for i in range(cfg.runs)]
     if cfg.workers > 1 and cfg.runs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        # spawned, not forked, so each worker loads BLAS under the pinned environment
+        spawn = multiprocessing.get_context("spawn")
+        with _one_blas_thread_env(), ProcessPoolExecutor(max_workers=cfg.workers, mp_context=spawn) as pool:
             results = list(pool.map(_run_and_write, jobs))
     else:
         results = [_run_and_write(job) for job in jobs]

@@ -45,6 +45,22 @@ class SolveDiagnostics:
     null_defect: float  # max |u_k·V| over eigenvalues <= epsilon; 0.0 if none
 
 
+class NonFiniteSystemError(ValueError):
+    """A linear system with NaN or inf entries, and where it arose.
+
+    ``solve`` knows only the size; the run loop re-raises it with the phase
+    ("step solve", "exact solve" or "candidate score"), t and the step index.
+    """
+
+    def __init__(self, n_params: int, phase: str = "solve", t: float | None = None, step: int | None = None):
+        super().__init__(n_params, phase, t, step)  # args rebuild it after pickling
+        self.n_params, self.phase, self.t, self.step = n_params, phase, t, step
+
+    def __str__(self) -> str:
+        where = "" if self.t is None else f" at t={self.t:g}, step {self.step}"
+        return f"non-finite entries in the linear system ({self.phase}{where}, {self.n_params} params)"
+
+
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (as columns) of a real symmetric matrix."""
     m = np.asarray(m, dtype=float)
@@ -88,8 +104,8 @@ def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagn
     """
     m, v = s.m, s.v
     n = s.n_params
-    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v))):
-        raise ValueError("non-finite entries in the linear system")
+    if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.isfinite(s.var_h)):
+        raise NonFiniteSystemError(n)
     if n == 0:
         return np.zeros(0), SolveDiagnostics(0, np.inf, -np.inf, 0.0, 0.0)
 

@@ -6,7 +6,8 @@ two routes is meaningful. The exceptions are ``_pauli_rows`` and
 ``_rotation_rows``, the fancy-index gathers that the strided kernels
 ``_pauli_into`` and ``_rotate_rows`` replaced, and the tangent sweep
 ``gather_sweep`` built on them; they are kept as the references the kernels
-and the tiled sweep must reproduce bit for bit.
+and the tiled sweep must reproduce bit for bit. ``brute_force_scores`` is
+the scoring loop the bound-pruned ranking replaced, kept as its oracle.
 """
 
 from functools import reduce
@@ -14,7 +15,9 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from avqds.mclachlan import augment_block, extend_system, mclachlan_distance
 from avqds.pauli import PauliString, WeightedPauliSum
+from avqds.solvers import solve
 from avqds.statevector import _pauli_tables
 
 SINGLE = {
@@ -53,6 +56,21 @@ def gather_sweep(a):
         phi = _rotation_rows(p, theta, phi)
         tangents[k] = -1j * _pauli_rows(p, phi)
     return tangents, phi
+
+
+def brute_force_scores(frame, pool, solver_cfg, l2_before=None):
+    """(index, score) for every pool operator: border the system with its
+    column, re-solve and difference the distances."""
+    if l2_before is None:
+        td, _ = solve(frame.system, solver_cfg)
+        l2_before = mclachlan_distance(frame.system, td)
+    cols, diags, v_news = augment_block(frame, list(pool.operators))
+    scores = []
+    for idx in range(len(pool)):
+        extended = extend_system(frame.system, cols[idx], float(diags[idx]), float(v_news[idx]))
+        td, _ = solve(extended, solver_cfg)
+        scores.append((idx, l2_before - mclachlan_distance(extended, td)))
+    return scores
 
 
 def dense_sum(h: WeightedPauliSum) -> np.ndarray:

@@ -1,4 +1,5 @@
 import logging
+import pickle
 
 import numpy as np
 import pytest
@@ -12,15 +13,14 @@ from avqds.engine import (
     grow_once,
     run_avqds,
     run_fixed_ansatz,
-    score_candidates,
     select_additions,
 )
 from avqds.mclachlan import assemble_frame, mclachlan_distance
 from avqds.models import OperatorPool, nearest_neighbour_pool
 from avqds.pauli import PauliString, WeightedPauliSum
-from avqds.solvers import SolverConfig, solve
+from avqds.solvers import NonFiniteSystemError, SolverConfig, solve
 from avqds.statevector import StateVector, fidelity
-from conftest import _rotation_rows, random_hamiltonian, random_pauli, random_state
+from conftest import _rotation_rows, brute_force_scores, random_hamiltonian, random_pauli, random_state
 
 
 def g(label):
@@ -75,7 +75,7 @@ def test_score_spanning_candidate_removes_whole_distance():
     h = WeightedPauliSum(1, [(1.0, g("X"))])
     frame = assemble_frame(Ansatz(StateVector.basis_state(1)), h)
     pool = OperatorPool(1, (g("X"), g("Z")))
-    scores = dict(score_candidates(frame, pool, SOLVER))
+    scores = dict(brute_force_scores(frame, pool, SOLVER))
     assert scores[0] == pytest.approx(2.0, abs=1e-10)  # full 2*var[X]
     assert scores[1] == pytest.approx(0.0, abs=1e-9)  # tangent parallel to psi
 
@@ -92,7 +92,7 @@ def test_scores_match_full_reassembly(rng):
         pool = OperatorPool(n, tuple({(p.x_bits, p.z_bits): p for p in (random_pauli(rng, n) for _ in range(8))}.values()))
         td, _ = solve(frame.system, SOLVER)
         l2_before = mclachlan_distance(frame.system, td)
-        for idx, delta in score_candidates(frame, pool, SOLVER):
+        for idx, delta in brute_force_scores(frame, pool, SOLVER):
             full = assemble_frame(a.extended([pool.operators[idx]]), h).system
             td_full, _ = solve(full, SOLVER)
             l2_full = mclachlan_distance(full, td_full)
@@ -354,6 +354,50 @@ def test_growth_budget_exhaustion_warns(caplog):
             SOLVER,
         )
     assert any("growth budget exhausted" in rec.message for rec in caplog.records)
+
+
+def test_exhausted_growth_budget_is_flagged_on_the_record():
+    n = 4
+    records = run_avqds(
+        StateVector.basis_state(n),
+        tfim(n),
+        nearest_neighbour_pool(n),
+        GrowthConfig(l2_cut=1e-12, score_cut=0.0, method=1, max_grow_iters=1),
+        StepConfig(dtheta_max=0.005, t_final=0.002),
+        SOLVER,
+    )
+    assert records[0].growth_exhausted
+    assert all(rec.growth_exhausted == (rec.l2 >= 1e-12) for rec in records)
+    generous = run_avqds(
+        StateVector.basis_state(n),
+        tfim(n),
+        nearest_neighbour_pool(n),
+        GrowthConfig(l2_cut=1e-3, method=3),
+        StepConfig(dtheta_max=0.005, t_final=0.002),
+        SOLVER,
+    )
+    assert not any(rec.growth_exhausted for rec in generous)
+
+
+def test_non_finite_hamiltonian_raises_located_error():
+    n = 3
+    h = WeightedPauliSum(n, [(float("nan"), g("XII")), (1.0, g("ZZI"))])
+    run = AvqdsRun(
+        h,
+        Ansatz(StateVector.basis_state(n)),
+        StepConfig(dtheta_max=0.005, t_final=0.1),
+        SOLVER,
+        pool=nearest_neighbour_pool(n),
+        growth_cfg=GrowthConfig(),
+        compute_infidelity=False,
+    )
+    with pytest.raises(NonFiniteSystemError) as info:
+        run.step()
+    err = info.value
+    assert isinstance(err, ValueError)
+    assert (err.t, err.step, err.n_params, err.phase) == (0.0, 0, 0, "step solve")
+    assert "step solve at t=0, step 0" in str(err)
+    assert str(pickle.loads(pickle.dumps(err))) == str(err)  # crosses worker processes
 
 
 def test_depth_cap_suppresses_and_flags():

@@ -1,8 +1,10 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
+import avqds.experiment
 from avqds.config import parse_config, serialize_config
 from avqds.engine import TrajectoryRecord
 from avqds.experiment import PRESETS, _aggregate, run_experiment
@@ -80,6 +82,37 @@ run.runs = 2
         b = (out_par / name).read_text().splitlines()
         # identical apart from the run.workers line embedded in the header
         assert [l for l in a if "workers" not in l] == [l for l in b if "workers" not in l]
+
+
+def test_workers_are_spawned_with_one_blas_thread(tmp_path, monkeypatch):
+    blas_vars = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    seen = {}
+
+    class RecordingExecutor:
+        def __init__(self, max_workers, mp_context):
+            seen["start_method"] = mp_context.get_start_method()
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            seen["env"] = {k: os.environ.get(k) for k in blas_vars}
+            return map(fn, jobs)
+
+    monkeypatch.setattr(avqds.experiment, "ProcessPoolExecutor", RecordingExecutor)
+    monkeypatch.setenv("OMP_NUM_THREADS", "2")
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "4")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = parse_config("model.kind = tfim\nmodel.n_qubits = 3\nstep.t_final = 0.01\nrun.runs = 2\nrun.workers = 2\n")
+    paths = run_experiment(cfg, tmp_path)
+    assert len(paths) == 3
+    assert seen == {"start_method": "spawn", "env": dict.fromkeys(blas_vars, "1")}
+    assert os.environ["OMP_NUM_THREADS"] == "2"
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
+    assert "MKL_NUM_THREADS" not in os.environ
 
 
 def _parse_records(path):
