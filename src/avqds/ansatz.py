@@ -10,12 +10,13 @@ of a prefix of the ansatz never depends on what comes later.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pauli import PauliString
-from .statevector import StateVector, _pauli_into, _rotate_rows
+from .statevector import StateVector, _pauli_into, _rotate_rows, _run_signs
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,12 +54,44 @@ class Ansatz:
         return Ansatz(self.reference, self.generators + new_generators, angles)
 
 
+def _segments(a: Ansatz) -> list[tuple[int, int, Callable[[np.ndarray, np.ndarray], None]]]:
+    """The forward pass as (first, stop, apply) steps in circuit order.
+
+    Each contiguous run of Z-only generators (``x_bits == 0``) is one step:
+    the rotations commute and are diagonal, so together they are one multiply
+    by exp(-i·sum_j theta_j·s_j), with s_j the ±1 eigenvalues of generator j.
+    Every other generator is a step of its own, one in-place rotation.
+    ``apply(rows, buf)`` acts in place on a C-contiguous row block; ``buf``
+    is scratch with at least as many rows.
+    """
+    gens, angles = a.generators, a.angles
+    steps = []
+    first = 0
+    while first < len(gens):
+        stop = first + 1
+        if gens[first].x_bits:
+            steps.append((first, stop, functools.partial(_rotate_rows, gens[first], angles[first])))
+        else:
+            while stop < len(gens) and not gens[stop].x_bits:
+                stop += 1
+            signs = _run_signs(a.n_qubits, tuple(g.z_bits for g in gens[first:stop]))
+            phase = np.exp(-1j * (angles[first:stop] @ signs))
+            steps.append((first, stop, functools.partial(_phase_rows, phase)))
+        first = stop
+    return steps
+
+
+def _phase_rows(phase: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
+    rows *= phase
+
+
 def prepare_state(a: Ansatz) -> StateVector:
-    """Apply the rotations in index order to the reference state."""
+    """Apply the rotations in index order to the reference state, each run of
+    Z-only generators as one phase multiply."""
     rows = a.reference.amplitudes.reshape(1, -1).copy()
     buf = np.empty_like(rows)
-    for p, theta in zip(a.generators, a.angles):
-        _rotate_rows(p, theta, rows, buf)
+    for _, _, apply in _segments(a):
+        apply(rows, buf)
     return StateVector(a.n_qubits, rows[0])
 
 
@@ -70,17 +103,21 @@ _TILE_BYTES = 512 * 1024
 def tangent_states(a: Ansatz) -> np.ndarray:
     """All derivative states d|psi>/d(angle_k), one per row, each unit norm.
 
-    Row k is built as soon as rotation k has been applied in the forward
-    pass, and later rotations are applied to finished rows in block
-    operations, so the sweep costs O(n_params) rotations per state. The
-    running state rides along as the row after the finished ones, so each
-    generator costs one in-place rotation of the rows in flight.
+    The forward pass applies the steps of ``_segments``: one rotation per
+    generator, except that a run of Z-only generators is one phase multiply.
+    The running state rides along as the row after the finished ones, so each
+    step costs one in-place operation on the rows in flight. After a step the
+    rows of its generators are born from the running state psi as -i·P_k·psi;
+    inside a Z-only run every generator commutes with the rest of the run, so
+    the state after the whole run serves for all of them. Later steps are
+    applied to finished rows in block operations, so the sweep costs
+    O(n_params) operations per state.
 
     Finished rows go in tiles of ``max(1, _TILE_BYTES // (16·2**n))`` rows.
-    When a tile fills it is pushed alone through every remaining generator,
-    with scratch the size of one tile, and the sweep carries on from the
-    running row; each amplitude meets the same operations in the same order
-    as in one untiled block, so the result does not depend on the tile size.
+    Once a tile is full it is pushed alone through every remaining step, with
+    scratch the size of one tile, and the sweep carries on from the running
+    row; each amplitude meets the same operations in the same order as in
+    one untiled block, so the result does not depend on the tile size.
 
     The result is an (n_params, 2**n) view of an (n_params + 1)-row block
     whose last row is the prepared state; ``swept_state`` reads it.
@@ -91,17 +128,18 @@ def tangent_states(a: Ansatz) -> np.ndarray:
     block = np.empty((n + 1, dim), dtype=np.complex128)
     buf = np.empty((min(n, tile), dim), dtype=np.complex128)
     block[0] = a.reference.amplitudes
-    steps = tuple(zip(a.generators, a.angles))
+    steps = _segments(a)
     start = 0  # first row of the tile being filled
-    for k, (p, theta) in enumerate(steps):
-        _rotate_rows(p, theta, block[start : k + 1], buf)
-        block[k + 1] = block[k]
-        _pauli_into(p, -1j, block[k + 1 : k + 2], block[k : k + 1])
-        if k + 1 - start == tile:
-            rows = block[start : k + 1]
-            for q, phi in steps[k + 1 :]:
-                _rotate_rows(q, phi, rows, buf)
-            start = k + 1
+    for i, (first, stop, apply) in enumerate(steps):
+        apply(block[start : first + 1], buf)
+        block[stop] = block[first]
+        for k in range(first, stop):
+            _pauli_into(a.generators[k], -1j, block[stop : stop + 1], block[k : k + 1])
+        while stop - start >= tile:
+            rows = block[start : start + tile]
+            for _, _, later in steps[i + 1 :]:
+                later(rows, buf)
+            start += tile
     return block[:n]
 
 
@@ -109,7 +147,7 @@ def swept_state(tangents: np.ndarray) -> np.ndarray:
     """The prepared state left by ``tangent_states``: the row after its result.
 
     Equal bit for bit to ``prepare_state(a).amplitudes``, because the running
-    row meets the same rotations with the same kernel.
+    row meets the same steps with the same kernels.
     """
     return tangents.base[tangents.shape[0]]
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import lsq_linear
 
-from .mclachlan import McLachlanSystem
+from .mclachlan import McLachlanSystem, symmetric_eig  # noqa: F401  re-exported
 
 METHODS = ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation")
 
@@ -61,16 +61,6 @@ class NonFiniteSystemError(ValueError):
         return f"non-finite entries in the linear system ({self.phase}{where}, {self.n_params} params)"
 
 
-def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors (as columns) of a real symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and np.max(np.abs(m - m.T)) > 1e-10:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    return np.linalg.eigh(m)
-
-
 def _cgls(m: np.ndarray, v: np.ndarray, max_iters: int, tol: float) -> np.ndarray:
     """Conjugate-gradient least squares on ||M·x - V||^2, starting from 0."""
     x = np.zeros_like(v)
@@ -109,7 +99,7 @@ def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagn
     if n == 0:
         return np.zeros(0), SolveDiagnostics(0, np.inf, -np.inf, 0.0, 0.0)
 
-    w, u = symmetric_eig(m)
+    w, u = s.eig
     null = w <= cfg.epsilon
     y = u.T @ v
 

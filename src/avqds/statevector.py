@@ -145,6 +145,18 @@ def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int):
     return tuple(shape), reverse, order, coeffs
 
 
+@functools.lru_cache(maxsize=1024)
+def _run_signs(n_qubits: int, z_bits: tuple[int, ...]) -> np.ndarray:
+    """The (len(z_bits), 2**n) matrix of ±1 eigenvalues s_j of a run of Z-only strings.
+
+    exp(-i·theta·Z_j) is the multiply by exp(-i·theta·s_j), so a run of them
+    at angles theta acts as one multiply by exp(-i·(theta @ signs)).
+    """
+    signs = np.stack([_pauli_tables(n_qubits, 0, z)[1] for z in z_bits])
+    signs.setflags(write=False)
+    return signs
+
+
 def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray) -> None:
     """out = scale·P·src for C-contiguous (k, dim) blocks; ``out`` must not overlap ``src``.
 
@@ -174,8 +186,9 @@ def _rotate_rows(p: PauliString, theta: float, rows: np.ndarray, buf: np.ndarray
     (signs·rows[..., src]) does: ``_pauli_into`` with the imaginary scale
     -i·sin rounds once per component, and so does the real cos. Only the
     iteration order of the first operation depends on the flipped qubits.
-    Folding a diagonal P into a single multiply by cos - i·sin·s would not
-    keep the bits, so Z-only strings take the same route.
+    The tangent sweep and ``prepare_state`` do not use it for Z-only
+    strings: they apply each contiguous run of those as one phase multiply
+    (``_run_signs``).
     """
     scratch = buf[: rows.shape[0]]
     _pauli_into(p, -1j * np.sin(theta), rows, scratch)

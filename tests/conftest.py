@@ -6,8 +6,11 @@ two routes is meaningful. The exceptions are ``_pauli_rows`` and
 ``_rotation_rows``, the fancy-index gathers that the strided kernels
 ``_pauli_into`` and ``_rotate_rows`` replaced, and the tangent sweep
 ``gather_sweep`` built on them; they are kept as the references the kernels
-and the tiled sweep must reproduce bit for bit. ``brute_force_scores`` is
-the scoring loop the bound-pruned ranking replaced, kept as its oracle.
+and the tiled sweep must reproduce bit for bit wherever no Z-only generator
+occurs (the sweep applies a run of those as one phase multiply).
+``reference_frame`` is the assembly the fused sweep and the real Gram
+product replaced: that sweep and the complex Gram. ``brute_force_scores``
+is the scoring loop the bound-pruned ranking replaced, kept as its oracle.
 """
 
 from functools import reduce
@@ -15,10 +18,10 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from avqds.mclachlan import augment_block, extend_system, mclachlan_distance
+from avqds.mclachlan import McLachlanSystem, TangentFrame, augment_block, extend_system, mclachlan_distance
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import solve
-from avqds.statevector import _pauli_tables
+from avqds.statevector import _hamiltonian_rows, _pauli_tables
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -56,6 +59,27 @@ def gather_sweep(a):
         phi = _rotation_rows(p, theta, phi)
         tangents[k] = -1j * _pauli_rows(p, phi)
     return tangents, phi
+
+
+def complex_gram(xi, psi, h_psi, energy):
+    """(M, V, <xi|psi>) from the complex Gram of a conjugated copy of the rows."""
+    xi_conj = xi.conj()
+    overlaps = xi_conj @ psi
+    m = np.real(xi_conj @ xi.T - np.outer(overlaps, overlaps.conj()))
+    m = 0.5 * (m + m.T)
+    v = np.imag(xi_conj @ h_psi - overlaps * energy)
+    return m, v, overlaps
+
+
+def reference_frame(a, h):
+    """``assemble_frame`` as written before the fused sweep: ``gather_sweep``,
+    then ``complex_gram``."""
+    xi, psi = gather_sweep(a)
+    h_psi = _hamiltonian_rows(h, psi)
+    energy = float(np.real(np.vdot(psi, h_psi)))
+    var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
+    m, v, overlaps = complex_gram(xi, psi, h_psi, energy)
+    return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy)
 
 
 def brute_force_scores(frame, pool, solver_cfg, l2_before=None):

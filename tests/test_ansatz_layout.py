@@ -11,15 +11,40 @@ from avqds.ansatz import (
     swept_state,
     tangent_states,
 )
+from avqds.baselines import build_hva
+from avqds.models import build_model, default_model, model_sublayers
 from avqds.pauli import PauliString
 from avqds.statevector import StateVector, apply_rotation
 from conftest import gather_sweep, random_pauli, random_state
+
+# Where a run of Z-only generators occurs, the sweep applies it as one phase
+# multiply and the per-generator gather sweep rotates by each generator in
+# turn: rows and psi then agree within this bound, not bit for bit.
+Z_RUN_ATOL = 1e-13
 
 
 def make_ansatz(rng, n_qubits, n_params):
     gens = tuple(random_pauli(rng, n_qubits) for _ in range(n_params))
     angles = rng.uniform(-1.5, 1.5, size=n_params)
     return Ansatz(StateVector(n_qubits, random_state(rng, n_qubits)), gens, angles)
+
+
+def flipping(p):
+    """``p``, or, if it is Z-only, ``p`` with an X added on its lowest qubit."""
+    return p if p.x_bits else PauliString(p.n_qubits, p.z_bits & -p.z_bits, p.z_bits)
+
+
+def without_z_only(a):
+    return Ansatz(a.reference, tuple(flipping(p) for p in a.generators), a.angles)
+
+
+def hva_ansatz(rng, kind, n_qubits, layers):
+    """The model's HVA at random angles: per layer, runs of ZZ bonds (and Z
+    fields for mfim) between X-field runs."""
+    spec = default_model(kind, n_qubits)
+    _, h, psi0 = build_model(spec)
+    a = build_hva(h, psi0, layers, model_sublayers(spec))
+    return a.with_angles(rng.uniform(-1.5, 1.5, size=a.n_params))
 
 
 # --- prepare_state --------------------------------------------------------
@@ -37,11 +62,17 @@ def test_single_x_rotation():
 
 
 def test_prepare_matches_sequential_rotations(rng):
-    a = make_ansatz(rng, 3, 5)
-    psi = a.reference
-    for p, theta in zip(a.generators, a.angles):
-        psi = apply_rotation(p, theta, psi)
-    np.testing.assert_array_equal(prepare_state(a).amplitudes, psi.amplitudes)
+    for _ in range(4):
+        a = make_ansatz(rng, 3, 8)
+        for fused in (a, without_z_only(a)):
+            psi = fused.reference
+            for p, theta in zip(fused.generators, fused.angles):
+                psi = apply_rotation(p, theta, psi)
+            out = prepare_state(fused).amplitudes
+            if fused is a:
+                np.testing.assert_allclose(out, psi.amplitudes, rtol=0, atol=Z_RUN_ATOL)
+            else:  # one rotation per generator, with the same kernel
+                np.testing.assert_array_equal(out, psi.amplitudes)
 
 
 def test_prepare_and_tangents_leave_inputs_unchanged(rng):
@@ -107,16 +138,55 @@ def test_tangents_match_finite_differences(rng):
 
 
 def test_tangents_match_gather_sweep_bitwise(rng):
+    """Without a Z-only generator the sweep rotates by each generator with
+    the kernel the gather sweep reproduces, so every bit agrees."""
     for n, n_params in ((3, 9), (6, 20)):
-        a = make_ansatz(rng, n, n_params)
-        a = Ansatz(a.reference, a.generators + (g("Z" * n),), np.append(a.angles, 0.3))
+        a = without_z_only(make_ansatz(rng, n, n_params))
+        a = Ansatz(a.reference, a.generators + (g("Y" + "Z" * (n - 1)),), np.append(a.angles, 0.3))
         expected, phi = gather_sweep(a)
         assert np.array_equal(tangent_states(a), expected)
         assert np.array_equal(prepare_state(a).amplitudes, phi)
 
 
+def assert_sweep_matches_gather(a, atol=0.0):
+    """Rows and psi against the gather sweep (bit for bit unless ``atol``),
+    and psi bit for bit against ``prepare_state``."""
+    xi = tangent_states(a)
+    expected, phi = gather_sweep(a)
+    assert isinstance(xi, np.ndarray) and xi.shape == (a.n_params, 1 << a.n_qubits)
+    psi = swept_state(xi)
+    if atol:
+        assert np.max(np.abs(xi - expected), initial=0.0) <= atol
+        assert np.max(np.abs(psi - phi)) <= atol
+    else:
+        assert np.array_equal(xi, expected)
+        assert np.array_equal(psi, phi)
+    assert np.array_equal(psi, prepare_state(a).amplitudes)
+    return xi
+
+
+@pytest.mark.parametrize("kind, n_qubits, layers", [("tfim", 6, 4), ("mfim", 6, 3), ("tfim", 8, 2), ("hm", 4, 2)])
+def test_z_runs_match_gather_sweep_within_bound(rng, kind, n_qubits, layers):
+    a = hva_ansatz(rng, kind, n_qubits, layers)
+    assert any(not p.x_bits for p in a.generators)
+    assert_sweep_matches_gather(a, atol=Z_RUN_ATOL)
+
+
+def test_z_runs_of_length_one_match_gather_sweep(rng):
+    n = 4
+    for _ in range(5):
+        # lone Z-only generators between flipping ones, and one at each end
+        gens = tuple(
+            PauliString(n, 0, int(rng.integers(1, 1 << n))) if k % 2 == 0 else flipping(random_pauli(rng, n, 3))
+            for k in range(13)
+        )
+        a = Ansatz(StateVector(n, random_state(rng, n)), gens, rng.uniform(-1.5, 1.5, size=len(gens)))
+        assert_sweep_matches_gather(a, atol=Z_RUN_ATOL)
+
+
 def flipping_ansatz(rng, n_qubits, n_params):
-    """Random weight-1..3 generators, every other one with X or Y on qubit 0."""
+    """Random weight-1..3 generators, every other one with X or Y on qubit 0,
+    and no Z-only one."""
     gens = []
     for k in range(n_params):
         p = random_pauli(rng, n_qubits, max_weight=3)
@@ -124,17 +194,17 @@ def flipping_ansatz(rng, n_qubits, n_params):
             p = g("XY"[k // 2 % 2] + p.label()[1:])
         gens.append(p)
     angles = rng.uniform(-1.5, 1.5, size=n_params)
-    return Ansatz(StateVector(n_qubits, random_state(rng, n_qubits)), tuple(gens), angles)
+    return without_z_only(Ansatz(StateVector(n_qubits, random_state(rng, n_qubits)), tuple(gens), angles))
 
 
-def assert_sweep_matches_gather(a):
-    xi = tangent_states(a)
-    expected, phi = gather_sweep(a)
-    assert isinstance(xi, np.ndarray) and xi.shape == (a.n_params, 1 << a.n_qubits)
-    assert np.array_equal(xi, expected)
-    psi = swept_state(xi)
-    assert np.array_equal(psi, phi)
-    assert np.array_equal(psi, prepare_state(a).amplitudes)
+def z_run_ansatz(rng, n_qubits, n_params):
+    """Runs of one to five Z-only generators between single flips."""
+    gens = []
+    while len(gens) < n_params:
+        gens += [PauliString(n_qubits, 0, int(rng.integers(1, 1 << n_qubits))) for _ in range(rng.integers(1, 6))]
+        gens.append(flipping(random_pauli(rng, n_qubits, max_weight=3)))
+    angles = rng.uniform(-1.5, 1.5, size=n_params)
+    return Ansatz(StateVector(n_qubits, random_state(rng, n_qubits)), tuple(gens[:n_params]), angles)
 
 
 @pytest.mark.parametrize("tile", [1, 2, 3, 7])
@@ -145,9 +215,26 @@ def test_tiled_sweep_matches_gather_sweep_bitwise(rng, monkeypatch, n_qubits, ti
         assert_sweep_matches_gather(flipping_ansatz(rng, n_qubits, n_params))
 
 
-def test_ten_qubit_sweep_spans_tiles_and_matches_gather_sweep(rng):
+@pytest.mark.parametrize("tile", [1, 2, 3, 7])
+@pytest.mark.parametrize("n_qubits", [1, 3, 6])
+def test_tiled_sweep_with_z_runs_matches_untiled_bitwise(rng, monkeypatch, n_qubits, tile):
+    """Z runs that start, end and cross tile boundaries: every row meets the
+    same operations whatever the tile size."""
+    for n_params in sorted({1, tile - 1, tile, tile + 1, 2 * tile + 3, 4 * tile + 5} - {0}):
+        a = z_run_ansatz(rng, n_qubits, n_params)
+        untiled = tangent_states(a).base.copy()
+        with monkeypatch.context() as m:
+            m.setattr(avqds.ansatz, "_TILE_BYTES", tile * 16 << n_qubits)
+            assert np.array_equal(assert_sweep_matches_gather(a, atol=Z_RUN_ATOL).base, untiled)
+
+
+def test_ten_qubit_sweep_spans_tiles_and_matches_gather_sweep(rng, monkeypatch):
     assert avqds.ansatz._TILE_BYTES // (16 << 10) == 32
-    assert_sweep_matches_gather(flipping_ansatz(rng, 10, 40))
+    for a, atol in ((flipping_ansatz(rng, 10, 40), 0.0), (z_run_ansatz(rng, 10, 70), Z_RUN_ATOL)):
+        tiled = assert_sweep_matches_gather(a, atol=atol)
+        with monkeypatch.context() as m:
+            m.setattr(avqds.ansatz, "_TILE_BYTES", 1 << 30)
+            assert np.array_equal(tangent_states(a).base, tiled.base)
 
 
 def test_tangents_unit_norm(rng):

@@ -1,16 +1,25 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from avqds.ansatz import Ansatz, prepare_state, tangent_states
+import avqds.engine as engine
+from avqds.ansatz import Ansatz, ansatz_layout, prepare_state, tangent_states
+from avqds.baselines import build_hva
+from avqds.experiment import preset_benchmark, run_single
 from avqds.mclachlan import (
     assemble_frame,
     augment_block,
+    extend_frame,
     extend_system,
     mclachlan_distance,
 )
+from avqds.models import build_model, default_model, model_sublayers
+from avqds.noise import NoiseConfig, noisy_system
 from avqds.pauli import PauliString, WeightedPauliSum
+from avqds.solvers import SolverConfig, solve
 from avqds.statevector import StateVector, variance
-from conftest import dense_sum, random_hamiltonian, random_pauli, random_state
+from conftest import dense_sum, random_hamiltonian, random_pauli, random_state, reference_frame
 
 
 def make_ansatz(rng, n_qubits, n_params):
@@ -98,6 +107,49 @@ def test_metric_psd_and_null_orthogonal_to_force(rng):
                 assert abs(u[:, k] @ s.v) <= 1e-8
 
 
+def assert_frames_close(frame, expected, atol):
+    np.testing.assert_allclose(frame.system.m, expected.system.m, rtol=0, atol=atol)
+    np.testing.assert_allclose(frame.system.v, expected.system.v, rtol=0, atol=atol)
+    assert frame.system.var_h == pytest.approx(expected.system.var_h, rel=0, abs=atol)
+    np.testing.assert_allclose(frame.psi, expected.psi, rtol=0, atol=atol)
+    np.testing.assert_allclose(frame.overlaps, expected.overlaps, rtol=0, atol=atol)
+
+
+def test_real_assembly_matches_complex_gram_reference(rng):
+    """The fused sweep and the real Gram product against the per-generator
+    gather sweep and the complex Gram of a conjugated copy."""
+    for _ in range(6):
+        n = int(rng.integers(2, 6))
+        a = make_ansatz(rng, n, int(rng.integers(0, 25)))
+        h = random_hamiltonian(rng, n, n_terms=6)
+        frame = assemble_frame(a, h)
+        assert np.array_equal(frame.system.m, frame.system.m.T)
+        assert_frames_close(frame, reference_frame(a, h), 1e-13)
+
+
+def test_extended_frame_matches_a_fresh_assembly(rng):
+    """Growth reuses the swept frame: old rows, psi, H·psi, E and var_h stay,
+    the new rows are -i·P·psi and only M and V are formed again."""
+    spec = default_model("mfim", 4)
+    _, h, psi0 = build_model(spec)
+    hva = build_hva(h, psi0, 2, model_sublayers(spec))
+    a = hva.with_angles(rng.uniform(-1, 1, size=hva.n_params))
+    assert not a.generators[-1].x_bits  # appended Z-only ones extend its last run
+    frame = assemble_frame(a, h)
+    for new in ([PauliString.from_label("ZZII"), PauliString.from_label("IIIZ")],
+                [random_pauli(rng, 4) for _ in range(3)], []):
+        grown = a.extended(new)
+        extended = extend_frame(frame, grown)
+        assert extended.ansatz is grown
+        assert np.array_equal(extended.tangents[: a.n_params], frame.tangents)
+        assert np.array_equal(extended.psi, frame.psi)
+        assert extended.h_psi is frame.h_psi and extended.energy == frame.energy
+        assert extended.system.var_h == frame.system.var_h
+        assert_frames_close(extended, assemble_frame(grown, h), 1e-13)
+    with pytest.raises(ValueError):
+        extend_frame(frame, a.extended([PauliString.from_label("XIII")]).with_angles(np.full(a.n_params + 1, 0.1)))
+
+
 # --- distance -------------------------------------------------------------
 
 
@@ -137,6 +189,42 @@ def test_distance_matches_dense_defect(rng):
         assert mclachlan_distance(s, theta_dot) == pytest.approx(
             dense_defect_norm(a, h, theta_dot), abs=1e-9, rel=1e-9
         )
+
+
+@pytest.mark.parametrize("kind", ["mfim", "hm"])
+def test_noiseless_distances_are_never_negative(monkeypatch, kind):
+    """The 4-qubit layer-packed benchmark presets border candidate systems
+    whose L2 rounds below zero, on the Heisenberg run as far as -5.8e-9 (below
+    the fixed clamp at -1e-10 once used; on the MFIM run one once reached
+    -1.05e-10). The clamp scales with the rounding of L2's terms, so every
+    one of them, and every step's L2, comes out as zero."""
+    raw, returned = [], []
+    real = engine.mclachlan_distance
+
+    def spy(s, td):
+        raw.append(float(2.0 * td @ s.m @ td - 4.0 * s.v @ td + 2.0 * s.var_h))
+        returned.append(real(s, td))
+        return returned[-1]
+
+    monkeypatch.setattr(engine, "mclachlan_distance", spy)
+    cfg = dict(preset_benchmark(kind, 4))["avqds-t"]
+    run_single(replace(cfg, oracle=False), 0)
+    assert min(raw) < -1e-11
+    assert min(returned) >= 0.0
+
+
+def test_noisy_negative_distance_stays_negative(rng):
+    """Shot noise makes M indefinite, and its L2 is then genuinely negative:
+    the clamp must leave it so."""
+    spec = default_model("tfim", 4)
+    _, h, psi0 = build_model(spec)
+    hva = build_hva(h, psi0, 4, model_sublayers(spec))
+    frame = assemble_frame(hva.with_angles(rng.uniform(-0.3, 0.3, size=hva.n_params)), h)
+    noisy = noisy_system(frame.system, ansatz_layout(frame.ansatz), NoiseConfig(n_shots=1e2), rng)
+    td, _ = solve(noisy, SolverConfig("tikhonov", epsilon=1e-2))
+    l2 = mclachlan_distance(noisy, td)
+    assert l2 < -1e-3
+    assert l2 == float(2.0 * td @ noisy.m @ td - 4.0 * noisy.v @ td + 2.0 * noisy.var_h)
 
 
 def test_distance_dimension_check():
