@@ -54,30 +54,44 @@ class Ansatz:
         return Ansatz(self.reference, self.generators + new_generators, angles)
 
 
-def _segments(a: Ansatz) -> list[tuple[int, int, Callable[[np.ndarray, np.ndarray], None]]]:
-    """The forward pass as (first, stop, apply) steps in circuit order.
+def _step_bounds(generators) -> list[tuple[int, int]]:
+    """(first, stop) of each step of the forward pass: every contiguous run of
+    Z-only generators (``x_bits == 0``) is one step, every other generator a
+    step of its own."""
+    bounds = []
+    first = 0
+    while first < len(generators):
+        stop = first + 1
+        if not generators[first].x_bits:
+            while stop < len(generators) and not generators[stop].x_bits:
+                stop += 1
+        bounds.append((first, stop))
+        first = stop
+    return bounds
 
-    Each contiguous run of Z-only generators (``x_bits == 0``) is one step:
-    the rotations commute and are diagonal, so together they are one multiply
-    by exp(-i·sum_j theta_j·s_j), with s_j the ±1 eigenvalues of generator j.
-    Every other generator is a step of its own, one in-place rotation.
-    ``apply(rows, buf)`` acts in place on a C-contiguous row block; ``buf``
-    is scratch with at least as many rows.
+
+def _segments(a: Ansatz) -> list[tuple[int, int, Callable, Callable]]:
+    """The forward pass as (first, stop, apply, birth) steps in circuit order.
+
+    The steps are those of ``_step_bounds``. A run of Z-only generators
+    commutes and is diagonal, so together it is one multiply by
+    exp(-i·sum_j theta_j·s_j), with s_j the ±1 eigenvalues of generator j.
+    Every other generator is one in-place rotation. ``apply(rows, buf)``
+    acts in place on a C-contiguous row block; ``buf`` is scratch with at
+    least as many rows. ``birth(psi, out)`` writes -i·P_k·psi for the step's
+    generators into the rows of ``out``, from a (1, dim) block ``psi``.
     """
     gens, angles = a.generators, a.angles
     steps = []
-    first = 0
-    while first < len(gens):
-        stop = first + 1
+    for first, stop in _step_bounds(gens):
         if gens[first].x_bits:
-            steps.append((first, stop, functools.partial(_rotate_rows, gens[first], angles[first])))
+            apply = functools.partial(_rotate_rows, gens[first], angles[first])
+            birth = functools.partial(_pauli_into, gens[first], -1j)
         else:
-            while stop < len(gens) and not gens[stop].x_bits:
-                stop += 1
             signs = _run_signs(a.n_qubits, tuple(g.z_bits for g in gens[first:stop]))
-            phase = np.exp(-1j * (angles[first:stop] @ signs))
-            steps.append((first, stop, functools.partial(_phase_rows, phase)))
-        first = stop
+            apply = functools.partial(_phase_rows, np.exp(-1j * (angles[first:stop] @ signs)))
+            birth = functools.partial(_run_births, signs)
+        steps.append((first, stop, apply, birth))
     return steps
 
 
@@ -85,13 +99,25 @@ def _phase_rows(phase: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
     rows *= phase
 
 
+def _run_births(signs: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
+    """-i·s_j·psi for every generator of a Z-only run in one multiply, bit for
+    bit what ``_pauli_into`` gives for each of them."""
+    np.multiply(-1j * signs, psi, out=out)
+
+
+def _apply_circuit(a: Ansatz, rows: np.ndarray) -> None:
+    """Apply the circuit of ``a`` (not its reference) in place to each row of a
+    C-contiguous (k, 2**n) block, by the steps of ``_segments``."""
+    buf = np.empty_like(rows)
+    for _, _, apply, _ in _segments(a):
+        apply(rows, buf)
+
+
 def prepare_state(a: Ansatz) -> StateVector:
     """Apply the rotations in index order to the reference state, each run of
     Z-only generators as one phase multiply."""
     rows = a.reference.amplitudes.reshape(1, -1).copy()
-    buf = np.empty_like(rows)
-    for _, _, apply in _segments(a):
-        apply(rows, buf)
+    _apply_circuit(a, rows)
     return StateVector(a.n_qubits, rows[0])
 
 
@@ -100,7 +126,7 @@ def prepare_state(a: Ansatz) -> StateVector:
 _TILE_BYTES = 512 * 1024
 
 
-def tangent_states(a: Ansatz) -> np.ndarray:
+def tangent_states(a: Ansatz, out: np.ndarray | None = None, carried: int = 0) -> np.ndarray:
     """All derivative states d|psi>/d(angle_k), one per row, each unit norm.
 
     The forward pass applies the steps of ``_segments``: one rotation per
@@ -109,9 +135,9 @@ def tangent_states(a: Ansatz) -> np.ndarray:
     step costs one in-place operation on the rows in flight. After a step the
     rows of its generators are born from the running state psi as -i·P_k·psi;
     inside a Z-only run every generator commutes with the rest of the run, so
-    the state after the whole run serves for all of them. Later steps are
-    applied to finished rows in block operations, so the sweep costs
-    O(n_params) operations per state.
+    the state after the whole run serves for all of them, and the run's rows
+    are born in one multiply. Later steps are applied to finished rows in
+    block operations, so the sweep costs O(n_params) operations per state.
 
     Finished rows go in tiles of ``max(1, _TILE_BYTES // (16·2**n))`` rows.
     Once a tile is full it is pushed alone through every remaining step, with
@@ -120,36 +146,35 @@ def tangent_states(a: Ansatz) -> np.ndarray:
     one untiled block, so the result does not depend on the tile size.
 
     The result is an (n_params, 2**n) view of an (n_params + 1)-row block
-    whose last row is the prepared state; ``swept_state`` reads it.
+    whose last row is the prepared state, equal bit for bit to
+    ``prepare_state(a).amplitudes``: the running row meets the same steps
+    with the same kernels. Given ``out``, a C-contiguous complex array, the
+    sweep writes into its first ``carried + n_params + 1`` rows instead. Its
+    first ``carried`` rows are states to carry through the circuit: they
+    ride in flight like rows born before the first step, and the circuit is
+    applied to them in place. The tangents follow them, then the prepared
+    state.
     """
     n = a.n_params
     dim = 1 << a.n_qubits
     tile = max(1, _TILE_BYTES // (16 * dim))
-    block = np.empty((n + 1, dim), dtype=np.complex128)
-    buf = np.empty((min(n, tile), dim), dtype=np.complex128)
-    block[0] = a.reference.amplitudes
+    block = np.empty((n + 1, dim), dtype=np.complex128) if out is None else out[: carried + n + 1]
+    # the first step meets every carried row before any tile is full
+    buf = np.empty((min(carried + n, tile) + carried, dim), dtype=np.complex128)
+    born = block[carried:]  # row k of the sweep is born[k]; the carried rows precede row 0
+    born[0] = a.reference.amplitudes
     steps = _segments(a)
-    start = 0  # first row of the tile being filled
-    for i, (first, stop, apply) in enumerate(steps):
-        apply(block[start : first + 1], buf)
-        block[stop] = block[first]
-        for k in range(first, stop):
-            _pauli_into(a.generators[k], -1j, block[stop : stop + 1], block[k : k + 1])
-        while stop - start >= tile:
+    start = 0  # first row of the tile being filled, in block
+    for i, (first, stop, apply, birth) in enumerate(steps):
+        apply(block[start : carried + first + 1], buf)
+        born[stop] = born[first]
+        birth(born[stop : stop + 1], born[first:stop])
+        while carried + stop - start >= tile:
             rows = block[start : start + tile]
-            for _, _, later in steps[i + 1 :]:
+            for _, _, later, _ in steps[i + 1 :]:
                 later(rows, buf)
             start += tile
-    return block[:n]
-
-
-def swept_state(tangents: np.ndarray) -> np.ndarray:
-    """The prepared state left by ``tangent_states``: the row after its result.
-
-    Equal bit for bit to ``prepare_state(a).amplitudes``, because the running
-    row meets the same steps with the same kernels.
-    """
-    return tangents.base[tangents.shape[0]]
+    return born[:n]
 
 
 def cnot_cost(p: PauliString) -> int:

@@ -411,7 +411,7 @@ class AvqdsRun:
         return system, theta_dot, mclachlan_distance(system, theta_dot)
 
     def step(self) -> TrajectoryRecord:
-        frame = assemble_frame(self.ansatz, self.h)
+        frame = assemble_frame(self.ansatz, self.h, len(self.pool) if self.growth is not None else 0)
         system, theta_dot, l2 = self._solve_current(frame)
         stalled = suppressed = exhausted = False
 

@@ -18,10 +18,11 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from avqds.ansatz import Ansatz
 from avqds.mclachlan import McLachlanSystem, TangentFrame, augment_block, extend_system, mclachlan_distance
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import solve
-from avqds.statevector import _hamiltonian_rows, _pauli_tables
+from avqds.statevector import StateVector, _hamiltonian_rows, _pauli_tables
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -61,6 +62,11 @@ def gather_sweep(a):
     return tangents, phi
 
 
+def swept_state(tangents):
+    """The prepared state that ``tangent_states`` leaves in the row after its result."""
+    return tangents.base[tangents.shape[0]]
+
+
 def complex_gram(xi, psi, h_psi, energy):
     """(M, V, <xi|psi>) from the complex Gram of a conjugated copy of the rows."""
     xi_conj = xi.conj()
@@ -79,7 +85,8 @@ def reference_frame(a, h):
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
     m, v, overlaps = complex_gram(xi, psi, h_psi, energy)
-    return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy)
+    unsplit = Ansatz(StateVector(a.n_qubits, psi))
+    return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy, unsplit, psi, h_psi)
 
 
 def brute_force_scores(frame, pool, solver_cfg, l2_before=None):

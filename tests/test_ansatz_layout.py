@@ -8,14 +8,13 @@ from avqds.ansatz import (
     cnot_cost,
     layout,
     prepare_state,
-    swept_state,
     tangent_states,
 )
 from avqds.baselines import build_hva
 from avqds.models import build_model, default_model, model_sublayers
 from avqds.pauli import PauliString
 from avqds.statevector import StateVector, apply_rotation
-from conftest import gather_sweep, random_pauli, random_state
+from conftest import gather_sweep, random_pauli, random_state, swept_state
 
 # Where a run of Z-only generators occurs, the sweep applies it as one phase
 # multiply and the per-generator gather sweep rotates by each generator in
@@ -226,6 +225,23 @@ def test_tiled_sweep_with_z_runs_matches_untiled_bitwise(rng, monkeypatch, n_qub
         with monkeypatch.context() as m:
             m.setattr(avqds.ansatz, "_TILE_BYTES", tile * 16 << n_qubits)
             assert np.array_equal(assert_sweep_matches_gather(a, atol=Z_RUN_ATOL).base, untiled)
+
+
+@pytest.mark.parametrize("tile", [1, 2, 3, 1 << 20])
+def test_carried_rows_ride_the_sweep_bitwise(rng, monkeypatch, tile):
+    """Rows carried ahead of the tangents (as the split assembly carries H·psi)
+    leave the tangents and psi bit for bit as without them, at any tile size,
+    and come out as ``prepare_state`` from them would, bit for bit."""
+    monkeypatch.setattr(avqds.ansatz, "_TILE_BYTES", tile * 16 << 3)
+    for a in (z_run_ansatz(rng, 3, 9), flipping_ansatz(rng, 3, 8)):
+        carried = [random_state(rng, 3) for _ in range(2)]
+        out = np.empty((a.n_params + 3, 8), dtype=np.complex128)
+        out[:2] = carried
+        xi = tangent_states(a, out=out, carried=2)
+        plain = tangent_states(a)
+        assert np.array_equal(xi, plain) and np.array_equal(out[-1], swept_state(plain))
+        for row, state in zip(out[:2], carried):
+            assert np.array_equal(row, prepare_state(Ansatz(StateVector(3, state), a.generators, a.angles)).amplitudes)
 
 
 def test_ten_qubit_sweep_spans_tiles_and_matches_gather_sweep(rng, monkeypatch):

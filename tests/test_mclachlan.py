@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 import avqds.engine as engine
-from avqds.ansatz import Ansatz, ansatz_layout, prepare_state, tangent_states
+from avqds.ansatz import Ansatz, _step_bounds, ansatz_layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
 from avqds.experiment import preset_benchmark, run_single
 from avqds.mclachlan import (
+    _split_frame,
+    _split_point,
+    _system,
     assemble_frame,
     augment_block,
     extend_frame,
@@ -18,8 +21,8 @@ from avqds.models import build_model, default_model, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig, solve
-from avqds.statevector import StateVector, variance
-from conftest import dense_sum, random_hamiltonian, random_pauli, random_state, reference_frame
+from avqds.statevector import StateVector, _hamiltonian_rows, variance
+from conftest import dense_sum, random_hamiltonian, random_pauli, random_state, reference_frame, swept_state
 
 
 def make_ansatz(rng, n_qubits, n_params):
@@ -148,6 +151,81 @@ def test_extended_frame_matches_a_fresh_assembly(rng):
         assert_frames_close(extended, assemble_frame(grown, h), 1e-13)
     with pytest.raises(ValueError):
         extend_frame(frame, a.extended([PauliString.from_label("XIII")]).with_angles(np.full(a.n_params + 1, 0.1)))
+
+
+# --- split sweep ----------------------------------------------------------
+
+SPLIT_ATOL = 1e-13
+
+
+def split_cases(rng):
+    """TFIM and MFIM HVA ansätze (runs of Z-only generators) and ansätze of
+    random Pauli strings, at random angles, with a few candidates each."""
+    for kind in ("tfim", "mfim"):
+        spec = default_model(kind, 4)
+        _, h, psi0 = build_model(spec)
+        hva = build_hva(h, psi0, 2, model_sublayers(spec))
+        yield hva.with_angles(rng.uniform(-1.5, 1.5, size=hva.n_params)), h
+    for n in (2, 3, 5):
+        yield make_ansatz(rng, n, 12), random_hamiltonian(rng, n, n_terms=6)
+
+
+def test_split_frame_matches_the_reference_at_every_step_boundary(rng):
+    """M, V, the overlaps, the candidate border and the extended frame, with
+    the rows carried to any step boundary m from 0 to N, against the gather
+    sweep and complex Gram at the end of the circuit; psi bit for bit."""
+    for a, h in split_cases(rng):
+        expected = reference_frame(a, h)
+        pool = [random_pauli(rng, a.n_qubits) for _ in range(4)]
+        border = augment_block(expected, pool)
+        grown = a.extended(pool[:2])
+        expected_grown = reference_frame(grown, h)
+        psi = prepare_state(a).amplitudes
+        for m in [first for first, _ in _step_bounds(a.generators)] + [a.n_params]:
+            frame = _split_frame(a, h, m)
+            assert frame.inverse_suffix.n_params == a.n_params - m
+            assert np.array_equal(frame.psi, psi)
+            assert_frames_close(frame, expected, SPLIT_ATOL)
+            for got, want in zip(augment_block(frame, pool), border):
+                np.testing.assert_allclose(got, want, rtol=0, atol=SPLIT_ATOL)
+            assert_frames_close(extend_frame(frame, grown), expected_grown, SPLIT_ATOL)
+
+
+def test_unsplit_frame_is_the_forward_sweep_bit_for_bit(rng):
+    """m = N is the forward sweep: the same tangent block, psi and H·psi
+    as their own carried states, and M and V formed from them."""
+    for a, h in split_cases(rng):
+        frame = _split_frame(a, h, a.n_params)
+        xi = tangent_states(a)
+        assert frame.inverse_suffix.n_params == 0
+        assert np.array_equal(frame.tangents, xi)
+        assert np.array_equal(frame.frame_psi, frame.psi) and np.array_equal(frame.psi, swept_state(xi))
+        assert np.array_equal(frame.frame_h_psi, frame.h_psi)
+        assert np.array_equal(frame.h_psi, _hamiltonian_rows(h, frame.psi))
+        system, overlaps = _system(xi, frame.psi, frame.h_psi, frame.energy, frame.system.var_h)
+        assert np.array_equal(frame.system.m, system.m) and np.array_equal(frame.system.v, system.v)
+        assert np.array_equal(frame.overlaps, overlaps)
+
+
+def test_split_point_is_a_step_boundary_after_the_pool():
+    """The split is N or a step boundary (never inside a Z-only run) at or
+    after ``pool_size``; small systems are not split."""
+    spec = default_model("tfim", 8)
+    _, h, psi0 = build_model(spec)
+    hva = build_hva(h, psi0, 4, model_sublayers(spec))
+    a = hva.with_angles(np.linspace(-1.0, 1.0, hva.n_params))
+    starts = {first for first, _ in _step_bounds(a.generators)}
+    m = _split_point(a)
+    assert m in starts and 0 < m < a.n_params
+    for pool_size in (m, m + 1, a.n_params - 1):
+        split = _split_point(a, pool_size)
+        assert split == a.n_params or (split in starts and split >= pool_size)
+    assert _split_point(a, a.n_params + 1) == a.n_params
+    assert assemble_frame(a, h, a.n_params).inverse_suffix.n_params == 0
+    spec = default_model("tfim", 4)
+    _, h, psi0 = build_model(spec)
+    small = build_hva(h, psi0, 2, model_sublayers(spec))
+    assert _split_point(small) == small.n_params
 
 
 # --- distance -------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 
 import avqds.engine as engine
 from avqds.ansatz import Ansatz, ansatz_layout
+from avqds.config import ExperimentConfig
 from avqds.engine import (
     _TIE_RTOL,
     CandidateRanking,
@@ -322,17 +323,55 @@ def test_growth_does_not_depend_on_the_assembly_rounding(monkeypatch, kind):
     turn, is still the same."""
     runs = [(name, cfg) for name, cfg in preset_benchmark(kind, 4) if name.startswith("avqds")]
     new = [run_single(cfg, 0) for _, cfg in runs]
-    h = []
-
-    def reference(a, hamiltonian):
-        h[:] = [hamiltonian]
-        return reference_frame(a, hamiltonian)
-
-    monkeypatch.setattr(engine, "assemble_frame", reference)
-    monkeypatch.setattr(engine, "extend_frame", lambda frame, grown: reference_frame(grown, h[0]))
-    old = [run_single(cfg, 0) for _, cfg in runs]
+    old = _runs_with_reference_assembly(monkeypatch, [cfg for _, cfg in runs])
     for (name, _), a, b in zip(runs, new, old):
         assert _growth_sequence(a) == _growth_sequence(b)
         if (kind, name) != ("mfim", "avqds-t"):
             assert [(r.n_params, r.depth) for r in a] == [(r.n_params, r.depth) for r in b]
             assert max(abs(r.infidelity - q.infidelity) for r, q in zip(a, b)) < 1e-9
+
+
+@pytest.mark.slow
+def test_growth_does_not_depend_on_the_split_assembly_rounding(monkeypatch):
+    """The 4-qubit presets never split the sweep; the 8-qubit TFIM desk run
+    (hamiltonian pool, method 3) cut at t = 0.5 does from N = 40 on, at or
+    after the 16 candidates of its pool. Step by step it grows the same
+    ansatz as under the reference assembly, with infidelity within 1e-9."""
+    cfg = ExperimentConfig(
+        model=ModelSpec("tfim", 8, j=1.0, h_x=-2.0),
+        algorithm="avqds",
+        pool="hamiltonian",
+        growth=GrowthConfig(l2_cut=1e-3, method=3),
+        step=StepConfig(dtheta_max=0.005, t_final=0.5),
+        solver=SolverConfig("truncation", epsilon=1e-6),
+    )
+    splits = []
+    assemble = engine.assemble_frame
+
+    def recording(a, hamiltonian, pool_size=0):
+        frame = assemble(a, hamiltonian, pool_size)
+        splits.append((a.n_params - frame.inverse_suffix.n_params, a.n_params, pool_size))
+        return frame
+
+    monkeypatch.setattr(engine, "assemble_frame", recording)
+    new = run_single(cfg, 0)
+    assert {pool for _, _, pool in splits} == {16}
+    assert all(m >= pool or m == n for m, n, pool in splits)
+    assert sum(m < n for m, n, _ in splits) > len(splits) // 2
+    (old,) = _runs_with_reference_assembly(monkeypatch, [cfg])
+    assert [(r.n_params, r.depth) for r in new] == [(r.n_params, r.depth) for r in old]
+    assert max(abs(r.infidelity - q.infidelity) for r, q in zip(new, old)) < 1e-9
+
+
+def _runs_with_reference_assembly(monkeypatch, cfgs):
+    """Each config run with every frame assembled by ``reference_frame``,
+    and assembled again after growth."""
+    h = []
+
+    def reference(a, hamiltonian, pool_size=0):
+        h[:] = [hamiltonian]
+        return reference_frame(a, hamiltonian)
+
+    monkeypatch.setattr(engine, "assemble_frame", reference)
+    monkeypatch.setattr(engine, "extend_frame", lambda frame, grown: reference_frame(grown, h[0]))
+    return [run_single(cfg, 0) for cfg in cfgs]

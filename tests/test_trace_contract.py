@@ -3,8 +3,11 @@
 ``perfbench/tracing.py`` rebinds module and class attributes by name and
 reads the shape of what ``tangent_states`` returns. A refactor that renames
 one of those attributes or changes that return type breaks ``--trace 1``;
-these tests make it fail here first. The tracer is read as source and
-executed into a fresh module, so nothing is written next to it.
+so does an assembly that sweeps rows without going through
+``mclachlan.tangent_states``, which leaves ``ansatz.tangent_sweep_s`` and
+``ansatz.row_rotations`` at 0. These tests make it fail here first. The
+tracer is read as source and executed into a fresh module, so nothing is
+written next to it.
 """
 
 import types
@@ -13,6 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from avqds.ansatz import Ansatz
+from avqds.baselines import build_hva
+from avqds.mclachlan import _split_point
+from avqds.models import build_model, default_model, model_sublayers
 from avqds.pauli import PauliString
 from avqds.statevector import StateVector
 
@@ -40,3 +46,20 @@ def test_traced_tangent_sweep_returns_row_block():
     assert isinstance(result, np.ndarray)
     assert result.shape == (a.n_params, 1 << a.n_qubits)
     assert tracing._tangent_note((a,), result) == [a.n_params, a.n_qubits]
+
+
+def test_traced_split_assembly_sweeps_every_row():
+    """Both halves of a split assembly are traced sweeps whose row notes sum
+    to n_params, and the pass over the suffix is a traced ``prepare``."""
+    tracing = load_tracing()
+    spec = default_model("tfim", 8)
+    _, h, psi0 = build_model(spec)
+    hva = build_hva(h, psi0, 4, model_sublayers(spec))
+    a = hva.with_angles(np.linspace(-1.0, 1.0, hva.n_params))
+    assert _split_point(a) < a.n_params
+    with tracing.Tracer(tracing.layer_table()) as tracer:
+        tracing.engine.assemble_frame(a, h)
+    sweeps = tracer.of("ansatz.tangent_sweep")
+    assert len(sweeps) == 2
+    assert sum(span[4][0] for span in sweeps) == a.n_params
+    assert len(tracer.of("ansatz.prepare")) == 1
