@@ -10,20 +10,26 @@ of a prefix of the ansatz never depends on what comes later.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pauli import PauliString
-from .statevector import StateVector, _pauli_into, _rotate_rows, _run_signs
+from .statevector import StateVector, _multiply_planned, _pauli_tables, _rotate_planned, _rotation_plan
 
 
 @dataclass(frozen=True, eq=False)
 class Ansatz:
+    """A reference state, generators and their angles. The generators are
+    compiled once into ``circuit``, which ``with_angles`` shares and
+    ``extended`` extends."""
+
     reference: StateVector
     generators: tuple[PauliString, ...] = ()
     angles: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    circuit: Circuit | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "generators", tuple(self.generators))
@@ -32,9 +38,10 @@ class Ansatz:
         object.__setattr__(self, "angles", angles)
         if len(self.generators) != angles.shape[0]:
             raise ValueError("generator and angle counts differ")
-        for g in self.generators:
-            if g.n_qubits != self.reference.n_qubits:
-                raise ValueError("generator qubit count differs from reference state")
+        if self.circuit is None:
+            object.__setattr__(self, "circuit", Circuit(self.n_qubits).extended(self.generators))
+        elif self.circuit.generators is not self.generators:
+            raise ValueError("circuit was compiled for other generators")
 
     @property
     def n_qubits(self) -> int:
@@ -45,54 +52,89 @@ class Ansatz:
         return len(self.generators)
 
     def with_angles(self, angles: np.ndarray) -> "Ansatz":
-        return Ansatz(self.reference, self.generators, angles)
+        return Ansatz(self.reference, self.generators, angles, self.circuit)
 
     def extended(self, new_generators) -> "Ansatz":
         """Append generators with angle 0; the prepared state is unchanged."""
-        new_generators = tuple(new_generators)
-        angles = np.concatenate([self.angles, np.zeros(len(new_generators))])
-        return Ansatz(self.reference, self.generators + new_generators, angles)
+        circuit = self.circuit.extended(new_generators)
+        angles = np.concatenate([self.angles, np.zeros(len(circuit.generators) - self.n_params)])
+        return Ansatz(self.reference, circuit.generators, angles, circuit)
 
 
-def _step_bounds(generators) -> list[tuple[int, int]]:
-    """(first, stop) of each step of the forward pass: every contiguous run of
-    Z-only generators (``x_bits == 0``) is one step, every other generator a
-    step of its own."""
-    bounds = []
-    first = 0
-    while first < len(generators):
-        stop = first + 1
-        if not generators[first].x_bits:
-            while stop < len(generators) and not generators[stop].x_bits:
-                stop += 1
-        bounds.append((first, stop))
-        first = stop
-    return bounds
+# A compiled step over generators [first, stop): a rotation has its plan and
+# birth; a run of Z-only generators (plan None), one multiply by
+# exp(-i·angles @ signs), its ±1 eigenvalues and a reversed copy of them.
+_Step = namedtuple("_Step", "first stop plan birth signs reversed_signs")
+
+# A circuit, or a slice of one between step boundaries, bound to its angles
+# and to the state it starts from. Its steps are (first, stop, apply, birth),
+# counted from the start of the pass: ``apply(rows, buf)`` acts in place on a
+# C-contiguous row block with scratch ``buf``; ``birth(psi, out)`` writes
+# -i·P_k·psi for the step's generators into ``out`` from a (1, dim) ``psi``.
+Pass = namedtuple("Pass", "n_qubits reference steps n_params")
 
 
-def _segments(a: Ansatz) -> list[tuple[int, int, Callable, Callable]]:
-    """The forward pass as (first, stop, apply, birth) steps in circuit order.
+@dataclass(frozen=True, eq=False)
+class Circuit:
+    """What an ansatz's passes need of its generators, compiled once per
+    generator tuple: the steps, each a rotation or a contiguous run of Z-only
+    generators (``x_bits == 0``), and the ASAP layout. ``splits`` memoises
+    ``mclachlan._split_point`` per pool size."""
 
-    The steps are those of ``_step_bounds``. A run of Z-only generators
-    commutes and is diagonal, so together it is one multiply by
-    exp(-i·sum_j theta_j·s_j), with s_j the ±1 eigenvalues of generator j.
-    Every other generator is one in-place rotation. ``apply(rows, buf)``
-    acts in place on a C-contiguous row block; ``buf`` is scratch with at
-    least as many rows. ``birth(psi, out)`` writes -i·P_k·psi for the step's
-    generators into the rows of ``out``, from a (1, dim) block ``psi``.
-    """
-    gens, angles = a.generators, a.angles
-    steps = []
-    for first, stop in _step_bounds(gens):
-        if gens[first].x_bits:
-            apply = functools.partial(_rotate_rows, gens[first], angles[first])
-            birth = functools.partial(_pauli_into, gens[first], -1j)
-        else:
-            signs = _run_signs(a.n_qubits, tuple(g.z_bits for g in gens[first:stop]))
-            apply = functools.partial(_phase_rows, np.exp(-1j * (angles[first:stop] @ signs)))
-            birth = functools.partial(_run_births, signs)
-        steps.append((first, stop, apply, birth))
-    return steps
+    n_qubits: int
+    generators: tuple[PauliString, ...] = ()
+    steps: tuple[_Step, ...] = ()
+    layout: CircuitLayout | None = None
+    splits: dict[int, int] = field(default_factory=dict)
+
+    def extended(self, new_generators) -> "Circuit":
+        """The circuit with ``new_generators`` appended. Its steps and layout
+        are kept, except a trailing Z-only run, compiled again if Z-only
+        generators extend it."""
+        new = tuple(new_generators)
+        if any(g.n_qubits != self.n_qubits for g in new):
+            raise ValueError("generator qubit count differs from reference state")
+        generators, steps, first = self.generators + new, list(self.steps), len(self.generators)
+        if new and not new[0].x_bits and steps and steps[-1].plan is None:
+            first = steps.pop().first
+        while first < len(generators):
+            g, stop = generators[first], first + 1
+            if g.x_bits:
+                plan = _rotation_plan(self.n_qubits, g.x_bits, g.z_bits)
+                birth = functools.partial(_multiply_planned, plan, -1j * plan.coeffs)
+                steps.append(_Step(first, stop, plan, birth, None, None))
+            else:
+                while stop < len(generators) and not generators[stop].x_bits:
+                    stop += 1
+                signs = np.stack([_pauli_tables(self.n_qubits, 0, z.z_bits)[1] for z in generators[first:stop]])
+                steps.append(_Step(first, stop, None, None, signs, signs[::-1].copy()))
+            first = stop
+        layout = _placed(self.layout or CircuitLayout(self.n_qubits), new)
+        return Circuit(self.n_qubits, generators, tuple(steps), layout)
+
+    def bind(self, reference: np.ndarray, angles: np.ndarray, start: int = 0,
+             stop: int | None = None, inverse: bool = False) -> Pass:
+        """The pass from ``reference`` over generators [start, stop), both
+        step boundaries, at ``angles`` (one per generator): sin and cos of all
+        its angles in one call each and one product per Z-only run. With
+        ``inverse`` it undoes those generators: their steps in reverse order,
+        at negated angles, a run by its reversed eigenvalue matrix."""
+        stop = len(self.generators) if stop is None else stop
+        starts = [step.first for step in self.steps] + [len(self.generators)]
+        steps = self.steps[starts.index(start) : starts.index(stop)]  # ValueError inside a Z-only run
+        angles = -angles[start:stop][::-1] if inverse else angles[start:stop]
+        scales, cosines = (-1j * np.sin(angles)).tolist(), np.cos(angles).tolist()
+        bound = []
+        for first, last, plan, birth, signs, reversed_signs in steps[::-1] if inverse else steps:
+            first, last = (stop - last, stop - first) if inverse else (first - start, last - start)
+            if plan is not None:
+                apply = functools.partial(_rotate_planned, plan, scales[first], cosines[first])
+            else:
+                signs = reversed_signs if inverse else signs
+                apply = functools.partial(_phase_rows, np.exp(-1j * (angles[first:last] @ signs)))
+                birth = functools.partial(_run_births, signs)
+            bound.append((first, last, apply, birth))
+        return Pass(self.n_qubits, reference, bound, stop - start)
 
 
 def _phase_rows(phase: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
@@ -105,18 +147,23 @@ def _run_births(signs: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
     np.multiply(-1j * signs, psi, out=out)
 
 
-def _apply_circuit(a: Ansatz, rows: np.ndarray) -> None:
+def _as_pass(a: Ansatz | Pass) -> Pass:
+    return a if isinstance(a, Pass) else a.circuit.bind(a.reference.amplitudes, a.angles)
+
+
+def _apply_circuit(a: Ansatz | Pass, rows: np.ndarray) -> None:
     """Apply the circuit of ``a`` (not its reference) in place to each row of a
-    C-contiguous (k, 2**n) block, by the steps of ``_segments``."""
+    C-contiguous (k, 2**n) block."""
     buf = np.empty_like(rows)
-    for _, _, apply, _ in _segments(a):
+    for _, _, apply, _ in _as_pass(a).steps:
         apply(rows, buf)
 
 
-def prepare_state(a: Ansatz) -> StateVector:
+def prepare_state(a: Ansatz | Pass) -> StateVector:
     """Apply the rotations in index order to the reference state, each run of
     Z-only generators as one phase multiply."""
-    rows = a.reference.amplitudes.reshape(1, -1).copy()
+    a = _as_pass(a)
+    rows = a.reference.reshape(1, -1).copy()
     _apply_circuit(a, rows)
     return StateVector(a.n_qubits, rows[0])
 
@@ -126,10 +173,10 @@ def prepare_state(a: Ansatz) -> StateVector:
 _TILE_BYTES = 512 * 1024
 
 
-def tangent_states(a: Ansatz, out: np.ndarray | None = None, carried: int = 0) -> np.ndarray:
+def tangent_states(a: Ansatz | Pass, out: np.ndarray | None = None, carried: int = 0) -> np.ndarray:
     """All derivative states d|psi>/d(angle_k), one per row, each unit norm.
 
-    The forward pass applies the steps of ``_segments``: one rotation per
+    The forward pass applies the steps of its pass: one rotation per
     generator, except that a run of Z-only generators is one phase multiply.
     The running state rides along as the row after the finished ones, so each
     step costs one in-place operation on the rows in flight. After a step the
@@ -155,6 +202,7 @@ def tangent_states(a: Ansatz, out: np.ndarray | None = None, carried: int = 0) -
     applied to them in place. The tangents follow them, then the prepared
     state.
     """
+    a = _as_pass(a)
     n = a.n_params
     dim = 1 << a.n_qubits
     tile = max(1, _TILE_BYTES // (16 * dim))
@@ -162,8 +210,8 @@ def tangent_states(a: Ansatz, out: np.ndarray | None = None, carried: int = 0) -
     # the first step meets every carried row before any tile is full
     buf = np.empty((min(carried + n, tile) + carried, dim), dtype=np.complex128)
     born = block[carried:]  # row k of the sweep is born[k]; the carried rows precede row 0
-    born[0] = a.reference.amplitudes
-    steps = _segments(a)
+    born[0] = a.reference
+    steps = a.steps
     start = 0  # first row of the tile being filled, in block
     for i, (first, stop, apply, birth) in enumerate(steps):
         apply(block[start : carried + first + 1], buf)
@@ -188,10 +236,10 @@ class CircuitLayout:
     """ASAP layer assignment of an ordered set of unitaries."""
 
     n_qubits: int
-    layers: tuple[tuple[int, ...], ...]
-    layer_masks: tuple[int, ...]
-    layer_of: tuple[int, ...]
-    cnot_count: int
+    layers: tuple[tuple[int, ...], ...] = ()
+    layer_masks: tuple[int, ...] = ()
+    layer_of: tuple[int, ...] = ()
+    cnot_count: int = 0
 
     @property
     def depth(self) -> int:
@@ -225,7 +273,7 @@ class CircuitLayout:
 
 def layout(generators, n_qubits: int) -> CircuitLayout:
     """Pack generators into disjoint-support layers by the ASAP rule."""
-    return _layout(tuple(generators), n_qubits)
+    return _placed(CircuitLayout(n_qubits), generators)
 
 
 def _asap_level(masks, support_mask: int) -> int:
@@ -236,24 +284,24 @@ def _asap_level(masks, support_mask: int) -> int:
     return 0
 
 
-@functools.lru_cache(maxsize=256)
-def _layout(generators: tuple[PauliString, ...], n_qubits: int) -> CircuitLayout:
-    # CircuitLayout is frozen and holds only tuples, so callers may share it
-    layers: list[list[int]] = []
-    masks: list[int] = []
-    layer_of: list[int] = []
-    cnots = 0
-    for idx, g in enumerate(generators):
+def _placed(base: CircuitLayout, generators) -> CircuitLayout:
+    """``base`` with ``generators`` appended under the ASAP rule, which
+    places a prefix of the unitaries the same whatever follows it."""
+    layers = [list(l) for l in base.layers]
+    masks = list(base.layer_masks)
+    layer_of = list(base.layer_of)
+    cnots = base.cnot_count
+    for g in generators:
         level = _asap_level(masks, g.support_mask)
         if level == len(layers):
             layers.append([])
             masks.append(0)
-        layers[level].append(idx)
+        layers[level].append(len(layer_of))
         masks[level] |= g.support_mask
         layer_of.append(level)
         cnots += cnot_cost(g)
     return CircuitLayout(
-        n_qubits=n_qubits,
+        n_qubits=base.n_qubits,
         layers=tuple(tuple(l) for l in layers),
         layer_masks=tuple(masks),
         layer_of=tuple(layer_of),
@@ -262,4 +310,4 @@ def _layout(generators: tuple[PauliString, ...], n_qubits: int) -> CircuitLayout
 
 
 def ansatz_layout(a: Ansatz) -> CircuitLayout:
-    return layout(a.generators, a.n_qubits)
+    return a.circuit.layout

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import Ansatz, _apply_circuit, _step_bounds, prepare_state, tangent_states
+from .ansatz import Ansatz, Pass, _apply_circuit, prepare_state, tangent_states
 from .pauli import PauliString, WeightedPauliSum
-from .statevector import StateVector, _hamiltonian_rows, _pauli_into
+from .statevector import _hamiltonian_rows, _pauli_into
 
 
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,11 +58,12 @@ class TangentFrame:
     ``psi`` and ``h_psi`` are the prepared state and H·psi at the end of the
     circuit; the oracle reads ``psi``. The tangent rows are held in the frame
     of a step boundary m of the circuit instead: ``inverse_suffix`` is the
-    circuit after m run backwards from psi, and its steps carry a state from
-    the end of the circuit to m. ``frame_psi`` and ``frame_h_psi`` are psi and
-    H·psi so carried. M, V and the overlaps do not depend on the frame, since
-    one unitary acts on every tangent row and on psi and H·psi alike. With
-    m = N the suffix is empty and the frame is the end of the circuit.
+    pass that undoes the circuit after m, from psi, and its steps carry a
+    state from the end of the circuit to m. ``frame_psi`` and ``frame_h_psi``
+    are psi and H·psi so carried. M, V and the overlaps do not depend on the
+    frame, since one unitary acts on every tangent row and on psi and H·psi
+    alike. With m = N the suffix is empty and the frame is the end of the
+    circuit.
     """
 
     ansatz: Ansatz
@@ -72,7 +73,7 @@ class TangentFrame:
     tangents: np.ndarray
     overlaps: np.ndarray  # <tangent_k|psi>
     energy: float
-    inverse_suffix: Ansatz
+    inverse_suffix: Pass
     frame_psi: np.ndarray
     frame_h_psi: np.ndarray
 
@@ -102,15 +103,14 @@ def _split_frame(a: Ansatz, h: WeightedPauliSum, m: int) -> TangentFrame:
     suffix is empty, the carried states are psi and H·psi themselves, and
     the result is that of one forward sweep bit for bit.
     """
-    n, dim = a.n_params, 1 << a.n_qubits
-    gens, angles = a.generators, a.angles
+    n, dim, circuit = a.n_params, 1 << a.n_qubits, a.circuit
     block = np.empty((n + 1, dim), dtype=np.complex128)
-    tangent_states(Ansatz(a.reference, gens[:m], angles[:m]), out=block)
-    psi = prepare_state(Ansatz(StateVector(a.n_qubits, block[m]), gens[m:], angles[m:])).amplitudes
+    tangent_states(circuit.bind(a.reference.amplitudes, a.angles, 0, m), out=block)
+    psi = prepare_state(circuit.bind(block[m], a.angles, m)).amplitudes
     h_psi = _hamiltonian_rows(h, psi)
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
-    inverse = Ansatz(StateVector(a.n_qubits, psi), gens[m:][::-1], -angles[m:][::-1])
+    inverse = circuit.bind(psi, a.angles, m, inverse=True)
     back = np.empty((n - m + 2, dim), dtype=np.complex128)  # H·psi, rows N-1..m, psi
     back[0] = h_psi
     block[m:n] = tangent_states(inverse, out=back, carried=1)[::-1]
@@ -142,24 +142,26 @@ def _split_point(a: Ansatz, pool_size: int = 0) -> int:
     ``pool_size`` candidate rows ``augment_block`` carries back to m, and
     those rows are counted as if every step grew. The split saves at least
     m·(N - m) rows, so m >= ``pool_size`` also keeps one growth iteration
-    from rotating more rows than the forward sweep.
+    from rotating more rows than the forward sweep. It is computed once per
+    circuit and pool size.
     """
-    n, dim = a.n_params, 1 << a.n_qubits
-    if pool_size >= n:
-        return n
-    steps = _step_bounds(a.generators)
-    after = [n - stop + 3 + pool_size for _, stop in steps]  # rows of a step after the split
+    n, dim, splits = a.n_params, 1 << a.n_qubits, a.circuit.splits
+    if pool_size >= n or pool_size in splits:
+        return splits.get(pool_size, n)
+    steps = a.circuit.steps
+    after = [n - step.stop + 3 + pool_size for step in steps]  # rows of a step after the split
     ahead = sum(after)
     done = 0  # rows before the split
     best, split = math.inf, n
-    for s, (first, _) in enumerate(steps):
+    for s, (first, *_) in enumerate(steps):
         if first >= pool_size:
             cost = dim * (done + ahead) + _STEP_AMPLITUDES * (2 * len(steps) - s)
             if cost < best:
                 best, split = cost, first
         done += first + 1
         ahead -= after[s]
-    return split if best < dim * done + _STEP_AMPLITUDES * len(steps) else n
+    splits[pool_size] = split if best < dim * done + _STEP_AMPLITUDES * len(steps) else n
+    return splits[pool_size]
 
 
 def extend_frame(frame: TangentFrame, grown: Ansatz) -> TangentFrame:

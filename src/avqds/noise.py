@@ -9,6 +9,7 @@ ancilla-measurement convention m = (2p-1)/4 at a finite shot count.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -55,6 +56,9 @@ def _shot_draws(means: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -
     return draws
 
 
+_upper_triangle = functools.lru_cache(maxsize=16)(np.triu_indices)  # shared, never written
+
+
 def noisy_system(
     s: McLachlanSystem,
     layout: CircuitLayout,
@@ -76,7 +80,7 @@ def noisy_system(
     if math.isinf(cfg.n_shots) or n == 0:
         return s
     deep = layout.prefix_depths() > cfg.d_c  # fragment depth of (mu, nu) depends on max index only
-    rows, cols = np.triu_indices(n)
+    rows, cols = _upper_triangle(n)
     noisy = deep[cols]
     if not np.any(noisy) and not cfg.noisy_v:
         return s

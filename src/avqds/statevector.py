@@ -3,9 +3,8 @@
 Public functions are pure; inputs are never mutated. The hot kernels also
 come in row-block form (operating on a ``(k, 2**n)`` array of states at once)
 so tangent-state sweeps stay vectorized. The exceptions to purity are the
-private kernels ``_rotate_rows``, which overwrites the block it is given,
-and ``_pauli_into``, which writes into the block it is given; their callers
-hand them arrays they own.
+private kernels, which overwrite or write into the blocks they are given;
+their callers hand them arrays they own.
 
 A Pauli string is a real matrix iff it has an even number of Y factors, so
 the Hamiltonians of the built-in models (tfim, mfim, hm) are real. The dense
@@ -16,6 +15,7 @@ one COO builder.
 from __future__ import annotations
 
 import functools
+from collections import namedtuple
 
 import numpy as np
 from scipy.sparse import coo_array, csr_array
@@ -90,9 +90,12 @@ def _pauli_tables(n_qubits: int, x_bits: int, z_bits: int):
     return src, signs, complex(phase)
 
 
+_Plan = namedtuple("_Plan", "shape reverse order coeffs pauli")
+
+
 @functools.lru_cache(maxsize=4096)
-def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int):
-    """Strided form of a Pauli's permutation: (axes shape, reversal, axis order, coefficients).
+def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int) -> _Plan:
+    """Strided form of a Pauli's permutation: (axes shape, reversal, axis order, coefficients, Pauli).
 
     The index bits are split into axes from the most significant bit down:
     every flipped (X or Y) bit is its own length-2 axis and each run of other
@@ -142,66 +145,62 @@ def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int):
     else:
         coeffs = coeffs.reshape((1, *shape)).transpose(order)
         coeffs.setflags(write=False)
-    return tuple(shape), reverse, order, coeffs
+    return _Plan(tuple(shape), reverse, order, coeffs, PauliString(n_qubits, x_bits, z_bits))
 
 
-@functools.lru_cache(maxsize=1024)
-def _run_signs(n_qubits: int, z_bits: tuple[int, ...]) -> np.ndarray:
-    """The (len(z_bits), 2**n) matrix of ±1 eigenvalues s_j of a run of Z-only strings.
-
-    exp(-i·theta·Z_j) is the multiply by exp(-i·theta·s_j), so a run of them
-    at angles theta acts as one multiply by exp(-i·(theta @ signs)).
-    """
-    signs = np.stack([_pauli_tables(n_qubits, 0, z)[1] for z in z_bits])
-    signs.setflags(write=False)
-    return signs
+def _multiply_planned(plan: _Plan, coeffs, src: np.ndarray, out: np.ndarray) -> None:
+    """out = coeffs·src[..., i ^ x_bits] for C-contiguous (k, dim) blocks, with
+    ``coeffs`` shaped as ``plan.coeffs``; ``out`` must not overlap ``src``.
+    One strided multiply, iterated in the plan's axis order (``order="C"`` on
+    the transposed views keeps numpy from sorting the axes back by stride)."""
+    block = (src.shape[0], *plan.shape)
+    view = src.reshape(block)[plan.reverse].transpose(plan.order)
+    np.multiply(view, coeffs, out=out.reshape(block).transpose(plan.order), order="C")
 
 
 def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray) -> None:
     """out = scale·P·src for C-contiguous (k, dim) blocks; ``out`` must not overlap ``src``.
 
-    One strided multiply of ``src`` by ``scale·phase·signs``, iterated in the
-    plan's axis order (``order="C"`` on the transposed views keeps numpy from
-    sorting the axes back by stride). ``phase·signs`` is ±1 or ±i, so when
-    ``scale`` is real or imaginary every product has a factor with one zero
-    component, and each output component is rounded once whatever the loop
-    order, SIMD path or FMA use: the result equals ``scale·(phase·(signs·
-    src[..., i ^ x_bits]))`` bit for bit, up to the sign of a zero.
+    ``phase·signs`` is ±1 or ±i, so when ``scale`` is real or imaginary every
+    product has a factor with one zero component, and each output component
+    is rounded once whatever the loop order, SIMD path or FMA use: the result
+    equals ``scale·(phase·(signs·src[..., i ^ x_bits]))`` bit for bit, up to
+    the sign of a zero.
     """
-    shape, reverse, order, coeffs = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
-    block = (src.shape[0], *shape)
-    np.multiply(
-        src.reshape(block)[reverse].transpose(order),
-        scale * coeffs,
-        out=out.reshape(block).transpose(order),
-        order="C",
-    )
+    plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
+    _multiply_planned(plan, scale * plan.coeffs, src, out)
 
 
-def _rotate_rows(p: PauliString, theta: float, rows: np.ndarray, buf: np.ndarray) -> None:
-    """exp(-i·theta·P) applied in place to each row of a C-contiguous (k, dim) block.
+def _rotate_planned(plan: _Plan, scale: complex, cos: float, rows: np.ndarray, buf: np.ndarray) -> None:
+    """exp(-i·theta·P) applied in place to each row of a C-contiguous (k, dim)
+    block, from P's plan, ``scale`` = -i·sin(theta) and ``cos`` = cos(theta).
 
     ``buf`` is C-contiguous scratch with at least k rows of width dim. The
     three operations below round exactly as cos·rows + (-i·sin·phase)·
-    (signs·rows[..., src]) does: ``_pauli_into`` with the imaginary scale
-    -i·sin rounds once per component, and so does the real cos. Only the
-    iteration order of the first operation depends on the flipped qubits.
-    The tangent sweep and ``prepare_state`` do not use it for Z-only
-    strings: they apply each contiguous run of those as one phase multiply
-    (``_run_signs``).
+    (signs·rows[..., src]) does: the multiply by the imaginary scale rounds
+    once per component (see ``_pauli_into``), and so does the real cos. Only
+    the iteration order of the first operation depends on the flipped qubits.
     """
     scratch = buf[: rows.shape[0]]
-    _pauli_into(p, -1j * np.sin(theta), rows, scratch)
-    rows *= np.cos(theta)
+    _multiply_planned(plan, scale * plan.coeffs, rows, scratch)
+    rows *= cos
     rows += scratch
 
 
+def _rotate_rows(p: PauliString, theta: float, rows: np.ndarray, buf: np.ndarray) -> None:
+    """``_rotate_planned`` for one Pauli and angle."""
+    plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
+    _rotate_planned(plan, -1j * np.sin(theta), np.cos(theta), rows, buf)
+
+
 def _hamiltonian_rows(h: WeightedPauliSum, rows: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(rows)
+    """H·rows for one state or a (k, dim) block, one ``_pauli_into`` per term."""
+    src = rows.reshape(-1, rows.shape[-1])
+    out, term = np.zeros(src.shape, dtype=np.complex128), np.empty(src.shape, dtype=np.complex128)
     for coeff, p in h.terms:
-        src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
-        out += (coeff * phase) * (signs * rows[..., src])
-    return out
+        _pauli_into(p, coeff, src, term)
+        out += term
+    return out.reshape(rows.shape)
 
 
 def apply_pauli(p: PauliString, psi: StateVector) -> StateVector:

@@ -11,18 +11,23 @@ occurs (the sweep applies a run of those as one phase multiply).
 ``reference_frame`` is the assembly the fused sweep and the real Gram
 product replaced: that sweep and the complex Gram. ``brute_force_scores``
 is the scoring loop the bound-pruned ranking replaced, kept as its oracle.
+``rebuilt_pass`` and ``rebuilt_split_frame`` are the per-step rebuild that
+the compiled circuit replaced (with its step rule ``step_bounds``), and
+``gather_hamiltonian_rows`` the gather form of H·psi; the compiled route
+must reproduce them bit for bit.
 """
 
+import functools
 from functools import reduce
 
 import numpy as np
 import pytest
 
-from avqds.ansatz import Ansatz
-from avqds.mclachlan import McLachlanSystem, TangentFrame, augment_block, extend_system, mclachlan_distance
+from avqds.ansatz import Ansatz, Pass, prepare_state, tangent_states
+from avqds.mclachlan import McLachlanSystem, TangentFrame, _system, augment_block, extend_system, mclachlan_distance
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import solve
-from avqds.statevector import StateVector, _hamiltonian_rows, _pauli_tables
+from avqds.statevector import StateVector, _hamiltonian_rows, _pauli_into, _pauli_tables, _rotate_rows
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -62,6 +67,79 @@ def gather_sweep(a):
     return tangents, phi
 
 
+def step_bounds(generators):
+    """(first, stop) of each step of a pass: every contiguous run of Z-only
+    generators (``x_bits == 0``) is one step, every other generator a step
+    of its own."""
+    bounds = []
+    first = 0
+    while first < len(generators):
+        stop = first + 1
+        if not generators[first].x_bits:
+            while stop < len(generators) and not generators[stop].x_bits:
+                stop += 1
+        bounds.append((first, stop))
+        first = stop
+    return bounds
+
+
+def _phase(phase, rows, buf):
+    rows *= phase
+
+
+def _run_births(signs, psi, out):
+    np.multiply(-1j * signs, psi, out=out)
+
+
+def rebuilt_pass(a):
+    """The pass of ``a`` rebuilt from its generators, as every step did before
+    the circuit was compiled: ``step_bounds``, then per step a rotation by
+    ``_rotate_rows`` (a plan lookup and scalar sin and cos) or one phase
+    multiply for a run of Z-only generators."""
+    gens, angles = a.generators, a.angles
+    steps = []
+    for first, stop in step_bounds(gens):
+        if gens[first].x_bits:
+            apply = functools.partial(_rotate_rows, gens[first], angles[first])
+            birth = functools.partial(_pauli_into, gens[first], -1j)
+        else:
+            signs = np.stack([_pauli_tables(a.n_qubits, 0, g.z_bits)[1] for g in gens[first:stop]])
+            apply = functools.partial(_phase, np.exp(-1j * (angles[first:stop] @ signs)))
+            birth = functools.partial(_run_births, signs)
+        steps.append((first, stop, apply, birth))
+    return Pass(a.n_qubits, a.reference.amplitudes, steps, a.n_params)
+
+
+def rebuilt_split_frame(a, h, m):
+    """``mclachlan._split_frame`` as it was before the circuit was compiled:
+    the prefix, the suffix and the inverse suffix are three new ansätze,
+    each passed by ``rebuilt_pass``."""
+    n, dim, nq = a.n_params, 1 << a.n_qubits, a.n_qubits
+    gens, angles = a.generators, a.angles
+    block = np.empty((n + 1, dim), dtype=np.complex128)
+    tangent_states(rebuilt_pass(Ansatz(a.reference, gens[:m], angles[:m])), out=block)
+    psi = prepare_state(rebuilt_pass(Ansatz(StateVector(nq, block[m]), gens[m:], angles[m:]))).amplitudes
+    h_psi = _hamiltonian_rows(h, psi)
+    energy = float(np.real(np.vdot(psi, h_psi)))
+    var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
+    inverse = rebuilt_pass(Ansatz(StateVector(nq, psi), gens[m:][::-1], -angles[m:][::-1]))
+    back = np.empty((n - m + 2, dim), dtype=np.complex128)
+    back[0] = h_psi
+    block[m:n] = tangent_states(inverse, out=back, carried=1)[::-1]
+    block[n] = back[-1]
+    system, overlaps = _system(block[:n], block[n], back[0], energy, var_h)
+    return TangentFrame(a, system, psi, h_psi, block[:n], overlaps, energy, inverse, block[n], back[0].copy())
+
+
+def gather_hamiltonian_rows(h, rows):
+    """H·rows by one fancy-index gather per term, as before ``_pauli_into``."""
+    out = np.zeros_like(rows)
+    for coeff, p in h.terms:
+        src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
+        out += (coeff * phase) * (signs * rows[..., src])
+    return out
+
+
 def swept_state(tangents):
     """The prepared state that ``tangent_states`` leaves in the row after its result."""
     return tangents.base[tangents.shape[0]]
@@ -85,7 +163,7 @@ def reference_frame(a, h):
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
     m, v, overlaps = complex_gram(xi, psi, h_psi, energy)
-    unsplit = Ansatz(StateVector(a.n_qubits, psi))
+    unsplit = Pass(a.n_qubits, psi, [], 0)
     return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy, unsplit, psi, h_psi)
 
 

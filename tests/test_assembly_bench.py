@@ -1,7 +1,10 @@
 """Micro-benchmark of one assembly: the tangent sweep and the M/V formation,
-the per-generator oracles against the code they were replaced by, and the
+the per-generator oracles against the code they were replaced by, the
 whole assembly split where ``_split_point`` puts it against the forward
-sweep.
+sweep, and the assembly on a compiled circuit (warm), on one compiled from
+scratch (cold) and on one extended by a growth (grown). ``ansatz_layout``
+and ``noisy_system`` on the compiled layout are timed against a layout
+packed afresh for the call.
 
 Each case is an n-qubit TFIM Hamiltonian-variational ansatz cut to N
 generators, at random angles: per layer a run of ZZ bonds, which the sweep
@@ -13,10 +16,11 @@ that both routes agree within the bounds the sweep and assembly tests use.
 import numpy as np
 import pytest
 
-from avqds.ansatz import Ansatz, prepare_state, tangent_states
+from avqds.ansatz import Ansatz, ansatz_layout, layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
-from avqds.mclachlan import _split_frame, _split_point, _system
+from avqds.mclachlan import _split_frame, _split_point, _system, assemble_frame
 from avqds.models import build_model, default_model, model_sublayers
+from avqds.noise import NoiseConfig, noisy_system
 from avqds.statevector import _hamiltonian_rows
 from conftest import complex_gram, gather_sweep, reference_frame, swept_state
 
@@ -87,3 +91,53 @@ def test_split_assembly_speed(benchmark, n_qubits, n_params, route):
     assert np.array_equal(frame.psi, prepare_state(a).amplitudes)
     benchmark.extra_info["split"] = m
     benchmark.pedantic(_split_frame, args=(a, h, m), rounds=5, iterations=1)
+
+
+def _fresh_layout(a):
+    return layout(a.generators, a.n_qubits)
+
+
+@pytest.mark.parametrize("route", ["fresh_layout", "compiled_layout"])
+@pytest.mark.parametrize("n_qubits, n_params", SIZES)
+def test_layout_speed(benchmark, n_qubits, n_params, route):
+    a, _ = _case(n_qubits, n_params)
+    assert ansatz_layout(a) == _fresh_layout(a)
+    lookup = _fresh_layout if route == "fresh_layout" else ansatz_layout
+    benchmark.pedantic(lookup, args=(a,), rounds=20, iterations=5)
+
+
+@pytest.mark.parametrize("route", ["fresh_layout", "compiled_layout"])
+@pytest.mark.parametrize("n_qubits, n_params", SIZES)
+def test_noisy_system_speed(benchmark, n_qubits, n_params, route):
+    a, h = _case(n_qubits, n_params)
+    system = assemble_frame(a, h).system
+    cfg = NoiseConfig(n_shots=1e4, d_c=0)
+    lookup = _fresh_layout if route == "fresh_layout" else ansatz_layout
+    compiled = noisy_system(system, ansatz_layout(a), cfg, np.random.default_rng(5))
+    fresh = noisy_system(system, _fresh_layout(a), cfg, np.random.default_rng(5))
+    assert np.array_equal(compiled.m, fresh.m) and np.array_equal(compiled.v, fresh.v)
+    rng = np.random.default_rng(7)
+    benchmark.pedantic(lambda: noisy_system(system, lookup(a), cfg, rng), rounds=20, iterations=5)
+
+
+@pytest.mark.parametrize("route", ["cold", "grown", "warm"])
+@pytest.mark.parametrize("n_qubits, n_params", SIZES)
+def test_compiled_assembly_speed(benchmark, n_qubits, n_params, route):
+    a, h = _case(n_qubits, n_params)
+    base = Ansatz(a.reference, a.generators[:-n_qubits], a.angles[:-n_qubits])
+
+    def cold():
+        return assemble_frame(Ansatz(a.reference, a.generators, a.angles), h)
+
+    def grown():
+        return assemble_frame(base.extended(a.generators[-n_qubits:]).with_angles(a.angles), h)
+
+    def warm():
+        return assemble_frame(a.with_angles(a.angles), h)
+
+    frames = [cold(), grown(), warm()]
+    for frame in frames[1:]:
+        assert np.array_equal(frame.system.m, frames[0].system.m)
+        assert np.array_equal(frame.system.v, frames[0].system.v)
+        assert np.array_equal(frame.psi, frames[0].psi)
+    benchmark.pedantic({"cold": cold, "grown": grown, "warm": warm}[route], rounds=5, iterations=1)

@@ -19,8 +19,8 @@ from avqds.mclachlan import assemble_frame, mclachlan_distance
 from avqds.models import OperatorPool, nearest_neighbour_pool
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import NonFiniteSystemError, SolverConfig, solve
-from avqds.statevector import StateVector, fidelity
-from conftest import _rotation_rows, brute_force_scores, random_hamiltonian, random_pauli, random_state
+from avqds.statevector import StateVector, _pauli_tables, fidelity
+from conftest import brute_force_scores, random_hamiltonian, random_pauli, random_state
 
 
 def g(label):
@@ -448,11 +448,12 @@ def test_run_matches_gather_oracle_kernel(monkeypatch):
     fast = run_avqds(**kwargs)
     calls = []
 
-    def gather_kernel(p, theta, rows, buf):
+    def gather_kernel(plan, scale, cos, rows, buf):
         calls.append(rows.shape[0])
-        rows[...] = _rotation_rows(p, theta, rows)
+        src, signs, phase = _pauli_tables(plan.pauli.n_qubits, plan.pauli.x_bits, plan.pauli.z_bits)
+        rows[...] = cos * rows + (scale * phase) * (signs * rows[..., src])
 
-    monkeypatch.setattr(avqds.ansatz, "_rotate_rows", gather_kernel)
+    monkeypatch.setattr(avqds.ansatz, "_rotate_planned", gather_kernel)
     slow = run_avqds(**kwargs)
     assert calls and fast[-1].n_params > 4
     assert slow == fast

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import avqds.engine as engine
-from avqds.ansatz import Ansatz, _step_bounds, ansatz_layout, prepare_state, tangent_states
+from avqds.ansatz import Ansatz, ansatz_layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
 from avqds.experiment import preset_benchmark, run_single
 from avqds.mclachlan import (
@@ -22,7 +22,15 @@ from avqds.noise import NoiseConfig, noisy_system
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig, solve
 from avqds.statevector import StateVector, _hamiltonian_rows, variance
-from conftest import dense_sum, random_hamiltonian, random_pauli, random_state, reference_frame, swept_state
+from conftest import (
+    dense_sum,
+    random_hamiltonian,
+    random_pauli,
+    random_state,
+    reference_frame,
+    step_bounds,
+    swept_state,
+)
 
 
 def make_ansatz(rng, n_qubits, n_params):
@@ -181,7 +189,7 @@ def test_split_frame_matches_the_reference_at_every_step_boundary(rng):
         grown = a.extended(pool[:2])
         expected_grown = reference_frame(grown, h)
         psi = prepare_state(a).amplitudes
-        for m in [first for first, _ in _step_bounds(a.generators)] + [a.n_params]:
+        for m in [first for first, _ in step_bounds(a.generators)] + [a.n_params]:
             frame = _split_frame(a, h, m)
             assert frame.inverse_suffix.n_params == a.n_params - m
             assert np.array_equal(frame.psi, psi)
@@ -214,7 +222,7 @@ def test_split_point_is_a_step_boundary_after_the_pool():
     _, h, psi0 = build_model(spec)
     hva = build_hva(h, psi0, 4, model_sublayers(spec))
     a = hva.with_angles(np.linspace(-1.0, 1.0, hva.n_params))
-    starts = {first for first, _ in _step_bounds(a.generators)}
+    starts = {first for first, _ in step_bounds(a.generators)}
     m = _split_point(a)
     assert m in starts and 0 < m < a.n_params
     for pool_size in (m, m + 1, a.n_params - 1):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import avqds.statevector
+from avqds.models import build_model, default_model
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.statevector import (
     EvolveError,
@@ -14,6 +15,7 @@ from avqds.statevector import (
     StateVector,
     apply_hamiltonian,
     apply_pauli,
+    _hamiltonian_rows,
     _pauli_into,
     _rotate_rows,
     _rotation_plan,
@@ -30,6 +32,7 @@ from conftest import (
     _rotation_rows,
     dense_pauli,
     dense_sum,
+    gather_hamiltonian_rows,
     random_hamiltonian,
     random_pauli,
     random_state,
@@ -225,7 +228,7 @@ def test_rotation_plan_iterates_a_long_axis_last(letter):
     n = 8
     for q in range(n):
         p = PauliString.single(n, q, letter)
-        shape, _, order, coeffs = _rotation_plan(n, p.x_bits, p.z_bits)
+        shape, _, order, coeffs, _ = _rotation_plan(n, p.x_bits, p.z_bits)
         assert sorted(order) == list(range(len(shape) + 1))
         assert order[-1] != 0  # never the row axis
         last = shape[order[-1] - 1]
@@ -248,6 +251,17 @@ def test_hamiltonian_linearity():
     )
     out = apply_hamiltonian(h, StateVector.basis_state(1, 0))
     np.testing.assert_allclose(out.amplitudes, [1, 1])
+
+
+@pytest.mark.parametrize("kind", ["tfim", "mfim", "hm"])
+def test_hamiltonian_rows_match_the_gather_bitwise(rng, kind):
+    """H·psi, one ``_pauli_into`` per term, is the per-term gather bit for
+    bit, on single states and on row blocks."""
+    for n in (4, 6, 8, 10):
+        _, h, _ = build_model(default_model(kind, n))
+        rows = np.stack([random_state(rng, n) for _ in range(3)])
+        assert np.array_equal(_hamiltonian_rows(h, rows[0]), gather_hamiltonian_rows(h, rows[0]))
+        assert np.array_equal(_hamiltonian_rows(h, rows), gather_hamiltonian_rows(h, rows))
 
 
 def test_tfim_action_matches_term_sum():
