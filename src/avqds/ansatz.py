@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 from collections import namedtuple
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np

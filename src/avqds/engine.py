@@ -250,12 +250,13 @@ def score_candidates(
     pool: OperatorPool,
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
-    l2_before: float | None = None,
+    l2_before: float,
 ) -> tuple[list[int], bool]:
     """Score the pool by how much each operator, appended at angle zero,
     would lower the McLachlan distance, and select under ``growth_cfg``.
 
-    A candidate's score is L2_before minus the distance of the bordered
+    A candidate's score is ``l2_before``, the distance of the current
+    system at its solution, minus the distance of the bordered
     (N+1)-parameter system, solved by brute force. Only the candidates that
     can still be selected are solved: each gets an upper bound from
     ``score_bounds`` and the selection consumes a ``CandidateRanking`` that
@@ -265,9 +266,6 @@ def score_candidates(
     the selection is the one the full ranking gives. Returns
     ``select_additions``'s (indices, depth_suppressed).
     """
-    if l2_before is None:
-        td, _ = solve(frame.system, solver_cfg)
-        l2_before = mclachlan_distance(frame.system, td)
     cols, diags, v_news = augment_block(frame, list(pool.operators))
     bounds, slack = score_bounds(frame, pool, (cols, diags, v_news), l2_before)
 
@@ -345,7 +343,7 @@ def grow_once(
     pool: OperatorPool,
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
-    l2_before: float | None = None,
+    l2_before: float,
 ) -> GrowthResult:
     """One growth iteration; appended angles are zero so the state is kept."""
     chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before)

@@ -56,7 +56,14 @@ def _shot_draws(means: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -
     return draws
 
 
-_upper_triangle = functools.lru_cache(maxsize=16)(np.triu_indices)  # shared, never written
+@functools.lru_cache(maxsize=16)
+def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row-major (rows, cols) of the upper triangle of an n×n matrix; the
+    cache hands the same arrays to every caller, so they are read-only."""
+    rows, cols = np.triu_indices(n)
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
 
 
 def noisy_system(

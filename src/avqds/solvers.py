@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import lsq_linear
 
 from .mclachlan import McLachlanSystem, symmetric_eig  # noqa: F401  re-exported
 
@@ -111,7 +110,9 @@ def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagn
         theta_dot = u @ scale
     elif cfg.method == "lsq_unbounded":
         theta_dot = _cgls(m, v, max_iters=10 * n, tol=1e-12)
-    else:  # lsq_bounded
+    else:  # lsq_bounded; scipy.optimize loads only for this method
+        from scipy.optimize import lsq_linear
+
         result = lsq_linear(m, v, bounds=(-cfg.bound, cfg.bound), method="bvls", tol=1e-14)
         theta_dot = np.clip(result.x, -cfg.bound, cfg.bound)
 

@@ -8,20 +8,25 @@ their callers hand them arrays they own.
 
 A Pauli string is a real matrix iff it has an even number of Y factors, so
 the Hamiltonians of the built-in models (tfim, mfim, hm) are real. The dense
-oracle diagonalizes those in real arithmetic; both oracle paths read H from
-one COO builder.
+oracle diagonalizes those in real arithmetic. Both oracle paths read H from
+one per-term builder: the dense path sums its entries in numpy, the sparse
+path puts them in a COO matrix. scipy is imported only on the sparse paths
+(above ``_DENSE_MAX_QUBITS`` and in ``exact_evolve``), so an oracle at or
+below that size never loads ``scipy.sparse``.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import namedtuple
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import coo_array, csr_array
-from scipy.sparse.linalg import expm_multiply
 
 from .pauli import PauliString, WeightedPauliSum
+
+if TYPE_CHECKING:
+    from scipy.sparse import coo_array, csr_array
 
 
 # Largest system the exact oracle diagonalizes densely. Timed on TFIM with
@@ -252,31 +257,52 @@ def fidelity(psi: StateVector, phi: StateVector) -> float:
     return float(abs(np.vdot(psi.amplitudes, phi.amplitudes)) ** 2)
 
 
-def _hamiltonian_coo(h: WeightedPauliSum) -> coo_array:
-    """H as COO entries, term by term: column b of each term P has its single
-    entry at row b ^ x with value coeff·phase·(sign of b).
+def _hamiltonian_entries(h: WeightedPauliSum) -> tuple[np.dtype, list[tuple[np.ndarray, np.ndarray]]]:
+    """H term by term, as (dtype, [(rows, values)] per term): column b of
+    each term P has its single entry at row b ^ x with value
+    coeff·phase·(sign of b).
 
-    The entries are float64 when every term is real and complex128 otherwise.
+    The dtype is float64 when every term is real (an even number of Y
+    factors) and complex128 otherwise.
     """
-    dim = 1 << h.n_qubits
-    real = all(bin(p.x_bits & p.z_bits).count("1") % 2 == 0 for _, p in h.terms)  # even Y count
-    rows = [np.empty(0, dtype=np.int64)]  # the seeds give an empty H its shape and dtype
-    vals = [np.empty(0, dtype=np.float64 if real else np.complex128)]
+    real = all(bin(p.x_bits & p.z_bits).count("1") % 2 == 0 for _, p in h.terms)
+    entries = []
     for coeff, p in h.terms:
         src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
         scale = coeff * phase  # phase is +-1 for a real term
-        rows.append(src)
-        vals.append((scale.real if real else scale) * signs[src])
-    cols = np.tile(np.arange(dim, dtype=np.int64), len(h.terms))
-    return coo_array((np.concatenate(vals), (np.concatenate(rows), cols)), shape=(dim, dim))
+        entries.append((src, (scale.real if real else scale) * signs[src]))
+    return np.dtype(np.float64 if real else np.complex128), entries
+
+
+def _hamiltonian_coo(h: WeightedPauliSum) -> coo_array:
+    """H as COO entries, term by term (see ``_hamiltonian_entries``)."""
+    from scipy.sparse import coo_array
+
+    dim = 1 << h.n_qubits
+    dtype, entries = _hamiltonian_entries(h)
+    # the empty seeds give an empty H its shape and dtype
+    rows = np.concatenate([np.empty(0, dtype=np.int64)] + [src for src, _ in entries])
+    vals = np.concatenate([np.empty(0, dtype=dtype)] + [values for _, values in entries])
+    cols = np.tile(np.arange(dim, dtype=np.int64), len(entries))
+    return coo_array((vals, (rows, cols)), shape=(dim, dim))
 
 
 def dense_hamiltonian(h: WeightedPauliSum) -> np.ndarray:
     """Dense matrix of H; intended for small systems and oracles.
 
     The matrix is float64 when every term is real and complex128 otherwise.
+    Each term's ``_hamiltonian_entries`` are added to a zeroed matrix in term
+    order. Within one term the rows are a permutation of the columns, so one
+    ``+=`` writes no entry twice, and the sums round as the duplicate entries
+    of ``_hamiltonian_coo(h).toarray()`` do: the two are equal bit for bit.
     """
-    return _hamiltonian_coo(h).toarray()
+    dim = 1 << h.n_qubits
+    dtype, entries = _hamiltonian_entries(h)
+    out = np.zeros((dim, dim), dtype=dtype)
+    cols = np.arange(dim, dtype=np.int64)
+    for src, values in entries:
+        out[src, cols] += values
+    return out
 
 
 def _modes_times(m: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -290,6 +316,8 @@ def _modes_times(m: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 def _evolve_sparse(h_csr: csr_array, t: float, vec: np.ndarray) -> np.ndarray:
     """exp(-iHt)·vec for a sparse H; raises EvolveError unless the norm is kept."""
+    from scipy.sparse.linalg import expm_multiply
+
     out = expm_multiply((-1j * t) * h_csr, vec)
     nrm, nrm0 = np.linalg.norm(out), np.linalg.norm(vec)
     if not abs(nrm - nrm0) <= 1e-8 * nrm0:

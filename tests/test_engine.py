@@ -187,7 +187,7 @@ def test_grow_keeps_state_and_reduces_distance(rng):
     td, _ = solve(frame.system, SOLVER)
     l2_before = mclachlan_distance(frame.system, td)
 
-    result = grow_once(frame, pool, growth, SOLVER)
+    result = grow_once(frame, pool, growth, SOLVER, l2_before)
     assert result.added
     after_state = prepare_state(result.ansatz)
     assert fidelity(before_state, after_state) == pytest.approx(1.0, abs=1e-12)
@@ -209,7 +209,8 @@ def test_grow_stalls_on_hopeless_pool():
     h = WeightedPauliSum(2, [(1.0, g("XI"))])
     frame = assemble_frame(Ansatz(StateVector.basis_state(2)), h)
     pool = OperatorPool(2, (g("ZI"), g("IZ"), g("ZZ")))
-    result = grow_once(frame, pool, GrowthConfig(), SOLVER)
+    td, _ = solve(frame.system, SOLVER)
+    result = grow_once(frame, pool, GrowthConfig(), SOLVER, mclachlan_distance(frame.system, td))
     assert result.stalled and not result.added
 
 

@@ -1,5 +1,8 @@
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +116,45 @@ def test_workers_are_spawned_with_one_blas_thread(tmp_path, monkeypatch):
     assert os.environ["OMP_NUM_THREADS"] == "2"
     assert os.environ["OPENBLAS_NUM_THREADS"] == "4"
     assert "MKL_NUM_THREADS" not in os.environ
+
+
+# Run in a fresh interpreter: this test process has imported scipy already.
+_SCIPY_FREE_RUNS = r"""
+import sys
+
+import avqds
+from avqds.config import parse_config
+from avqds.experiment import run_experiment
+
+noisy_hva = parse_config(
+    "model.kind = tfim\nmodel.n_qubits = 6\nrun.algorithm = hva\nhva.layers = 2\n"
+    "step.dt_fixed = 0.005\nstep.t_final = 0.02\nsolver.method = truncation\n"
+    "solver.epsilon = 1e-3\nnoise.enabled = true\nnoise.n_shots = 1e4\n"
+)
+growing = parse_config(
+    "model.kind = tfim\nmodel.n_qubits = 8\npool.kind = hamiltonian\ngrowth.method = 3\n"
+    "step.t_final = 0.02\n"
+)
+run_experiment(noisy_hva, sys.argv[1] + "/hva")
+run_experiment(growing, sys.argv[1] + "/grow")
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.sparse", "scipy.optimize")))
+print(" ".join(loaded))
+"""
+
+
+def test_runs_up_to_ten_qubits_load_no_scipy_sparse_or_optimize(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUNS, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+    assert (tmp_path / "hva" / "run_000.csv").exists() and (tmp_path / "grow" / "run_000.csv").exists()
 
 
 def _parse_records(path):

@@ -5,7 +5,7 @@ import pytest
 
 from avqds.ansatz import layout
 from avqds.mclachlan import McLachlanSystem
-from avqds.noise import NoiseConfig, noisy_system, shot_sigma
+from avqds.noise import NoiseConfig, _upper_triangle, noisy_system, shot_sigma
 from avqds.pauli import PauliString
 
 
@@ -155,6 +155,16 @@ def test_truncation_clips_outliers():
         for i in range(3):
             for j in range(3):
                 assert dev[i, j] <= 1.0 * shot_sigma(s.m[i, j], 10) + 1e-15
+
+
+def test_cached_upper_triangle_is_read_only():
+    rows, cols = _upper_triangle(4)
+    expected_rows, expected_cols = np.triu_indices(4)
+    assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
+    for arr in (rows, cols):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert _upper_triangle(4)[0] is rows
 
 
 def test_layout_dimension_mismatch_rejected():

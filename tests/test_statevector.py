@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,7 @@ from avqds.statevector import (
     StateVector,
     apply_hamiltonian,
     apply_pauli,
+    _hamiltonian_coo,
     _hamiltonian_rows,
     _pauli_into,
     _rotate_rows,
@@ -320,8 +322,9 @@ def test_dense_hamiltonian_matches_kron(rng):
 
 
 def test_dense_hamiltonian_is_bitwise_the_per_term_sum(rng):
-    """The COO builder adds entries in term order, exactly as a per-term
-    fancy-index ``+=`` does, so the oracle's bits do not depend on the route."""
+    """The dense H is the per-term fancy-index ``+=`` sum, and the COO
+    builder's ``toarray()`` adds the same entries in the same term order, so
+    both oracle paths start from the same bits."""
     for complex_term in (False, True):
         terms = list(_real_hamiltonian(rng, 5, 12).terms)
         if complex_term:
@@ -335,6 +338,9 @@ def test_dense_hamiltonian_is_bitwise_the_per_term_sum(rng):
         got = dense_hamiltonian(h)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
+        coo = _hamiltonian_coo(h).toarray()
+        assert coo.dtype == got.dtype
+        assert coo.tobytes() == got.tobytes()
 
 
 # --- inner / fidelity -----------------------------------------------------
@@ -488,7 +494,7 @@ def test_norm_drift_raises_evolve_error(rng, monkeypatch):
     psi = StateVector(n, random_state(rng, n))
     monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
     sparse = ExactPropagator(h, psi)
-    monkeypatch.setattr(avqds.statevector, "expm_multiply", lambda a, v: 2 * v)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda a, v: 2 * v)
     with pytest.raises(EvolveError):
         exact_evolve(h, 0.3, psi)
     with pytest.raises(EvolveError):
