@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -290,7 +290,7 @@ class GrowthResult:
 
 def select_additions(
     method: int,
-    scores: CandidateRanking | Iterable[tuple[int, float]],
+    scores: CandidateRanking,
     pool: OperatorPool,
     ansatz: Ansatz,
     score_cut: float,
@@ -300,16 +300,12 @@ def select_additions(
 
     Walks the candidates with score > score_cut in ``CandidateRanking``
     order: best score first, with scores within ``_TIE_RTOL`` of the best
-    one going to the lower pool index. ``scores`` is a lazy
-    ``CandidateRanking`` or a list of (index, score) pairs. A candidate the
-    walk would pass over without effect is dropped before it is scored: one
-    overlapping the qubits already taken, one not fitting the idle qubits in
-    method 2's first pass, or one beyond ``max_depth`` once suppression is
-    flagged. Returns (indices, depth_suppressed).
+    one going to the lower pool index. A candidate the walk would pass over
+    without effect is dropped before it is scored: one overlapping the
+    qubits already taken, one not fitting the idle qubits in method 2's
+    first pass, or one beyond ``max_depth`` once suppression is flagged.
+    Returns (indices, depth_suppressed).
     """
-    if not isinstance(scores, CandidateRanking):
-        table = dict(scores)
-        scores = CandidateRanking(table, table.__getitem__)
     masks = [op.support_mask for op in pool.operators]
     layout = ansatz_layout(ansatz)
     if method == 2:

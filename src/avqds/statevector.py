@@ -7,40 +7,47 @@ private kernels, which overwrite or write into the blocks they are given;
 their callers hand them arrays they own.
 
 A Pauli string is a real matrix iff it has an even number of Y factors, so
-the Hamiltonians of the built-in models (tfim, mfim, hm) are real. The dense
-oracle diagonalizes those in real arithmetic. Both oracle paths read H from
-one per-term builder: the dense path sums its entries in numpy, the sparse
-path puts them in a COO matrix. scipy is imported only on the sparse paths
-(above ``_DENSE_MAX_QUBITS`` and in ``exact_evolve``), so an oracle at or
-below that size never loads ``scipy.sparse``.
+the Hamiltonians of the built-in models (tfim, mfim, hm) are real. The exact
+oracle diagonalizes those densely, in real arithmetic, up to
+``_DENSE_MAX_QUBITS``; above that it steps exp(-iHt) by a truncated Taylor
+series on the Pauli terms, grouped by the bits they flip. The module needs
+numpy alone.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .pauli import PauliString, WeightedPauliSum
 
-if TYPE_CHECKING:
-    from scipy.sparse import coo_array, csr_array
-
 
 # Largest system the exact oracle diagonalizes densely. Timed on TFIM with
-# one thread, dt = 0.005, median of 100 calls: at 11 qubits the sparse path
-# wins on both counts (dense init 1.67 s and 4.04 ms a call, against 0.002 s
-# and 2.44 ms for ``expm_multiply`` on the sparse H). At 10 qubits the calls
-# cost about the same (1.12 ms dense, 1.43 ms sparse) after 0.27 s of dense
-# init, so the dense path, and the bits of its outputs, stay.
-_DENSE_MAX_QUBITS = 10
+# one thread, dt = 0.005, medians over 5 runs of 100 calls: at 10 qubits the
+# Taylor stepper sets up in 1.1 ms and takes 0.51 ms a call, against 207 ms
+# of dense ``eigh`` and 0.84 ms a call. At 9 qubits a stepped call takes
+# 0.32 ms against 0.08 ms after 30 ms of ``eigh``, so the dense path pays
+# off within about 125 calls, a run's worth; it stays, and with it the bits
+# of every output at 9 qubits or fewer.
+_DENSE_MAX_QUBITS = 9
+
+# Taylor stepper (``ExactPropagator._advance``): each substep covers at most
+# _TAYLOR_SPAN of tau·sum|c_t|, and its sum stops once the last two terms are
+# below _TAYLOR_TOL of the running sum. At a span of 4 the worst case (a
+# bound that is tight) needs 33 terms and the largest term is 4**4/4! ~ 11
+# times the state, so rounding stays near eps. _TAYLOR_MAX_TERMS only stops a
+# sum gone non-finite; the norm check then raises.
+_TAYLOR_SPAN = 4.0
+_TAYLOR_TOL = 2.0**-53
+_TAYLOR_MAX_TERMS = 60
 
 
 class EvolveError(RuntimeError):
-    """Raised when sparse exact evolution returns a state whose norm is not
-    that of its input (including a non-finite one)."""
+    """Raised when the Taylor stepper returns a state whose norm is not that
+    of its input (including a non-finite one)."""
 
 
 class StateVector:
@@ -274,19 +281,6 @@ def _hamiltonian_entries(h: WeightedPauliSum) -> tuple[np.dtype, list[tuple[np.n
     return np.dtype(np.float64 if real else np.complex128), entries
 
 
-def _hamiltonian_coo(h: WeightedPauliSum) -> coo_array:
-    """H as COO entries, term by term (see ``_hamiltonian_entries``)."""
-    from scipy.sparse import coo_array
-
-    dim = 1 << h.n_qubits
-    dtype, entries = _hamiltonian_entries(h)
-    # the empty seeds give an empty H its shape and dtype
-    rows = np.concatenate([np.empty(0, dtype=np.int64)] + [src for src, _ in entries])
-    vals = np.concatenate([np.empty(0, dtype=dtype)] + [values for _, values in entries])
-    cols = np.tile(np.arange(dim, dtype=np.int64), len(entries))
-    return coo_array((vals, (rows, cols)), shape=(dim, dim))
-
-
 def dense_hamiltonian(h: WeightedPauliSum) -> np.ndarray:
     """Dense matrix of H; intended for small systems and oracles.
 
@@ -294,7 +288,7 @@ def dense_hamiltonian(h: WeightedPauliSum) -> np.ndarray:
     Each term's ``_hamiltonian_entries`` are added to a zeroed matrix in term
     order. Within one term the rows are a permutation of the columns, so one
     ``+=`` writes no entry twice, and the sums round as the duplicate entries
-    of ``_hamiltonian_coo(h).toarray()`` do: the two are equal bit for bit.
+    of a COO matrix built from the same entries do on ``toarray()``.
     """
     dim = 1 << h.n_qubits
     dtype, entries = _hamiltonian_entries(h)
@@ -314,69 +308,109 @@ def _modes_times(m: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (m @ pairs).view(np.complex128).ravel()
 
 
-def _evolve_sparse(h_csr: csr_array, t: float, vec: np.ndarray) -> np.ndarray:
-    """exp(-iHt)·vec for a sparse H; raises EvolveError unless the norm is kept."""
-    from scipy.sparse.linalg import expm_multiply
-
-    out = expm_multiply((-1j * t) * h_csr, vec)
-    nrm, nrm0 = np.linalg.norm(out), np.linalg.norm(vec)
-    if not abs(nrm - nrm0) <= 1e-8 * nrm0:
-        raise EvolveError(f"norm went from {nrm0} to {nrm} over t={t:g}")
-    return out
+def _norm(vec: np.ndarray) -> float:
+    """2-norm by one BLAS dot (``np.linalg.norm`` takes two and twice the time)."""
+    return math.sqrt(np.vdot(vec, vec).real)
 
 
 def exact_evolve(h: WeightedPauliSum, t: float, psi0: StateVector) -> StateVector:
-    """exp(-iHt)|psi0> by ``expm_multiply`` on the sparse H.
-
-    A result whose norm differs from that of ``psi0`` raises EvolveError
-    rather than being returned as a degraded state.
-    """
-    _check_match(h.n_qubits, psi0.n_qubits)
+    """exp(-iHt)|psi0>, from a fresh ``ExactPropagator`` (whose stepper
+    raises ``EvolveError`` rather than return a state that lost its norm)."""
     if t < 0:
         raise ValueError(f"evolution time must be non-negative, got {t}")
-    if t == 0:
-        return psi0.copy()
-    h_csr = _hamiltonian_coo(h).tocsr()
-    return StateVector(psi0.n_qubits, _evolve_sparse(h_csr, t, psi0.amplitudes))
+    return ExactPropagator(h, psi0).state_at(t)
 
 
 class ExactPropagator:
     """Reusable exp(-iHt)|psi0> evaluator for trajectory infidelities.
 
     For up to ``_DENSE_MAX_QUBITS`` qubits the Hamiltonian is diagonalized once
-    and states at arbitrary times come from the spectral representation;
-    beyond that the sparse H is stored once and a running state is advanced
-    monotonically by ``expm_multiply``.
-
+    and states at arbitrary times come from the spectral representation.
     When every term of H is real (an even number of Y factors), the dense
     matrix is float64 and ``eigh`` runs in real arithmetic; the real modes
     then act on the complex coefficients through ``_modes_times`` and are
     never cast to complex. A Hamiltonian with a complex term is diagonalized
     as a complex Hermitian matrix.
+
+    Beyond that size a running state is advanced monotonically by a Taylor
+    stepper, with no set-up beyond grouping the terms: H is held as one
+    coefficient vector per set of flipped bits x (one diagonal group, and
+    for TFIM one group per X field), laid out as ``_rotation_plan(n, x, 0)``
+    iterates, so H·v is one strided multiply and one add per group. The
+    strided views of the propagator's one-row buffers are built here once.
+    A step whose result does not keep the norm raises ``EvolveError``.
     """
 
     def __init__(self, h: WeightedPauliSum, psi0: StateVector):
         _check_match(h.n_qubits, psi0.n_qubits)
-        self.n_qubits = h.n_qubits
-        self._dense = h.n_qubits <= _DENSE_MAX_QUBITS
+        self.n_qubits = n = h.n_qubits
+        self._dense = n <= _DENSE_MAX_QUBITS
         if self._dense:
             w, u = np.linalg.eigh(dense_hamiltonian(h))
             self._eigvals = w
             self._modes = u
             self._coeffs = _modes_times(u.conj().T, psi0.amplitudes)
-        else:
-            self._h_csr = _hamiltonian_coo(h).tocsr()
-            self._t = 0.0
-            self._state = psi0.copy()
+            return
+        self._t = 0.0
+        self._state = psi0.copy()
+        self._norm_bound = sum(abs(coeff) for coeff, _ in h.terms)  # bounds ||H||_2
+        groups: dict[int, np.ndarray | complex] = {0: 0.0}  # x_bits -> summed coefficients
+        for coeff, p in h.terms:
+            groups[p.x_bits] = groups.get(p.x_bits, 0.0) + coeff * _rotation_plan(n, p.x_bits, p.z_bits).coeffs
+        self._term, self._h_term, self._flip = np.empty((3, 1, 1 << n), dtype=np.complex128)
+        self._groups = []
+        for x, coeffs in sorted(groups.items()):
+            plan = _rotation_plan(n, x, 0)
+            block = (1, *plan.shape)
+            out = self._h_term if x == 0 else self._flip
+            self._groups.append((
+                self._term.reshape(block)[plan.reverse].transpose(plan.order),
+                coeffs,
+                out.reshape(block).transpose(plan.order),
+            ))
+
+    def _apply_h(self) -> None:
+        """``_h_term`` = H·``_term``: the diagonal group writes it, and each
+        flip group is multiplied into ``_flip`` and added."""
+        (src, coeffs, out), *flips = self._groups
+        np.multiply(src, coeffs, out=out, order="C")
+        for src, coeffs, out in flips:
+            np.multiply(src, coeffs, out=out, order="C")
+            self._h_term += self._flip
+
+    def _advance(self, tau: float) -> np.ndarray:
+        """exp(-iH·tau) of the running state by the truncated Taylor series
+        with scaling of Al-Mohy and Higham ("Computing the action of the
+        matrix exponential", SIAM J. Sci. Comput. 33, 2011), the algorithm
+        behind ``scipy.sparse.linalg.expm_multiply``. The substep count
+        comes from tau·sum|c_t| (see ``_TAYLOR_SPAN``)."""
+        vec = self._state.amplitudes
+        substeps = max(1, math.ceil(tau * self._norm_bound / _TAYLOR_SPAN))
+        out = vec.copy()
+        term = self._term[0]
+        for _ in range(substeps):
+            term[:] = out
+            c1 = _norm(term)
+            for k in range(1, _TAYLOR_MAX_TERMS + 1):
+                self._apply_h()
+                np.multiply(self._h_term, -1j * tau / (substeps * k), out=self._term)
+                out += term
+                c2 = _norm(term)
+                if c1 + c2 <= _TAYLOR_TOL * _norm(out):
+                    break
+                c1 = c2
+        nrm, nrm0 = _norm(out), _norm(vec)
+        if not abs(nrm - nrm0) <= 1e-8 * nrm0:
+            raise EvolveError(f"norm went from {nrm0} to {nrm} over t={tau:g}")
+        return out
 
     def state_at(self, t: float) -> StateVector:
         if self._dense:
             amps = _modes_times(self._modes, np.exp(-1j * self._eigvals * t) * self._coeffs)
             return StateVector(self.n_qubits, amps)
         if t < self._t - 1e-12:
-            raise ValueError("sparse-backed propagator only advances forward in time")
+            raise ValueError("the Taylor-stepped propagator only advances forward in time")
         if t > self._t:
-            amps = _evolve_sparse(self._h_csr, t - self._t, self._state.amplitudes)
-            self._state = StateVector(self.n_qubits, amps)
+            self._state = StateVector(self.n_qubits, self._advance(t - self._t))
             self._t = t
         return self._state

@@ -14,7 +14,11 @@ is the scoring loop the bound-pruned ranking replaced, kept as its oracle.
 ``rebuilt_pass`` and ``rebuilt_split_frame`` are the per-step rebuild that
 the compiled circuit replaced (with its step rule ``step_bounds``), and
 ``gather_hamiltonian_rows`` the gather form of H·psi; the compiled route
-must reproduce them bit for bit.
+must reproduce them bit for bit. ``hamiltonian_coo``, ``expm_multiply_state``
+and ``eigh_propagator`` are the exact-evolution routes the Taylor stepper of
+``ExactPropagator`` replaced (scipy's ``expm_multiply`` on the sparse H, and
+the dense ``eigh`` at any size), kept as its oracles. ``full_ranking`` ranks
+precomputed (index, score) pairs, as ``select_additions`` once did for a list.
 """
 
 import functools
@@ -22,12 +26,23 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_array
+from scipy.sparse.linalg import expm_multiply
 
 from avqds.ansatz import Ansatz, Pass, prepare_state, tangent_states
+from avqds.engine import CandidateRanking
 from avqds.mclachlan import McLachlanSystem, TangentFrame, _system, augment_block, extend_system, mclachlan_distance
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import solve
-from avqds.statevector import StateVector, _hamiltonian_rows, _pauli_into, _pauli_tables, _rotate_rows
+from avqds.statevector import (
+    StateVector,
+    _hamiltonian_entries,
+    _hamiltonian_rows,
+    _pauli_into,
+    _pauli_tables,
+    _rotate_rows,
+    dense_hamiltonian,
+)
 
 SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -180,6 +195,37 @@ def brute_force_scores(frame, pool, solver_cfg, l2_before=None):
         td, _ = solve(extended, solver_cfg)
         scores.append((idx, l2_before - mclachlan_distance(extended, td)))
     return scores
+
+
+def full_ranking(scores):
+    """``CandidateRanking`` of precomputed (index, score) pairs: each bound is
+    the score itself."""
+    table = dict(scores)
+    return CandidateRanking(table, table.__getitem__)
+
+
+def hamiltonian_coo(h: WeightedPauliSum) -> coo_array:
+    """H as a COO matrix of its per-term entries (``_hamiltonian_entries``);
+    its ``toarray()`` sums duplicate entries in term order."""
+    dim = 1 << h.n_qubits
+    dtype, entries = _hamiltonian_entries(h)
+    # the empty seeds give an empty H its shape and dtype
+    rows = np.concatenate([np.empty(0, dtype=np.int64)] + [src for src, _ in entries])
+    vals = np.concatenate([np.empty(0, dtype=dtype)] + [values for _, values in entries])
+    cols = np.tile(np.arange(dim, dtype=np.int64), len(entries))
+    return coo_array((vals, (rows, cols)), shape=(dim, dim))
+
+
+def expm_multiply_state(h: WeightedPauliSum, t: float, amps: np.ndarray) -> np.ndarray:
+    """exp(-iHt)·amps by scipy's ``expm_multiply`` on the CSR form of H."""
+    return expm_multiply((-1j * t) * hamiltonian_coo(h).tocsr(), amps)
+
+
+def eigh_propagator(h: WeightedPauliSum, amps: np.ndarray):
+    """t -> exp(-iHt)·amps from one dense ``eigh`` of H, at any size."""
+    w, u = np.linalg.eigh(dense_hamiltonian(h))
+    coeffs = u.conj().T @ amps
+    return lambda t: u @ (np.exp(-1j * w * t) * coeffs)
 
 
 def dense_sum(h: WeightedPauliSum) -> np.ndarray:

@@ -20,7 +20,7 @@ from avqds.models import OperatorPool, nearest_neighbour_pool
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import NonFiniteSystemError, SolverConfig, solve
 from avqds.statevector import StateVector, _pauli_tables, fidelity
-from conftest import brute_force_scores, random_hamiltonian, random_pauli, random_state
+from conftest import brute_force_scores, full_ranking, random_hamiltonian, random_pauli, random_state
 
 
 def g(label):
@@ -115,7 +115,7 @@ def empty_ansatz(n=4):
 def test_method3_greedy_disjoint_trace():
     pool = synthetic_pool()
     scores = [(0, 0.9), (1, 0.8), (2, 0.7), (3, 0.0), (4, 0.0)]
-    chosen, suppressed = select_additions(3, scores, pool, empty_ansatz(), 1e-6, None)
+    chosen, suppressed = select_additions(3, full_ranking(scores), pool, empty_ansatz(), 1e-6, None)
     assert chosen == [0, 2]  # middle bond overlaps the first pick
     assert not suppressed
 
@@ -123,15 +123,15 @@ def test_method3_greedy_disjoint_trace():
 def test_method1_is_first_pick_of_method3():
     pool = synthetic_pool()
     scores = [(0, 0.5), (1, 0.9), (2, 0.2), (3, 0.1), (4, 0.05)]
-    one, _ = select_additions(1, scores, pool, empty_ansatz(), 1e-6, None)
-    three, _ = select_additions(3, scores, pool, empty_ansatz(), 1e-6, None)
+    one, _ = select_additions(1, full_ranking(scores), pool, empty_ansatz(), 1e-6, None)
+    three, _ = select_additions(3, full_ranking(scores), pool, empty_ansatz(), 1e-6, None)
     assert three[0] == one[0] == 1
 
 
 def test_tie_breaks_toward_lower_pool_index():
     pool = synthetic_pool()
     scores = [(0, 0.5), (1, 0.5), (2, 0.5), (3, 0.5), (4, 0.5)]
-    one, _ = select_additions(1, scores, pool, empty_ansatz(), 1e-6, None)
+    one, _ = select_additions(1, full_ranking(scores), pool, empty_ansatz(), 1e-6, None)
     assert one == [0]
 
 
@@ -139,7 +139,7 @@ def test_no_candidate_above_cut_stalls():
     pool = synthetic_pool()
     scores = [(i, 0.0) for i in range(5)]
     for method in (1, 2, 3):
-        chosen, _ = select_additions(method, scores, pool, empty_ansatz(), 1e-6, None)
+        chosen, _ = select_additions(method, full_ranking(scores), pool, empty_ansatz(), 1e-6, None)
         assert chosen == []
 
 
@@ -148,7 +148,7 @@ def test_method2_prefers_idle_qubits():
     # current last layer occupies qubits 0,1 -> idle 2,3
     a = empty_ansatz().extended([g("ZZII")])
     scores = [(0, 0.9), (1, 0.8), (2, 0.3), (3, 0.2), (4, 0.1)]
-    chosen, _ = select_additions(2, scores, pool, a, 1e-6, None)
+    chosen, _ = select_additions(2, full_ranking(scores), pool, a, 1e-6, None)
     # best overall (bond 0-1 again) would deepen; bond 2-3 fits the idle set
     assert chosen == [2]
 
@@ -157,7 +157,7 @@ def test_method2_opens_new_layer_when_nothing_fits():
     pool = synthetic_pool()
     a = empty_ansatz().extended([g("ZZII")])
     scores = [(0, 0.9), (1, 0.8), (2, 0.0), (3, 0.2), (4, 0.0)]
-    chosen, _ = select_additions(2, scores, pool, a, 1e-6, None)
+    chosen, _ = select_additions(2, full_ranking(scores), pool, a, 1e-6, None)
     assert chosen == [0]
 
 
@@ -165,11 +165,11 @@ def test_max_depth_suppresses_growth():
     pool = synthetic_pool()
     a = empty_ansatz().extended([g("ZZII")])
     scores = [(0, 0.9), (1, 0.8), (2, 0.0), (3, 0.0), (4, 0.0)]
-    chosen, suppressed = select_additions(1, scores, pool, a, 1e-6, 1)
+    chosen, suppressed = select_additions(1, full_ranking(scores), pool, a, 1e-6, 1)
     assert chosen == [] and suppressed
     # an op that still fits inside the depth budget is allowed
     scores = [(0, 0.9), (1, 0.0), (2, 0.7), (3, 0.0), (4, 0.0)]
-    chosen, suppressed = select_additions(1, scores, pool, a, 1e-6, 1)
+    chosen, suppressed = select_additions(1, full_ranking(scores), pool, a, 1e-6, 1)
     assert chosen == [2] and suppressed
 
 

@@ -157,6 +157,30 @@ def test_runs_up_to_ten_qubits_load_no_scipy_sparse_or_optimize(tmp_path):
     assert (tmp_path / "hva" / "run_000.csv").exists() and (tmp_path / "grow" / "run_000.csv").exists()
 
 
+_SCIPY_FREE_ORACLE = r"""
+import sys
+
+from avqds.models import ModelSpec, build_model
+from avqds.statevector import ExactPropagator, exact_evolve
+
+_, h, psi0 = build_model(ModelSpec("tfim", 12, j=1.0, h_x=-2.0))
+oracle = ExactPropagator(h, psi0)
+assert not oracle._dense
+for k in range(1, 11):
+    oracle.state_at(0.005 * k)
+exact_evolve(h, 0.05, psi0)
+print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy.sparse"))))
+"""
+
+
+def test_twelve_qubit_oracle_loads_no_scipy_sparse():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_ORACLE], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
+
+
 def _parse_records(path):
     """Trajectory records read back from a per-run CSV."""
     lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]

@@ -1,17 +1,18 @@
 """Micro-benchmark of the exact oracle: ``ExactPropagator`` set-up plus one
-``state_at`` call, on the dense path at 6, 8 and 10 qubits and on the sparse
-path at 12.
+``state_at`` call on TFIM, on the dense path at 6, 8 and 9 qubits and on the
+Taylor stepper at 10 and 12, so both sides of ``_DENSE_MAX_QUBITS`` are timed.
 
 ``pytest tests/test_oracle_bench.py`` prints the timings; ``--benchmark-disable``
 runs each case once as a plain test. Every case first checks that the dense H
-equals the COO builder's bit for bit, since both paths start from them.
+equals the COO builder's (``conftest.hamiltonian_coo``) bit for bit.
 """
 
 import numpy as np
 import pytest
 
 from avqds.models import ModelSpec, build_model
-from avqds.statevector import _DENSE_MAX_QUBITS, ExactPropagator, _hamiltonian_coo, dense_hamiltonian
+from avqds.statevector import _DENSE_MAX_QUBITS, ExactPropagator, dense_hamiltonian
+from conftest import hamiltonian_coo
 
 pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
@@ -23,10 +24,10 @@ def _oracle(h, psi0):
     return ExactPropagator(h, psi0).state_at(DT)
 
 
-@pytest.mark.parametrize("n", [6, 8, 10, 12])
+@pytest.mark.parametrize("n", [6, 8, 9, 10, 12])
 def test_oracle_speed(benchmark, n):
     _, h, psi0 = build_model(ModelSpec("tfim", n, j=1.0, h_x=-2.0))
-    dense, coo = dense_hamiltonian(h), _hamiltonian_coo(h).toarray()
+    dense, coo = dense_hamiltonian(h), hamiltonian_coo(h).toarray()
     assert dense.dtype == coo.dtype == np.float64
     assert np.array_equal(dense.view(np.int64), coo.view(np.int64))  # bits, not values
     del dense, coo

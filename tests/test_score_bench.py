@@ -15,7 +15,7 @@ from avqds.engine import GrowthConfig, score_candidates, select_additions
 from avqds.mclachlan import assemble_frame, mclachlan_distance
 from avqds.models import ModelSpec, build_model, model_pool
 from avqds.solvers import SolverConfig, solve
-from conftest import brute_force_scores
+from conftest import brute_force_scores, full_ranking
 
 pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
@@ -37,7 +37,7 @@ def _growth_iteration(n_params):
 
 def _brute_force(frame, pool, l2):
     scores = brute_force_scores(frame, pool, SOLVER, l2)
-    return select_additions(GROWTH.method, scores, pool, frame.ansatz, GROWTH.score_cut, GROWTH.max_depth)
+    return select_additions(GROWTH.method, full_ranking(scores), pool, frame.ansatz, GROWTH.score_cut, GROWTH.max_depth)
 
 
 def _pruned(frame, pool, l2):

@@ -39,7 +39,7 @@ from avqds.models import (
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import METHODS, SolverConfig, solve
 from avqds.statevector import StateVector
-from conftest import brute_force_scores, random_hamiltonian, random_state, reference_frame
+from conftest import brute_force_scores, full_ranking, random_hamiltonian, random_state, reference_frame
 
 TRUNC = SolverConfig("truncation", epsilon=1e-6)
 
@@ -141,7 +141,7 @@ def test_pruned_selection_matches_brute_force_ranking(rng, monkeypatch, solver):
             for max_depth in (None, max(depth, 1)):
                 for score_cut in (0.0, 1e-3):
                     growth = GrowthConfig(l2_cut=1.0, method=method, score_cut=score_cut, max_depth=max_depth)
-                    expected = select_additions(method, brute, pool, frame.ansatz, score_cut, max_depth)
+                    expected = select_additions(method, full_ranking(brute), pool, frame.ansatz, score_cut, max_depth)
                     calls.clear()
                     assert score_candidates(frame, pool, growth, solver, l2) == expected
                     assert len(calls) < len(pool)
@@ -165,7 +165,7 @@ def test_exact_score_ties_break_toward_the_lower_index():
         assert sum(s == best for _, s in brute) >= n
         for method in (1, 2, 3):
             growth = GrowthConfig(l2_cut=1.0, method=method)
-            expected = select_additions(method, brute, pool, frame.ansatz, growth.score_cut, None)
+            expected = select_additions(method, full_ranking(brute), pool, frame.ansatz, growth.score_cut, None)
             assert score_candidates(frame, pool, growth, TRUNC, l2) == expected
 
 
@@ -202,7 +202,7 @@ def test_select_additions_on_a_lazy_ranking_matches_the_list(rng):
         for a in (Ansatz(StateVector.basis_state(4)), layered):
             for method in (1, 2, 3):
                 for max_depth in (None, 1, 2):
-                    expected = select_additions(method, scores, pool, a, 0.0, max_depth)
+                    expected = select_additions(method, full_ranking(scores), pool, a, 0.0, max_depth)
                     ranking = CandidateRanking(bounds, dict(scores).__getitem__)
                     assert select_additions(method, ranking, pool, a, 0.0, max_depth) == expected
 
@@ -224,7 +224,7 @@ def test_capped_candidates_go_unscored_once_suppression_is_flagged(monkeypatch):
     assert contenders < len(pool) // 4
     calls = _counting_solve(monkeypatch)
     for method in (1, 2, 3):
-        expected = select_additions(method, brute, pool, frame.ansatz, 1e-6, 1)
+        expected = select_additions(method, full_ranking(brute), pool, frame.ansatz, 1e-6, 1)
         assert expected == ([], True)
         calls.clear()
         assert score_candidates(frame, pool, GrowthConfig(method=method, max_depth=1), TRUNC, l2) == expected
@@ -251,7 +251,7 @@ def test_near_ties_go_to_the_lower_index_and_gaps_to_the_higher_score():
     for method in (1, 2, 3):
         for gap, winner in ((0.5 * _TIE_RTOL, 0), (0.99 * _TIE_RTOL, 0), (2 * _TIE_RTOL, 3), (1e-3, 3)):
             scores = [(0, 1e-4 * (1 - gap)), (1, 1e-5), (2, 1e-5), (3, 1e-4)]
-            chosen, _ = select_additions(method, scores, pool, empty, 1e-6, None)
+            chosen, _ = select_additions(method, full_ranking(scores), pool, empty, 1e-6, None)
             assert chosen[0] == winner
             if method == 3:
                 assert chosen == [winner, 3 - winner, 1, 2]

@@ -3,7 +3,6 @@ import itertools
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,10 +15,10 @@ from avqds.statevector import (
     StateVector,
     apply_hamiltonian,
     apply_pauli,
-    _hamiltonian_coo,
     _hamiltonian_rows,
     _pauli_into,
     _rotate_rows,
+    _TAYLOR_SPAN,
     _rotation_plan,
     apply_rotation,
     dense_hamiltonian,
@@ -34,7 +33,10 @@ from conftest import (
     _rotation_rows,
     dense_pauli,
     dense_sum,
+    eigh_propagator,
+    expm_multiply_state,
     gather_hamiltonian_rows,
+    hamiltonian_coo,
     random_hamiltonian,
     random_pauli,
     random_state,
@@ -324,7 +326,7 @@ def test_dense_hamiltonian_matches_kron(rng):
 def test_dense_hamiltonian_is_bitwise_the_per_term_sum(rng):
     """The dense H is the per-term fancy-index ``+=`` sum, and the COO
     builder's ``toarray()`` adds the same entries in the same term order, so
-    both oracle paths start from the same bits."""
+    the two are the same bits."""
     for complex_term in (False, True):
         terms = list(_real_hamiltonian(rng, 5, 12).terms)
         if complex_term:
@@ -338,7 +340,7 @@ def test_dense_hamiltonian_is_bitwise_the_per_term_sum(rng):
         got = dense_hamiltonian(h)
         assert got.dtype == expected.dtype
         assert got.tobytes() == expected.tobytes()
-        coo = _hamiltonian_coo(h).toarray()
+        coo = hamiltonian_coo(h).toarray()
         assert coo.dtype == got.dtype
         assert coo.tobytes() == got.tobytes()
 
@@ -423,9 +425,9 @@ def test_exact_propagator_matches_evolve(rng):
     psi = StateVector(n, random_state(rng, n))
     prop = ExactPropagator(h, psi)
     for t in (0.2, 0.9, 2.4):
-        a = prop.state_at(t)
-        b = exact_evolve(h, t, psi)
-        assert fidelity(a, b) > 1 - 1e-10
+        reference = StateVector(n, expm_multiply_state(h, t, psi.amplitudes))
+        assert fidelity(prop.state_at(t), reference) > 1 - 1e-10
+        assert fidelity(exact_evolve(h, t, psi), reference) > 1 - 1e-10
 
 
 def _real_hamiltonian(rng, n, n_terms):
@@ -447,7 +449,9 @@ def test_exact_propagator_real_path(rng):
     prop = ExactPropagator(h, psi)
     assert prop._modes.dtype == np.float64
     for t in (0.0, 0.3, 1.7):
-        assert fidelity(prop.state_at(t), exact_evolve(h, t, psi)) > 1 - 1e-12
+        reference = StateVector(n, expm_multiply_state(h, t, psi.amplitudes))
+        assert fidelity(prop.state_at(t), reference) > 1 - 1e-12
+        assert fidelity(exact_evolve(h, t, psi), reference) > 1 - 1e-12
 
 
 def test_exact_propagator_complex_path(rng):
@@ -458,7 +462,9 @@ def test_exact_propagator_complex_path(rng):
     prop = ExactPropagator(h, psi)
     assert prop._modes.dtype == np.complex128
     for t in (0.0, 0.3, 1.7):
-        assert fidelity(prop.state_at(t), exact_evolve(h, t, psi)) > 1 - 1e-12
+        reference = StateVector(n, expm_multiply_state(h, t, psi.amplitudes))
+        assert fidelity(prop.state_at(t), reference) > 1 - 1e-12
+        assert fidelity(exact_evolve(h, t, psi), reference) > 1 - 1e-12
 
 
 def test_exact_propagator_sparse_path_matches_dense(rng, monkeypatch):
@@ -494,7 +500,8 @@ def test_norm_drift_raises_evolve_error(rng, monkeypatch):
     psi = StateVector(n, random_state(rng, n))
     monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
     sparse = ExactPropagator(h, psi)
-    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", lambda a, v: 2 * v)
+    # H·v = i·v is not Hermitian: the stepped state grows by e^t
+    monkeypatch.setattr(ExactPropagator, "_apply_h", lambda self: np.multiply(self._term, 1j, out=self._h_term))
     with pytest.raises(EvolveError):
         exact_evolve(h, 0.3, psi)
     with pytest.raises(EvolveError):
@@ -505,3 +512,77 @@ def test_norm_drift_raises_evolve_error(rng, monkeypatch):
 def test_oracle_builds_in_sparse_mode(n):
     prop = ExactPropagator(tfim_chain(n), StateVector.basis_state(n))
     assert not prop._dense
+
+
+def test_non_finite_step_raises_evolve_error(rng, monkeypatch):
+    """A Taylor sum gone non-finite never meets its stopping rule; it stops
+    at ``_TAYLOR_MAX_TERMS`` and the norm check raises."""
+    n = 4
+    h = tfim_chain(n)
+    psi = StateVector(n, random_state(rng, n))
+    monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
+    monkeypatch.setattr(ExactPropagator, "_apply_h", lambda self: self._h_term.fill(np.nan))
+    with pytest.raises(EvolveError):
+        ExactPropagator(h, psi).state_at(0.3)
+
+
+# --- Taylor stepper against the dense eigh and expm_multiply ---------------
+
+
+def _paired_hamiltonian(rng, n, complex_term):
+    """Random real terms, plus XX and YY on one bond (one flip group with
+    two sign patterns) and, when asked, a term with one Y, which makes H
+    complex."""
+    terms = list(_real_hamiltonian(rng, n, 10).terms)
+    terms += [(0.8, PauliString.two_site(n, (1, 2), "XX")), (-0.6, PauliString.two_site(n, (1, 2), "YY"))]
+    if complex_term:
+        terms.append((0.7, PauliString.two_site(n, (0, n - 1), "XY")))
+    return WeightedPauliSum(n, terms)
+
+
+@pytest.mark.parametrize("complex_term", [False, True], ids=["real", "complex"])
+def test_taylor_stepper_matches_eigh(rng, monkeypatch, complex_term):
+    """Forced below the dense cutoff, the stepper follows the dense ``eigh``
+    on random states: at t = 0 (the input itself), over one substep, and
+    over a step with tau·sum|c| forty times ``_TAYLOR_SPAN``."""
+    n = 6
+    h = _paired_hamiltonian(rng, n, complex_term)
+    assert (dense_hamiltonian(h).dtype == np.complex128) == complex_term
+    span = _TAYLOR_SPAN / sum(abs(c) for c, _ in h.terms)
+    monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
+    for _ in range(3):
+        amps = random_state(rng, n)
+        reference = eigh_propagator(h, amps)
+        prop = ExactPropagator(h, StateVector(n, amps))
+        assert not prop._dense
+        assert np.array_equal(prop.state_at(0.0).amplitudes, amps)
+        for t in (0.5 * span, 40.5 * span):
+            np.testing.assert_allclose(prop.state_at(t).amplitudes, reference(t), rtol=0, atol=1e-12)
+
+
+def test_taylor_stepper_at_ten_qubits_matches_eigh(rng):
+    """The 10-qubit oracle steps; it follows the dense ``eigh`` over
+    engine-sized and long steps and refuses to go back in time."""
+    n = 10
+    h = tfim_chain(n)
+    amps = random_state(rng, n)
+    prop = ExactPropagator(h, StateVector(n, amps))
+    assert not prop._dense
+    reference = eigh_propagator(h, amps)
+    for t in (0.005, 0.01, 0.5, 2.0):
+        np.testing.assert_allclose(prop.state_at(t).amplitudes, reference(t), rtol=0, atol=1e-12)
+    assert prop.state_at(2.0 - 1e-13) is prop.state_at(2.0)
+    with pytest.raises(ValueError):
+        prop.state_at(1.0)
+
+
+@pytest.mark.parametrize("complex_term", [False, True], ids=["real", "complex"])
+def test_taylor_stepper_at_twelve_qubits_matches_expm_multiply(rng, complex_term):
+    n = 12
+    h = _paired_hamiltonian(rng, n, complex_term)
+    psi = StateVector(n, random_state(rng, n))
+    prop = ExactPropagator(h, psi)
+    for t in (0.005, 0.3):
+        expected = expm_multiply_state(h, t, psi.amplitudes)
+        np.testing.assert_allclose(prop.state_at(t).amplitudes, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(exact_evolve(h, 0.3, psi).amplitudes, expected, rtol=0, atol=1e-12)
