@@ -9,14 +9,13 @@ of a prefix of the ansatz never depends on what comes later.
 
 from __future__ import annotations
 
-import functools
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString
-from .statevector import StateVector, _multiply_planned, _pauli_tables, _rotate_planned, _rotation_plan
+from .pauli import PauliString, WeightedPauliSum
+from .statevector import StateVector, _pauli_tables, _planned_views, _rotate_views, _rotation_plan
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,16 +60,10 @@ class Ansatz:
 
 
 # A compiled step over generators [first, stop): a rotation has its plan and
-# birth; a run of Z-only generators (plan None), one multiply by
-# exp(-i·angles @ signs), its ±1 eigenvalues and a reversed copy of them.
+# birth coefficients -i·phase·signs; a run of Z-only generators (plan None),
+# one multiply by exp(-i·angles @ signs), its ±1 eigenvalues and a reversed
+# copy of them.
 _Step = namedtuple("_Step", "first stop plan birth signs reversed_signs")
-
-# A circuit, or a slice of one between step boundaries, bound to its angles
-# and to the state it starts from. Its steps are (first, stop, apply, birth),
-# counted from the start of the pass: ``apply(rows, buf)`` acts in place on a
-# C-contiguous row block with scratch ``buf``; ``birth(psi, out)`` writes
-# -i·P_k·psi for the step's generators into ``out`` from a (1, dim) ``psi``.
-Pass = namedtuple("Pass", "n_qubits reference steps n_params")
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,13 +71,20 @@ class Circuit:
     """What an ansatz's passes need of its generators, compiled once per
     generator tuple: the steps, each a rotation or a contiguous run of Z-only
     generators (``x_bits == 0``), and the ASAP layout. ``splits`` memoises
-    ``mclachlan._split_point`` per pool size."""
+    ``mclachlan._split_point`` per pool size, and ``workspaces`` the
+    ``Workspace`` of each split point the circuit was assembled at.
+
+    An assembly fills its workspace in place, so two threads must not
+    assemble ansätze of one circuit at once. ``run.workers > 1`` runs
+    trajectories in processes, which share no circuit.
+    """
 
     n_qubits: int
     generators: tuple[PauliString, ...] = ()
     steps: tuple[_Step, ...] = ()
     layout: CircuitLayout | None = None
     splits: dict[int, int] = field(default_factory=dict)
+    workspaces: dict[int, Workspace] = field(default_factory=dict, repr=False)
 
     def extended(self, new_generators) -> "Circuit":
         """The circuit with ``new_generators`` appended. Its steps and layout
@@ -100,8 +100,7 @@ class Circuit:
             g, stop = generators[first], first + 1
             if g.x_bits:
                 plan = _rotation_plan(self.n_qubits, g.x_bits, g.z_bits)
-                birth = functools.partial(_multiply_planned, plan, -1j * plan.coeffs)
-                steps.append(_Step(first, stop, plan, birth, None, None))
+                steps.append(_Step(first, stop, plan, np.asarray(-1j * plan.coeffs), None, None))
             else:
                 while stop < len(generators) and not generators[stop].x_bits:
                     stop += 1
@@ -111,65 +110,273 @@ class Circuit:
         layout = _placed(self.layout or CircuitLayout(self.n_qubits), new)
         return Circuit(self.n_qubits, generators, tuple(steps), layout)
 
-    def bind(self, reference: np.ndarray, angles: np.ndarray, start: int = 0,
-             stop: int | None = None, inverse: bool = False) -> Pass:
-        """The pass from ``reference`` over generators [start, stop), both
-        step boundaries, at ``angles`` (one per generator): sin and cos of all
-        its angles in one call each and one product per Z-only run. With
-        ``inverse`` it undoes those generators: their steps in reverse order,
-        at negated angles, a run by its reversed eigenvalue matrix."""
-        stop = len(self.generators) if stop is None else stop
-        starts = [step.first for step in self.steps] + [len(self.generators)]
-        steps = self.steps[starts.index(start) : starts.index(stop)]  # ValueError inside a Z-only run
-        angles = -angles[start:stop][::-1] if inverse else angles[start:stop]
-        scales, cosines = (-1j * np.sin(angles)).tolist(), np.cos(angles).tolist()
-        bound = []
-        for first, last, plan, birth, signs, reversed_signs in steps[::-1] if inverse else steps:
-            first, last = (stop - last, stop - first) if inverse else (first - start, last - start)
-            if plan is not None:
-                apply = functools.partial(_rotate_planned, plan, scales[first], cosines[first])
-            else:
-                signs = reversed_signs if inverse else signs
-                apply = functools.partial(_phase_rows, np.exp(-1j * (angles[first:last] @ signs)))
-                birth = functools.partial(_run_births, signs)
-            bound.append((first, last, apply, birth))
-        return Pass(self.n_qubits, reference, bound, stop - start)
+    def workspace(self, m: int) -> Workspace:
+        """The workspace of the assembly split at step boundary m, built the
+        first time the circuit is assembled there."""
+        ws = self.workspaces.get(m)
+        if ws is None:
+            ws = self.workspaces[m] = Workspace(self, m)
+        return ws
 
 
-def _phase_rows(phase: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
-    rows *= phase
+def _boundary(steps: tuple[_Step, ...], m: int, n: int) -> int:
+    """Index of the step that starts at generator m, ``len(steps)`` for m = n;
+    ``ValueError`` inside a Z-only run."""
+    return ([step.first for step in steps] + [n]).index(m)
 
 
-def _run_births(signs: np.ndarray, psi: np.ndarray, out: np.ndarray) -> None:
-    """-i·s_j·psi for every generator of a Z-only run in one multiply, bit for
-    bit what ``_pauli_into`` gives for each of them."""
-    np.multiply(-1j * signs, psi, out=out)
+def _pass_steps(steps, start: int, stop: int, inverse: bool, base: int, rotations: list, runs: list) -> list:
+    """The ``steps`` of generators [start, stop) in the order a pass takes
+    them, as (first, stop, plan, birth coefficients or ±1 eigenvalues, slot)
+    with first and stop counted from the start of the pass. With ``inverse``
+    the pass undoes them: reverse order, negated angles, a run by its
+    reversed eigenvalues.
+
+    Each rotation appends its angle's index in the pass's angle array
+    (``base`` + first) and its plan's coefficients to ``rotations``, each
+    Z-only run its angle range and eigenvalues to ``runs``; a step's slot is
+    its place in that list, where a ``_Trig`` keeps its values."""
+    out = []
+    for step in steps[::-1] if inverse else steps:
+        first, last = (stop - step.stop, stop - step.first) if inverse else (step.first - start, step.stop - start)
+        if step.plan is not None:
+            out.append((first, last, step.plan, step.birth, len(rotations)))
+            rotations.append((base + first, step.plan.coeffs))
+        else:
+            signs = step.reversed_signs if inverse else step.signs
+            out.append((first, last, None, signs, len(runs)))
+            runs.append((base + first, base + last, signs))
+    return out
 
 
-def _as_pass(a: Ansatz | Pass) -> Pass:
-    return a if isinstance(a, Pass) else a.circuit.bind(a.reference.amplitudes, a.angles)
+class _Trig:
+    """The angle-dependent values of compiled passes, in arrays that their
+    calls hold views of. Per rotation: its plan's coefficients times
+    -i·sin(angle), and cos(angle) as a complex number; per Z-only run: its
+    phases exp(-i·angles @ signs). ``load`` fills them from the angles, with
+    one sine and one cosine call over all of them."""
 
+    def __init__(self, rotations: list, runs: list, dim: int):
+        self.index = np.array([k for k, _ in rotations], dtype=np.int64)
+        self.cosines = np.empty(len(rotations), dtype=np.complex128)
+        # plan coefficients that are one complex (every pure-X string) are multiplied all at once
+        uniform = [j for j, (_, coeffs) in enumerate(rotations) if isinstance(coeffs, complex)]
+        self.uniform = np.array(uniform, dtype=np.int64)
+        self.uniform_coeffs = np.array([rotations[j][1] for j in uniform], dtype=np.complex128)
+        self.uniform_products = np.empty(len(uniform), dtype=np.complex128)
+        self.products = [None] * len(rotations)
+        for slot, j in enumerate(uniform):
+            self.products[j] = self.uniform_products[slot, ...]
+        self.varying = [(j, coeffs, np.empty_like(coeffs)) for j, (_, coeffs) in enumerate(rotations)
+                        if self.products[j] is None]
+        for j, _, out in self.varying:
+            self.products[j] = out
+        self.runs = runs
+        self.phases = np.empty((len(runs), dim), dtype=np.complex128)
 
-def _apply_circuit(a: Ansatz | Pass, rows: np.ndarray) -> None:
-    """Apply the circuit of ``a`` (not its reference) in place to each row of a
-    C-contiguous (k, 2**n) block."""
-    buf = np.empty_like(rows)
-    for _, _, apply, _ in _as_pass(a).steps:
-        apply(rows, buf)
-
-
-def prepare_state(a: Ansatz | Pass) -> StateVector:
-    """Apply the rotations in index order to the reference state, each run of
-    Z-only generators as one phase multiply."""
-    a = _as_pass(a)
-    rows = a.reference.reshape(1, -1).copy()
-    _apply_circuit(a, rows)
-    return StateVector(a.n_qubits, rows[0])
+    def load(self, angles: np.ndarray) -> None:
+        scales = (-1j * np.sin(angles))[self.index]
+        np.multiply(scales[self.uniform], self.uniform_coeffs, out=self.uniform_products)
+        for j, coeffs, out in self.varying:
+            np.multiply(scales[j], coeffs, out=out)
+        self.cosines[...] = np.cos(angles)[self.index]
+        run_angles = np.empty(self.phases.shape)
+        for out, (lo, hi, signs) in zip(run_angles, self.runs):
+            np.matmul(angles[lo:hi], signs, out=out)
+        np.multiply(-1j, run_angles, out=self.phases)
+        np.exp(self.phases, out=self.phases)
 
 
 # Scratch budget of one row tile in the tangent sweep: 32 rows at 10 qubits,
 # 128 at 8, so a tile and its scratch stay inside a 2 MiB L2 cache.
 _TILE_BYTES = 512 * 1024
+
+
+# The kinds of kernel call in a compiled pass.
+_ROTATE, _PHASE, _COPY, _BIRTH, _ADD, _RUN_BIRTH = range(6)
+
+
+def _apply_call(step, rows: np.ndarray, buf: np.ndarray, trig: _Trig) -> tuple:
+    """The call that applies a pass step in place to ``rows``, a C-contiguous
+    row block, with scratch from ``buf``, reading its angle from ``trig``."""
+    _, _, plan, _, slot = step
+    if plan is None:
+        return (_PHASE, rows, trig.phases[slot])
+    scratch = buf[: rows.shape[0]]
+    src, dst = _planned_views(plan, rows, scratch)
+    return (_ROTATE, (plan, trig.products[slot], trig.cosines[slot, ...], rows, src, scratch, dst))
+
+
+def _sweep_calls(steps: list, block: np.ndarray, carried: int, buf: np.ndarray, tile: int, trig: _Trig) -> list:
+    """The calls of the tangent sweep over pass ``steps`` into ``block``, in
+    the order ``tangent_states`` describes: per step the in-flight rows, the
+    running row copied on and the births, and each full tile pushed through
+    the remaining steps."""
+    calls = []
+    born = block[carried:]  # row k of the sweep is born[k]; the carried rows precede row 0
+    start = 0  # first row of the tile being filled, in block
+    for i, step in enumerate(steps):
+        first, stop, plan, coeffs, _ = step
+        calls.append(_apply_call(step, block[start : carried + first + 1], buf, trig))
+        calls.append((_COPY, born[stop], born[first]))
+        if plan is None:
+            calls.append((_RUN_BIRTH, coeffs, born[stop : stop + 1], born[first:stop]))
+        else:
+            calls.append((_BIRTH, *_planned_views(plan, born[stop : stop + 1], born[first:stop]), coeffs))
+        while carried + stop - start >= tile:
+            rows = block[start : start + tile]
+            calls += [_apply_call(later, rows, buf, trig) for later in steps[i + 1 :]]
+            start += tile
+    return calls
+
+
+def _run(calls: list) -> None:
+    """Make the kernel calls of a compiled pass."""
+    for call in calls:
+        kind = call[0]
+        if kind == _ROTATE:
+            _rotate_views(*call[1])
+        elif kind == _COPY:
+            call[1][...] = call[2]
+        elif kind == _BIRTH:
+            _, src, dst, coeffs = call
+            np.multiply(src, coeffs, out=dst, order="C")
+        elif kind == _PHASE:
+            _, rows, phase = call
+            rows *= phase
+        elif kind == _ADD:
+            _, rows, term = call
+            rows += term
+        else:  # -i·s_j·psi for every generator of a Z-only run in one multiply
+            _, signs, psi, rows = call
+            np.multiply(-1j * signs, psi, out=rows)
+
+
+class Pass:
+    """A pass over the steps of a circuit between two step boundaries,
+    compiled onto fixed rows: each kernel call holds the strided views of the
+    rows it reads and writes, and of the trig values of its angle. ``block``
+    holds ``carried`` rows, then the pass's tangents and its running row (a
+    one-row pass has no tangents). ``reference`` is copied into the running
+    row first (None: the pass starts from what is there)."""
+
+    __slots__ = ("n_qubits", "n_params", "block", "carried", "calls", "reference")
+
+    def __init__(self, n_qubits, n_params, block, carried, calls, reference=None):
+        self.n_qubits, self.n_params, self.block, self.carried = n_qubits, n_params, block, carried
+        self.calls, self.reference = calls, reference
+
+    def run(self) -> None:
+        if self.reference is not None:
+            self.block[self.carried] = self.reference
+        _run(self.calls)
+
+
+class Workspace:
+    """The rows and kernel calls of the assembly split at step boundary m
+    (``mclachlan._split_frame``), built once per circuit and split point.
+
+    ``prefix`` sweeps the first m generators into an (m + 1)-row block;
+    ``suffix`` takes the prefix's running row through the rest of the
+    circuit in one row, which becomes the first born row of ``inverse``, the
+    sweep that undoes the generators after m with one carried row ahead of
+    it. One scratch tile serves all three. An assembly only loads the
+    reference and the angles.
+    """
+
+    def __init__(self, circuit: Circuit, m: int):
+        nq, n, dim = circuit.n_qubits, len(circuit.generators), 1 << circuit.n_qubits
+        s = _boundary(circuit.steps, m, n)
+        rotations, runs = [], []  # over the angles, then the suffix's negated
+        forward = _pass_steps(circuit.steps, 0, n, False, 0, rotations, runs)
+        inverse = _pass_steps(circuit.steps[s:], m, n, True, n, rotations, runs)
+        self.m, self.trig = m, _Trig(rotations, runs, dim)
+        tile = max(1, _TILE_BYTES // (16 * dim))
+        head = np.empty((m + 1, dim), dtype=np.complex128)
+        back = np.empty((n - m + 2, dim), dtype=np.complex128)  # carried row, rows N-1..m, running row
+        buf = np.empty((max(min(m, tile), min(n - m + 1, tile) + 1), dim), dtype=np.complex128)
+        row = back[1:2]
+        self.prefix = Pass(nq, m, head, 0, _sweep_calls(forward[:s], head, 0, buf, tile, self.trig))
+        suffix = [_apply_call(step, row, buf, self.trig) for step in forward[s:]]
+        self.suffix = Pass(nq, n - m, row, 0, suffix, head[m])
+        self.inverse = Pass(nq, n - m, back, 1, _sweep_calls(inverse, back, 1, buf, tile, self.trig))
+        self._scratch, self._h, self._h_calls = buf[:1], None, []
+
+    def load(self, reference: np.ndarray, angles: np.ndarray) -> tuple[Pass, Pass, Pass]:
+        """The prefix, suffix and inverse passes from ``reference`` at
+        ``angles``."""
+        self.trig.load(np.concatenate((angles, -angles[self.m :][::-1])))
+        self.prefix.reference = reference
+        return self.prefix, self.suffix, self.inverse
+
+    def apply_hamiltonian(self, h: WeightedPauliSum) -> np.ndarray:
+        """H·psi written into the inverse sweep's carried row from psi, the
+        suffix's row after it, as ``_hamiltonian_rows`` forms it: a zeroed
+        row plus one strided multiply per term. The calls are built for the
+        last ``h`` asked for."""
+        out, psi = self.inverse.block[0:1], self.suffix.block
+        if self._h is not h:
+            self._h_calls = [(_COPY, out, 0.0)]
+            for coeff, p in h.terms:
+                plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
+                src, dst = _planned_views(plan, psi, self._scratch)
+                self._h_calls += [(_BIRTH, src, dst, np.asarray(coeff * plan.coeffs)), (_ADD, out, self._scratch)]
+            self._h = h
+        _run(self._h_calls)
+        return out[0]
+
+
+class InverseSuffix:
+    """The generators of a circuit after step boundary m undone, as the
+    inverse pass of its workspace undoes them, applied in place to any
+    C-contiguous row block. Its trig values are taken and its steps listed on
+    first use, which only a growth step makes. It keeps the circuit's steps,
+    not the circuit, so no workspace outlives its circuit through it."""
+
+    def __init__(self, circuit: Circuit, angles: np.ndarray, m: int):
+        self.n_qubits, self.n_params = circuit.n_qubits, len(circuit.generators) - m
+        self._steps, self._angles, self._m = circuit.steps, angles, m
+        self._bound = None
+
+    def apply(self, rows: np.ndarray) -> None:
+        if self._bound is None:
+            m, n, rotations, runs = self._m, self._m + self.n_params, [], []
+            steps = _pass_steps(self._steps[_boundary(self._steps, m, n) :], m, n, True, 0, rotations, runs)
+            trig = _Trig(rotations, runs, 1 << self.n_qubits)
+            trig.load(-self._angles[m:][::-1])
+            self._bound = steps, trig
+        steps, trig = self._bound
+        buf = np.empty_like(rows)
+        _run([_apply_call(step, rows, buf, trig) for step in steps])
+
+
+def _compiled(a: Ansatz, sweep: bool, out: np.ndarray | None = None, carried: int = 0) -> Pass:
+    """A one-off pass of the whole circuit of ``a`` from its reference at its
+    angles: the tangent sweep into ``out`` (or a new block), or one row."""
+    n, dim, rotations, runs = a.n_params, 1 << a.n_qubits, [], []
+    steps = _pass_steps(a.circuit.steps, 0, n, False, 0, rotations, runs)
+    trig = _Trig(rotations, runs, dim)
+    trig.load(a.angles)
+    if sweep:
+        tile = max(1, _TILE_BYTES // (16 * dim))
+        block = np.empty((n + 1, dim), dtype=np.complex128) if out is None else out[: carried + n + 1]
+        # the first step meets every carried row before any tile is full
+        buf = np.empty((min(carried + n, tile) + carried, dim), dtype=np.complex128)
+        calls = _sweep_calls(steps, block, carried, buf, tile, trig)
+    else:
+        block, buf = np.empty((1, dim), dtype=np.complex128), np.empty((1, dim), dtype=np.complex128)
+        calls = [_apply_call(step, block, buf, trig) for step in steps]
+    return Pass(a.n_qubits, n, block, carried, calls, a.reference.amplitudes)
+
+
+def prepare_state(a: Ansatz | Pass) -> StateVector:
+    """Apply the rotations in index order to the reference state, each run of
+    Z-only generators as one phase multiply. A compiled one-row ``Pass`` runs
+    in its own row, which the result shares."""
+    if isinstance(a, Ansatz):
+        a = _compiled(a, sweep=False)
+    a.run()
+    return StateVector(a.n_qubits, a.block[0])
 
 
 def tangent_states(a: Ansatz | Pass, out: np.ndarray | None = None, carried: int = 0) -> np.ndarray:
@@ -199,29 +406,13 @@ def tangent_states(a: Ansatz | Pass, out: np.ndarray | None = None, carried: int
     first ``carried`` rows are states to carry through the circuit: they
     ride in flight like rows born before the first step, and the circuit is
     applied to them in place. The tangents follow them, then the prepared
-    state.
+    state. A compiled sweep ``Pass`` runs in its own block instead, and the
+    result is a view of it.
     """
-    a = _as_pass(a)
-    n = a.n_params
-    dim = 1 << a.n_qubits
-    tile = max(1, _TILE_BYTES // (16 * dim))
-    block = np.empty((n + 1, dim), dtype=np.complex128) if out is None else out[: carried + n + 1]
-    # the first step meets every carried row before any tile is full
-    buf = np.empty((min(carried + n, tile) + carried, dim), dtype=np.complex128)
-    born = block[carried:]  # row k of the sweep is born[k]; the carried rows precede row 0
-    born[0] = a.reference
-    steps = a.steps
-    start = 0  # first row of the tile being filled, in block
-    for i, (first, stop, apply, birth) in enumerate(steps):
-        apply(block[start : carried + first + 1], buf)
-        born[stop] = born[first]
-        birth(born[stop : stop + 1], born[first:stop])
-        while carried + stop - start >= tile:
-            rows = block[start : start + tile]
-            for _, _, later, _ in steps[i + 1 :]:
-                later(rows, buf)
-            start += tile
-    return born[:n]
+    if isinstance(a, Ansatz):
+        a = _compiled(a, sweep=True, out=out, carried=carried)
+    a.run()
+    return a.block[a.carried : a.carried + a.n_params]
 
 
 def cnot_cost(p: PauliString) -> int:

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import Ansatz, Pass, _apply_circuit, prepare_state, tangent_states
+from .ansatz import Ansatz, InverseSuffix, prepare_state, tangent_states
 from .pauli import PauliString, WeightedPauliSum
-from .statevector import _hamiltonian_rows, _pauli_into
+from .statevector import _pauli_into
 
 
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -57,13 +57,12 @@ class TangentFrame:
 
     ``psi`` and ``h_psi`` are the prepared state and H·psi at the end of the
     circuit; the oracle reads ``psi``. The tangent rows are held in the frame
-    of a step boundary m of the circuit instead: ``inverse_suffix`` is the
-    pass that undoes the circuit after m, from psi, and its steps carry a
-    state from the end of the circuit to m. ``frame_psi`` and ``frame_h_psi``
-    are psi and H·psi so carried. M, V and the overlaps do not depend on the
-    frame, since one unitary acts on every tangent row and on psi and H·psi
-    alike. With m = N the suffix is empty and the frame is the end of the
-    circuit.
+    of a step boundary m of the circuit instead: ``inverse_suffix`` undoes
+    the circuit after m, so it carries a state from the end of the circuit
+    to m. ``frame_psi`` and ``frame_h_psi`` are psi and H·psi so carried.
+    M, V and the overlaps do not depend on the frame, since one unitary acts
+    on every tangent row and on psi and H·psi alike. With m = N the suffix
+    is empty and the frame is the end of the circuit.
     """
 
     ansatz: Ansatz
@@ -73,7 +72,7 @@ class TangentFrame:
     tangents: np.ndarray
     overlaps: np.ndarray  # <tangent_k|psi>
     energy: float
-    inverse_suffix: Pass
+    inverse_suffix: InverseSuffix
     frame_psi: np.ndarray
     frame_h_psi: np.ndarray
 
@@ -102,31 +101,39 @@ def _split_frame(a: Ansatz, h: WeightedPauliSum, m: int) -> TangentFrame:
     cost: about m^2/2 + (N-m)^2/2 rows instead of N^2/2. With m = N the
     suffix is empty, the carried states are psi and H·psi themselves, and
     the result is that of one forward sweep bit for bit.
+
+    The passes run in the circuit's ``Workspace`` for m, built at the first
+    assembly there; the frame copies its rows out of it, so no frame shares
+    memory with a later assembly.
     """
-    n, dim, circuit = a.n_params, 1 << a.n_qubits, a.circuit
+    n, dim, ws = a.n_params, 1 << a.n_qubits, a.circuit.workspace(m)
+    prefix, suffix, inverse = ws.load(a.reference.amplitudes, a.angles)
     block = np.empty((n + 1, dim), dtype=np.complex128)
-    tangent_states(circuit.bind(a.reference.amplitudes, a.angles, 0, m), out=block)
-    psi = prepare_state(circuit.bind(block[m], a.angles, m)).amplitudes
-    h_psi = _hamiltonian_rows(h, psi)
+    block[:m] = tangent_states(prefix)
+    psi = prepare_state(suffix).amplitudes.copy()
+    h_psi = ws.apply_hamiltonian(h).copy()
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
-    inverse = circuit.bind(psi, a.angles, m, inverse=True)
-    back = np.empty((n - m + 2, dim), dtype=np.complex128)  # H·psi, rows N-1..m, psi
-    back[0] = h_psi
-    block[m:n] = tangent_states(inverse, out=back, carried=1)[::-1]
+    back = inverse.block  # H·psi, rows N-1..m, psi
+    block[m:n] = tangent_states(inverse)[::-1]
     block[n] = back[-1]
-    xi = block[:n]
-    system, overlaps = _system(xi, block[n], back[0], energy, var_h)
-    return TangentFrame(a, system, psi, h_psi, xi, overlaps, energy, inverse, block[n], back[0].copy())
+    xi, frame_h_psi = block[:n], back[0].copy()
+    system, overlaps = _system(xi, block[n], frame_h_psi, energy, var_h)
+    undo = InverseSuffix(a.circuit, a.angles, m)
+    return TangentFrame(a, system, psi, h_psi, xi, overlaps, energy, undo, block[n], frame_h_psi)
 
 
 # Fixed cost of one step of a pass over the circuit, in amplitudes of row
-# work: building the step and calling its kernel. Fitted with one thread to
-# the assembly times of TFIM HVA ansätze at 6, 8 and 10 qubits (N = 32 to
-# 128, seven splits each against the forward sweep): about 11 µs a step
-# against 2.5 ns an amplitude. With it a 6-qubit HVA of 96 generators
+# work. Fitted with one thread to the assembly times of TFIM HVA ansätze at
+# 6, 8 and 10 qubits (N = 32 to 128, seven splits each against the forward
+# sweep) when every assembly built its steps and their views: about 11 µs a
+# step against 2.5 ns an amplitude. With it a 6-qubit HVA of 96 generators
 # splits at m = 80 and one of 64 generators, where every split measured
-# slower, does not split.
+# slower, does not split. Since each split point's ``Workspace`` holds its
+# kernel calls, a one-row step costs 3.5-4.2 µs at 6 qubits and 5.0-5.2 µs
+# at 8 (the suffix pass of the 96- and 128-generator HVAs, loading the
+# angles included), so 4,000 overstates it about 2.5-fold. It stays as
+# fitted: a refit moves split points, and with them the bits of the outputs.
 _STEP_AMPLITUDES = 4000
 
 
@@ -184,7 +191,7 @@ def extend_frame(frame: TangentFrame, grown: Ansatz) -> TangentFrame:
     xi[:n] = frame.tangents
     for k in range(n, grown.n_params):
         _pauli_into(grown.generators[k], -1j, frame.psi.reshape(1, -1), xi[k : k + 1])
-    _apply_circuit(frame.inverse_suffix, xi[n:])
+    frame.inverse_suffix.apply(xi[n:])
     system, overlaps = _system(xi, frame.frame_psi, frame.frame_h_psi, frame.energy, frame.system.var_h)
     return dataclasses.replace(frame, ansatz=grown, system=system, tangents=xi, overlaps=overlaps)
 
@@ -252,7 +259,7 @@ def augment_block(frame: TangentFrame, candidates: list[PauliString]):
     c_new = new_tangents.conj() @ psi
     v_new = np.imag(new_tangents.conj() @ frame.h_psi - c_new * frame.energy)
     if frame.tangents.shape[0]:
-        _apply_circuit(frame.inverse_suffix, new_tangents)
+        frame.inverse_suffix.apply(new_tangents)
         gram = frame.tangents.conj() @ new_tangents.T  # (N, P)
         cols = np.real(gram - np.outer(frame.overlaps, c_new.conj())).T
     else:

@@ -160,14 +160,21 @@ def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int) -> _Plan:
     return _Plan(tuple(shape), reverse, order, coeffs, PauliString(n_qubits, x_bits, z_bits))
 
 
+def _planned_views(plan: _Plan, src: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The strided views through which ``_multiply_planned`` reads ``src``
+    and writes ``out``, both C-contiguous (k, dim) blocks: ``src`` reversed
+    on the flipped axes, both in the plan's axis order."""
+    block = (src.shape[0], *plan.shape)
+    return src.reshape(block)[plan.reverse].transpose(plan.order), out.reshape(block).transpose(plan.order)
+
+
 def _multiply_planned(plan: _Plan, coeffs, src: np.ndarray, out: np.ndarray) -> None:
     """out = coeffs·src[..., i ^ x_bits] for C-contiguous (k, dim) blocks, with
     ``coeffs`` shaped as ``plan.coeffs``; ``out`` must not overlap ``src``.
     One strided multiply, iterated in the plan's axis order (``order="C"`` on
     the transposed views keeps numpy from sorting the axes back by stride)."""
-    block = (src.shape[0], *plan.shape)
-    view = src.reshape(block)[plan.reverse].transpose(plan.order)
-    np.multiply(view, coeffs, out=out.reshape(block).transpose(plan.order), order="C")
+    view, dst = _planned_views(plan, src, out)
+    np.multiply(view, coeffs, out=dst, order="C")
 
 
 def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray) -> None:
@@ -183,26 +190,30 @@ def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray
     _multiply_planned(plan, scale * plan.coeffs, src, out)
 
 
-def _rotate_planned(plan: _Plan, scale: complex, cos: float, rows: np.ndarray, buf: np.ndarray) -> None:
+def _rotate_views(plan: _Plan, coeffs, cos, rows: np.ndarray, src: np.ndarray, scratch: np.ndarray,
+                  dst: np.ndarray) -> None:
     """exp(-i·theta·P) applied in place to each row of a C-contiguous (k, dim)
-    block, from P's plan, ``scale`` = -i·sin(theta) and ``cos`` = cos(theta).
+    block, from P's plan, ``coeffs`` = -i·sin(theta)·``plan.coeffs`` and
+    ``cos`` = cos(theta), through ``src`` and ``dst``, the ``_planned_views``
+    of ``rows`` and of ``scratch``, k rows of scratch.
 
-    ``buf`` is C-contiguous scratch with at least k rows of width dim. The
-    three operations below round exactly as cos·rows + (-i·sin·phase)·
+    The three operations below round exactly as cos·rows + (-i·sin·phase)·
     (signs·rows[..., src]) does: the multiply by the imaginary scale rounds
     once per component (see ``_pauli_into``), and so does the real cos. Only
     the iteration order of the first operation depends on the flipped qubits.
     """
-    scratch = buf[: rows.shape[0]]
-    _multiply_planned(plan, scale * plan.coeffs, rows, scratch)
+    np.multiply(src, coeffs, out=dst, order="C")
     rows *= cos
     rows += scratch
 
 
 def _rotate_rows(p: PauliString, theta: float, rows: np.ndarray, buf: np.ndarray) -> None:
-    """``_rotate_planned`` for one Pauli and angle."""
+    """``_rotate_views`` for one Pauli and angle, with scratch from ``buf``,
+    which has at least as many rows as ``rows``."""
     plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
-    _rotate_planned(plan, -1j * np.sin(theta), np.cos(theta), rows, buf)
+    scratch = buf[: rows.shape[0]]
+    src, dst = _planned_views(plan, rows, scratch)
+    _rotate_views(plan, -1j * np.sin(theta) * plan.coeffs, np.cos(theta), rows, src, scratch, dst)
 
 
 def _hamiltonian_rows(h: WeightedPauliSum, rows: np.ndarray) -> np.ndarray:
@@ -314,10 +325,9 @@ def _norm(vec: np.ndarray) -> float:
 
 
 def exact_evolve(h: WeightedPauliSum, t: float, psi0: StateVector) -> StateVector:
-    """exp(-iHt)|psi0>, from a fresh ``ExactPropagator`` (whose stepper
-    raises ``EvolveError`` rather than return a state that lost its norm)."""
-    if t < 0:
-        raise ValueError(f"evolution time must be non-negative, got {t}")
+    """exp(-iHt)|psi0>, from a fresh ``ExactPropagator``, which raises
+    ``ValueError`` for a negative t (it only goes forward) and whose stepper
+    raises ``EvolveError`` rather than return a state that lost its norm."""
     return ExactPropagator(h, psi0).state_at(t)
 
 
@@ -339,11 +349,15 @@ class ExactPropagator:
     iterates, so H·v is one strided multiply and one add per group. The
     strided views of the propagator's one-row buffers are built here once.
     A step whose result does not keep the norm raises ``EvolveError``.
+
+    Both paths only go forward: a time below the latest one asked for (or
+    below 0) raises ``ValueError``.
     """
 
     def __init__(self, h: WeightedPauliSum, psi0: StateVector):
         _check_match(h.n_qubits, psi0.n_qubits)
         self.n_qubits = n = h.n_qubits
+        self._t = 0.0
         self._dense = n <= _DENSE_MAX_QUBITS
         if self._dense:
             w, u = np.linalg.eigh(dense_hamiltonian(h))
@@ -351,7 +365,6 @@ class ExactPropagator:
             self._modes = u
             self._coeffs = _modes_times(u.conj().T, psi0.amplitudes)
             return
-        self._t = 0.0
         self._state = psi0.copy()
         self._norm_bound = sum(abs(coeff) for coeff, _ in h.terms)  # bounds ||H||_2
         groups: dict[int, np.ndarray | complex] = {0: 0.0}  # x_bits -> summed coefficients
@@ -360,14 +373,8 @@ class ExactPropagator:
         self._term, self._h_term, self._flip = np.empty((3, 1, 1 << n), dtype=np.complex128)
         self._groups = []
         for x, coeffs in sorted(groups.items()):
-            plan = _rotation_plan(n, x, 0)
-            block = (1, *plan.shape)
-            out = self._h_term if x == 0 else self._flip
-            self._groups.append((
-                self._term.reshape(block)[plan.reverse].transpose(plan.order),
-                coeffs,
-                out.reshape(block).transpose(plan.order),
-            ))
+            src, out = _planned_views(_rotation_plan(n, x, 0), self._term, self._h_term if x == 0 else self._flip)
+            self._groups.append((src, coeffs, out))
 
     def _apply_h(self) -> None:
         """``_h_term`` = H·``_term``: the diagonal group writes it, and each
@@ -405,11 +412,12 @@ class ExactPropagator:
         return out
 
     def state_at(self, t: float) -> StateVector:
+        if t < self._t - 1e-12:
+            raise ValueError(f"the propagator only goes forward in time: asked for t={t} after t={self._t}")
         if self._dense:
+            self._t = max(self._t, t)
             amps = _modes_times(self._modes, np.exp(-1j * self._eigvals * t) * self._coeffs)
             return StateVector(self.n_qubits, amps)
-        if t < self._t - 1e-12:
-            raise ValueError("the Taylor-stepped propagator only advances forward in time")
         if t > self._t:
             self._state = StateVector(self.n_qubits, self._advance(t - self._t))
             self._t = t

@@ -11,10 +11,13 @@ occurs (the sweep applies a run of those as one phase multiply).
 ``reference_frame`` is the assembly the fused sweep and the real Gram
 product replaced: that sweep and the complex Gram. ``brute_force_scores``
 is the scoring loop the bound-pruned ranking replaced, kept as its oracle.
-``rebuilt_pass`` and ``rebuilt_split_frame`` are the per-step rebuild that
-the compiled circuit replaced (with its step rule ``step_bounds``), and
-``gather_hamiltonian_rows`` the gather form of H·psi; the compiled route
-must reproduce them bit for bit. ``hamiltonian_coo``, ``expm_multiply_state``
+``rebuilt_pass`` is the per-step rebuild that the compiled circuit replaced
+(with its step rule ``step_bounds``), ``bind`` the per-assembly binding of
+the compiled circuit that its workspaces replaced, and
+``rebuilt_split_frame`` the assembly on bound passes; ``bound_tangent_states``
+and ``bound_prepare_state`` run such passes of callable steps, and
+``gather_hamiltonian_rows`` is the gather form of H·psi. The workspace
+route must reproduce them bit for bit. ``hamiltonian_coo``, ``expm_multiply_state``
 and ``eigh_propagator`` are the exact-evolution routes the Taylor stepper of
 ``ExactPropagator`` replaced (scipy's ``expm_multiply`` on the sparse H, and
 the dense ``eigh`` at any size), kept as its oracles. ``full_ranking`` ranks
@@ -22,6 +25,7 @@ precomputed (index, score) pairs, as ``select_additions`` once did for a list.
 """
 
 import functools
+from collections import namedtuple
 from functools import reduce
 
 import numpy as np
@@ -29,7 +33,8 @@ import pytest
 from scipy.sparse import coo_array
 from scipy.sparse.linalg import expm_multiply
 
-from avqds.ansatz import Ansatz, Pass, prepare_state, tangent_states
+import avqds.ansatz
+from avqds.ansatz import Ansatz, InverseSuffix
 from avqds.engine import CandidateRanking
 from avqds.mclachlan import McLachlanSystem, TangentFrame, _system, augment_block, extend_system, mclachlan_distance
 from avqds.pauli import PauliString, WeightedPauliSum
@@ -38,6 +43,7 @@ from avqds.statevector import (
     StateVector,
     _hamiltonian_entries,
     _hamiltonian_rows,
+    _multiply_planned,
     _pauli_into,
     _pauli_tables,
     _rotate_rows,
@@ -106,6 +112,59 @@ def _run_births(signs, psi, out):
     np.multiply(-1j * signs, psi, out=out)
 
 
+def _rotate_planned(plan, scale, cos, rows, buf):
+    """The rotation kernel as a bound step called it: the views of ``rows``
+    and of its scratch are built at every call."""
+    scratch = buf[: rows.shape[0]]
+    _multiply_planned(plan, scale * plan.coeffs, rows, scratch)
+    rows *= cos
+    rows += scratch
+
+
+class BoundPass(namedtuple("BoundPass", "n_qubits reference steps n_params")):
+    """A pass bound to its angles and to the state it starts from. Its steps
+    are (first, stop, apply, birth), counted from the start of the pass:
+    ``apply(rows, buf)`` acts in place on a C-contiguous row block with
+    scratch ``buf``; ``birth(psi, out)`` writes -i·P_k·psi for the step's
+    generators into ``out`` from a (1, dim) ``psi``."""
+
+    def apply(self, rows):
+        buf = np.empty_like(rows)
+        for _, _, apply, _ in self.steps:
+            apply(rows, buf)
+
+
+def bound_prepare_state(p):
+    """``prepare_state`` of a bound pass."""
+    rows = p.reference.reshape(1, -1).copy()
+    p.apply(rows)
+    return StateVector(p.n_qubits, rows[0])
+
+
+def bound_tangent_states(p, out=None, carried=0):
+    """``tangent_states`` of a bound pass, as the sweep ran before its calls
+    were compiled: the views of every step are built as it is applied."""
+    n = p.n_params
+    dim = 1 << p.n_qubits
+    tile = max(1, avqds.ansatz._TILE_BYTES // (16 * dim))
+    block = np.empty((n + 1, dim), dtype=np.complex128) if out is None else out[: carried + n + 1]
+    buf = np.empty((min(carried + n, tile) + carried, dim), dtype=np.complex128)
+    born = block[carried:]
+    born[0] = p.reference
+    steps = p.steps
+    start = 0
+    for i, (first, stop, apply, birth) in enumerate(steps):
+        apply(block[start : carried + first + 1], buf)
+        born[stop] = born[first]
+        birth(born[stop : stop + 1], born[first:stop])
+        while carried + stop - start >= tile:
+            rows = block[start : start + tile]
+            for _, _, later, _ in steps[i + 1 :]:
+                later(rows, buf)
+            start += tile
+    return born[:n]
+
+
 def rebuilt_pass(a):
     """The pass of ``a`` rebuilt from its generators, as every step did before
     the circuit was compiled: ``step_bounds``, then per step a rotation by
@@ -122,25 +181,49 @@ def rebuilt_pass(a):
             apply = functools.partial(_phase, np.exp(-1j * (angles[first:stop] @ signs)))
             birth = functools.partial(_run_births, signs)
         steps.append((first, stop, apply, birth))
-    return Pass(a.n_qubits, a.reference.amplitudes, steps, a.n_params)
+    return BoundPass(a.n_qubits, a.reference.amplitudes, steps, a.n_params)
+
+
+def bind(circuit, reference, angles, start=0, stop=None, inverse=False):
+    """The pass of a compiled circuit from ``reference`` over generators
+    [start, stop), both step boundaries, at ``angles`` (one per generator):
+    sin and cos of all its angles in one call each and one product per
+    Z-only run. With ``inverse`` it undoes those generators: their steps in
+    reverse order, at negated angles, a run by its reversed eigenvalues."""
+    stop = len(circuit.generators) if stop is None else stop
+    starts = [step.first for step in circuit.steps] + [len(circuit.generators)]
+    steps = circuit.steps[starts.index(start) : starts.index(stop)]  # ValueError inside a Z-only run
+    angles = -angles[start:stop][::-1] if inverse else angles[start:stop]
+    scales, cosines = (-1j * np.sin(angles)).tolist(), np.cos(angles).tolist()
+    bound = []
+    for first, last, plan, birth, signs, reversed_signs in steps[::-1] if inverse else steps:
+        first, last = (stop - last, stop - first) if inverse else (first - start, last - start)
+        if plan is not None:
+            apply = functools.partial(_rotate_planned, plan, scales[first], cosines[first])
+            birth = functools.partial(_multiply_planned, plan, birth)
+        else:
+            signs = reversed_signs if inverse else signs
+            apply = functools.partial(_phase, np.exp(-1j * (angles[first:last] @ signs)))
+            birth = functools.partial(_run_births, signs)
+        bound.append((first, last, apply, birth))
+    return BoundPass(circuit.n_qubits, reference, bound, stop - start)
 
 
 def rebuilt_split_frame(a, h, m):
-    """``mclachlan._split_frame`` as it was before the circuit was compiled:
-    the prefix, the suffix and the inverse suffix are three new ansätze,
-    each passed by ``rebuilt_pass``."""
-    n, dim, nq = a.n_params, 1 << a.n_qubits, a.n_qubits
-    gens, angles = a.generators, a.angles
+    """``mclachlan._split_frame`` as it was before the workspace: the
+    prefix, the suffix and the inverse suffix are bound to the angles at
+    every assembly, and each step builds its views as it is applied."""
+    n, dim, circuit = a.n_params, 1 << a.n_qubits, a.circuit
     block = np.empty((n + 1, dim), dtype=np.complex128)
-    tangent_states(rebuilt_pass(Ansatz(a.reference, gens[:m], angles[:m])), out=block)
-    psi = prepare_state(rebuilt_pass(Ansatz(StateVector(nq, block[m]), gens[m:], angles[m:]))).amplitudes
+    bound_tangent_states(bind(circuit, a.reference.amplitudes, a.angles, 0, m), out=block)
+    psi = bound_prepare_state(bind(circuit, block[m], a.angles, m)).amplitudes
     h_psi = _hamiltonian_rows(h, psi)
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
-    inverse = rebuilt_pass(Ansatz(StateVector(nq, psi), gens[m:][::-1], -angles[m:][::-1]))
-    back = np.empty((n - m + 2, dim), dtype=np.complex128)
+    inverse = bind(circuit, psi, a.angles, m, inverse=True)
+    back = np.empty((n - m + 2, dim), dtype=np.complex128)  # H·psi, rows N-1..m, psi
     back[0] = h_psi
-    block[m:n] = tangent_states(inverse, out=back, carried=1)[::-1]
+    block[m:n] = bound_tangent_states(inverse, out=back, carried=1)[::-1]
     block[n] = back[-1]
     system, overlaps = _system(block[:n], block[n], back[0], energy, var_h)
     return TangentFrame(a, system, psi, h_psi, block[:n], overlaps, energy, inverse, block[n], back[0].copy())
@@ -178,7 +261,7 @@ def reference_frame(a, h):
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
     m, v, overlaps = complex_gram(xi, psi, h_psi, energy)
-    unsplit = Pass(a.n_qubits, psi, [], 0)
+    unsplit = InverseSuffix(a.circuit, a.angles, a.n_params)
     return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy, unsplit, psi, h_psi)
 
 

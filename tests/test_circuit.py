@@ -1,17 +1,29 @@
 """The compiled circuit: built once per generator tuple, shared by every
-angle update, extended on growth, and bit for bit the per-step rebuild it
-replaced (``conftest.rebuilt_pass`` and ``conftest.rebuilt_split_frame``)."""
+angle update, extended on growth, and bit for bit the per-step rebuild and
+the per-assembly binding it replaced (``conftest.rebuilt_pass``,
+``conftest.bind`` and ``conftest.rebuilt_split_frame``). Its workspaces
+are built once per split point, and a plain step builds no view."""
+
+import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+import avqds.ansatz
 from avqds.ansatz import Ansatz, ansatz_layout, layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
-from avqds.mclachlan import _split_frame, _split_point, augment_block, extend_frame
+from avqds.engine import AvqdsRun, StepConfig
+from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame
 from avqds.models import build_model, default_model, model_sublayers
+from avqds.noise import NoiseConfig
 from avqds.pauli import PauliString
+from avqds.solvers import SolverConfig
 from avqds.statevector import StateVector
 from conftest import (
+    bind,
+    bound_prepare_state,
+    bound_tangent_states,
     random_hamiltonian,
     random_pauli,
     random_state,
@@ -51,6 +63,13 @@ def assert_same_circuit(got, want):
         if w.plan is None:
             assert np.array_equal(g.signs, w.signs) and np.array_equal(g.reversed_signs, w.reversed_signs)
     assert got.layout == want.layout
+
+
+def assert_frames_equal(got, want):
+    for name in FRAME_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert np.array_equal(got.system.m, want.system.m) and np.array_equal(got.system.v, want.system.v)
+    assert (got.energy, got.system.var_h) == (want.energy, want.system.var_h)
 
 
 def test_with_angles_shares_the_compiled_circuit(rng):
@@ -105,17 +124,15 @@ def test_compiled_passes_match_the_rebuilt_passes_bitwise(rng):
     and by the per-step rebuild, are equal bit for bit."""
     for a, h in cases(rng):
         old = rebuilt_pass(a)
-        xi, old_xi = tangent_states(a), tangent_states(old)
+        xi, old_xi = tangent_states(a), bound_tangent_states(old)
         assert np.array_equal(xi, old_xi) and np.array_equal(swept_state(xi), swept_state(old_xi))
-        assert np.array_equal(prepare_state(a).amplitudes, prepare_state(old).amplitudes)
+        assert np.array_equal(prepare_state(a).amplitudes, bound_prepare_state(old).amplitudes)
         pool = [random_pauli(rng, a.n_qubits) for _ in range(5)]
         grown = a.extended(pool[:2])
         for m in [first for first, _ in step_bounds(a.generators)] + [a.n_params]:
             frame, want = _split_frame(a, h, m), rebuilt_split_frame(a, h, m)
             assert frame.inverse_suffix.n_params == want.inverse_suffix.n_params == a.n_params - m
-            for name in FRAME_ARRAYS:
-                assert np.array_equal(getattr(frame, name), getattr(want, name)), (m, name)
-            assert np.array_equal(frame.system.m, want.system.m) and np.array_equal(frame.system.v, want.system.v)
+            assert_frames_equal(frame, want)
             for got, expected in zip(augment_block(frame, pool), augment_block(want, pool), strict=True):
                 assert np.array_equal(got, expected)
             ext, ext_want = extend_frame(frame, grown), extend_frame(want, grown)
@@ -123,12 +140,103 @@ def test_compiled_passes_match_the_rebuilt_passes_bitwise(rng):
             assert np.array_equal(ext.system.m, ext_want.system.m) and np.array_equal(ext.system.v, ext_want.system.v)
 
 
-def test_bind_rejects_a_slice_inside_a_z_only_run():
+def test_workspace_rejects_a_split_inside_a_z_only_run():
     gens = tuple(PauliString.from_label(label) for label in ("XI", "ZZ", "ZI", "IX"))
     a = Ansatz(StateVector.basis_state(2), gens, [0.1, 0.2, 0.3, 0.4])
-    assert a.circuit.bind(a.reference.amplitudes, a.angles, 1, 3).n_params == 2
+    assert a.circuit.workspace(1).suffix.n_params == 3
+    assert a.circuit.workspace(3).prefix.n_params == 3
     with pytest.raises(ValueError):
-        a.circuit.bind(a.reference.amplitudes, a.angles, 2)
+        a.circuit.workspace(2)
+    assert sorted(a.circuit.workspaces) == [1, 3]
+
+
+WORKSPACE_CASES = [("tfim", 6, 3), ("mfim", 6, 2), ("tfim", 8, 2), ("tfim", 10, 2)]
+
+
+@pytest.mark.parametrize("kind, n_qubits, layers", WORKSPACE_CASES)
+def test_workspace_matches_the_bound_split_frame_at_every_step_boundary(rng, kind, n_qubits, layers):
+    """Each split point's workspace, assembled twice at different angles,
+    reproduces ``rebuilt_split_frame`` bit for bit; at 10 qubits a tile
+    holds 32 rows, so the prefix and the inverse sweep flush tiles."""
+    a, h = hva(kind, n_qubits, layers, rng)
+    if n_qubits == 10:
+        assert avqds.ansatz._TILE_BYTES // (16 << n_qubits) < a.n_params
+    b = a.with_angles(rng.uniform(-1.5, 1.5, size=a.n_params))
+    splits = [first for first, _ in step_bounds(a.generators)] + [a.n_params]
+    for m in splits:
+        for ansatz in (a, b):
+            assert_frames_equal(_split_frame(ansatz, h, m), rebuilt_split_frame(ansatz, h, m))
+    assert sorted(a.circuit.workspaces) == splits
+
+
+@pytest.mark.parametrize("pool_size", [0, 12, 24])
+def test_pool_size_split_matches_the_bound_split_frame(rng, pool_size):
+    a, h = hva("tfim", 6, 8, rng)
+    m = _split_point(a, pool_size)
+    assert pool_size <= m < a.n_params
+    for angles in (a.angles, rng.uniform(-1.5, 1.5, size=a.n_params)):
+        b = a.with_angles(angles)
+        assert_frames_equal(assemble_frame(b, h, pool_size), rebuilt_split_frame(b, h, m))
+    assert m in a.circuit.workspaces
+
+
+@pytest.mark.parametrize("layers", [1, 8])
+def test_frame_keeps_its_arrays_when_the_circuit_is_assembled_again(rng, layers):
+    """No frame shares memory with its circuit's workspace: assembling the
+    circuit again at other angles leaves an earlier frame as it was."""
+    a, h = hva("tfim", 6, layers, rng)
+    frame = assemble_frame(a, h)
+    saved = {name: getattr(frame, name).copy() for name in FRAME_ARRAYS}
+    again = assemble_frame(a.with_angles(rng.uniform(-1.5, 1.5, size=a.n_params)), h)
+    assert not np.array_equal(again.psi, frame.psi)
+    for name, value in saved.items():
+        assert np.array_equal(getattr(frame, name), value), name
+
+
+def test_lazy_inverse_suffix_matches_the_eager_binding(rng):
+    """``augment_block`` and ``extend_frame`` on a frame whose inverse suffix
+    is bound on first use, and again on the frame extended from it, equal
+    the same calls on the frame with the suffix bound at assembly."""
+    a, h = hva("tfim", 6, 8, rng)
+    pool = [random_pauli(rng, 6) for _ in range(6)]
+    for m in (_split_point(a), 42, a.n_params):
+        frame = _split_frame(a, h, m)
+        assert frame.inverse_suffix._bound is None
+        eager = dataclasses.replace(frame, inverse_suffix=bind(a.circuit, frame.psi, a.angles, m, inverse=True))
+        for got, want in zip(augment_block(frame, pool), augment_block(eager, pool), strict=True):
+            assert np.array_equal(got, want)
+        grown = a.extended(pool[:3])
+        ext, ext_eager = extend_frame(frame, grown), extend_frame(eager, grown)
+        assert ext.inverse_suffix is frame.inverse_suffix
+        assert np.array_equal(ext.tangents, ext_eager.tangents)
+        assert np.array_equal(ext.system.m, ext_eager.system.m) and np.array_equal(ext.system.v, ext_eager.system.v)
+        for got, want in zip(augment_block(ext, pool[3:]), augment_block(ext_eager, pool[3:]), strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_plain_step_builds_no_view_and_no_partial(rng, monkeypatch):
+    """After its first step, a fixed-ansatz run builds no strided view and no
+    ``functools.partial`` per step: each step loads its angles into the
+    workspace and runs its calls."""
+    a, h = hva("tfim", 6, 8, rng)
+    run = AvqdsRun(h, a, StepConfig(dtheta_max=0.005, dt_fixed=0.005, t_final=1.0),
+                   SolverConfig("truncation", epsilon=1e-3), noise_cfg=NoiseConfig(n_shots=1e4, d_c=0))
+    run.step()
+    counts = {"views": 0, "partial": 0}
+
+    def counted(name, fn):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(avqds.ansatz, "_planned_views", counted("views", avqds.ansatz._planned_views))
+    monkeypatch.setattr(functools, "partial", counted("partial", functools.partial))
+    for _ in range(3):
+        run.step()
+    assert counts == {"views": 0, "partial": 0}
+    assert list(a.circuit.workspaces) == [_split_point(a)]
+    assert not hasattr(a.circuit, "bind")
 
 
 def test_vectorised_trig_equals_the_scalar_calls_bitwise():

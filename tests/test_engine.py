@@ -449,12 +449,14 @@ def test_run_matches_gather_oracle_kernel(monkeypatch):
     fast = run_avqds(**kwargs)
     calls = []
 
-    def gather_kernel(plan, scale, cos, rows, buf):
+    def gather_kernel(plan, coeffs, cos, rows, *views):
         calls.append(rows.shape[0])
-        src, signs, phase = _pauli_tables(plan.pauli.n_qubits, plan.pauli.x_bits, plan.pauli.z_bits)
-        rows[...] = cos * rows + (scale * phase) * (signs * rows[..., src])
+        src = _pauli_tables(plan.pauli.n_qubits, plan.pauli.x_bits, plan.pauli.z_bits)[0]
+        if np.ndim(coeffs):  # -i·sin·phase·signs, from the plan's axis order back to index order
+            coeffs = coeffs.transpose(np.argsort(plan.order)).reshape(1, -1)
+        rows[...] = cos * rows + coeffs * rows[..., src]
 
-    monkeypatch.setattr(avqds.ansatz, "_rotate_planned", gather_kernel)
+    monkeypatch.setattr(avqds.ansatz, "_rotate_views", gather_kernel)
     slow = run_avqds(**kwargs)
     assert calls and fast[-1].n_params > 4
     assert slow == fast

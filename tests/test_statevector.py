@@ -419,6 +419,26 @@ def test_evolve_rejects_negative_time():
         exact_evolve(h, -0.1, StateVector.basis_state(1))
 
 
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "stepper"])
+def test_propagator_only_goes_forward_on_both_paths(monkeypatch, dense):
+    """The dense path refuses to go back in time as the stepper does: a time
+    below the latest one asked for, or below 0, raises ``ValueError``; one
+    within 1e-12 below it is still served."""
+    n = 3
+    if not dense:
+        monkeypatch.setattr(avqds.statevector, "_DENSE_MAX_QUBITS", 0)
+    prop = ExactPropagator(tfim_chain(n), StateVector.basis_state(n))
+    assert prop._dense == dense
+    with pytest.raises(ValueError):
+        prop.state_at(-0.5)
+    later = prop.state_at(0.5).amplitudes.copy()
+    for t in (-0.5, 0.25):
+        with pytest.raises(ValueError):
+            prop.state_at(t)
+    assert np.array_equal(prop.state_at(0.5).amplitudes, later)
+    np.testing.assert_allclose(prop.state_at(0.5 - 1e-13).amplitudes, later, rtol=0, atol=1e-12)
+
+
 def test_exact_propagator_matches_evolve(rng):
     n = 5
     h = tfim_chain(n)
