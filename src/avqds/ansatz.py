@@ -9,13 +9,15 @@ of a prefix of the ansatz never depends on what comes later.
 
 from __future__ import annotations
 
+import bisect
 from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .pauli import PauliString, WeightedPauliSum
-from .statevector import StateVector, _pauli_tables, _planned_views, _rotate_views, _rotation_plan
+from .statevector import (StateVector, _hamiltonian_calls, _multiply_views, _pauli_tables, _planned_views,
+                          _rotate_views, _rotation_plan, _run)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +123,16 @@ class Circuit:
 
 def _boundary(steps: tuple[_Step, ...], m: int, n: int) -> int:
     """Index of the step that starts at generator m, ``len(steps)`` for m = n;
-    ``ValueError`` inside a Z-only run."""
-    return ([step.first for step in steps] + [n]).index(m)
+    ``ValueError`` naming the boundaries around an m inside a Z-only run or
+    outside [0, n]."""
+    if not 0 <= m <= n:
+        raise ValueError(f"split point m={m} is outside the step boundaries 0 to {n}")
+    starts = [step.first for step in steps] + [n]
+    s = bisect.bisect_left(starts, m)
+    if starts[s] != m:
+        raise ValueError(f"split point m={m} is inside the Z-only run between step boundaries "
+                         f"{starts[s - 1]} and {starts[s]}")
+    return s
 
 
 def _pass_steps(steps, start: int, stop: int, inverse: bool, base: int, rotations: list, runs: list) -> list:
@@ -192,8 +202,9 @@ class _Trig:
 _TILE_BYTES = 512 * 1024
 
 
-# The kinds of kernel call in a compiled pass.
-_ROTATE, _PHASE, _COPY, _BIRTH, _ADD, _RUN_BIRTH = range(6)
+def _run_births(signs: np.ndarray, psi: np.ndarray, rows: np.ndarray) -> None:
+    """-i·s_j·psi for every generator of a Z-only run in one multiply."""
+    np.multiply(-1j * signs, psi, out=rows)
 
 
 def _apply_call(step, rows: np.ndarray, buf: np.ndarray, trig: _Trig) -> tuple:
@@ -201,10 +212,10 @@ def _apply_call(step, rows: np.ndarray, buf: np.ndarray, trig: _Trig) -> tuple:
     row block, with scratch from ``buf``, reading its angle from ``trig``."""
     _, _, plan, _, slot = step
     if plan is None:
-        return (_PHASE, rows, trig.phases[slot])
+        return np.multiply, (rows, trig.phases[slot], rows)
     scratch = buf[: rows.shape[0]]
     src, dst = _planned_views(plan, rows, scratch)
-    return (_ROTATE, (plan, trig.products[slot], trig.cosines[slot, ...], rows, src, scratch, dst))
+    return _rotate_views, (plan, trig.products[slot], trig.cosines[slot, ...], rows, src, scratch, dst)
 
 
 def _sweep_calls(steps: list, block: np.ndarray, carried: int, buf: np.ndarray, tile: int, trig: _Trig) -> list:
@@ -218,11 +229,12 @@ def _sweep_calls(steps: list, block: np.ndarray, carried: int, buf: np.ndarray, 
     for i, step in enumerate(steps):
         first, stop, plan, coeffs, _ = step
         calls.append(_apply_call(step, block[start : carried + first + 1], buf, trig))
-        calls.append((_COPY, born[stop], born[first]))
+        calls.append((np.copyto, (born[stop], born[first])))
         if plan is None:
-            calls.append((_RUN_BIRTH, coeffs, born[stop : stop + 1], born[first:stop]))
+            calls.append((_run_births, (coeffs, born[stop : stop + 1], born[first:stop])))
         else:
-            calls.append((_BIRTH, *_planned_views(plan, born[stop : stop + 1], born[first:stop]), coeffs))
+            src, dst = _planned_views(plan, born[stop : stop + 1], born[first:stop])
+            calls.append((_multiply_views, (src, coeffs, dst)))
         while carried + stop - start >= tile:
             rows = block[start : start + tile]
             calls += [_apply_call(later, rows, buf, trig) for later in steps[i + 1 :]]
@@ -230,46 +242,15 @@ def _sweep_calls(steps: list, block: np.ndarray, carried: int, buf: np.ndarray, 
     return calls
 
 
-def _run(calls: list) -> None:
-    """Make the kernel calls of a compiled pass."""
-    for call in calls:
-        kind = call[0]
-        if kind == _ROTATE:
-            _rotate_views(*call[1])
-        elif kind == _COPY:
-            call[1][...] = call[2]
-        elif kind == _BIRTH:
-            _, src, dst, coeffs = call
-            np.multiply(src, coeffs, out=dst, order="C")
-        elif kind == _PHASE:
-            _, rows, phase = call
-            rows *= phase
-        elif kind == _ADD:
-            _, rows, term = call
-            rows += term
-        else:  # -i·s_j·psi for every generator of a Z-only run in one multiply
-            _, signs, psi, rows = call
-            np.multiply(-1j * signs, psi, out=rows)
-
-
-class Pass:
+class Pass(namedtuple("Pass", "n_qubits n_params block carried calls")):
     """A pass over the steps of a circuit between two step boundaries,
-    compiled onto fixed rows: each kernel call holds the strided views of the
-    rows it reads and writes, and of the trig values of its angle. ``block``
-    holds ``carried`` rows, then the pass's tangents and its running row (a
-    one-row pass has no tangents). ``reference`` is copied into the running
-    row first (None: the pass starts from what is there)."""
+    compiled onto fixed rows: ``calls`` are ``_run`` calls, each holding the
+    strided views of the rows it reads and writes and of the trig values of
+    its angle. ``block`` holds ``carried`` rows, then the pass's tangents
+    and its running row (a one-row pass has no tangents). A pass starts from
+    what its running row holds, unless its first call copies a state in."""
 
-    __slots__ = ("n_qubits", "n_params", "block", "carried", "calls", "reference")
-
-    def __init__(self, n_qubits, n_params, block, carried, calls, reference=None):
-        self.n_qubits, self.n_params, self.block, self.carried = n_qubits, n_params, block, carried
-        self.calls, self.reference = calls, reference
-
-    def run(self) -> None:
-        if self.reference is not None:
-            self.block[self.carried] = self.reference
-        _run(self.calls)
+    __slots__ = ()
 
 
 class Workspace:
@@ -277,11 +258,11 @@ class Workspace:
     (``mclachlan._split_frame``), built once per circuit and split point.
 
     ``prefix`` sweeps the first m generators into an (m + 1)-row block;
-    ``suffix`` takes the prefix's running row through the rest of the
-    circuit in one row, which becomes the first born row of ``inverse``, the
-    sweep that undoes the generators after m with one carried row ahead of
-    it. One scratch tile serves all three. An assembly only loads the
-    reference and the angles.
+    ``suffix`` copies the prefix's running row into its one row and takes it
+    through the rest of the circuit there. That row is the first born row of
+    ``inverse``, the sweep that undoes the generators after m with one
+    carried row, H·psi, ahead of it. One scratch tile serves all three. An
+    assembly only loads the reference and the angles.
     """
 
     def __init__(self, circuit: Circuit, m: int):
@@ -293,93 +274,72 @@ class Workspace:
         self.m, self.trig = m, _Trig(rotations, runs, dim)
         tile = max(1, _TILE_BYTES // (16 * dim))
         head = np.empty((m + 1, dim), dtype=np.complex128)
-        back = np.empty((n - m + 2, dim), dtype=np.complex128)  # carried row, rows N-1..m, running row
+        back = np.empty((n - m + 2, dim), dtype=np.complex128)  # H·psi, rows N-1..m, running row
         buf = np.empty((max(min(m, tile), min(n - m + 1, tile) + 1), dim), dtype=np.complex128)
         row = back[1:2]
         self.prefix = Pass(nq, m, head, 0, _sweep_calls(forward[:s], head, 0, buf, tile, self.trig))
-        suffix = [_apply_call(step, row, buf, self.trig) for step in forward[s:]]
-        self.suffix = Pass(nq, n - m, row, 0, suffix, head[m])
+        suffix = [(np.copyto, (row, head[m]))] + [_apply_call(step, row, buf, self.trig) for step in forward[s:]]
+        self.suffix = Pass(nq, n - m, row, 0, suffix)
         self.inverse = Pass(nq, n - m, back, 1, _sweep_calls(inverse, back, 1, buf, tile, self.trig))
         self._scratch, self._h, self._h_calls = buf[:1], None, []
 
     def load(self, reference: np.ndarray, angles: np.ndarray) -> tuple[Pass, Pass, Pass]:
         """The prefix, suffix and inverse passes from ``reference`` at
-        ``angles``."""
+        ``angles``: the reference goes into the prefix's running row."""
         self.trig.load(np.concatenate((angles, -angles[self.m :][::-1])))
-        self.prefix.reference = reference
+        self.prefix.block[0] = reference
         return self.prefix, self.suffix, self.inverse
 
     def apply_hamiltonian(self, h: WeightedPauliSum) -> np.ndarray:
         """H·psi written into the inverse sweep's carried row from psi, the
-        suffix's row after it, as ``_hamiltonian_rows`` forms it: a zeroed
-        row plus one strided multiply per term. The calls are built for the
-        last ``h`` asked for."""
-        out, psi = self.inverse.block[0:1], self.suffix.block
+        suffix's row after it, by ``_hamiltonian_calls``, built for the last
+        ``h`` asked for."""
+        out = self.inverse.block[0:1]
         if self._h is not h:
-            self._h_calls = [(_COPY, out, 0.0)]
-            for coeff, p in h.terms:
-                plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
-                src, dst = _planned_views(plan, psi, self._scratch)
-                self._h_calls += [(_BIRTH, src, dst, np.asarray(coeff * plan.coeffs)), (_ADD, out, self._scratch)]
-            self._h = h
+            self._h_calls, self._h = _hamiltonian_calls(h, self.suffix.block, out, self._scratch), h
         _run(self._h_calls)
         return out[0]
 
 
-class InverseSuffix:
-    """The generators of a circuit after step boundary m undone, as the
-    inverse pass of its workspace undoes them, applied in place to any
-    C-contiguous row block. Its trig values are taken and its steps listed on
-    first use, which only a growth step makes. It keeps the circuit's steps,
-    not the circuit, so no workspace outlives its circuit through it."""
+class CircuitSlice:
+    """The generators of a circuit from step boundary ``start`` on, applied
+    in place to any C-contiguous row block at ``angles`` (one per generator
+    of the circuit); with ``inverse``, undone, as the inverse pass of the
+    workspace split there undoes them. Its trig values are taken and its
+    steps listed on first use, which for a frame's slice only a growth step
+    makes. It keeps the circuit's steps, not the circuit, so no workspace
+    outlives its circuit through it."""
 
-    def __init__(self, circuit: Circuit, angles: np.ndarray, m: int):
-        self.n_qubits, self.n_params = circuit.n_qubits, len(circuit.generators) - m
-        self._steps, self._angles, self._m = circuit.steps, angles, m
+    def __init__(self, circuit: Circuit, angles: np.ndarray, start: int = 0, inverse: bool = False):
+        self.n_qubits, self.n_params = circuit.n_qubits, len(circuit.generators) - start
+        self._steps, self._angles, self._start, self._inverse = circuit.steps, angles, start, inverse
         self._bound = None
 
     def apply(self, rows: np.ndarray) -> None:
         if self._bound is None:
-            m, n, rotations, runs = self._m, self._m + self.n_params, [], []
-            steps = _pass_steps(self._steps[_boundary(self._steps, m, n) :], m, n, True, 0, rotations, runs)
+            m, n, rotations, runs = self._start, self._start + self.n_params, [], []
+            steps = _pass_steps(self._steps[_boundary(self._steps, m, n) :], m, n, self._inverse, 0, rotations, runs)
             trig = _Trig(rotations, runs, 1 << self.n_qubits)
-            trig.load(-self._angles[m:][::-1])
+            trig.load(-self._angles[m:][::-1] if self._inverse else self._angles[m:])
             self._bound = steps, trig
         steps, trig = self._bound
         buf = np.empty_like(rows)
         _run([_apply_call(step, rows, buf, trig) for step in steps])
 
 
-def _compiled(a: Ansatz, sweep: bool, out: np.ndarray | None = None, carried: int = 0) -> Pass:
-    """A one-off pass of the whole circuit of ``a`` from its reference at its
-    angles: the tangent sweep into ``out`` (or a new block), or one row."""
-    n, dim, rotations, runs = a.n_params, 1 << a.n_qubits, [], []
-    steps = _pass_steps(a.circuit.steps, 0, n, False, 0, rotations, runs)
-    trig = _Trig(rotations, runs, dim)
-    trig.load(a.angles)
-    if sweep:
-        tile = max(1, _TILE_BYTES // (16 * dim))
-        block = np.empty((n + 1, dim), dtype=np.complex128) if out is None else out[: carried + n + 1]
-        # the first step meets every carried row before any tile is full
-        buf = np.empty((min(carried + n, tile) + carried, dim), dtype=np.complex128)
-        calls = _sweep_calls(steps, block, carried, buf, tile, trig)
-    else:
-        block, buf = np.empty((1, dim), dtype=np.complex128), np.empty((1, dim), dtype=np.complex128)
-        calls = [_apply_call(step, block, buf, trig) for step in steps]
-    return Pass(a.n_qubits, n, block, carried, calls, a.reference.amplitudes)
-
-
 def prepare_state(a: Ansatz | Pass) -> StateVector:
     """Apply the rotations in index order to the reference state, each run of
     Z-only generators as one phase multiply. A compiled one-row ``Pass`` runs
     in its own row, which the result shares."""
-    if isinstance(a, Ansatz):
-        a = _compiled(a, sweep=False)
-    a.run()
-    return StateVector(a.n_qubits, a.block[0])
+    if isinstance(a, Pass):
+        _run(a.calls)
+        return StateVector(a.n_qubits, a.block[0])
+    rows = a.reference.amplitudes.reshape(1, -1).copy()
+    CircuitSlice(a.circuit, a.angles).apply(rows)
+    return StateVector(a.n_qubits, rows[0])
 
 
-def tangent_states(a: Ansatz | Pass, out: np.ndarray | None = None, carried: int = 0) -> np.ndarray:
+def tangent_states(a: Ansatz | Pass) -> np.ndarray:
     """All derivative states d|psi>/d(angle_k), one per row, each unit norm.
 
     The forward pass applies the steps of its pass: one rotation per
@@ -398,20 +358,17 @@ def tangent_states(a: Ansatz | Pass, out: np.ndarray | None = None, carried: int
     row; each amplitude meets the same operations in the same order as in
     one untiled block, so the result does not depend on the tile size.
 
-    The result is an (n_params, 2**n) view of an (n_params + 1)-row block
-    whose last row is the prepared state, equal bit for bit to
-    ``prepare_state(a).amplitudes``: the running row meets the same steps
-    with the same kernels. Given ``out``, a C-contiguous complex array, the
-    sweep writes into its first ``carried + n_params + 1`` rows instead. Its
-    first ``carried`` rows are states to carry through the circuit: they
-    ride in flight like rows born before the first step, and the circuit is
-    applied to them in place. The tangents follow them, then the prepared
-    state. A compiled sweep ``Pass`` runs in its own block instead, and the
-    result is a view of it.
+    For an ansatz the sweep runs in a one-off workspace, and the result is
+    an (n_params, 2**n) view of an (n_params + 1)-row block whose last row
+    is the prepared state, equal bit for bit to ``prepare_state(a).amplitudes``:
+    the running row meets the same steps with the same kernels. A compiled
+    sweep ``Pass`` runs in its own block, and the result is a view of its
+    tangent rows; rows it carries ahead of them (the workspace's inverse pass
+    carries H·psi) ride in flight like rows born before the first step.
     """
-    if isinstance(a, Ansatz):
-        a = _compiled(a, sweep=True, out=out, carried=carried)
-    a.run()
+    if isinstance(a, Ansatz):  # the prefix pass of a workspace split at N sweeps the whole circuit
+        a = Workspace(a.circuit, a.n_params).load(a.reference.amplitudes, a.angles)[0]
+    _run(a.calls)
     return a.block[a.carried : a.carried + a.n_params]
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import Ansatz, InverseSuffix, prepare_state, tangent_states
+from .ansatz import Ansatz, CircuitSlice, prepare_state, tangent_states
 from .pauli import PauliString, WeightedPauliSum
 from .statevector import _pauli_into
 
@@ -72,7 +72,7 @@ class TangentFrame:
     tangents: np.ndarray
     overlaps: np.ndarray  # <tangent_k|psi>
     energy: float
-    inverse_suffix: InverseSuffix
+    inverse_suffix: CircuitSlice
     frame_psi: np.ndarray
     frame_h_psi: np.ndarray
 
@@ -119,7 +119,7 @@ def _split_frame(a: Ansatz, h: WeightedPauliSum, m: int) -> TangentFrame:
     block[n] = back[-1]
     xi, frame_h_psi = block[:n], back[0].copy()
     system, overlaps = _system(xi, block[n], frame_h_psi, energy, var_h)
-    undo = InverseSuffix(a.circuit, a.angles, m)
+    undo = CircuitSlice(a.circuit, a.angles, m, inverse=True)
     return TangentFrame(a, system, psi, h_psi, xi, overlaps, energy, undo, block[n], frame_h_psi)
 
 

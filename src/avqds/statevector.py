@@ -161,20 +161,19 @@ def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int) -> _Plan:
 
 
 def _planned_views(plan: _Plan, src: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The strided views through which ``_multiply_planned`` reads ``src``
+    """The strided views through which ``_multiply_views`` reads ``src``
     and writes ``out``, both C-contiguous (k, dim) blocks: ``src`` reversed
     on the flipped axes, both in the plan's axis order."""
     block = (src.shape[0], *plan.shape)
     return src.reshape(block)[plan.reverse].transpose(plan.order), out.reshape(block).transpose(plan.order)
 
 
-def _multiply_planned(plan: _Plan, coeffs, src: np.ndarray, out: np.ndarray) -> None:
-    """out = coeffs·src[..., i ^ x_bits] for C-contiguous (k, dim) blocks, with
-    ``coeffs`` shaped as ``plan.coeffs``; ``out`` must not overlap ``src``.
-    One strided multiply, iterated in the plan's axis order (``order="C"`` on
-    the transposed views keeps numpy from sorting the axes back by stride)."""
-    view, dst = _planned_views(plan, src, out)
-    np.multiply(view, coeffs, out=dst, order="C")
+def _multiply_views(src: np.ndarray, coeffs, out: np.ndarray) -> None:
+    """out = coeffs·src[..., i ^ x_bits] through a plan's ``_planned_views`` of
+    two blocks that do not overlap, ``coeffs`` shaped as ``plan.coeffs``: one
+    strided multiply, iterated in the plan's axis order (``order="C"`` on the
+    transposed views keeps numpy from sorting the axes back by stride)."""
+    np.multiply(src, coeffs, out=out, order="C")
 
 
 def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray) -> None:
@@ -187,7 +186,14 @@ def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray
     the sign of a zero.
     """
     plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
-    _multiply_planned(plan, scale * plan.coeffs, src, out)
+    view, dst = _planned_views(plan, src, out)
+    _multiply_views(view, scale * plan.coeffs, dst)
+
+
+def _run(calls: list) -> None:
+    """Make prebuilt kernel calls, each a (function, args) pair, in order."""
+    for fn, args in calls:
+        fn(*args)
 
 
 def _rotate_views(plan: _Plan, coeffs, cos, rows: np.ndarray, src: np.ndarray, scratch: np.ndarray,
@@ -216,13 +222,24 @@ def _rotate_rows(p: PauliString, theta: float, rows: np.ndarray, buf: np.ndarray
     _rotate_views(plan, -1j * np.sin(theta) * plan.coeffs, np.cos(theta), rows, src, scratch, dst)
 
 
-def _hamiltonian_rows(h: WeightedPauliSum, rows: np.ndarray) -> np.ndarray:
-    """H·rows for one state or a (k, dim) block, one ``_pauli_into`` per term."""
-    src = rows.reshape(-1, rows.shape[-1])
-    out, term = np.zeros(src.shape, dtype=np.complex128), np.empty(src.shape, dtype=np.complex128)
+def _hamiltonian_calls(h: WeightedPauliSum, src: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> list:
+    """The ``_run`` calls that write H·src into ``out``, C-contiguous (k, dim)
+    blocks, with scratch the size of ``out``: ``out`` zeroed, then per term
+    its ``_pauli_into`` product in ``scratch`` added to it. Each call holds
+    its strided views, so the list is built once for fixed blocks."""
+    calls = [(out.fill, (0.0,))]
     for coeff, p in h.terms:
-        _pauli_into(p, coeff, src, term)
-        out += term
+        plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
+        view, dst = _planned_views(plan, src, scratch)
+        calls += [(_multiply_views, (view, np.asarray(coeff * plan.coeffs), dst)), (np.add, (out, scratch, out))]
+    return calls
+
+
+def _hamiltonian_rows(h: WeightedPauliSum, rows: np.ndarray) -> np.ndarray:
+    """H·rows for one state or a (k, dim) block, by ``_hamiltonian_calls``."""
+    src = rows.reshape(-1, rows.shape[-1])
+    out, scratch = np.empty(src.shape, dtype=np.complex128), np.empty(src.shape, dtype=np.complex128)
+    _run(_hamiltonian_calls(h, src, out, scratch))
     return out.reshape(rows.shape)
 
 

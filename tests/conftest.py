@@ -34,7 +34,7 @@ from scipy.sparse import coo_array
 from scipy.sparse.linalg import expm_multiply
 
 import avqds.ansatz
-from avqds.ansatz import Ansatz, InverseSuffix
+from avqds.ansatz import Ansatz, CircuitSlice
 from avqds.engine import CandidateRanking
 from avqds.mclachlan import McLachlanSystem, TangentFrame, _system, augment_block, extend_system, mclachlan_distance
 from avqds.pauli import PauliString, WeightedPauliSum
@@ -43,9 +43,10 @@ from avqds.statevector import (
     StateVector,
     _hamiltonian_entries,
     _hamiltonian_rows,
-    _multiply_planned,
+    _multiply_views,
     _pauli_into,
     _pauli_tables,
+    _planned_views,
     _rotate_rows,
     dense_hamiltonian,
 )
@@ -110,6 +111,13 @@ def _phase(phase, rows, buf):
 
 def _run_births(signs, psi, out):
     np.multiply(-1j * signs, psi, out=out)
+
+
+def _multiply_planned(plan, coeffs, src, out):
+    """out = coeffs·src[..., i ^ x_bits], the views built at every call, as
+    a bound step built them."""
+    view, dst = _planned_views(plan, src, out)
+    _multiply_views(view, coeffs, dst)
 
 
 def _rotate_planned(plan, scale, cos, rows, buf):
@@ -261,7 +269,7 @@ def reference_frame(a, h):
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
     m, v, overlaps = complex_gram(xi, psi, h_psi, energy)
-    unsplit = InverseSuffix(a.circuit, a.angles, a.n_params)
+    unsplit = CircuitSlice(a.circuit, a.angles, a.n_params, inverse=True)
     return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy, unsplit, psi, h_psi)
 
 

@@ -4,6 +4,7 @@ import pytest
 import avqds.ansatz
 from avqds.ansatz import (
     Ansatz,
+    CircuitSlice,
     ansatz_layout,
     cnot_cost,
     layout,
@@ -11,10 +12,19 @@ from avqds.ansatz import (
     tangent_states,
 )
 from avqds.baselines import build_hva
+from avqds.mclachlan import _split_frame
 from avqds.models import build_model, default_model, model_sublayers
 from avqds.pauli import PauliString
 from avqds.statevector import StateVector, apply_rotation
-from conftest import gather_sweep, random_pauli, random_state, swept_state
+from conftest import (
+    gather_sweep,
+    random_hamiltonian,
+    random_pauli,
+    random_state,
+    rebuilt_split_frame,
+    step_bounds,
+    swept_state,
+)
 
 # Where a run of Z-only generators occurs, the sweep applies it as one phase
 # multiply and the per-generator gather sweep rotates by each generator in
@@ -229,18 +239,27 @@ def test_tiled_sweep_with_z_runs_matches_untiled_bitwise(rng, monkeypatch, n_qub
 
 @pytest.mark.parametrize("tile", [1, 2, 3, 1 << 20])
 def test_carried_rows_ride_the_sweep_bitwise(rng, monkeypatch, tile):
-    """Rows carried ahead of the tangents (as the split assembly carries H·psi)
-    leave the tangents and psi bit for bit as without them, at any tile size,
-    and come out as ``prepare_state`` from them would, bit for bit."""
-    monkeypatch.setattr(avqds.ansatz, "_TILE_BYTES", tile * 16 << 3)
+    """H·psi, which the split assembly's inverse sweep carries ahead of its
+    tangents, and those tangents come out at any tile size bit for bit as
+    from the untiled sweep and from ``conftest.rebuilt_split_frame``; and a
+    circuit slice on a row block leaves each row as ``prepare_state`` from
+    it would, bit for bit."""
     for a in (z_run_ansatz(rng, 3, 9), flipping_ansatz(rng, 3, 8)):
-        carried = [random_state(rng, 3) for _ in range(2)]
-        out = np.empty((a.n_params + 3, 8), dtype=np.complex128)
-        out[:2] = carried
-        xi = tangent_states(a, out=out, carried=2)
-        plain = tangent_states(a)
-        assert np.array_equal(xi, plain) and np.array_equal(out[-1], swept_state(plain))
-        for row, state in zip(out[:2], carried):
+        h = random_hamiltonian(rng, 3, n_terms=5)
+        splits = [first for first, _ in step_bounds(a.generators)] + [a.n_params]
+        untiled = [_split_frame(a, h, m) for m in splits]
+        with monkeypatch.context() as patch:
+            patch.setattr(avqds.ansatz, "_TILE_BYTES", tile * 16 << 3)
+            tiled = Ansatz(a.reference, a.generators, a.angles)  # a new circuit, whose workspaces use the tile
+            for m, want in zip(splits, untiled):
+                frame = _split_frame(tiled, h, m)
+                for other in (want, rebuilt_split_frame(tiled, h, m)):
+                    for name in ("frame_h_psi", "frame_psi", "tangents"):
+                        assert np.array_equal(getattr(frame, name), getattr(other, name)), name
+        states = [random_state(rng, 3) for _ in range(3)]
+        rows = np.array(states)
+        CircuitSlice(a.circuit, a.angles).apply(rows)
+        for row, state in zip(rows, states):
             assert np.array_equal(row, prepare_state(Ansatz(StateVector(3, state), a.generators, a.angles)).amplitudes)
 
 

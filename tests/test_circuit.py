@@ -145,8 +145,10 @@ def test_workspace_rejects_a_split_inside_a_z_only_run():
     a = Ansatz(StateVector.basis_state(2), gens, [0.1, 0.2, 0.3, 0.4])
     assert a.circuit.workspace(1).suffix.n_params == 3
     assert a.circuit.workspace(3).prefix.n_params == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="m=2 is inside the Z-only run between step boundaries 1 and 3"):
         a.circuit.workspace(2)
+    with pytest.raises(ValueError, match="m=5 is outside the step boundaries 0 to 4"):
+        a.circuit.workspace(5)
     assert sorted(a.circuit.workspaces) == [1, 3]
 
 

@@ -1,7 +1,8 @@
 """Package layering: the modules of ``avqds`` import each other without a
 cycle, ``models`` (the problem definition) depends only on the Pauli
 algebra and the statevector, never on the integrator built on top of it,
-and the statevector kernels and oracle depend only on the Pauli algebra.
+nor does ``ansatz`` (the compiled passes), and the statevector kernels and
+oracle depend only on the Pauli algebra.
 
 Imports are read from the source with ``ast``, function-level imports
 included, so a deferred import cannot hide a dependency.
@@ -52,6 +53,13 @@ def test_package_import_graph_is_acyclic():
 
 def test_models_imports_only_pauli_and_statevector():
     assert import_graph()["models"] == {"pauli", "statevector"}
+
+
+def test_ansatz_imports_only_pauli_and_statevector():
+    """The compiled passes run on ``statevector._run`` and build H·psi by
+    ``statevector._hamiltonian_calls``; they never reach up into the
+    assembly or the run loop built on them."""
+    assert import_graph()["ansatz"] == {"pauli", "statevector"}
 
 
 def test_statevector_imports_only_pauli():
