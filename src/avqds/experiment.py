@@ -145,19 +145,21 @@ def _aggregate(per_run: list[list[TrajectoryRecord]]) -> list[str]:
     for f in fields:
         name = "cnots" if f == "cnot_count" else f
         header += [f"{name}_mean", f"{name}_std"]
+    # (grid, field, run), runs contiguous: each point reduces its runs as a 1-D mean would
+    table = np.empty((len(grid), len(fields), len(per_run)))
+    after = np.array(grid) + 1e-15
+    for i, records in enumerate(per_run):
+        ts = np.array([r.t for r in records])
+        latest = np.maximum(np.searchsorted(ts, after, "right") - 1, 0)
+        values = np.array([[getattr(r, f) for f in fields] for r in records], dtype=float)
+        table[:, :, i] = values[latest]
+    stds = table.std(axis=2, ddof=1) if len(per_run) > 1 else np.zeros(table.shape[:2])
     lines = [",".join(header)]
-    cursors = [0] * len(per_run)
-    current = [records[0] for records in per_run]
-    for t in grid:
-        for i, records in enumerate(per_run):
-            while cursors[i] + 1 < len(records) and records[cursors[i] + 1].t <= t + 1e-15:
-                cursors[i] += 1
-            current[i] = records[cursors[i]]
-        row = [_fmt_float(t), str(len(per_run))]
-        for f in fields:
-            values = np.array([float(getattr(r, f)) for r in current])
-            row.append(_fmt_float(float(np.mean(values))))
-            row.append(_fmt_float(float(np.std(values, ddof=1)) if len(values) > 1 else 0.0))
+    n_runs = str(len(per_run))
+    for t, mean, std in zip(grid, table.mean(axis=2).tolist(), stds.tolist()):
+        row = [_fmt_float(t), n_runs]
+        for mu, sd in zip(mean, std):
+            row += [_fmt_float(mu), _fmt_float(sd)]
         lines.append(",".join(row))
     return lines
 

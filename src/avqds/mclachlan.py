@@ -36,6 +36,10 @@ def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class McLachlanSystem:
+    """M·theta_dot = V with the energy variance. M must be symmetric: every
+    builder here makes it so bit for bit, and the solve reads one triangle
+    of it without checking."""
+
     m: np.ndarray
     v: np.ndarray
     var_h: float
@@ -46,9 +50,9 @@ class McLachlanSystem:
 
     @functools.cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """``symmetric_eig(m)``, computed on first use: the solve and the
+        """``np.linalg.eigh(m)``, computed on first use: the solve and the
         candidate bounds of one growth iteration share it."""
-        return symmetric_eig(self.m)
+        return np.linalg.eigh(self.m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,23 +48,39 @@ def shot_sigma(m_elements, n_shots: float):
 
 
 def _shot_draws(means: np.ndarray, cfg: NoiseConfig, rng: np.random.Generator) -> np.ndarray:
-    """One Gaussian shot estimate per element, in order, clipped to the configured width."""
+    """One Gaussian shot estimate per element, in order, clipped to the
+    configured width. ``means + sigmas·z`` on one standard-normal stream is
+    what ``rng.normal(means, sigmas)`` computes, draw for draw."""
     sigmas = shot_sigma(means, cfg.n_shots)
-    draws = rng.normal(means, sigmas)
+    draws = means + sigmas * rng.standard_normal(means.shape[0])
     if cfg.truncate_sigmas is not None:
         half_width = cfg.truncate_sigmas * sigmas
         draws = np.clip(draws, means - half_width, means + half_width)
     return draws
 
 
-@functools.lru_cache(maxsize=16)
-def _upper_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row-major (rows, cols) of the upper triangle of an n×n matrix; the
-    cache hands the same arrays to every caller, so they are read-only."""
+_NoisePlan = namedtuple("_NoisePlan", "deep upper lower")
+
+
+@functools.lru_cache(maxsize=4)
+def _noise_plan(layout: CircuitLayout, d_c: int) -> _NoisePlan:
+    """The noisy elements of a system on ``layout`` at threshold ``d_c``.
+
+    ``deep`` lists the unitaries whose fragment depth exceeds d_c; ``upper``
+    holds the flat indices of the M elements (mu, nu) with mu <= nu and nu
+    deep, in row-major order, and ``lower`` those of their mirrors (nu, mu).
+    A layout changes only on growth, so a run builds one plan per growth;
+    the cache hands the same arrays to every step, so they are read-only.
+    """
+    n = len(layout.layer_of)
+    is_deep = layout.prefix_depths() > d_c  # fragment depth of (mu, nu) depends on max index only
     rows, cols = np.triu_indices(n)
-    rows.setflags(write=False)
-    cols.setflags(write=False)
-    return rows, cols
+    noisy = is_deep[cols]
+    rows, cols = rows[noisy], cols[noisy]
+    plan = _NoisePlan(np.flatnonzero(is_deep), rows * n + cols, cols * n + rows)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
 
 
 def noisy_system(
@@ -76,8 +93,9 @@ def noisy_system(
 
     Draw order is fixed (row-major upper triangle, then V), one Gaussian per
     noisy element, so a given seed always produces the same perturbation.
-    When nothing qualifies as noisy the input system is returned untouched
-    and the random stream is not consumed.
+    Which elements are noisy comes from ``_noise_plan``, built once per
+    layout and threshold. When nothing qualifies as noisy the input system
+    is returned untouched and the random stream is not consumed.
     """
     n = s.n_params
     if len(layout.layer_of) != n:
@@ -86,19 +104,15 @@ def noisy_system(
         )
     if math.isinf(cfg.n_shots) or n == 0:
         return s
-    deep = layout.prefix_depths() > cfg.d_c  # fragment depth of (mu, nu) depends on max index only
-    rows, cols = _upper_triangle(n)
-    noisy = deep[cols]
-    if not np.any(noisy) and not cfg.noisy_v:
+    plan = _noise_plan(layout, cfg.d_c)
+    if not plan.deep.size:
         return s
     m = s.m.copy()
-    if np.any(noisy):
-        r, c = rows[noisy], cols[noisy]
-        draws = _shot_draws(m[r, c], cfg, rng)
-        m[r, c] = draws
-        m[c, r] = draws
+    draws = _shot_draws(m.take(plan.upper), cfg, rng)
+    m.put(plan.upper, draws)
+    m.put(plan.lower, draws)
     v = s.v
-    if cfg.noisy_v and np.any(deep):
+    if cfg.noisy_v:
         v = v.copy()
-        v[deep] = _shot_draws(v[deep], cfg, rng)
+        v.put(plan.deep, _shot_draws(v.take(plan.deep), cfg, rng))
     return McLachlanSystem(m=m, v=v, var_h=s.var_h)

@@ -22,6 +22,10 @@ and ``eigh_propagator`` are the exact-evolution routes the Taylor stepper of
 ``ExactPropagator`` replaced (scipy's ``expm_multiply`` on the sparse H, and
 the dense ``eigh`` at any size), kept as its oracles. ``full_ranking`` ranks
 precomputed (index, score) pairs, as ``select_additions`` once did for a list.
+``reference_noisy_system`` is the noise injection that the per-layout noise
+plan and the one-stream draws replaced (a mask built per call, ``rng.normal``
+and 2-D fancy indexing), and ``reference_aggregate`` the per-point loop that
+the vectorised ``_aggregate`` replaced; both must be reproduced bit for bit.
 """
 
 import functools
@@ -36,7 +40,9 @@ from scipy.sparse.linalg import expm_multiply
 import avqds.ansatz
 from avqds.ansatz import Ansatz, CircuitSlice
 from avqds.engine import CandidateRanking
+from avqds.experiment import _fmt_float
 from avqds.mclachlan import McLachlanSystem, TangentFrame, _system, augment_block, extend_system, mclachlan_distance
+from avqds.noise import shot_sigma
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import solve
 from avqds.statevector import (
@@ -293,6 +299,65 @@ def full_ranking(scores):
     the score itself."""
     table = dict(scores)
     return CandidateRanking(table, table.__getitem__)
+
+
+def _reference_draws(means, cfg, rng):
+    sigmas = shot_sigma(means, cfg.n_shots)
+    draws = rng.normal(means, sigmas)
+    if cfg.truncate_sigmas is not None:
+        half_width = cfg.truncate_sigmas * sigmas
+        draws = np.clip(draws, means - half_width, means + half_width)
+    return draws
+
+
+def reference_noisy_system(s, layout, cfg, rng):
+    """``noisy_system`` with its noisy mask built on every call, draws from
+    ``rng.normal(means, sigmas)`` and 2-D fancy gathers and scatters."""
+    n = s.n_params
+    if np.isinf(cfg.n_shots) or n == 0:
+        return s
+    deep = layout.prefix_depths() > cfg.d_c
+    rows, cols = np.triu_indices(n)
+    noisy = deep[cols]
+    if not np.any(noisy) and not cfg.noisy_v:
+        return s
+    m = s.m.copy()
+    if np.any(noisy):
+        r, c = rows[noisy], cols[noisy]
+        draws = _reference_draws(m[r, c], cfg, rng)
+        m[r, c] = draws
+        m[c, r] = draws
+    v = s.v
+    if cfg.noisy_v and np.any(deep):
+        v = v.copy()
+        v[deep] = _reference_draws(v[deep], cfg, rng)
+    return McLachlanSystem(m=m, v=v, var_h=s.var_h)
+
+
+def reference_aggregate(per_run):
+    """``_aggregate`` as a loop over the grid: a cursor per run moves to its
+    latest record at or before t + 1e-15, then a 1-D mean and std per field."""
+    grid = sorted({r.t for records in per_run for r in records})
+    fields = ("n_params", "l2", "depth", "cnot_count", "dt", "energy", "infidelity")
+    header = ["t", "n_runs"]
+    for f in fields:
+        name = "cnots" if f == "cnot_count" else f
+        header += [f"{name}_mean", f"{name}_std"]
+    lines = [",".join(header)]
+    cursors = [0] * len(per_run)
+    current = [records[0] for records in per_run]
+    for t in grid:
+        for i, records in enumerate(per_run):
+            while cursors[i] + 1 < len(records) and records[cursors[i] + 1].t <= t + 1e-15:
+                cursors[i] += 1
+            current[i] = records[cursors[i]]
+        row = [_fmt_float(t), str(len(per_run))]
+        for f in fields:
+            values = np.array([float(getattr(r, f)) for r in current])
+            row.append(_fmt_float(float(np.mean(values))))
+            row.append(_fmt_float(float(np.std(values, ddof=1)) if len(values) > 1 else 0.0))
+        lines.append(",".join(row))
+    return lines
 
 
 def hamiltonian_coo(h: WeightedPauliSum) -> coo_array:

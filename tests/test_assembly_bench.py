@@ -3,8 +3,10 @@ the per-generator oracles against the code they were replaced by, the
 whole assembly split where ``_split_point`` puts it against the forward
 sweep, and the assembly on a compiled circuit (warm), on one compiled from
 scratch (cold) and on one extended by a growth (grown). ``ansatz_layout``
-and ``noisy_system`` on the compiled layout are timed against a layout
-packed afresh for the call.
+on the compiled layout is timed against a layout packed afresh for the
+call. ``noisy_system`` on the compiled layout, whose noise plan is cached,
+is timed against ``reference_noisy_system``, which builds its mask on
+every call, and against ``noisy_system`` on a layout packed afresh.
 
 Each case is an n-qubit TFIM Hamiltonian-variational ansatz cut to N
 generators, at random angles: per layer a run of ZZ bonds, which the sweep
@@ -22,7 +24,7 @@ from avqds.mclachlan import _split_frame, _split_point, _system, assemble_frame
 from avqds.models import build_model, default_model, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system
 from avqds.statevector import _hamiltonian_rows
-from conftest import complex_gram, gather_sweep, reference_frame, swept_state
+from conftest import complex_gram, gather_sweep, reference_frame, reference_noisy_system, swept_state
 
 pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
@@ -106,18 +108,21 @@ def test_layout_speed(benchmark, n_qubits, n_params, route):
     benchmark.pedantic(lookup, args=(a,), rounds=20, iterations=5)
 
 
-@pytest.mark.parametrize("route", ["fresh_layout", "compiled_layout"])
+@pytest.mark.parametrize("route", ["reference", "fresh_layout", "compiled_layout"])
 @pytest.mark.parametrize("n_qubits, n_params", SIZES)
 def test_noisy_system_speed(benchmark, n_qubits, n_params, route):
     a, h = _case(n_qubits, n_params)
     system = assemble_frame(a, h).system
     cfg = NoiseConfig(n_shots=1e4, d_c=0)
+    rng, expected_rng = np.random.default_rng(5), np.random.default_rng(5)
+    planned = noisy_system(system, ansatz_layout(a), cfg, rng)
+    expected = reference_noisy_system(system, _fresh_layout(a), cfg, expected_rng)
+    assert np.array_equal(planned.m, expected.m) and np.array_equal(planned.v, expected.v)
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+    inject = reference_noisy_system if route == "reference" else noisy_system
     lookup = _fresh_layout if route == "fresh_layout" else ansatz_layout
-    compiled = noisy_system(system, ansatz_layout(a), cfg, np.random.default_rng(5))
-    fresh = noisy_system(system, _fresh_layout(a), cfg, np.random.default_rng(5))
-    assert np.array_equal(compiled.m, fresh.m) and np.array_equal(compiled.v, fresh.v)
     rng = np.random.default_rng(7)
-    benchmark.pedantic(lambda: noisy_system(system, lookup(a), cfg, rng), rounds=20, iterations=5)
+    benchmark.pedantic(lambda: inject(system, lookup(a), cfg, rng), rounds=20, iterations=5)
 
 
 @pytest.mark.parametrize("route", ["cold", "grown", "warm"])

@@ -11,6 +11,7 @@ import avqds.experiment
 from avqds.config import parse_config, serialize_config
 from avqds.engine import TrajectoryRecord
 from avqds.experiment import PRESETS, _aggregate, run_experiment
+from conftest import reference_aggregate
 
 
 def rec(t, infidelity, dt=0.1, seed=0):
@@ -63,6 +64,45 @@ def test_aggregate_on_disjoint_grids_uses_last_record():
     # at t=0.1 run_a still sits on its t=0 record
     assert float(rows[1][i_mean]) == pytest.approx((0.0 + 0.5) / 2)
     assert float(rows[2][i_mean]) == pytest.approx((0.3 + 0.5) / 2)
+
+
+def _ragged_runs(rng, n_runs):
+    """Runs of different lengths on different time grids, some of whose times
+    lie within 1e-15 of another run's, with NaN distances in some runs and
+    one run whose first record comes after the grid starts."""
+    runs = []
+    for i in range(n_runs):
+        times = np.cumsum(rng.uniform(0.001, 0.05, size=int(rng.integers(3, 60))))
+        if i != 1:
+            times[0] = 0.0
+        if runs and i != 1:
+            shared = runs[0][: len(times) // 2]
+            times[: len(shared)] = [r.t + float(rng.choice([0.0, 4e-16, -4e-16, 9e-16, 2e-15])) for r in shared]
+            times = np.maximum.accumulate(times)
+        runs.append([
+            TrajectoryRecord(
+                t=float(t),
+                n_params=int(rng.integers(0, 200)),
+                l2=math.nan if i % 5 == 3 else float(rng.lognormal(-8, 3)),
+                depth=int(rng.integers(0, 40)),
+                cnot_count=int(rng.integers(0, 400)),
+                dt=float(rng.uniform(1e-4, 1e-2)),
+                energy=float(rng.normal(-5.0, 3.0)),
+                infidelity=float(rng.uniform(0, 1) ** 6),
+                seed=i,
+            )
+            for t in times
+        ])
+    return runs
+
+
+@pytest.mark.parametrize("n_runs", [2, 3, 7, 8, 9, 16, 20])
+def test_aggregate_matches_the_per_point_loop(n_runs):
+    """Eight runs is where numpy's pairwise sum starts to unroll, so the
+    vectorised reduction must run over a contiguous runs axis to keep the
+    1-D sums' order."""
+    runs = _ragged_runs(np.random.default_rng(n_runs), n_runs)
+    assert _aggregate(runs) == reference_aggregate(runs)
 
 
 def test_run_experiment_with_workers_matches_sequential(tmp_path):

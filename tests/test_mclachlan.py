@@ -313,6 +313,35 @@ def test_noisy_negative_distance_stays_negative(rng):
     assert l2 == float(2.0 * td @ noisy.m @ td - 4.0 * noisy.v @ td + 2.0 * noisy.var_h)
 
 
+def test_metric_is_symmetric_by_construction(rng):
+    """Every builder of M makes it symmetric bit for bit, which the solve
+    relies on when it reads one triangle."""
+    spec = default_model("tfim", 6)
+    _, h, psi0 = build_model(spec)
+    hva = build_hva(h, psi0, 8, model_sublayers(spec))
+    hva = hva.with_angles(rng.uniform(-1.5, 1.5, size=hva.n_params))
+    rand = make_ansatz(rng, 4, 20)
+    rand_h = random_hamiltonian(rng, 4)
+    grown = rand.extended([random_pauli(rng, 4) for _ in range(5)])
+    frames = [
+        _split_frame(hva, h, hva.n_params),
+        _split_frame(hva, h, _split_point(hva)),
+        assemble_frame(rand, rand_h),
+        assemble_frame(grown.with_angles(rng.uniform(-1.5, 1.5, size=grown.n_params)), rand_h),
+    ]
+    assert _split_point(hva) < hva.n_params
+    base = assemble_frame(rand, rand_h)
+    frames.append(extend_frame(base, grown))
+    systems = [f.system for f in frames]
+    cols, diags, v_new = augment_block(base, [random_pauli(rng, 4)])
+    systems.append(extend_system(base.system, cols[0], diags[0], v_new[0]))
+    lo = ansatz_layout(hva)
+    for d_c in (0, lo.depth // 2):
+        systems.append(noisy_system(frames[1].system, lo, NoiseConfig(n_shots=1e3, d_c=d_c, noisy_v=True), rng))
+    for s in systems:
+        assert np.array_equal(s.m, s.m.T)
+
+
 def test_distance_dimension_check():
     s = assemble_frame(x_ansatz(0.1), X1).system
     with pytest.raises(ValueError):

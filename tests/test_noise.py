@@ -3,10 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from avqds.ansatz import layout
-from avqds.mclachlan import McLachlanSystem
-from avqds.noise import NoiseConfig, _upper_triangle, noisy_system, shot_sigma
+from avqds.ansatz import Ansatz, ansatz_layout, layout
+from avqds.baselines import build_hva
+from avqds.mclachlan import McLachlanSystem, assemble_frame
+from avqds.models import build_model, default_model, model_sublayers
+from avqds.noise import NoiseConfig, _noise_plan, noisy_system, shot_sigma
 from avqds.pauli import PauliString
+from conftest import reference_noisy_system
 
 
 def g(label):
@@ -157,14 +160,82 @@ def test_truncation_clips_outliers():
                 assert dev[i, j] <= 1.0 * shot_sigma(s.m[i, j], 10) + 1e-15
 
 
-def test_cached_upper_triangle_is_read_only():
-    rows, cols = _upper_triangle(4)
-    expected_rows, expected_cols = np.triu_indices(4)
-    assert np.array_equal(rows, expected_rows) and np.array_equal(cols, expected_cols)
-    for arr in (rows, cols):
+def hva_case(n_qubits=4, layers=3, seed=0):
+    spec = default_model("tfim", n_qubits)
+    _, h, psi0 = build_model(spec)
+    hva = build_hva(h, psi0, layers, model_sublayers(spec))
+    angles = np.random.default_rng(seed).uniform(-0.4, 0.4, size=hva.n_params)
+    return hva.with_angles(angles), h
+
+
+def test_noise_plan_is_read_only_and_shared():
+    a, h = hva_case()
+    lo = ansatz_layout(a)
+    system = assemble_frame(a, h).system
+    cfg = NoiseConfig(n_shots=1e4, d_c=1)
+    plan = _noise_plan(lo, cfg.d_c)
+    for arr in plan:
         with pytest.raises(ValueError):
             arr[0] = 1
-    assert _upper_triangle(4)[0] is rows
+    hits = _noise_plan.cache_info().hits
+    rng = np.random.default_rng(0)
+    for _ in range(3):  # three steps on one layout
+        noisy_system(system, ansatz_layout(a.with_angles(a.angles)), cfg, rng)
+    assert _noise_plan.cache_info().hits == hits + 3
+    assert _noise_plan(lo, cfg.d_c) is plan
+    # the plan is the mask it replaced: deep unitaries and the flat indices of (mu <= nu, nu deep)
+    deep = lo.prefix_depths() > cfg.d_c
+    rows, cols = np.triu_indices(a.n_params)
+    keep = deep[cols]
+    assert np.array_equal(plan.deep, np.flatnonzero(deep))
+    assert np.array_equal(plan.upper, np.ravel_multi_index((rows[keep], cols[keep]), system.m.shape))
+    assert np.array_equal(plan.lower, np.ravel_multi_index((cols[keep], rows[keep]), system.m.shape))
+
+
+def _assert_same_as_reference(system, lo, cfg, rngs):
+    rng, expected_rng = rngs
+    out = noisy_system(system, lo, cfg, rng)
+    expected = reference_noisy_system(system, lo, cfg, expected_rng)
+    assert np.array_equal(out.m, expected.m) and np.array_equal(out.v, expected.v)
+    assert out.var_h == expected.var_h
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
+
+
+def _rng_pair(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+@pytest.mark.parametrize("n_shots", [10, 1e4, math.inf])
+@pytest.mark.parametrize("truncate_sigmas", [None, 5.0])
+@pytest.mark.parametrize("noisy_v", [False, True])
+def test_noisy_system_matches_reference_bitwise(n_shots, truncate_sigmas, noisy_v):
+    """Draws from one standard-normal stream with flat gathers and scatters
+    equal ``rng.normal(means, sigmas)`` with 2-D fancy indexing bit for bit,
+    and leave the generator in the same state."""
+    a, h = hva_case(4, 3)
+    system = assemble_frame(a, h).system
+    lo = ansatz_layout(a)
+    for d_c in (0, 1, lo.depth // 2, lo.depth, lo.depth + 3):
+        cfg = NoiseConfig(n_shots=n_shots, d_c=d_c, noisy_v=noisy_v, truncate_sigmas=truncate_sigmas)
+        _assert_same_as_reference(system, lo, cfg, _rng_pair(d_c))
+
+
+@pytest.mark.parametrize("noisy_v", [False, True])
+def test_noise_plan_follows_growth(noisy_v):
+    """Steps before and after a growth, on one generator, draw as the
+    reference does: the plan follows the grown layout."""
+    full, h = hva_case(4, 3)
+    n = full.n_params - 6
+    a = Ansatz(full.reference, full.generators[:n], full.angles[:n])
+    grown = a.extended(full.generators[n:]).with_angles(full.angles)
+    depth = ansatz_layout(a).depth
+    for d_c in (0, depth // 2, depth):  # at d_c = depth only the appended unitaries are noisy
+        cfg = NoiseConfig(n_shots=1e3, d_c=d_c, noisy_v=noisy_v)
+        rngs = _rng_pair(d_c)
+        for ansatz in (a, a, grown, grown):
+            _assert_same_as_reference(assemble_frame(ansatz, h).system, ansatz_layout(ansatz), cfg, rngs)
+    assert _noise_plan(ansatz_layout(a), depth).deep.size == 0
+    assert _noise_plan(ansatz_layout(grown), depth).deep.size > 0
 
 
 def test_layout_dimension_mismatch_rejected():
