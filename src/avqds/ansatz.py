@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import PauliString, WeightedPauliSum
+from .pauli import PauliString, WeightedPauliSum, anticommutes, masks
 from .statevector import (StateVector, _hamiltonian_calls, _multiply_views, _pauli_tables, _planned_views,
                           _rotate_views, _rotation_plan, _run)
 
@@ -74,7 +74,8 @@ class Circuit:
     generator tuple: the steps, each a rotation or a contiguous run of Z-only
     generators (``x_bits == 0``), and the ASAP layout. ``splits`` memoises
     ``mclachlan._split_point`` per pool size, and ``workspaces`` the
-    ``Workspace`` of each split point the circuit was assembled at.
+    ``Workspace`` of each split point the circuit was assembled at, whose
+    sweeps group the steps into runs of commuting generators.
 
     An assembly fills its workspace in place, so two threads must not
     assemble ansätze of one circuit at once. ``run.workers > 1`` runs
@@ -218,26 +219,50 @@ def _apply_call(step, rows: np.ndarray, buf: np.ndarray, trig: _Trig) -> tuple:
     return _rotate_views, (plan, trig.products[slot], trig.cosines[slot, ...], rows, src, scratch, dst)
 
 
-def _sweep_calls(steps: list, block: np.ndarray, carried: int, buf: np.ndarray, tile: int, trig: _Trig) -> list:
-    """The calls of the tangent sweep over pass ``steps`` into ``block``, in
-    the order ``tangent_states`` describes: per step the in-flight rows, the
-    running row copied on and the births, and each full tile pushed through
-    the remaining steps."""
+def _commuting_runs(steps: list, generators: tuple[PauliString, ...]) -> list[list]:
+    """Pass ``steps`` grouped into runs of consecutive steps whose generators
+    commute, ``generators`` being the pass's generators in its order.
+
+    A rotation joins the run before it if it commutes with every generator
+    of that run. A Z-only step always starts a run: it follows a rotation,
+    as no two Z-only steps are adjacent, and a birth moved past its phase,
+    a general complex factor, would round differently.
+    """
+    x, z = masks(generators)
+    odd = anticommutes(x[:, None], z[:, None], x, z)
+    runs = []
+    for step in steps:
+        first, _, plan, _, _ = step
+        if runs and plan is not None and not odd[first, runs[-1][0][0] : first].any():
+            runs[-1].append(step)
+        else:
+            runs.append([step])
+    return runs
+
+
+def _sweep_calls(runs: list, block: np.ndarray, carried: int, buf: np.ndarray, tile: int, trig: _Trig) -> list:
+    """The calls of the tangent sweep over the ``_commuting_runs`` of a pass
+    into ``block``, in the order ``tangent_states`` describes: per run each
+    step on the rows in flight when the run starts, the running row copied
+    on once and the births of every generator of the run, and each full tile
+    pushed through the steps after the run."""
     calls = []
     born = block[carried:]  # row k of the sweep is born[k]; the carried rows precede row 0
     start = 0  # first row of the tile being filled, in block
-    for i, step in enumerate(steps):
-        first, stop, plan, coeffs, _ = step
-        calls.append(_apply_call(step, block[start : carried + first + 1], buf, trig))
+    for i, run in enumerate(runs):
+        first, stop = run[0][0], run[-1][1]
+        calls += [_apply_call(step, block[start : carried + first + 1], buf, trig) for step in run]
         calls.append((np.copyto, (born[stop], born[first])))
-        if plan is None:
-            calls.append((_run_births, (coeffs, born[stop : stop + 1], born[first:stop])))
-        else:
-            src, dst = _planned_views(plan, born[stop : stop + 1], born[first:stop])
-            calls.append((_multiply_views, (src, coeffs, dst)))
+        psi = born[stop : stop + 1]
+        for lo, hi, plan, coeffs, _ in run:
+            if plan is None:
+                calls.append((_run_births, (coeffs, psi, born[lo:hi])))
+            else:
+                src, dst = _planned_views(plan, psi, born[lo:hi])
+                calls.append((_multiply_views, (src, coeffs, dst)))
         while carried + stop - start >= tile:
             rows = block[start : start + tile]
-            calls += [_apply_call(later, rows, buf, trig) for later in steps[i + 1 :]]
+            calls += [_apply_call(later, rows, buf, trig) for later_run in runs[i + 1 :] for later in later_run]
             start += tile
     return calls
 
@@ -261,8 +286,10 @@ class Workspace:
     ``suffix`` copies the prefix's running row into its one row and takes it
     through the rest of the circuit there. That row is the first born row of
     ``inverse``, the sweep that undoes the generators after m with one
-    carried row, H·psi, ahead of it. One scratch tile serves all three. An
-    assembly only loads the reference and the angles.
+    carried row, H·psi, ahead of it. One scratch tile serves all three. The
+    two sweeps group their steps, each in its own order, into runs of
+    commuting generators once, here, and birth the tangents of a run at its
+    end. An assembly only loads the reference and the angles.
     """
 
     def __init__(self, circuit: Circuit, m: int):
@@ -276,11 +303,12 @@ class Workspace:
         head = np.empty((m + 1, dim), dtype=np.complex128)
         back = np.empty((n - m + 2, dim), dtype=np.complex128)  # H·psi, rows N-1..m, running row
         buf = np.empty((max(min(m, tile), min(n - m + 1, tile) + 1), dim), dtype=np.complex128)
-        row = back[1:2]
-        self.prefix = Pass(nq, m, head, 0, _sweep_calls(forward[:s], head, 0, buf, tile, self.trig))
+        row, gens = back[1:2], circuit.generators
+        head_runs, back_runs = _commuting_runs(forward[:s], gens[:m]), _commuting_runs(inverse, gens[m:][::-1])
+        self.prefix = Pass(nq, m, head, 0, _sweep_calls(head_runs, head, 0, buf, tile, self.trig))
         suffix = [(np.copyto, (row, head[m]))] + [_apply_call(step, row, buf, self.trig) for step in forward[s:]]
         self.suffix = Pass(nq, n - m, row, 0, suffix)
-        self.inverse = Pass(nq, n - m, back, 1, _sweep_calls(inverse, back, 1, buf, tile, self.trig))
+        self.inverse = Pass(nq, n - m, back, 1, _sweep_calls(back_runs, back, 1, buf, tile, self.trig))
         self._scratch, self._h, self._h_calls = buf[:1], None, []
 
     def load(self, reference: np.ndarray, angles: np.ndarray) -> tuple[Pass, Pass, Pass]:
@@ -345,18 +373,28 @@ def tangent_states(a: Ansatz | Pass) -> np.ndarray:
     The forward pass applies the steps of its pass: one rotation per
     generator, except that a run of Z-only generators is one phase multiply.
     The running state rides along as the row after the finished ones, so each
-    step costs one in-place operation on the rows in flight. After a step the
-    rows of its generators are born from the running state psi as -i·P_k·psi;
-    inside a Z-only run every generator commutes with the rest of the run, so
-    the state after the whole run serves for all of them, and the run's rows
-    are born in one multiply. Later steps are applied to finished rows in
-    block operations, so the sweep costs O(n_params) operations per state.
+    step costs one in-place operation on the rows in flight. The steps go in
+    runs of commuting generators (``_commuting_runs``), and births wait for
+    the end of each run: every step of a run is applied to the rows born
+    before it and the running row, then the rows of all its generators are
+    born from the running state psi as -i·P_k·psi, a Z-only step's in one
+    multiply. Since P_k commutes with the rest of its run, that is the row
+    born after its own step and carried through the rest of the run, and bit
+    for bit so: a birth multiplies by ±1 or ±i, which is exact, and a rotation
+    by cos(angle) and by -i·sin(angle)·phase·signs, each purely real or purely
+    imaginary, so each product component is rounded once whichever factor
+    comes first (up to the sign of a zero). A Z-only run's phase is a general
+    complex number, which FMA rounds differently once a unit factor moves past
+    it; hence a Z-only step starts a run and no birth waits past its phase.
+    Later steps are applied to finished rows in block operations, so the sweep
+    costs O(n_params) operations per state.
 
     Finished rows go in tiles of ``max(1, _TILE_BYTES // (16·2**n))`` rows.
-    Once a tile is full it is pushed alone through every remaining step, with
-    scratch the size of one tile, and the sweep carries on from the running
-    row; each amplitude meets the same operations in the same order as in
-    one untiled block, so the result does not depend on the tile size.
+    Once a tile is full, which is checked at the end of each run, it is pushed
+    alone through every remaining step, with scratch the size of one tile,
+    and the sweep carries on from the running row; each amplitude meets the
+    same operations in the same order as in one untiled block, so the result
+    does not depend on the tile size.
 
     For an ansatz the sweep runs in a one-off workspace, and the result is
     an (n_params, 2**n) view of an (n_params + 1)-row block whose last row

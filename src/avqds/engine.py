@@ -36,7 +36,7 @@ from .mclachlan import (
 )
 from .models import OperatorPool
 from .noise import NoiseConfig, noisy_system
-from .pauli import WeightedPauliSum
+from .pauli import WeightedPauliSum, anticommutes, masks
 from .solvers import NonFiniteSystemError, SolverConfig, solve
 from .statevector import ExactPropagator, StateVector
 
@@ -184,16 +184,9 @@ def _spanned(ansatz: Ansatz, candidates: Sequence) -> np.ndarray:
     every later one commutes with P or sits at angle zero (an identity
     rotation), so the candidate adds nothing to the least-squares fit.
     """
-    def bits(ops):
-        return (np.array([p.x_bits for p in ops], dtype=np.uint64),
-                np.array([p.z_bits for p in ops], dtype=np.uint64))
-
-    gx, gz = bits(ansatz.generators)
-    px, pz = (b[:, None] for b in bits(candidates))
-    odd = (px & gz) ^ (pz & gx)  # parity of its popcount: anticommutation
-    for shift in (32, 16, 8, 4, 2, 1):
-        odd ^= odd >> np.uint64(shift)
-    moves = (odd & np.uint64(1)).astype(bool) & (ansatz.angles != 0)
+    gx, gz = masks(ansatz.generators)
+    px, pz = (b[:, None] for b in masks(candidates))
+    moves = anticommutes(px, pz, gx, gz) & (ansatz.angles != 0)
     blocked = np.zeros_like(moves)  # [p, j]: a generator after j moves P's tangent
     blocked[:, :-1] = np.logical_or.accumulate(moves[:, :0:-1], axis=1)[:, ::-1]
     return np.any((px == gx) & (pz == gz) & ~blocked, axis=1)

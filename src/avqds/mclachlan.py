@@ -136,8 +136,11 @@ def _split_frame(a: Ansatz, h: WeightedPauliSum, m: int) -> TangentFrame:
 # slower, does not split. Since each split point's ``Workspace`` holds its
 # kernel calls, a one-row step costs 3.5-4.2 µs at 6 qubits and 5.0-5.2 µs
 # at 8 (the suffix pass of the 96- and 128-generator HVAs, loading the
-# angles included), so 4,000 overstates it about 2.5-fold. It stays as
-# fitted: a refit moves split points, and with them the bits of the outputs.
+# angles included), so 4,000 overstates it about 2.5-fold. The rows that
+# ``_split_point`` counts are those of a sweep that births each tangent after
+# its own step; a sweep births a run of commuting generators at its end, so
+# inside such runs the count is an upper bound. Both stay as they are: a
+# refit moves split points, and with them the bits of the outputs.
 _STEP_AMPLITUDES = 4000
 
 
@@ -153,8 +156,9 @@ def _split_point(a: Ansatz, pool_size: int = 0) -> int:
     ``pool_size`` candidate rows ``augment_block`` carries back to m, and
     those rows are counted as if every step grew. The split saves at least
     m·(N - m) rows, so m >= ``pool_size`` also keeps one growth iteration
-    from rotating more rows than the forward sweep. It is computed once per
-    circuit and pool size.
+    from rotating more rows than the forward sweep. These are the rows of
+    births after each step; births at the end of a commuting run rotate
+    fewer. It is computed once per circuit and pool size.
     """
     n, dim, splits = a.n_params, 1 << a.n_qubits, a.circuit.splits
     if pool_size >= n or pool_size in splits:

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
@@ -82,6 +84,24 @@ class PauliString:
 
     def __str__(self) -> str:
         return self.label()
+
+
+def masks(strings) -> tuple[np.ndarray, np.ndarray]:
+    """The x and z bit masks of Pauli strings as two ``uint64`` arrays."""
+    strings = tuple(strings)
+    return (np.array([p.x_bits for p in strings], dtype=np.uint64),
+            np.array([p.z_bits for p in strings], dtype=np.uint64))
+
+
+def anticommutes(x1, z1, x2, z2) -> np.ndarray:
+    """Whether Pauli strings anticommute, elementwise over their ``uint64``
+    bit masks broadcast together (up to 64 qubits): the parity of
+    popcount((x1 & z2) ^ (z1 & x2)), the sites where the X part of one
+    string meets the Z part of the other."""
+    odd = (x1 & z2) ^ (z1 & x2)
+    for shift in (32, 16, 8, 4, 2, 1):
+        odd ^= odd >> np.uint64(shift)
+    return (odd & np.uint64(1)).astype(bool)
 
 
 class WeightedPauliSum:

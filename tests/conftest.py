@@ -17,7 +17,12 @@ the compiled circuit that its workspaces replaced, and
 ``rebuilt_split_frame`` the assembly on bound passes; ``bound_tangent_states``
 and ``bound_prepare_state`` run such passes of callable steps, and
 ``gather_hamiltonian_rows`` is the gather form of H·psi. The workspace
-route must reproduce them bit for bit. ``hamiltonian_coo``, ``expm_multiply_state``
+route must reproduce them bit for bit. These sweeps birth each tangent right
+after its own step, as does ``per_step_workspace``, the workspace as it was
+compiled before births waited for the end of a run of commuting generators;
+``rows_rotated`` counts the row operations of a compiled pass.
+``reference_spanned`` is ``engine._spanned`` as written before
+``pauli.anticommutes``. ``hamiltonian_coo``, ``expm_multiply_state``
 and ``eigh_propagator`` are the exact-evolution routes the Taylor stepper of
 ``ExactPropagator`` replaced (scipy's ``expm_multiply`` on the sparse H, and
 the dense ``eigh`` at any size), kept as its oracles. ``full_ranking`` ranks
@@ -31,6 +36,7 @@ the vectorised ``_aggregate`` replaced; both must be reproduced bit for bit.
 import functools
 from collections import namedtuple
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -54,6 +60,7 @@ from avqds.statevector import (
     _pauli_tables,
     _planned_views,
     _rotate_rows,
+    _rotate_views,
     dense_hamiltonian,
 )
 
@@ -241,6 +248,46 @@ def rebuilt_split_frame(a, h, m):
     block[n] = back[-1]
     system, overlaps = _system(block[:n], block[n], back[0], energy, var_h)
     return TangentFrame(a, system, psi, h_psi, block[:n], overlaps, energy, inverse, block[n], back[0].copy())
+
+
+def per_step_workspace(circuit, m):
+    """The ``Workspace`` of ``circuit`` split at step boundary m as it was
+    built before births waited for the end of a run of commuting generators:
+    every step is a run of its own, so each tangent is born right after its
+    step and rotated through the rest of the pass. The circuit does not
+    keep it."""
+    with mock.patch.object(avqds.ansatz, "_commuting_runs", lambda steps, generators: [[s] for s in steps]):
+        return avqds.ansatz.Workspace(circuit, m)
+
+
+def rows_rotated(p):
+    """Rows that the calls of a compiled ``Pass`` apply steps to, summed: the
+    rows of each rotation and of each Z-only run's phase multiply."""
+    total = 0
+    for fn, args in p.calls:
+        if fn is _rotate_views:
+            total += args[3].shape[0]
+        elif fn is np.multiply:  # a phase multiply; births and copies are other functions
+            total += args[0].shape[0]
+    return total
+
+
+def reference_spanned(ansatz, candidates):
+    """``engine._spanned`` with its anticommutation parity folded inline, as
+    it was before ``pauli.anticommutes``."""
+    def bits(ops):
+        return (np.array([p.x_bits for p in ops], dtype=np.uint64),
+                np.array([p.z_bits for p in ops], dtype=np.uint64))
+
+    gx, gz = bits(ansatz.generators)
+    px, pz = (b[:, None] for b in bits(candidates))
+    odd = (px & gz) ^ (pz & gx)
+    for shift in (32, 16, 8, 4, 2, 1):
+        odd ^= odd >> np.uint64(shift)
+    moves = (odd & np.uint64(1)).astype(bool) & (ansatz.angles != 0)
+    blocked = np.zeros_like(moves)
+    blocked[:, :-1] = np.logical_or.accumulate(moves[:, :0:-1], axis=1)[:, ::-1]
+    return np.any((px == gx) & (pz == gz) & ~blocked, axis=1)
 
 
 def gather_hamiltonian_rows(h, rows):

@@ -13,6 +13,12 @@ generators, at random angles: per layer a run of ZZ bonds, which the sweep
 applies as one phase multiply, and a run of X fields. ``pytest
 tests/test_assembly_bench.py`` prints the timings; every case first checks
 that both routes agree within the bounds the sweep and assembly tests use.
+
+The tangent sweep of a TETRIS-like 10-qubit ansatz of the TFIM Hamiltonian
+pool, whose repeated X-field layers make runs of commuting generators wider
+than a tile, is timed with births at the end of each run, with births after
+each step (``conftest.per_step_workspace``) and by the per-step rebuild
+(``conftest.rebuilt_pass``); all three first agree bit for bit.
 """
 
 import numpy as np
@@ -21,10 +27,20 @@ import pytest
 from avqds.ansatz import Ansatz, ansatz_layout, layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
 from avqds.mclachlan import _split_frame, _split_point, _system, assemble_frame
-from avqds.models import build_model, default_model, model_sublayers
+from avqds.models import build_model, default_model, hamiltonian_term_pool, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system
 from avqds.statevector import _hamiltonian_rows
-from conftest import complex_gram, gather_sweep, reference_frame, reference_noisy_system, swept_state
+from conftest import (
+    bound_tangent_states,
+    complex_gram,
+    gather_sweep,
+    per_step_workspace,
+    rebuilt_pass,
+    reference_frame,
+    reference_noisy_system,
+    rows_rotated,
+    swept_state,
+)
 
 pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
@@ -146,3 +162,44 @@ def test_compiled_assembly_speed(benchmark, n_qubits, n_params, route):
         assert np.array_equal(frame.system.v, frames[0].system.v)
         assert np.array_equal(frame.psi, frames[0].psi)
     benchmark.pedantic({"cold": cold, "grown": grown, "warm": warm}[route], rounds=5, iterations=1)
+
+
+def _tetris_case(n_qubits, layers, repeats):
+    """TETRIS-like layers of the TFIM Hamiltonian pool at random angles: ZZ
+    bonds on disjoint pairs of one half of the ring and X fields on the other
+    half, alternating halves, each layer followed by ``repeats`` layers of X
+    fields on every qubit."""
+    spec = default_model("tfim", n_qubits)
+    ops = hamiltonian_term_pool(spec).operators
+    bonds = {p.support: p for p in ops if not p.x_bits}
+    fields = [p for p in ops if p.x_bits]
+    half = n_qubits // 2
+    gens = []
+    for layer in range(layers):
+        bonded = range(0, half) if layer % 2 == 0 else range(half, n_qubits)
+        gens += [bonds[(q, q + 1)] for q in bonded[:-1:2]]
+        gens += [p for p in fields if p.support[0] not in bonded[: len(bonded) // 2 * 2]]
+        gens += fields * repeats
+    _, _, psi0 = build_model(spec)
+    return Ansatz(psi0, tuple(gens), np.random.default_rng(len(gens)).uniform(-1.5, 1.5, size=len(gens)))
+
+
+@pytest.mark.parametrize("route", ["rebuilt", "per_step_births", "commuting_runs"])
+def test_commuting_run_sweep_speed(benchmark, route):
+    a = _tetris_case(10, 4, 4)
+    n, ref = a.n_params, a.reference.amplitudes
+    workspaces = {"per_step_births": per_step_workspace(a.circuit, n), "commuting_runs": a.circuit.workspace(n)}
+
+    def compiled(ws):
+        return tangent_states(ws.load(ref, a.angles)[0])
+
+    def rebuilt():
+        return bound_tangent_states(rebuilt_pass(a))
+
+    want = rebuilt()
+    for ws in workspaces.values():
+        xi = compiled(ws)
+        assert np.array_equal(xi, want) and np.array_equal(swept_state(xi), swept_state(want))
+    benchmark.extra_info["row_rotations"] = {k: rows_rotated(ws.prefix) for k, ws in workspaces.items()}
+    sweep = rebuilt if route == "rebuilt" else (lambda: compiled(workspaces[route]))
+    benchmark.pedantic(sweep, rounds=20, iterations=1)

@@ -11,7 +11,15 @@ import numpy as np
 import pytest
 
 import avqds.ansatz
-from avqds.ansatz import Ansatz, ansatz_layout, layout, prepare_state, tangent_states
+from avqds.ansatz import (
+    Ansatz,
+    _commuting_runs,
+    _pass_steps,
+    ansatz_layout,
+    layout,
+    prepare_state,
+    tangent_states,
+)
 from avqds.baselines import build_hva
 from avqds.engine import AvqdsRun, StepConfig
 from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame
@@ -24,11 +32,13 @@ from conftest import (
     bind,
     bound_prepare_state,
     bound_tangent_states,
+    per_step_workspace,
     random_hamiltonian,
     random_pauli,
     random_state,
     rebuilt_pass,
     rebuilt_split_frame,
+    rows_rotated,
     step_bounds,
     swept_state,
 )
@@ -255,3 +265,131 @@ def test_vectorised_trig_equals_the_scalar_calls_bitwise():
         ((-1j * np.sin(angles)).tolist(), [-1j * np.sin(x) for x in angles]),
     ):
         assert np.array_equal(np.asarray(vector).view(np.uint64), np.asarray(scalar).view(np.uint64))
+
+
+def labelled(labels, rng):
+    """An ansatz of the labelled generators from a random state, at random angles."""
+    n = len(labels[0])
+    gens = tuple(PauliString.from_label(label) for label in labels)
+    return Ansatz(StateVector(n, random_state(rng, n)), gens, rng.uniform(-1.5, 1.5, size=len(gens)))
+
+
+def commuting_runs(a, inverse=False):
+    """The runs of the whole forward pass of ``a`` (with ``inverse``, of the
+    pass that undoes it), each as the (first, stop) of its generators
+    counted from the start of the pass, and whether it starts with a
+    Z-only step."""
+    n = a.n_params
+    steps = _pass_steps(a.circuit.steps, 0, n, inverse, 0, [], [])
+    runs = _commuting_runs(steps, a.generators[::-1] if inverse else a.generators)
+    return [(run[0][0], run[-1][1], run[0][2] is None) for run in runs]
+
+
+@pytest.mark.parametrize(
+    "labels, runs, inverse_runs",
+    [
+        (("XI", "IX", "XX"), [(0, 3)], [(0, 3)]),  # pairwise commuting rotations: one run
+        (("XI", "YI"), [(0, 1), (1, 2)], [(0, 1), (1, 2)]),  # anticommuting: a new run
+        (("XY", "YX"), [(0, 2)], [(0, 2)]),  # two anticommuting sites: they commute
+        # YI commutes with IY, not with XI before it; undone, XI meets YI in the run before it
+        (("XI", "IY", "YI"), [(0, 2), (2, 3)], [(0, 2), (2, 3)]),
+        # a Z-only step that commutes with the rotation before it starts a run, which XI then joins
+        (("XI", "IZ", "XI"), [(0, 1), (1, 3)], [(0, 1), (1, 3)]),
+        # a rotation joins a Z-only run it commutes with; undone, the Z-only run comes last
+        (("ZIZ", "IZI", "XIX", "IYI"), [(0, 3), (3, 4)], [(0, 2), (2, 4)]),
+        (("ZZI", "IXX"), [(0, 1), (1, 2)], [(0, 1), (1, 2)]),  # ... and not one it does not commute with
+    ],
+)
+def test_commuting_runs_follow_the_rule(labels, runs, inverse_runs, rng):
+    a = labelled(labels, rng)
+    assert [(first, stop) for first, stop, _ in commuting_runs(a)] == runs
+    assert [(first, stop) for first, stop, _ in commuting_runs(a, inverse=True)] == inverse_runs
+
+
+def assert_births_wait_bitwise(a, h):
+    """``tangent_states`` and ``_split_frame`` at every step boundary, so at
+    splits that cut runs, equal the per-step-birth oracles bit for bit."""
+    xi, old = tangent_states(a), bound_tangent_states(rebuilt_pass(a))
+    assert np.array_equal(xi, old) and np.array_equal(swept_state(xi), swept_state(old))
+    for m in [first for first, _ in step_bounds(a.generators)] + [a.n_params]:
+        assert_frames_equal(_split_frame(a, h, m), rebuilt_split_frame(a, h, m))
+
+
+def _chain(n, letters, sites):
+    """The label with ``letters`` on ``sites`` (in order), I elsewhere."""
+    label = ["I"] * n
+    for letter, site in zip(letters, sites):
+        label[site] = letter
+    return "".join(label)
+
+
+def test_a_run_wider_than_a_tile_births_bitwise(rng):
+    """(a) 10 qubits, a ring of ZZ bonds, X fields repeated four times (one
+    run of 40 rotations, wider than the 32-row tile), the bonds and the
+    fields again."""
+    n = 10
+    bonds = [_chain(n, "ZZ", (q, (q + 1) % n)) for q in range(n)]
+    fields = [_chain(n, "X", (q,)) for q in range(n)]
+    a = labelled(bonds + 4 * fields + bonds + fields, rng)
+    _, h, _ = build_model(default_model("tfim", n))
+    tile = avqds.ansatz._TILE_BYTES // (16 << n)
+    assert max(stop - first for first, stop, _ in commuting_runs(a)) == 40 > tile
+    assert max(stop - first for first, stop, _ in commuting_runs(a, inverse=True)) == 40
+    assert_births_wait_bitwise(a, h)
+
+
+def test_z_births_wait_past_the_rotations_of_a_tetris_layer(rng):
+    """(b) TETRIS layers on 8 qubits: ZZ bonds on half the chain, then X
+    fields on the other half, which commute with them; the run starts with
+    the Z-only step, whose births wait past the rotations."""
+    n, labels = 8, []
+    for layer in range(4):
+        bonded = range(0, 4) if layer % 2 == 0 else range(4, 8)
+        labels += [_chain(n, "ZZ", (q, q + 1)) for q in bonded[::2]]
+        labels += [_chain(n, "X", (q,)) for q in range(n) if q not in bonded]
+    a = labelled(labels, rng)
+    assert commuting_runs(a) == [(6 * k, 6 * k + 6, True) for k in range(4)]
+    assert_births_wait_bitwise(a, random_hamiltonian(rng, n, n_terms=6))
+
+
+def test_a_commuting_z_only_step_after_a_rotation_starts_a_run(rng):
+    """(c) Z-only steps that commute with the rotations before them: each
+    starts a run, so no rotation's birth waits past a Z-only phase."""
+    a = labelled(["XIII", "IIIX", "IZZI", "IIIY", "IXII", "ZIIZ", "IIZI", "YIIY"], rng)
+    assert commuting_runs(a) == [(0, 2, False), (2, 4, True), (4, 5, False), (5, 8, True)]
+    assert_births_wait_bitwise(a, random_hamiltonian(rng, 4, n_terms=6))
+
+
+def test_random_paulis_with_y_factors_birth_bitwise(rng):
+    """(d) random strings of X, Y and Z on 5 qubits, interleaved with strings
+    of I and Y, which commute with one another, so runs of several rotations
+    hold Y factors."""
+    for _ in range(3):
+        labels = []
+        for _ in range(12):
+            labels.append("".join(rng.choice(list("IXYZ"), size=5)))
+            labels += ["".join(rng.choice(list("IY"), size=5)) for _ in range(int(rng.integers(0, 4)))]
+        labels = [label if label.strip("I") else "YIIII" for label in labels]
+        a = labelled(labels, rng)
+        runs = commuting_runs(a)
+        assert max(stop - first for first, stop, z_only in runs if not z_only) >= 3
+        assert_births_wait_bitwise(a, random_hamiltonian(rng, 5, n_terms=6))
+
+
+@pytest.mark.parametrize("width", [1, 7, 40])
+def test_a_run_of_w_rotations_saves_w_choose_2_row_rotations(width):
+    """A run of w commuting rotations between two that anticommute with it
+    rotates w(w-1)/2 fewer rows than per-step births do, in the prefix that
+    sweeps the whole circuit and in the inverse pass that undoes it, with
+    tiles flushed or not. Per-step births rotate the rows born before each
+    step, the running row and the carried ones, whatever the tile."""
+    n = 10
+    labels = ["Y" * n] + [_chain(n, "X", (k % n,)) for k in range(width)] + ["Y" * n]
+    gens = tuple(PauliString.from_label(label) for label in labels)
+    a = Ansatz(StateVector.basis_state(n), gens, np.zeros(width + 2))
+    assert [(first, stop) for first, stop, _ in commuting_runs(a)] == [(0, 1), (1, 1 + width), (1 + width, 2 + width)]
+    for m, name in ((a.n_params, "prefix"), (0, "inverse")):
+        new, old = getattr(a.circuit.workspace(m), name), getattr(per_step_workspace(a.circuit, m), name)
+        steps = width + 2
+        assert rows_rotated(old) == steps * (steps + 1) // 2 + old.carried * steps
+        assert rows_rotated(old) - rows_rotated(new) == width * (width - 1) // 2

@@ -1,6 +1,8 @@
+import numpy as np
 import pytest
 
-from avqds.pauli import PauliString, WeightedPauliSum
+from avqds.pauli import PauliString, WeightedPauliSum, anticommutes, masks
+from conftest import dense_pauli
 
 
 def test_from_label_round_trip():
@@ -62,3 +64,31 @@ def test_sum_preserves_first_occurrence_order():
     strings = [PauliString.from_label(s) for s in ("XI", "ZZ", "IY")]
     h = WeightedPauliSum(2, [(1.0, s) for s in strings])
     assert [s.label() for _, s in h] == ["XI", "ZZ", "IY"]
+
+
+def _label(rng, n):
+    return "".join(rng.choice(list("IXYZ"), size=n))
+
+
+def test_anticommutes_matches_the_matrices():
+    """On 3 qubits against the Kronecker products: PQ = -QP exactly when the
+    parity helper says so, elementwise over broadcast mask arrays."""
+    rng = np.random.default_rng(3)
+    strings = [PauliString.from_label(_label(rng, 3)) for _ in range(24)]
+    x, z = masks(strings)
+    odd = anticommutes(x[:, None], z[:, None], x, z)
+    for j, p in enumerate(strings):
+        for k, q in enumerate(strings):
+            a, b = dense_pauli(p), dense_pauli(q)
+            assert odd[j, k] == np.allclose(a @ b, -(b @ a)) != np.allclose(a @ b, b @ a)
+
+
+def test_anticommutes_counts_sites_up_to_64_qubits():
+    """The xor fold reaches every bit of a 64-qubit mask: the parity is that
+    of the sites where the two letters differ and neither is I."""
+    rng = np.random.default_rng(4)
+    for n in (1, 33, 63, 64):
+        labels = [_label(rng, n) for _ in range(2)]
+        p, q = (PauliString.from_label(label) for label in labels)
+        sites = sum(a != b and "I" not in (a, b) for a, b in zip(*labels))
+        assert bool(anticommutes(*(np.uint64(v) for v in (p.x_bits, p.z_bits, q.x_bits, q.z_bits)))) == (sites % 2 == 1)

@@ -7,6 +7,7 @@ the full brute-force ranking.
 """
 
 import itertools
+import types
 
 import numpy as np
 import pytest
@@ -39,7 +40,15 @@ from avqds.models import (
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import METHODS, SolverConfig, solve
 from avqds.statevector import StateVector
-from conftest import brute_force_scores, full_ranking, random_hamiltonian, random_state, reference_frame
+from conftest import (
+    brute_force_scores,
+    full_ranking,
+    random_hamiltonian,
+    random_pauli,
+    random_state,
+    reference_frame,
+    reference_spanned,
+)
 
 TRUNC = SolverConfig("truncation", epsilon=1e-6)
 
@@ -375,3 +384,20 @@ def _runs_with_reference_assembly(monkeypatch, cfgs):
     monkeypatch.setattr(engine, "assemble_frame", reference)
     monkeypatch.setattr(engine, "extend_frame", lambda frame, grown: reference_frame(grown, h[0]))
     return [run_single(cfg, 0) for cfg in cfgs]
+
+
+@pytest.mark.parametrize("n_qubits", [3, 6, 40, 64])
+def test_spanned_matches_the_inline_parity(rng, n_qubits):
+    """``engine._spanned`` on ``pauli.anticommutes`` gives the masks of the
+    xor fold it inlined before, on random pools that repeat some of the
+    generators, with some angles zero; 64 qubits fill every bit of a mask."""
+    seen = set()
+    for _ in range(20):
+        gens = tuple(random_pauli(rng, n_qubits, max_weight=3) for _ in range(int(rng.integers(1, 16))))
+        angles = np.where(rng.random(len(gens)) < 0.4, 0.0, rng.uniform(-1, 1, size=len(gens)))
+        pool = [random_pauli(rng, n_qubits, max_weight=3) for _ in range(8)] + list(gens[::2])
+        ansatz = types.SimpleNamespace(generators=gens, angles=angles)  # _spanned reads only these
+        got, want = engine._spanned(ansatz, pool), reference_spanned(ansatz, pool)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        seen.update(got.tolist())
+    assert seen == {False, True}
