@@ -208,7 +208,9 @@ def score_bounds(
         R_p = 2·(v_p - c_p'M+V)^2 / (d_p - c_p'M+c_p),
 
     so score_p <= B_p = min(L2_before, L2_before - L2_min + R_p). One
-    ``eigh`` of M and one (P, N)·(N, N) product serve the whole pool. Each
+    ``eigh`` of M and one (P, N)·(N, N) product serve the whole pool; the
+    ``eigh`` is the system's cached ``eig``, which a truncated solve has
+    already computed and any other solver leaves to this call. Each
     eigen-direction's rounding estimate lowers L2_min and the complement and
     raises |v_p - c_p'M+V|. R_p is 0 for a candidate whose tangent is a
     current one (``_spanned``); if any other complement is at rounding
@@ -218,7 +220,7 @@ def score_bounds(
     cols, diags, v_news = border
     s = frame.system
     if s.n_params:
-        w, u = s.eig  # the step or exact solve has just computed it
+        w, u = s.eig
         norm = max(-w[0], w[-1])
         keep = w > _RANK_TOL * norm
         w, u = w[keep], u[:, keep] / np.sqrt(w[keep])  # M+ = u·u' on the kept spectrum

@@ -50,8 +50,9 @@ class McLachlanSystem:
 
     @functools.cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh(m)``, computed on first use: the solve and the
-        candidate bounds of one growth iteration share it."""
+        """``np.linalg.eigh(m)``, computed on first use: a truncated solve
+        and the candidate bounds of one growth iteration share it. Other
+        solvers leave it to the bounds or to diagnostics that are read."""
         return np.linalg.eigh(self.m)
 
 

@@ -11,6 +11,7 @@ deliberately fragile reference point on singular systems.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,17 +36,54 @@ class SolverConfig:
             raise ValueError(f"solver.bound must be positive, got {self.bound}")
 
 
-@dataclass(frozen=True)
 class SolveDiagnostics:
-    n_null: int
-    min_eigenvalue: float
-    max_eigenvalue: float
-    residual: float
-    null_defect: float  # max |u_k·V| over eigenvalues <= epsilon; 0.0 if none
+    """What a solve met, computed from the system and theta_dot the first
+    time a field is read.
+
+    ``n_null`` counts the eigenvalues of M at or below epsilon,
+    ``min_eigenvalue`` and ``max_eigenvalue`` bound the spectrum (inf and
+    -inf when M is empty), ``residual`` is |M·theta_dot - V| and
+    ``null_defect`` the largest |u_k·V| over those null eigenvectors (0.0 if
+    none). Every field but ``residual`` reads the system's cached ``eig``,
+    so only truncation's diagnostics come without a decomposition of their
+    own; a solve whose diagnostics go unread pays for none of them.
+    """
+
+    def __init__(self, system: McLachlanSystem, theta_dot: np.ndarray, epsilon: float):
+        self._system, self._theta_dot, self._epsilon = system, theta_dot, epsilon
+
+    @functools.cached_property
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        w, u = self._system.eig
+        return w, w <= self._epsilon, u.T @ self._system.v
+
+    @property
+    def n_null(self) -> int:
+        return int(np.sum(self._spectrum[1]))
+
+    @property
+    def min_eigenvalue(self) -> float:
+        w = self._spectrum[0]
+        return float(w[0]) if w.size else np.inf
+
+    @property
+    def max_eigenvalue(self) -> float:
+        w = self._spectrum[0]
+        return float(w[-1]) if w.size else -np.inf
+
+    @functools.cached_property
+    def residual(self) -> float:
+        return float(np.linalg.norm(self._system.m @ self._theta_dot - self._system.v))
+
+    @property
+    def null_defect(self) -> float:
+        _, null, y = self._spectrum
+        return float(np.max(np.abs(y[null]))) if null.any() else 0.0
 
 
 class NonFiniteSystemError(ValueError):
-    """A linear system with NaN or inf entries, and where it arose.
+    """A linear system with no finite solution, and where it arose: NaN or
+    inf entries, or a singular ridge system M + epsilon·I.
 
     ``solve`` knows only the size; the run loop re-raises it with the phase
     ("step solve", "exact solve" or "candidate score"), t and the step index.
@@ -57,7 +95,7 @@ class NonFiniteSystemError(ValueError):
 
     def __str__(self) -> str:
         where = "" if self.t is None else f" at t={self.t:g}, step {self.step}"
-        return f"non-finite entries in the linear system ({self.phase}{where}, {self.n_params} params)"
+        return f"no finite solution of the linear system ({self.phase}{where}, {self.n_params} params)"
 
 
 def _cgls(m: np.ndarray, v: np.ndarray, max_iters: int, tol: float) -> np.ndarray:
@@ -87,26 +125,31 @@ def _cgls(m: np.ndarray, v: np.ndarray, max_iters: int, tol: float) -> np.ndarra
 def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagnostics]:
     """Solve the equations of motion with the configured strategy.
 
-    The diagnostics report the null-space defect, the worst overlap of V with
-    an eigenvector at or below epsilon. It is never enforced: noiseless
-    assembly keeps it at the numerical floor, noise does not.
+    Only truncation decomposes M (through the system's cached ``eig``, which
+    candidate scoring shares); Tikhonov solves (M + epsilon·I)·theta_dot = V
+    by one LU factorisation, and the least-squares solvers work on M itself.
+    The diagnostics, computed when read, report the null-space defect, the
+    worst overlap of V with an eigenvector at or below epsilon. It is never
+    enforced: noiseless assembly keeps it at the numerical floor, noise does
+    not.
     """
     m, v = s.m, s.v
     n = s.n_params
     if not (np.all(np.isfinite(m)) and np.all(np.isfinite(v)) and np.isfinite(s.var_h)):
         raise NonFiniteSystemError(n)
     if n == 0:
-        return np.zeros(0), SolveDiagnostics(0, np.inf, -np.inf, 0.0, 0.0)
-
-    w, u = s.eig
-    null = w <= cfg.epsilon
-    y = u.T @ v
-
-    if cfg.method == "tikhonov":
-        theta_dot = u @ (y / (w + cfg.epsilon))
+        theta_dot = np.zeros(0)
+    elif cfg.method == "tikhonov":
+        shifted = m.copy()
+        shifted.flat[:: n + 1] += cfg.epsilon
+        try:
+            theta_dot = np.linalg.solve(shifted, v)
+        except np.linalg.LinAlgError as err:  # an eigenvalue of M at exactly -epsilon
+            raise NonFiniteSystemError(n) from err
     elif cfg.method == "truncation":
+        w, u = s.eig
         scale = np.zeros(n)
-        np.divide(y, w, out=scale, where=~null)
+        np.divide(u.T @ v, w, out=scale, where=w > cfg.epsilon)
         theta_dot = u @ scale
     elif cfg.method == "lsq_unbounded":
         theta_dot = _cgls(m, v, max_iters=10 * n, tol=1e-12)
@@ -115,13 +158,4 @@ def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagn
 
         result = lsq_linear(m, v, bounds=(-cfg.bound, cfg.bound), method="bvls", tol=1e-14)
         theta_dot = np.clip(result.x, -cfg.bound, cfg.bound)
-
-    residual = float(np.linalg.norm(m @ theta_dot - v))
-    diag = SolveDiagnostics(
-        n_null=int(np.sum(null)),
-        min_eigenvalue=float(w[0]),
-        max_eigenvalue=float(w[-1]),
-        residual=residual,
-        null_defect=float(np.max(np.abs(y[null]))) if null.any() else 0.0,
-    )
-    return theta_dot, diag
+    return theta_dot, SolveDiagnostics(s, theta_dot, cfg.epsilon)

@@ -31,6 +31,9 @@ precomputed (index, score) pairs, as ``select_additions`` once did for a list.
 plan and the one-stream draws replaced (a mask built per call, ``rng.normal``
 and 2-D fancy indexing), and ``reference_aggregate`` the per-point loop that
 the vectorised ``_aggregate`` replaced; both must be reproduced bit for bit.
+``reference_tikhonov`` is the eigen-route Tikhonov solve that one LU
+factorisation replaced, and ``reference_diagnostics`` the eager diagnostics
+formulas that ``SolveDiagnostics`` now evaluates when a field is read.
 """
 
 import functools
@@ -405,6 +408,28 @@ def reference_aggregate(per_run):
             row.append(_fmt_float(float(np.std(values, ddof=1)) if len(values) > 1 else 0.0))
         lines.append(",".join(row))
     return lines
+
+
+def reference_tikhonov(s, epsilon):
+    """(M + epsilon·I)^-1·V through the eigendecomposition of M."""
+    w, u = np.linalg.eigh(s.m)
+    return u @ ((u.T @ s.v) / (w + epsilon))
+
+
+def reference_diagnostics(s, theta_dot, epsilon):
+    """The ``SolveDiagnostics`` fields of a solve, computed at once."""
+    if s.n_params == 0:
+        return dict(n_null=0, min_eigenvalue=np.inf, max_eigenvalue=-np.inf, residual=0.0, null_defect=0.0)
+    w, u = np.linalg.eigh(s.m)
+    null = w <= epsilon
+    y = u.T @ s.v
+    return dict(
+        n_null=int(np.sum(null)),
+        min_eigenvalue=float(w[0]),
+        max_eigenvalue=float(w[-1]),
+        residual=float(np.linalg.norm(s.m @ theta_dot - s.v)),
+        null_defect=float(np.max(np.abs(y[null]))) if null.any() else 0.0,
+    )
 
 
 def hamiltonian_coo(h: WeightedPauliSum) -> coo_array:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import avqds.ansatz
+import avqds.engine
 from avqds.ansatz import Ansatz, prepare_state
 from avqds.engine import (
     AvqdsRun,
@@ -15,8 +16,9 @@ from avqds.engine import (
     run_fixed_ansatz,
     select_additions,
 )
-from avqds.mclachlan import assemble_frame, mclachlan_distance
+from avqds.mclachlan import McLachlanSystem, assemble_frame, mclachlan_distance
 from avqds.models import OperatorPool, nearest_neighbour_pool
+from avqds.noise import NoiseConfig
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import NonFiniteSystemError, SolverConfig, solve
 from avqds.statevector import StateVector, _pauli_tables, fidelity
@@ -399,6 +401,28 @@ def test_non_finite_hamiltonian_raises_located_error():
     assert (err.t, err.step, err.n_params, err.phase) == (0.0, 0, 0, "step solve")
     assert "step solve at t=0, step 0" in str(err)
     assert str(pickle.loads(pickle.dumps(err))) == str(err)  # crosses worker processes
+
+
+def test_singular_ridge_system_raises_located_error(monkeypatch):
+    """A noisy M with an eigenvalue at exactly -epsilon has no Tikhonov
+    solution; the run raises instead of stepping by dt = nan."""
+    n = 2
+    h = WeightedPauliSum(n, [(1.0, g("XI")), (1.0, g("IX"))])
+    singular = McLachlanSystem(np.diag([-0.01, 1.0]), np.ones(2), 1.0)
+    monkeypatch.setattr(avqds.engine, "noisy_system", lambda *args: singular)
+    run = AvqdsRun(
+        h,
+        Ansatz(StateVector.basis_state(n), (g("YI"), g("IY")), np.full(2, 0.1)),
+        StepConfig(dtheta_max=0.005, t_final=0.1),
+        SolverConfig("tikhonov", epsilon=0.01),
+        noise_cfg=NoiseConfig(n_shots=1e4, d_c=0),
+        compute_infidelity=False,
+    )
+    with pytest.raises(NonFiniteSystemError) as info:
+        run.step()
+    err = info.value
+    assert (err.t, err.step, err.n_params, err.phase) == (0.0, 0, 2, "step solve")
+    assert "no finite solution of the linear system (step solve at t=0, step 0" in str(err)
 
 
 def test_depth_cap_suppresses_and_flags():

@@ -6,7 +6,9 @@ Each case is a 6-qubit TFIM Hamiltonian-variational ansatz cut to N
 generators at random angles, assembled once; the noisy system replaces each
 element of M by a draw of 10^4 shots (``d_c = 0``), as the
 ``noisy_hva_batch`` benchmark does. Every round solves a fresh
-``McLachlanSystem`` so that the eigendecomposition it caches is timed too.
+``McLachlanSystem``, so that truncation's cached eigendecomposition is
+timed too; the other three solvers decompose nothing and leave the
+diagnostics unread, as a run does.
 ``pytest tests/test_solver_bench.py`` prints the timings; every case first
 checks that the solution is finite and, on the noiseless system, that it
 does not raise the McLachlan distance above its value at zero.

@@ -1,14 +1,20 @@
 import numpy as np
 import pytest
 
+from avqds.ansatz import Ansatz, ansatz_layout
+from avqds.baselines import build_hva
 from avqds.mclachlan import McLachlanSystem, assemble_frame
+from avqds.models import build_model, default_model, model_sublayers
+from avqds.noise import NoiseConfig, noisy_system
 from avqds.solvers import (
+    METHODS,
+    NonFiniteSystemError,
     SolverConfig,
     solve,
     symmetric_eig,
 )
 from test_mclachlan import make_ansatz
-from conftest import random_hamiltonian
+from conftest import random_hamiltonian, reference_diagnostics, reference_tikhonov
 
 
 def system(m, v, var_h=1.0):
@@ -169,6 +175,15 @@ def test_nonfinite_rejected():
         solve(system([[np.nan]], [1.0]), SolverConfig())
 
 
+def test_singular_ridge_system_raises():
+    """An eigenvalue of M at exactly -epsilon leaves M + epsilon·I singular;
+    the eigen route gave theta_dot = [inf, nan] here."""
+    with pytest.raises(NonFiniteSystemError) as info:
+        solve(system(np.diag([-0.01, 1.0]), [1.0, 1.0]), SolverConfig("tikhonov", epsilon=0.01))
+    assert info.value.n_params == 2
+    assert "no finite solution" in str(info.value)
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig("cholesky")
@@ -208,3 +223,59 @@ def test_null_diagnostics_on_assembled_systems(rng):
         s = assemble_frame(a, h).system
         defect = solve(s, SolverConfig(epsilon=1e-10))[1].null_defect
         assert defect <= 1e-8
+
+
+# --- Tikhonov by LU against the eigen route -------------------------------
+
+
+def shot_noise_system(n_params):
+    """The 6-qubit TFIM HVA cut to ``n_params`` generators at random angles,
+    every element of its M a draw of 10^4 shots, which leaves M indefinite."""
+    spec = default_model("tfim", 6)
+    _, h, psi0 = build_model(spec)
+    gens = build_hva(h, psi0, -(-n_params // 12), model_sublayers(spec)).generators[:n_params]
+    a = Ansatz(psi0, gens, np.random.default_rng(n_params).uniform(-1.5, 1.5, size=n_params))
+    s = assemble_frame(a, h).system
+    return noisy_system(s, ansatz_layout(a), NoiseConfig(n_shots=1e4, d_c=0), np.random.default_rng(1))
+
+
+def random_psd_system(rng, n, rank):
+    m, _, _ = random_singular_psd(rng, n, rank)
+    return system(m, rng.normal(size=n))
+
+
+SYSTEMS = {
+    "psd": lambda rng, n: random_psd_system(rng, n, n),
+    "rank_deficient": lambda rng, n: random_psd_system(rng, n, n // 2),
+    "shot_noise": lambda rng, n: shot_noise_system(n),
+}
+
+
+@pytest.mark.parametrize("kind", SYSTEMS)
+@pytest.mark.parametrize("n", [8, 32, 96])
+def test_tikhonov_matches_eigen_route(rng, kind, n):
+    s = SYSTEMS[kind](rng, n)
+    if kind == "shot_noise":
+        assert s.eig[0][0] < 0
+    epsilon = 1e-2
+    td, _ = solve(s, SolverConfig("tikhonov", epsilon=epsilon))
+    reference = reference_tikhonov(s, epsilon)
+    assert np.max(np.abs(td - reference)) <= 1e-10 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_diagnostics_on_demand_match_eager_formulas(rng, method):
+    for s in (random_psd_system(rng, 12, 7), shot_noise_system(32), system(np.zeros((0, 0)), np.zeros(0))):
+        cfg = SolverConfig(method, epsilon=1e-2)
+        td, diag = solve(s, cfg)
+        reference = reference_diagnostics(s, td, cfg.epsilon)
+        assert {name: getattr(diag, name) for name in reference} == reference
+
+
+@pytest.mark.parametrize("method", ["tikhonov", "lsq_unbounded", "lsq_bounded"])
+def test_unread_diagnostics_leave_metric_undecomposed(rng, method):
+    s = random_psd_system(rng, 10, 6)
+    _, diag = solve(s, SolverConfig(method))
+    assert "eig" not in s.__dict__
+    assert diag.n_null == 4
+    assert "eig" in s.__dict__

@@ -16,6 +16,15 @@ It then prints one ``sha256  path`` line per file, sorted by the path
 relative to OUT. Run it on two trees and ``diff`` the listings: a change
 that keeps every output byte prints nothing. BLAS and OpenMP are pinned to
 one thread before numpy is imported, as the benchmark pins them.
+
+    python3 tools/output_digests.py OUT --against PARENT
+
+compares OUT with PARENT, the OUT of a run of this script on the parent
+tree (or the listing that run printed), and prints only the paths whose
+digest changed, was added or was removed. For a changed CSV whose parent
+copy is on disk it also prints, per column, the largest absolute
+difference of the numeric values, rows paired in order, and any
+difference in row count, header or ``#`` comment lines.
 """
 
 import os
@@ -24,7 +33,9 @@ import sys
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
+import csv  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -59,17 +70,92 @@ def write_outputs(out: Path) -> None:
                 raise SystemExit(f"avqds {' '.join(argv)} failed")
 
 
+def digests(root: Path) -> dict[str, str]:
+    """sha256 of every file under ``root``, by its path relative to it."""
+    return {
+        str(path.relative_to(root)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in root.rglob("*") if p.is_file())
+    }
+
+
+def read_listing(listing: Path) -> dict[str, str]:
+    return dict(reversed(line.split(maxsplit=1)) for line in listing.read_text().splitlines() if line.strip())
+
+
+def _split_csv(path: Path) -> tuple[list[str], list[list[str]]]:
+    lines = path.read_text().splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    return comments, list(csv.reader(line for line in lines if not line.startswith("#")))
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def csv_differences(parent: Path, path: Path) -> list[str]:
+    """One line per difference between two CSVs: comments, header and row
+    count, then the largest |change| of each column over the paired rows
+    (``differs`` for a column with a non-numeric cell that changed)."""
+    (old_comments, old), (new_comments, new) = _split_csv(parent), _split_csv(path)
+    out = []
+    if old_comments != new_comments:
+        out.append(f"comment lines differ ({len(old_comments)} -> {len(new_comments)} lines)")
+    if not old or not new or old[0] != new[0]:
+        return out + ["header differs"]
+    if len(old) != len(new):
+        out.append(f"rows: {len(old) - 1} -> {len(new) - 1} (compared in order over the first {min(len(old), len(new)) - 1})")
+    for j, name in enumerate(new[0]):
+        largest, text_differs = 0.0, False
+        for a, b in zip(old[1:], new[1:]):
+            x, y = _number(a[j]), _number(b[j])
+            if x is None or y is None:
+                text_differs |= a[j] != b[j]
+            else:
+                largest = max(largest, abs(x - y))
+        if text_differs:
+            out.append(f"{name}: differs")
+        elif largest:
+            out.append(f"{name}: max |diff| {largest:.3g}")
+    return out
+
+
+def compare(out: Path, parent: Path) -> None:
+    """Print the changed, added and removed paths of ``out`` against ``parent``."""
+    before = digests(parent) if parent.is_dir() else read_listing(parent)
+    after = digests(out)
+    for rel in sorted(before.keys() | after.keys()):
+        if rel not in after:
+            print(f"removed  {rel}")
+        elif rel not in before:
+            print(f"added    {rel}")
+        elif before[rel] != after[rel]:
+            print(f"changed  {rel}")
+            if rel.endswith(".csv") and parent.is_dir():
+                for line in csv_differences(parent / rel, out / rel):
+                    print(f"    {line}")
+
+
 def main() -> int:
-    if len(sys.argv) != 2:
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
-        return 2
-    out = Path(sys.argv[1]).resolve()
+    parser = argparse.ArgumentParser(usage=__doc__.strip().splitlines()[2].strip())
+    parser.add_argument("out", type=Path)
+    parser.add_argument("--against", type=Path, metavar="PARENT")
+    args = parser.parse_args()
+    out = args.out.resolve()
     if out.exists() and any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
         return 2
+    if args.against is not None and not args.against.exists():
+        print(f"error: {args.against} does not exist", file=sys.stderr)
+        return 2
     write_outputs(out)
-    for path in sorted(p for p in out.rglob("*") if p.is_file()):
-        print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out)}")
+    if args.against is not None:
+        compare(out, args.against.resolve())
+        return 0
+    for rel, digest in digests(out).items():
+        print(f"{digest}  {rel}")
     return 0
 
 
