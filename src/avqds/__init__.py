@@ -12,7 +12,7 @@ from .engine import (
     run_fixed_ansatz,
     score_candidates,
 )
-from .mclachlan import McLachlanSystem, TangentFrame, assemble_frame, mclachlan_distance
+from .mclachlan import McLachlanSystem, TangentFrame, assemble_frame, mclachlan_distance, symmetric_eig
 from .models import (
     ModelSpec,
     OperatorPool,
@@ -26,7 +26,7 @@ from .models import (
 )
 from .noise import NoiseConfig, noisy_system, shot_sigma
 from .pauli import PauliString, WeightedPauliSum
-from .solvers import NonFiniteSystemError, SolverConfig, solve, symmetric_eig
+from .solvers import NonFiniteSystemError, SolverConfig, solve
 from .statevector import (
     EvolveError,
     ExactPropagator,

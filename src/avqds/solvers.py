@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mclachlan import McLachlanSystem, symmetric_eig  # noqa: F401  re-exported
+from .mclachlan import McLachlanSystem
 
 METHODS = ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation")
 

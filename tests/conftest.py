@@ -265,13 +265,20 @@ def per_step_workspace(circuit, m):
 
 def rows_rotated(p):
     """Rows that the calls of a compiled ``Pass`` apply steps to, summed: the
-    rows of each rotation and of each Z-only run's phase multiply."""
+    rows of each rotation and of each Z-only run's phase multiply, those of
+    the tile flushes included."""
+    return _rows_rotated(p.calls)
+
+
+def _rows_rotated(calls):
     total = 0
-    for fn, args in p.calls:
+    for fn, args in calls:
         if fn is _rotate_views:
             total += args[3].shape[0]
         elif fn is np.multiply:  # a phase multiply; births and copies are other functions
             total += args[0].shape[0]
+        elif fn is avqds.ansatz._flush:  # a tile's calls, on whichever thread it runs
+            total += _rows_rotated(args[0])
     return total
 
 

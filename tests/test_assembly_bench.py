@@ -19,11 +19,16 @@ pool, whose repeated X-field layers make runs of commuting generators wider
 than a tile, is timed with births at the end of each run, with births after
 each step (``conftest.per_step_workspace``) and by the per-step rebuild
 (``conftest.rebuilt_pass``); all three first agree bit for bit.
+
+The assembly at 10, 12 and 14 qubits, where the sweeps fill tiles, is timed
+with full tiles flushed on the flush thread and with every tile flushed
+inline (``ansatz._FLUSH_THREAD = False``); both first agree bit for bit.
 """
 
 import numpy as np
 import pytest
 
+import avqds.ansatz
 from avqds.ansatz import Ansatz, ansatz_layout, layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
 from avqds.mclachlan import _split_frame, _split_point, _system, assemble_frame
@@ -203,3 +208,18 @@ def test_commuting_run_sweep_speed(benchmark, route):
     benchmark.extra_info["row_rotations"] = {k: rows_rotated(ws.prefix) for k, ws in workspaces.items()}
     sweep = rebuilt if route == "rebuilt" else (lambda: compiled(workspaces[route]))
     benchmark.pedantic(sweep, rounds=20, iterations=1)
+
+
+@pytest.mark.parametrize("route", ["inline", "threaded"])
+@pytest.mark.parametrize("n_qubits, n_params", [(10, 200), (12, 192), (14, 140)])
+def test_threaded_flush_speed(benchmark, monkeypatch, n_qubits, n_params, route):
+    a, h = _case(n_qubits, n_params)
+    with monkeypatch.context() as patch:
+        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        inline = Ansatz(a.reference, a.generators, a.angles)
+        want = assemble_frame(inline, h)  # builds the workspace, whose flushes run inline
+    got = assemble_frame(a, h)
+    assert np.array_equal(got.system.m, want.system.m) and np.array_equal(got.system.v, want.system.v)
+    assert np.array_equal(got.psi, want.psi) and np.array_equal(got.tangents, want.tangents)
+    benchmark.extra_info["threaded"] = avqds.ansatz._flush_thread_usable()
+    benchmark.pedantic(assemble_frame, args=(inline if route == "inline" else a, h), rounds=7, iterations=1)

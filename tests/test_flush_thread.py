@@ -1,0 +1,231 @@
+"""Full tiles flushed on the flush thread: bit for bit the one-thread path,
+used only where it cannot oversubscribe the cores, and never left running.
+
+The one-thread path (``ansatz._FLUSH_THREAD = False``, every tile flushed
+inline) is the oracle. The cases are TFIM HVAs at 10 and 12 qubits, where a
+tile holds 32 and 8 rows, so the sweeps of every split flush tiles. The
+threaded side counts what it hands to the thread through a spy on the
+executor, and sees two usable cores whatever the machine has.
+"""
+
+import multiprocessing
+import sys
+import threading
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+import avqds.ansatz
+from avqds.ansatz import Ansatz, _drain, _flush, _flush_executor, tangent_states
+from avqds.config import parse_config
+from avqds.experiment import run_experiment, run_single
+from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame
+from avqds.models import default_model, hamiltonian_term_pool
+from conftest import step_bounds
+from test_circuit import FRAME_ARRAYS, hva
+
+# 6 HVA layers at 10 qubits are 120 generators, so each split of the fixed
+# ansatz fills a 32-row tile in at least one sweep
+HVA10 = """
+model.kind = tfim
+model.n_qubits = 10
+run.algorithm = hva
+hva.layers = 6
+step.dt_fixed = 0.005
+step.t_final = 0.01
+run.oracle = false
+"""
+
+
+class SpyExecutor:
+    """The flush executor, keeping the futures of the flushes handed to it."""
+
+    def __init__(self):
+        self.futures = []
+
+    @property
+    def submitted(self):
+        return len(self.futures)
+
+    def submit(self, fn, *args):
+        self.futures.append(_flush_executor().submit(fn, *args))
+        return self.futures[-1]
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    spy = SpyExecutor()
+    monkeypatch.setattr(avqds.ansatz, "_flush_executor", lambda: spy)
+    monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return spy
+
+
+def flushes(p):
+    """The ``_flush`` calls of a compiled pass."""
+    return [args for fn, args in p.calls if fn is _flush]
+
+
+def boundaries(a):
+    return [first for first, _ in step_bounds(a.generators)] + [a.n_params]
+
+
+def one_thread(monkeypatch, a):
+    """``a`` on a new circuit whose workspaces, built here at every step
+    boundary, flush every tile inline."""
+    with monkeypatch.context() as patch:
+        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        inline = Ansatz(a.reference, a.generators, a.angles)
+        for m in boundaries(a):
+            inline.circuit.workspace(m)
+    return inline
+
+
+def flush_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("avqds-flush")]
+
+
+@pytest.mark.parametrize("n_qubits, layers", [(10, 6), (12, 2)])
+def test_split_frames_match_the_one_thread_path_at_every_step_boundary(rng, monkeypatch, threaded, n_qubits, layers):
+    a, h = hva("tfim", n_qubits, layers, rng)
+    inline = one_thread(monkeypatch, a)
+    for m in boundaries(a):
+        ws, ws_inline = a.circuit.workspace(m), inline.circuit.workspace(m)
+        sweeps = flushes(ws.prefix) + flushes(ws.inverse)
+        assert sweeps and all(worker_calls is not None for _, worker_calls, _ in sweeps)
+        assert not flushes(ws.suffix)
+        assert all(worker_calls is None for _, worker_calls, _ in flushes(ws_inline.prefix) + flushes(ws_inline.inverse))
+        for angles in (a.angles, rng.uniform(-1.5, 1.5, size=a.n_params)):
+            got, want = _split_frame(a.with_angles(angles), h, m), _split_frame(inline.with_angles(angles), h, m)
+            assert np.array_equal(got.system.m, want.system.m) and np.array_equal(got.system.v, want.system.v)
+            for name in FRAME_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert ws.pending == []
+    assert threaded.submitted > 0
+
+
+@pytest.mark.parametrize("n_qubits, layers", [(10, 6), (12, 3)])
+def test_augment_and_extend_match_the_one_thread_path(rng, monkeypatch, threaded, n_qubits, layers):
+    a, h = hva("tfim", n_qubits, layers, rng)
+    inline = one_thread(monkeypatch, a)
+    pool = hamiltonian_term_pool(default_model("tfim", n_qubits)).operators
+    m = _split_point(a, len(pool))
+    ws = a.circuit.workspace(m)
+    assert flushes(ws.prefix) and flushes(ws.inverse)
+    got, want = assemble_frame(a, h, len(pool)), assemble_frame(inline, h, len(pool))
+    for new, old in zip(augment_block(got, pool), augment_block(want, pool)):
+        assert np.array_equal(new, old)
+    grown, grown_inline = a.extended(pool[:3]), inline.extended(pool[:3])
+    got, want = extend_frame(got, grown), extend_frame(want, grown_inline)
+    assert np.array_equal(got.system.m, want.system.m) and np.array_equal(got.system.v, want.system.v)
+    for name in FRAME_ARRAYS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert threaded.submitted > 0
+
+
+def test_one_row_tiles_under_fast_thread_switching_match_the_one_thread_path(rng, monkeypatch, threaded):
+    """Tiles of one row at 6 qubits make a flush of every row, and a short
+    switch interval interleaves the two threads finely; a row that both
+    threads touched, or one read before its flush ended, would change bits."""
+    monkeypatch.setattr(avqds.ansatz, "_TILE_BYTES", 16 << 6)
+    a, h = hva("tfim", 6, 6, rng)
+    inline = one_thread(monkeypatch, a)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for m in boundaries(a):
+            got, want = _split_frame(a, h, m), _split_frame(inline, h, m)
+            for name in FRAME_ARRAYS:
+                assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert np.array_equal(tangent_states(a), tangent_states(inline))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threaded.submitted > a.n_params
+
+
+def test_a_failing_flush_is_raised_once_every_flush_has_ended(rng, monkeypatch, threaded):
+    """The first flush of an assembly goes to the idle thread; when it
+    raises, the assembly still waits for every flush before raising, and
+    the workspace assembles correctly afterwards."""
+    a, h = hva("tfim", 10, 6, rng)
+    inline = one_thread(monkeypatch, a)
+    ws = a.circuit.workspace(a.n_params)
+    _, worker_calls, _ = flushes(ws.prefix)[0]
+
+    def boom():
+        raise RuntimeError("flush failed")
+
+    worker_calls.append((boom, ()))
+    with pytest.raises(RuntimeError, match="flush failed"):
+        _split_frame(a, h, a.n_params)
+    assert ws.pending == [] and threaded.submitted > 0 and all(f.done() for f in threaded.futures)
+    worker_calls.pop()
+    got, want = _split_frame(a, h, a.n_params), _split_frame(inline, h, a.n_params)
+    assert np.array_equal(got.system.m, want.system.m)
+
+
+def test_drain_waits_for_every_flush_before_raising():
+    release, order = threading.Event(), []
+
+    def fail():
+        order.append("fail")
+        raise ValueError("first")
+
+    def slow():
+        release.wait(10)
+        order.append("slow")
+
+    timer = threading.Timer(0.05, release.set)
+    with ThreadPoolExecutor(2) as pool:
+        pending = [pool.submit(fail), pool.submit(slow)]
+        timer.start()
+        with pytest.raises(ValueError, match="first"):
+            _drain(pending)
+        assert pending == [] and order == ["fail", "slow"]
+    timer.join(10)
+    assert not timer.is_alive()
+
+
+def test_one_usable_core_starts_no_flush_thread(rng, monkeypatch):
+    def no_thread():
+        raise AssertionError("the flush executor was asked for")
+
+    monkeypatch.setattr(avqds.ansatz, "_flush_executor", no_thread)
+    monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    a, h = hva("tfim", 10, 6, rng)
+    frame = assemble_frame(a, h)
+    ws = a.circuit.workspace(_split_point(a))
+    assert flushes(ws.prefix) + flushes(ws.inverse)
+    assert all(worker_calls is None for _, worker_calls, _ in flushes(ws.prefix) + flushes(ws.inverse))
+    assert np.array_equal(frame.system.m, assemble_frame(one_thread(monkeypatch, a), h).system.m)
+
+
+def _flush_threads_in_a_pool_worker(cfg):
+    """One trajectory in a process that multiprocessing started, as a
+    ``run.workers > 1`` pool worker runs it, and the flush threads it left."""
+    run_single(cfg, 0)
+    return [t.name for t in flush_threads()], avqds.ansatz._flush_thread_usable()
+
+
+def test_pool_workers_start_no_flush_thread_and_write_the_same_csvs(tmp_path, threaded):
+    cfg = parse_config(HVA10 + "run.runs = 2\n")
+    run_single(cfg, 0)
+    assert threaded.submitted > 0  # the config flushes tiles on the thread outside a pool
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(_flush_threads_in_a_pool_worker, cfg).result(timeout=120) == ([], False)
+    sequential, parallel = tmp_path / "w1", tmp_path / "w2"
+    run_experiment(cfg, sequential)
+    run_experiment(parse_config(HVA10 + "run.runs = 2\nrun.workers = 2\n"), parallel)
+    for name in ("run_000.csv", "run_001.csv", "aggregate.csv"):
+        a, b = ((d / name).read_bytes().splitlines() for d in (sequential, parallel))
+        # identical apart from the run.workers line embedded in the header
+        assert [l for l in a if b"workers" not in l] == [l for l in b if b"workers" not in l]
+
+
+def test_at_most_one_flush_thread_is_alive_after_runs(tmp_path, threaded):
+    before = {t.ident for t in threading.enumerate()}
+    for k in range(2):
+        run_experiment(parse_config(HVA10), tmp_path / str(k))
+        assert threaded.submitted > 0
+        started = [t for t in threading.enumerate() if t.ident not in before]
+        assert len(flush_threads()) <= 1 and set(started) <= set(flush_threads())

@@ -3,7 +3,7 @@ import pytest
 
 from avqds.ansatz import Ansatz, ansatz_layout
 from avqds.baselines import build_hva
-from avqds.mclachlan import McLachlanSystem, assemble_frame
+from avqds.mclachlan import McLachlanSystem, assemble_frame, symmetric_eig
 from avqds.models import build_model, default_model, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system
 from avqds.solvers import (
@@ -11,7 +11,6 @@ from avqds.solvers import (
     NonFiniteSystemError,
     SolverConfig,
     solve,
-    symmetric_eig,
 )
 from test_mclachlan import make_ansatz
 from conftest import random_hamiltonian, reference_diagnostics, reference_tikhonov
