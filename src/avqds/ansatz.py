@@ -508,18 +508,10 @@ class CircuitLayout:
     def depth(self) -> int:
         return len(self.layers)
 
-    def prefix_depth(self, last_index: int) -> int:
-        """Depth of the circuit truncated after unitary ``last_index``.
-
-        Valid because ASAP placement of a prefix equals the prefix of the
-        full placement.
-        """
-        if not 0 <= last_index < len(self.layer_of):
-            raise IndexError(f"unitary index {last_index} out of range")
-        return max(self.layer_of[: last_index + 1]) + 1
-
     def prefix_depths(self) -> np.ndarray:
-        """``prefix_depth(k)`` for every k at once: the running max of ``layer_of``, plus one."""
+        """Entry k is the depth of the circuit cut after unitary k: the running
+        max of ``layer_of``, plus one, since the ASAP placement of a prefix
+        is the prefix of the full placement."""
         return np.maximum.accumulate(np.array(self.layer_of, dtype=np.int64)) + 1
 
     def placement_level(self, support_mask: int) -> int:
@@ -573,4 +565,8 @@ def _placed(base: CircuitLayout, generators) -> CircuitLayout:
 
 
 def ansatz_layout(a: Ansatz) -> CircuitLayout:
+    """The layout compiled with ``a``'s circuit. The engine takes every
+    layout from here, the boundary that ``perfbench/tracing.py`` rebinds as
+    ``engine.ansatz_layout``; ``layout`` packs generator tuples that have no
+    ansatz."""
     return a.circuit.layout

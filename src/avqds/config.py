@@ -83,6 +83,9 @@ class ExperimentConfig:
             raise ConfigError("run.algorithm", f"must be one of {ALGORITHMS}")
         if self.pool not in POOL_KINDS:
             raise ConfigError("pool.kind", f"must be one of {POOL_KINDS}")
+        if self.algorithm in ("hva", "trotter") and self.model.n_qubits % 2:
+            message = f"run.algorithm = {self.algorithm} groups terms in brick-wall layers, which need an even chain"
+            raise ConfigError("model.n_qubits", f"{message}, got {self.model.n_qubits}")
         if self.hva_layers < 1:
             raise ConfigError("hva.layers", "must be a positive integer")
         if not self.trotter_dt > 0:

@@ -1,45 +1,24 @@
-"""Shared fixtures and independent dense-matrix oracles.
+"""Shared fixtures and the slow oracles of the fast paths: one line per rounding regime.
 
-The dense oracles here deliberately avoid the package's bitmask kernels:
-operators are built as explicit Kronecker products so agreement between the
-two routes is meaningful. The exceptions are ``_pauli_rows`` and
-``_rotation_rows``, the fancy-index gathers that the strided kernels
-``_pauli_into`` and ``_rotate_rows`` replaced, and the tangent sweep
-``gather_sweep`` built on them; they are kept as the references the kernels
-and the tiled sweep must reproduce bit for bit wherever no Z-only generator
-occurs (the sweep applies a run of those as one phase multiply).
-``reference_frame`` is the assembly the fused sweep and the real Gram
-product replaced: that sweep and the complex Gram. ``brute_force_scores``
-is the scoring loop the bound-pruned ranking replaced, kept as its oracle.
-``rebuilt_pass`` is the per-step rebuild that the compiled circuit replaced
-(with its step rule ``step_bounds``), ``bind`` the per-assembly binding of
-the compiled circuit that its workspaces replaced, and
-``rebuilt_split_frame`` the assembly on bound passes; ``bound_tangent_states``
-and ``bound_prepare_state`` run such passes of callable steps, and
-``gather_hamiltonian_rows`` is the gather form of H·psi. The workspace
-route must reproduce them bit for bit. These sweeps birth each tangent right
-after its own step, as does ``per_step_workspace``, the workspace as it was
-compiled before births waited for the end of a run of commuting generators;
+The dense oracles (``dense_pauli``, ``dense_sum``) are explicit Kronecker products, apart from the
+package's bitmask kernels. The others must be reproduced bit for bit unless marked "tolerance":
+
+- gathers, with no Z-only run: ``_pauli_rows``, ``_rotation_rows``, ``gather_sweep``, ``gather_hamiltonian_rows``
+- the assembly before the fused sweep and the real Gram (tolerance): ``reference_frame``, ``complex_gram``
+- the compiled circuit and its workspaces, from the generators alone: ``rebuilt_pass``, ``rebuilt_split_frame``
+- the bound-pruned ranking and ``engine._spanned``: ``brute_force_scores``, ``full_ranking``, ``reference_spanned``
+- the noise plan and one-stream draws, and ``_aggregate``: ``reference_noisy_system``, ``reference_aggregate``
+- the LU ridge solve (tolerance) and lazy diagnostics: ``reference_tikhonov``, ``reference_diagnostics``
+- the Taylor stepper (tolerance): ``hamiltonian_coo``, ``expm_multiply_state``, ``eigh_propagator``
+
+``rebuilt_split_frame`` sweeps the ``rebuilt_pass`` of three ``sliced`` ansätze by ``bound_tangent_states``
+and ``bound_prepare_state``: untiled, each tangent born after its own step, steps by ``step_bounds``.
 ``rows_rotated`` counts the row operations of a compiled pass.
-``reference_spanned`` is ``engine._spanned`` as written before
-``pauli.anticommutes``. ``hamiltonian_coo``, ``expm_multiply_state``
-and ``eigh_propagator`` are the exact-evolution routes the Taylor stepper of
-``ExactPropagator`` replaced (scipy's ``expm_multiply`` on the sparse H, and
-the dense ``eigh`` at any size), kept as its oracles. ``full_ranking`` ranks
-precomputed (index, score) pairs, as ``select_additions`` once did for a list.
-``reference_noisy_system`` is the noise injection that the per-layout noise
-plan and the one-stream draws replaced (a mask built per call, ``rng.normal``
-and 2-D fancy indexing), and ``reference_aggregate`` the per-point loop that
-the vectorised ``_aggregate`` replaced; both must be reproduced bit for bit.
-``reference_tikhonov`` is the eigen-route Tikhonov solve that one LU
-factorisation replaced, and ``reference_diagnostics`` the eager diagnostics
-formulas that ``SolveDiagnostics`` now evaluates when a field is read.
 """
 
 import functools
 from collections import namedtuple
 from functools import reduce
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -58,10 +37,8 @@ from avqds.statevector import (
     StateVector,
     _hamiltonian_entries,
     _hamiltonian_rows,
-    _multiply_views,
     _pauli_into,
     _pauli_tables,
-    _planned_views,
     _rotate_rows,
     _rotate_views,
     dense_hamiltonian,
@@ -129,22 +106,6 @@ def _run_births(signs, psi, out):
     np.multiply(-1j * signs, psi, out=out)
 
 
-def _multiply_planned(plan, coeffs, src, out):
-    """out = coeffs·src[..., i ^ x_bits], the views built at every call, as
-    a bound step built them."""
-    view, dst = _planned_views(plan, src, out)
-    _multiply_views(view, coeffs, dst)
-
-
-def _rotate_planned(plan, scale, cos, rows, buf):
-    """The rotation kernel as a bound step called it: the views of ``rows``
-    and of its scratch are built at every call."""
-    scratch = buf[: rows.shape[0]]
-    _multiply_planned(plan, scale * plan.coeffs, rows, scratch)
-    rows *= cos
-    rows += scratch
-
-
 class BoundPass(namedtuple("BoundPass", "n_qubits reference steps n_params")):
     """A pass bound to its angles and to the state it starts from. Its steps
     are (first, stop, apply, birth), counted from the start of the pass:
@@ -166,26 +127,19 @@ def bound_prepare_state(p):
 
 
 def bound_tangent_states(p, out=None, carried=0):
-    """``tangent_states`` of a bound pass, as the sweep ran before its calls
-    were compiled: the views of every step are built as it is applied."""
+    """``tangent_states`` of a bound pass in one untiled block, each tangent
+    born right after its own step: a step acts on the ``carried`` rows of
+    ``out`` (kept ahead of the tangents), the rows born before it and the
+    running row."""
     n = p.n_params
-    dim = 1 << p.n_qubits
-    tile = max(1, avqds.ansatz._TILE_BYTES // (16 * dim))
-    block = np.empty((n + 1, dim), dtype=np.complex128) if out is None else out[: carried + n + 1]
-    buf = np.empty((min(carried + n, tile) + carried, dim), dtype=np.complex128)
+    block = np.empty((n + 1, 1 << p.n_qubits), dtype=np.complex128) if out is None else out[: carried + n + 1]
+    buf = np.empty_like(block)
     born = block[carried:]
     born[0] = p.reference
-    steps = p.steps
-    start = 0
-    for i, (first, stop, apply, birth) in enumerate(steps):
-        apply(block[start : carried + first + 1], buf)
+    for first, stop, apply, birth in p.steps:
+        apply(block[: carried + first + 1], buf)
         born[stop] = born[first]
         birth(born[stop : stop + 1], born[first:stop])
-        while carried + stop - start >= tile:
-            rows = block[start : start + tile]
-            for _, _, later, _ in steps[i + 1 :]:
-                later(rows, buf)
-            start += tile
     return born[:n]
 
 
@@ -208,59 +162,36 @@ def rebuilt_pass(a):
     return BoundPass(a.n_qubits, a.reference.amplitudes, steps, a.n_params)
 
 
-def bind(circuit, reference, angles, start=0, stop=None, inverse=False):
-    """The pass of a compiled circuit from ``reference`` over generators
-    [start, stop), both step boundaries, at ``angles`` (one per generator):
-    sin and cos of all its angles in one call each and one product per
-    Z-only run. With ``inverse`` it undoes those generators: their steps in
-    reverse order, at negated angles, a run by its reversed eigenvalues."""
-    stop = len(circuit.generators) if stop is None else stop
-    starts = [step.first for step in circuit.steps] + [len(circuit.generators)]
-    steps = circuit.steps[starts.index(start) : starts.index(stop)]  # ValueError inside a Z-only run
-    angles = -angles[start:stop][::-1] if inverse else angles[start:stop]
-    scales, cosines = (-1j * np.sin(angles)).tolist(), np.cos(angles).tolist()
-    bound = []
-    for first, last, plan, birth, signs, reversed_signs in steps[::-1] if inverse else steps:
-        first, last = (stop - last, stop - first) if inverse else (first - start, last - start)
-        if plan is not None:
-            apply = functools.partial(_rotate_planned, plan, scales[first], cosines[first])
-            birth = functools.partial(_multiply_planned, plan, birth)
-        else:
-            signs = reversed_signs if inverse else signs
-            apply = functools.partial(_phase, np.exp(-1j * (angles[first:last] @ signs)))
-            birth = functools.partial(_run_births, signs)
-        bound.append((first, last, apply, birth))
-    return BoundPass(circuit.n_qubits, reference, bound, stop - start)
+def sliced(a, start, reference, inverse=False):
+    """The ansatz of the generators of ``a`` from ``start`` on, run from the
+    amplitudes ``reference``; with ``inverse``, the one that undoes them:
+    in reverse order, at negated angles."""
+    gens, angles = a.generators[start:], a.angles[start:]
+    if inverse:
+        gens, angles = gens[::-1], -angles[::-1]
+    return Ansatz(StateVector(a.n_qubits, reference), gens, angles)
 
 
 def rebuilt_split_frame(a, h, m):
-    """``mclachlan._split_frame`` as it was before the workspace: the
-    prefix, the suffix and the inverse suffix are bound to the angles at
-    every assembly, and each step builds its views as it is applied."""
-    n, dim, circuit = a.n_params, 1 << a.n_qubits, a.circuit
+    """``mclachlan._split_frame`` rebuilt from the generators alone: the
+    prefix (generators [0, m) from the reference), the suffix ([m, N) from
+    psi_m) and the inverse suffix ([m, N) undone, from psi, with H·psi
+    carried) are each the ``rebuilt_pass`` of a sliced ansatz."""
+    n, dim = a.n_params, 1 << a.n_qubits
     block = np.empty((n + 1, dim), dtype=np.complex128)
-    bound_tangent_states(bind(circuit, a.reference.amplitudes, a.angles, 0, m), out=block)
-    psi = bound_prepare_state(bind(circuit, block[m], a.angles, m)).amplitudes
+    prefix = Ansatz(a.reference, a.generators[:m], a.angles[:m])
+    bound_tangent_states(rebuilt_pass(prefix), out=block)
+    psi = bound_prepare_state(rebuilt_pass(sliced(a, m, block[m]))).amplitudes
     h_psi = _hamiltonian_rows(h, psi)
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
-    inverse = bind(circuit, psi, a.angles, m, inverse=True)
+    inverse = rebuilt_pass(sliced(a, m, psi, inverse=True))
     back = np.empty((n - m + 2, dim), dtype=np.complex128)  # H·psi, rows N-1..m, psi
     back[0] = h_psi
     block[m:n] = bound_tangent_states(inverse, out=back, carried=1)[::-1]
     block[n] = back[-1]
     system, overlaps = _system(block[:n], block[n], back[0], energy, var_h)
     return TangentFrame(a, system, psi, h_psi, block[:n], overlaps, energy, inverse, block[n], back[0].copy())
-
-
-def per_step_workspace(circuit, m):
-    """The ``Workspace`` of ``circuit`` split at step boundary m as it was
-    built before births waited for the end of a run of commuting generators:
-    every step is a run of its own, so each tangent is born right after its
-    step and rotated through the rest of the pass. The circuit does not
-    keep it."""
-    with mock.patch.object(avqds.ansatz, "_commuting_runs", lambda steps, generators: [[s] for s in steps]):
-        return avqds.ansatz.Workspace(circuit, m)
 
 
 def rows_rotated(p):

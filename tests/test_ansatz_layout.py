@@ -342,11 +342,10 @@ def test_prefix_depth_is_prefix_of_full_schedule(rng):
         n = int(rng.integers(2, 6))
         gens = tuple(random_pauli(rng, n) for _ in range(int(rng.integers(1, 10))))
         lo = layout(gens, n)
+        depths = lo.prefix_depths()
+        assert len(depths) == len(gens)
         for k in range(len(gens)):
-            assert lo.prefix_depth(k) == layout(gens[: k + 1], n).depth
-        np.testing.assert_array_equal(
-            lo.prefix_depths(), [lo.prefix_depth(k) for k in range(len(gens))]
-        )
+            assert depths[k] == layout(gens[: k + 1], n).depth
         op = random_pauli(rng, n)
         assert lo.placement_level(op.support_mask) == layout(gens + (op,), n).layer_of[-1]
 

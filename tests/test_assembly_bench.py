@@ -16,9 +16,8 @@ that both routes agree within the bounds the sweep and assembly tests use.
 
 The tangent sweep of a TETRIS-like 10-qubit ansatz of the TFIM Hamiltonian
 pool, whose repeated X-field layers make runs of commuting generators wider
-than a tile, is timed with births at the end of each run, with births after
-each step (``conftest.per_step_workspace``) and by the per-step rebuild
-(``conftest.rebuilt_pass``); all three first agree bit for bit.
+than a tile, is timed with births at the end of each run and by the
+per-step rebuild (``conftest.rebuilt_pass``); both first agree bit for bit.
 
 The assembly at 10, 12 and 14 qubits, where the sweeps fill tiles, is timed
 with full tiles flushed on the flush thread and with every tile flushed
@@ -39,7 +38,6 @@ from conftest import (
     bound_tangent_states,
     complex_gram,
     gather_sweep,
-    per_step_workspace,
     rebuilt_pass,
     reference_frame,
     reference_noisy_system,
@@ -189,25 +187,21 @@ def _tetris_case(n_qubits, layers, repeats):
     return Ansatz(psi0, tuple(gens), np.random.default_rng(len(gens)).uniform(-1.5, 1.5, size=len(gens)))
 
 
-@pytest.mark.parametrize("route", ["rebuilt", "per_step_births", "commuting_runs"])
+@pytest.mark.parametrize("route", ["rebuilt", "commuting_runs"])
 def test_commuting_run_sweep_speed(benchmark, route):
     a = _tetris_case(10, 4, 4)
-    n, ref = a.n_params, a.reference.amplitudes
-    workspaces = {"per_step_births": per_step_workspace(a.circuit, n), "commuting_runs": a.circuit.workspace(n)}
+    ws = a.circuit.workspace(a.n_params)
 
-    def compiled(ws):
-        return tangent_states(ws.load(ref, a.angles)[0])
+    def compiled():
+        return tangent_states(ws.load(a.reference.amplitudes, a.angles)[0])
 
     def rebuilt():
         return bound_tangent_states(rebuilt_pass(a))
 
-    want = rebuilt()
-    for ws in workspaces.values():
-        xi = compiled(ws)
-        assert np.array_equal(xi, want) and np.array_equal(swept_state(xi), swept_state(want))
-    benchmark.extra_info["row_rotations"] = {k: rows_rotated(ws.prefix) for k, ws in workspaces.items()}
-    sweep = rebuilt if route == "rebuilt" else (lambda: compiled(workspaces[route]))
-    benchmark.pedantic(sweep, rounds=20, iterations=1)
+    xi, want = compiled(), rebuilt()
+    assert np.array_equal(xi, want) and np.array_equal(swept_state(xi), swept_state(want))
+    benchmark.extra_info["row_rotations"] = rows_rotated(ws.prefix)
+    benchmark.pedantic(rebuilt if route == "rebuilt" else compiled, rounds=20, iterations=1)
 
 
 @pytest.mark.parametrize("route", ["inline", "threaded"])

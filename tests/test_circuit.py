@@ -1,8 +1,8 @@
 """The compiled circuit: built once per generator tuple, shared by every
-angle update, extended on growth, and bit for bit the per-step rebuild and
-the per-assembly binding it replaced (``conftest.rebuilt_pass``,
-``conftest.bind`` and ``conftest.rebuilt_split_frame``). Its workspaces
-are built once per split point, and a plain step builds no view."""
+angle update, extended on growth, and bit for bit the passes rebuilt from
+its generators (``conftest.rebuilt_pass`` and ``conftest.rebuilt_split_frame``).
+Its workspaces are built once per split point, and a plain step builds no
+view."""
 
 import dataclasses
 import functools
@@ -29,16 +29,15 @@ from avqds.pauli import PauliString
 from avqds.solvers import SolverConfig
 from avqds.statevector import StateVector
 from conftest import (
-    bind,
     bound_prepare_state,
     bound_tangent_states,
-    per_step_workspace,
     random_hamiltonian,
     random_pauli,
     random_state,
     rebuilt_pass,
     rebuilt_split_frame,
     rows_rotated,
+    sliced,
     step_bounds,
     swept_state,
 )
@@ -192,6 +191,18 @@ def test_pool_size_split_matches_the_bound_split_frame(rng, pool_size):
     assert m in a.circuit.workspaces
 
 
+def test_workspace_follows_the_hamiltonian_it_is_asked_for(rng):
+    """One circuit assembled at one split point under h1, then h2, then h1
+    again: each frame equals ``rebuilt_split_frame`` bit for bit, so the
+    workspace builds its H·psi calls again whenever the Hamiltonian changes."""
+    a, h1 = hva("tfim", 6, 3, rng)
+    h2 = random_hamiltonian(rng, 6, n_terms=6)
+    m = _split_point(a)
+    for h in (h1, h2, h1):
+        assert_frames_equal(_split_frame(a, h, m), rebuilt_split_frame(a, h, m))
+    assert list(a.circuit.workspaces) == [m]
+
+
 @pytest.mark.parametrize("layers", [1, 8])
 def test_frame_keeps_its_arrays_when_the_circuit_is_assembled_again(rng, layers):
     """No frame shares memory with its circuit's workspace: assembling the
@@ -208,13 +219,14 @@ def test_frame_keeps_its_arrays_when_the_circuit_is_assembled_again(rng, layers)
 def test_lazy_inverse_suffix_matches_the_eager_binding(rng):
     """``augment_block`` and ``extend_frame`` on a frame whose inverse suffix
     is bound on first use, and again on the frame extended from it, equal
-    the same calls on the frame with the suffix bound at assembly."""
+    the same calls on the frame whose suffix is the rebuilt pass that undoes
+    the generators after m."""
     a, h = hva("tfim", 6, 8, rng)
     pool = [random_pauli(rng, 6) for _ in range(6)]
     for m in (_split_point(a), 42, a.n_params):
         frame = _split_frame(a, h, m)
         assert frame.inverse_suffix._bound is None
-        eager = dataclasses.replace(frame, inverse_suffix=bind(a.circuit, frame.psi, a.angles, m, inverse=True))
+        eager = dataclasses.replace(frame, inverse_suffix=rebuilt_pass(sliced(a, m, frame.psi, inverse=True)))
         for got, want in zip(augment_block(frame, pool), augment_block(eager, pool), strict=True):
             assert np.array_equal(got, want)
         grown = a.extended(pool[:3])
@@ -382,14 +394,15 @@ def test_a_run_of_w_rotations_saves_w_choose_2_row_rotations(width):
     rotates w(w-1)/2 fewer rows than per-step births do, in the prefix that
     sweeps the whole circuit and in the inverse pass that undoes it, with
     tiles flushed or not. Per-step births rotate the rows born before each
-    step, the running row and the carried ones, whatever the tile."""
+    step, the running row and the carried ones, whatever the tile: over s
+    steps, s(s+1)/2 + carried·s rows."""
     n = 10
     labels = ["Y" * n] + [_chain(n, "X", (k % n,)) for k in range(width)] + ["Y" * n]
     gens = tuple(PauliString.from_label(label) for label in labels)
     a = Ansatz(StateVector.basis_state(n), gens, np.zeros(width + 2))
     assert [(first, stop) for first, stop, _ in commuting_runs(a)] == [(0, 1), (1, 1 + width), (1 + width, 2 + width)]
+    steps = width + 2
     for m, name in ((a.n_params, "prefix"), (0, "inverse")):
-        new, old = getattr(a.circuit.workspace(m), name), getattr(per_step_workspace(a.circuit, m), name)
-        steps = width + 2
-        assert rows_rotated(old) == steps * (steps + 1) // 2 + old.carried * steps
-        assert rows_rotated(old) - rows_rotated(new) == width * (width - 1) // 2
+        sweep = getattr(a.circuit.workspace(m), name)
+        per_step = steps * (steps + 1) // 2 + sweep.carried * steps
+        assert per_step - rows_rotated(sweep) == width * (width - 1) // 2

@@ -43,6 +43,24 @@ def test_validate_missing_file(capsys):
     assert "error key=config" in capsys.readouterr().err
 
 
+ODD_CONFIG = TINY_CONFIG.replace("model.n_qubits = 4", "model.n_qubits = 5")
+
+
+@pytest.mark.parametrize("algorithm", ["hva", "trotter"])
+def test_odd_chain_brick_wall_algorithms_fail_on_one_line(tmp_path, capsys, algorithm):
+    # HVA and Trotter group terms in brick-wall layers, which an odd chain lacks
+    path = write_cfg(tmp_path, ODD_CONFIG + f"run.algorithm = {algorithm}\n")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error key=model.n_qubits ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_odd_chain_avqds_validates(tmp_path):
+    assert main(["validate", str(write_cfg(tmp_path, ODD_CONFIG))]) == 0
+
+
 # --- run ----------------------------------------------------------------------
 
 
@@ -174,6 +192,14 @@ def test_benchmark_preset_tiny(tmp_path, capsys):
     assert code == 0
     for label in ("avqds-m1", "avqds-t", "trotter", "hva"):
         assert (tmp_path / "bench" / label / "run_000.csv").exists()
+
+
+def test_odd_chain_preset_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "bench"
+    assert main(["preset", "benchmark", "--nq", "5", "--t-final", "0.05", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error key=model.n_qubits ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 # --- oracle -------------------------------------------------------------------

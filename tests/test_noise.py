@@ -52,21 +52,22 @@ def test_sigma_infinite_shots():
 
 def test_fragment_depth_examples():
     lo = chain_layout()
-    assert lo.prefix_depth(max(0, 0)) == 1
-    assert lo.prefix_depth(max(0, 1)) == 2
-    assert lo.prefix_depth(max(2, 2)) == lo.depth == 2
-    assert lo.prefix_depth(max(0, 2)) == 2
+    depths = lo.prefix_depths()
+    assert depths[max(0, 0)] == 1
+    assert depths[max(0, 1)] == 2
+    assert depths[max(2, 2)] == lo.depth == 2
+    assert depths[max(0, 2)] == 2
     with pytest.raises(IndexError):
-        lo.prefix_depth(max(0, 7))
+        depths[max(0, 7)]
 
 
 def test_fragment_depth_on_six_layer_circuit():
     gens = tuple(g(lbl) for lbl in ("ZZII", "IIZZ", "IZZI", "ZIIZ", "XIII", "IXII"))
-    lo = layout(gens, 4)
+    depths = layout(gens, 4).prefix_depths()
     # first two unitaries fill layer one; element (0,1) sees only that layer
-    assert lo.prefix_depth(max(0, 1)) == 1
-    assert lo.prefix_depth(max(1, 3)) == 2
-    assert lo.prefix_depth(max(0, 5)) == 3
+    assert depths[max(0, 1)] == 1
+    assert depths[max(1, 3)] == 2
+    assert depths[max(0, 5)] == 3
 
 
 # --- noisy_system ---------------------------------------------------------
