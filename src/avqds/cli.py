@@ -63,7 +63,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         assignments = parse_assignments(Path(args.config).read_text())
         cfg = config_from_mapping(_merge_overrides(assignments, _override_pairs(args)))
     except ConfigError as exc:
-        return _fail(exc.key, str(exc))
+        return _fail(exc.key, exc.reason)
     except OSError as exc:
         return _fail("config", str(exc))
     from .experiment import run_experiment
@@ -77,7 +77,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         cfg = config_from_mapping(parse_assignments(Path(args.config).read_text()))
     except ConfigError as exc:
-        return _fail(exc.key, str(exc))
+        return _fail(exc.key, exc.reason)
     except OSError as exc:
         return _fail("config", str(exc))
     sys.stdout.write(serialize_config(cfg))
@@ -85,7 +85,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_preset(args: argparse.Namespace) -> int:
-    from .experiment import PRESETS, run_experiment
+    from .experiment import PRESETS, preset_runs, run_experiment
 
     if args.list:
         for name in PRESETS:
@@ -96,13 +96,12 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     overrides = _override_pairs(args)
     base_out = Path(overrides.pop("run.out", args.name))
     try:
-        labelled = PRESETS[args.name]()
-        configs = []
-        for label, cfg in labelled:
-            assignments = parse_assignments(serialize_config(cfg))
-            configs.append((label, config_from_mapping(_merge_overrides(assignments, overrides))))
+        configs = preset_runs(
+            args.name,
+            lambda cfg: config_from_mapping(_merge_overrides(parse_assignments(serialize_config(cfg)), overrides)),
+        )
     except ConfigError as exc:
-        return _fail(exc.key, str(exc))
+        return _fail(exc.key, exc.reason)
     for label, cfg in configs:
         for path in run_experiment(cfg, base_out / label):
             print(path)

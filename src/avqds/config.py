@@ -22,9 +22,10 @@ POOL_KINDS = ("model", "hamiltonian")
 
 
 class ConfigError(ValueError):
-    def __init__(self, key: str, message: str):
-        super().__init__(f"{key}: {message}")
+    def __init__(self, key: str, reason: str):
+        super().__init__(f"{key}: {reason}")
         self.key = key
+        self.reason = reason
 
 
 def _parse_bool(text: str) -> bool:

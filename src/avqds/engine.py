@@ -21,11 +21,12 @@ import heapq
 import logging
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
+from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import Ansatz, ansatz_layout, prepare_state
+from .ansatz import Ansatz, _beside, _flush_thread_usable, ansatz_layout, prepare_state
 from .mclachlan import (
     TangentFrame,
     assemble_frame,
@@ -351,6 +352,16 @@ class AvqdsRun:
     distance is above the cutoff, pick the time increment, advance. Records
     describe the state at the start of each step together with the increment
     taken from there.
+
+    Above ``statevector._DENSE_MAX_QUBITS`` the exact oracle is the Taylor
+    stepper, whose state at t needs nothing of the step. Where the flush
+    thread is usable (``ansatz._flush_thread_usable()``), each step hands
+    that call to it once its assembly has drained every flush and its shots
+    are drawn, so the call runs beside the solve's BLAS and LAPACK calls;
+    the step joins it before it reads the infidelity, even when it raises,
+    and an error of the call (``EvolveError``) is raised from ``step``
+    unchanged. Elsewhere the oracle runs inline, as the dense oracle always
+    does: its call costs less than handing it over.
     """
 
     def __init__(
@@ -384,6 +395,7 @@ class AvqdsRun:
             if compute_infidelity
             else None
         )
+        self._oracle_beside = self._oracle is not None and not self._oracle._dense and _flush_thread_usable()
 
     def _located(self, phase: str, fn, *args):
         """``fn(*args)``, with a non-finite system reported at this step."""
@@ -392,16 +404,34 @@ class AvqdsRun:
         except NonFiniteSystemError as err:
             raise NonFiniteSystemError(err.n_params, phase, self.t, len(self.records)) from err
 
-    def _solve_current(self, frame: TangentFrame):
-        system = frame.system
-        if self.noise is not None:
-            system = noisy_system(system, ansatz_layout(frame.ansatz), self.noise, self.rng)
+    def _drawn(self, frame: TangentFrame):
+        """The system a step solves: the frame's, with shot noise drawn on it
+        in a noisy run."""
+        if self.noise is None:
+            return frame.system
+        return noisy_system(frame.system, ansatz_layout(frame.ansatz), self.noise, self.rng)
+
+    def _solved(self, system):
         theta_dot, _ = self._located("step solve", solve, system, self.solver)
-        return system, theta_dot, mclachlan_distance(system, theta_dot)
+        return theta_dot, mclachlan_distance(system, theta_dot)
 
     def step(self) -> TrajectoryRecord:
         frame = assemble_frame(self.ansatz, self.h, len(self.pool) if self.growth is not None else 0)
-        system, theta_dot, l2 = self._solve_current(frame)
+        system = self._drawn(frame)
+        # the stepped oracle needs only t: it advances on the flush thread
+        # while this one solves, and is joined before the step returns
+        oracle = _beside(self._oracle.state_at, self.t) if self._oracle_beside else None
+        try:
+            return self._finish(frame, system, oracle)
+        finally:
+            if oracle is not None:
+                futures.wait([oracle])
+
+    def _finish(self, frame: TangentFrame, system, oracle: futures.Future | None) -> TrajectoryRecord:
+        """The step from its drawn system on: solve, grow, pick dt, record
+        and advance. ``oracle`` is the oracle's state at t on the flush
+        thread, or None where the oracle runs here."""
+        theta_dot, l2 = self._solved(system)
         stalled = suppressed = exhausted = False
 
         if self.growth is not None:
@@ -424,7 +454,8 @@ class AvqdsRun:
                     break
                 self.ansatz = result.ansatz
                 frame = extend_frame(frame, self.ansatz)
-                system, theta_dot, l2 = self._solve_current(frame)
+                system = self._drawn(frame)
+                theta_dot, l2 = self._solved(system)
                 iters += 1
             exhausted = l2 >= self.growth.l2_cut and iters >= self.growth.max_grow_iters
             if exhausted:
@@ -449,7 +480,7 @@ class AvqdsRun:
             dt = self.step_cfg.dtheta_max / max_rate
 
         if self._oracle is not None:
-            target = self._oracle.state_at(self.t).amplitudes
+            target = (oracle.result() if oracle is not None else self._oracle.state_at(self.t)).amplitudes
             infidelity = 1.0 - float(abs(np.vdot(frame.psi, target)) ** 2)
         else:
             infidelity = math.nan

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
@@ -243,6 +244,14 @@ def preset_benchmark(kind: str = "tfim", n_qubits: int = 8, t_final: float = 4.0
     ]
 
 
+def _noise_label(noise: NoiseConfig) -> str:
+    """The grid point of a hybrid-noise run, e.g. ``dc21-ns1e4``."""
+    if math.isinf(noise.n_shots):
+        return f"dc{noise.d_c}-nsinf"
+    mantissa, exponent = f"{noise.n_shots:.15e}".split("e")
+    return f"dc{noise.d_c}-ns{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
+
+
 def preset_hybrid_noise(
     n_qubits: int = 10,
     t_final: float = 4.0,
@@ -265,7 +274,7 @@ def preset_hybrid_noise(
     for d_c in (21, 27):
         for n_shots in (1e4, 1e5):
             noise = NoiseConfig(n_shots=n_shots, d_c=d_c)
-            label = f"dc{d_c}-ns{int(n_shots):.0e}".replace("+0", "")
+            label = _noise_label(noise)
             out.append(
                 (
                     f"avqds-t-{label}",
@@ -326,3 +335,21 @@ PRESETS = {
     "hybrid-noise": preset_hybrid_noise,
     "noisy-regularization": preset_noisy_regularization,
 }
+
+
+def preset_runs(
+    name: str, adjust: Callable[[ExperimentConfig], ExperimentConfig]
+) -> list[tuple[str, ExperimentConfig]]:
+    """The runs of preset ``name`` once ``adjust`` (the command line's
+    overrides) has changed each config. A label that ends in its config's
+    noise grid point is renamed to the point the adjusted config runs, so it
+    never names a threshold or shot count the run did not use; configs that
+    ``adjust`` made equal then share a label and run once."""
+    runs: dict[str, ExperimentConfig] = {}
+    for label, cfg in PRESETS[name]():
+        adjusted = adjust(cfg)
+        point = _noise_label(cfg.noise)
+        if label.endswith(point):
+            label = label.removesuffix(point) + _noise_label(adjusted.noise)
+        runs.setdefault(label, adjusted)
+    return list(runs.items())

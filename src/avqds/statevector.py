@@ -368,7 +368,10 @@ class ExactPropagator:
     A step whose result does not keep the norm raises ``EvolveError``.
 
     Both paths only go forward: a time below the latest one asked for (or
-    below 0) raises ``ValueError``.
+    below 0) raises ``ValueError``. ``AvqdsRun`` calls the stepper on the
+    flush thread while its step solves, and never touches the propagator
+    until that call has ended; the call computes the same bits on either
+    thread.
     """
 
     def __init__(self, h: WeightedPauliSum, psi0: StateVector):

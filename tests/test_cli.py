@@ -35,7 +35,7 @@ def test_validate_names_offending_key(tmp_path, capsys):
     path = write_cfg(tmp_path, "model.kind = tfim\nmodel.n_qubits = banana\n")
     assert main(["validate", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error key=model.n_qubits ")
+    assert err == "error key=model.n_qubits message=invalid literal for int() with base 10: 'banana'\n"
 
 
 def test_validate_missing_file(capsys):
@@ -46,14 +46,18 @@ def test_validate_missing_file(capsys):
 ODD_CONFIG = TINY_CONFIG.replace("model.n_qubits = 4", "model.n_qubits = 5")
 
 
+def odd_chain_error(algorithm):
+    return (f"error key=model.n_qubits message=run.algorithm = {algorithm} groups terms in brick-wall layers, "
+            "which need an even chain, got 5\n")
+
+
 @pytest.mark.parametrize("algorithm", ["hva", "trotter"])
 def test_odd_chain_brick_wall_algorithms_fail_on_one_line(tmp_path, capsys, algorithm):
     # HVA and Trotter group terms in brick-wall layers, which an odd chain lacks
     path = write_cfg(tmp_path, ODD_CONFIG + f"run.algorithm = {algorithm}\n")
     for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
         assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error key=model.n_qubits ") and err.count("\n") == 1
+        assert capsys.readouterr().err == odd_chain_error(algorithm)
     assert not (tmp_path / "out").exists()
 
 
@@ -197,9 +201,20 @@ def test_benchmark_preset_tiny(tmp_path, capsys):
 def test_odd_chain_preset_writes_nothing(tmp_path, capsys):
     out = tmp_path / "bench"
     assert main(["preset", "benchmark", "--nq", "5", "--t-final", "0.05", "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error key=model.n_qubits ") and err.count("\n") == 1
+    assert capsys.readouterr().err == odd_chain_error("trotter")
     assert not out.exists()
+
+
+def test_hybrid_noise_dc_override_runs_each_config_once_under_its_threshold(tmp_path, capsys):
+    out = tmp_path / "hybrid"
+    argv = ["preset", "hybrid-noise", "--nq", "4", "--t-final", "0.02", "--runs", "1", "--dc", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "avqds-t-dc2-ns1e4", "avqds-t-dc2-ns1e5", "hva-dc2-ns1e4", "hva-dc2-ns1e5",
+    ]
+    for run in out.iterdir():
+        assert "# noise.d_c = 2" in (run / "run_000.csv").read_text()
+    assert len(capsys.readouterr().out.splitlines()) == 4  # one path per run written
 
 
 # --- oracle -------------------------------------------------------------------

@@ -1,13 +1,17 @@
-"""Full tiles flushed on the flush thread: bit for bit the one-thread path,
-used only where it cannot oversubscribe the cores, and never left running.
+"""Full tiles flushed, and the stepped exact oracle advanced, on the flush
+thread: bit for bit the one-thread path, used only where it cannot
+oversubscribe the cores, and never left running.
 
 The one-thread path (``ansatz._FLUSH_THREAD = False``, every tile flushed
-inline) is the oracle. The cases are TFIM HVAs at 10 and 12 qubits, where a
-tile holds 32 and 8 rows, so the sweeps of every split flush tiles. The
-threaded side counts what it hands to the thread through a spy on the
-executor, and sees two usable cores whatever the machine has.
+inline and every oracle call made by the step) is the oracle. The cases are
+TFIM HVAs at 10 and 12 qubits, where a tile holds 32 and 8 rows, so the
+sweeps of every split flush tiles, and adaptive TFIM runs at 10 qubits, the
+smallest size whose oracle is the Taylor stepper. The threaded side counts
+what it hands to the thread through a spy on the executor, and sees two
+usable cores whatever the machine has.
 """
 
+import dataclasses
 import multiprocessing
 import sys
 import threading
@@ -19,9 +23,11 @@ import pytest
 import avqds.ansatz
 from avqds.ansatz import Ansatz, _drain, _flush, _flush_executor, tangent_states
 from avqds.config import parse_config
+from avqds.engine import AvqdsRun
 from avqds.experiment import run_experiment, run_single
 from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame
-from avqds.models import default_model, hamiltonian_term_pool
+from avqds.models import build_model, default_model, hamiltonian_term_pool
+from avqds.statevector import _DENSE_MAX_QUBITS, EvolveError, ExactPropagator
 from conftest import step_bounds
 from test_circuit import FRAME_ARRAYS, hva
 
@@ -38,17 +44,35 @@ run.oracle = false
 """
 
 
+# a short noisy adaptive run whose oracle is the Taylor stepper
+ADAPTIVE10 = """
+model.kind = tfim
+model.n_qubits = 10
+run.algorithm = avqds
+pool.kind = hamiltonian
+solver.method = truncation
+solver.epsilon = 1e-3
+noise.enabled = true
+noise.n_shots = 1e4
+noise.d_c = 4
+step.t_final = 0.03
+"""
+
+
 class SpyExecutor:
-    """The flush executor, keeping the futures of the flushes handed to it."""
+    """The flush executor, keeping the futures of the jobs handed to it and
+    counting the oracle calls among them."""
 
     def __init__(self):
         self.futures = []
+        self.oracle_calls = 0
 
     @property
     def submitted(self):
         return len(self.futures)
 
     def submit(self, fn, *args):
+        self.oracle_calls += getattr(fn, "__func__", None) is ExactPropagator.state_at
         self.futures.append(_flush_executor().submit(fn, *args))
         return self.futures[-1]
 
@@ -200,6 +224,72 @@ def test_one_usable_core_starts_no_flush_thread(rng, monkeypatch):
     assert np.array_equal(frame.system.m, assemble_frame(one_thread(monkeypatch, a), h).system.m)
 
 
+def adaptive_run(n_qubits=10):
+    """A noisy adaptive TFIM run of ``n_qubits`` with its exact oracle."""
+    cfg = parse_config(ADAPTIVE10.replace("n_qubits = 10", f"n_qubits = {n_qubits}"))
+    _, h, psi0 = build_model(cfg.model)
+    return AvqdsRun(h, Ansatz(psi0), cfg.step, cfg.solver, hamiltonian_term_pool(cfg.model), cfg.growth,
+                    cfg.noise, seed=3)
+
+
+def test_oracle_on_the_thread_writes_the_records_of_the_one_thread_path(monkeypatch, threaded):
+    with monkeypatch.context() as patch:
+        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        want = adaptive_run().run()
+    assert threaded.submitted == 0  # every oracle call and flush ran inline
+    got = adaptive_run().run()
+    assert len(got) > 1 and threaded.oracle_calls == len(got)
+    # repr writes each float with the digits that give back its bits
+    assert [repr(dataclasses.astuple(r)) for r in got] == [repr(dataclasses.astuple(r)) for r in want]
+
+
+def test_an_evolve_error_on_the_thread_leaves_the_step_unchanged(monkeypatch, threaded):
+    raised_on = []
+
+    def fail(self, tau):
+        raised_on.append(threading.current_thread().name)
+        raise EvolveError(f"norm went from 1.0 to nan over t={tau:g}")
+
+    run = adaptive_run()
+    run.step()  # the oracle is at t = 0 already and does not step
+    monkeypatch.setattr(ExactPropagator, "_advance", fail)
+    with pytest.raises(EvolveError) as err:
+        run.step()
+    assert type(err.value) is EvolveError
+    assert str(err.value) == f"norm went from 1.0 to nan over t={run.t:g}"
+    assert len(raised_on) == 1 and raised_on[0].startswith("avqds-flush")  # raised once, on the thread
+    assert threaded.oracle_calls == 2 and all(f.done() for f in threaded.futures)
+
+
+def test_a_dense_oracle_and_one_usable_core_submit_no_oracle_call(monkeypatch, threaded):
+    dense = adaptive_run(_DENSE_MAX_QUBITS)
+    dense.step()
+    dense.step()
+    assert threaded.oracle_calls == 0
+    monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    before = threaded.submitted
+    stepped = adaptive_run()
+    stepped.step()
+    stepped.step()
+    assert threaded.submitted == before
+
+
+def _oracle_in_a_pool_worker():
+    """Two steps of the 10-qubit adaptive run in a process that
+    multiprocessing started, whether its oracle could use the thread, and
+    the flush threads it left."""
+    run = adaptive_run()
+    run.step()
+    run.step()
+    return run._oracle_beside, [t.name for t in flush_threads()]
+
+
+def test_a_pool_worker_submits_no_oracle_call():
+    assert adaptive_run()._oracle_beside == avqds.ansatz._flush_thread_usable()
+    with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        assert pool.submit(_oracle_in_a_pool_worker).result(timeout=120) == (False, [])
+
+
 def _flush_threads_in_a_pool_worker(cfg):
     """One trajectory in a process that multiprocessing started, as a
     ``run.workers > 1`` pool worker runs it, and the flush threads it left."""
@@ -224,8 +314,9 @@ def test_pool_workers_start_no_flush_thread_and_write_the_same_csvs(tmp_path, th
 
 def test_at_most_one_flush_thread_is_alive_after_runs(tmp_path, threaded):
     before = {t.ident for t in threading.enumerate()}
-    for k in range(2):
-        run_experiment(parse_config(HVA10), tmp_path / str(k))
+    for k, text in enumerate((HVA10, ADAPTIVE10, HVA10)):
+        run_experiment(parse_config(text), tmp_path / str(k))
         assert threaded.submitted > 0
         started = [t for t in threading.enumerate() if t.ident not in before]
         assert len(flush_threads()) <= 1 and set(started) <= set(flush_threads())
+    assert threaded.oracle_calls > 0

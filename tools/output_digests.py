@@ -8,9 +8,12 @@ OUT must be empty or absent. The script writes two sets of files under it:
 - ``workloads/<name>/<config>/``: the CSVs of the benchmark workloads
   (``perfbench/workloads.WORKLOADS`` at seed 1), 9 files;
 - ``presets/``: the ``--nq 4`` preset recipe run through ``avqds.cli.main``,
-  58 files: ``benchmark`` for tfim, mfim and hm, ``solver-comparison``,
+  46 files: ``benchmark`` for tfim, mfim and hm, ``solver-comparison``,
   ``noisy-regularization --runs 3`` at ``--workers`` 1 and 2,
-  ``hybrid-noise --dc 2 --runs 2``, and ``oracle --model mfim|hm --nq 6``.
+  ``hybrid-noise --dc 2 --runs 2`` (its four distinct configs, under
+  ``dc2`` labels), and ``oracle --model mfim|hm --nq 6``.
+
+That is 55 files in all.
 
 It then prints one ``sha256  path`` line per file, sorted by the path
 relative to OUT. Run it on two trees and ``diff`` the listings: a change
