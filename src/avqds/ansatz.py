@@ -228,12 +228,6 @@ def _flush_executor() -> futures.ThreadPoolExecutor:
     return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="avqds-flush")
 
 
-def _beside(fn, *args) -> futures.Future:
-    """``fn(*args)`` on the flush thread, for work that runs beside a step's
-    solve once the step's assembly has drained every flush."""
-    return _flush_executor().submit(fn, *args)
-
-
 def _flush(calls: list, worker_calls: list | None, pending: list) -> None:
     """Push a full tile through the rest of its pass: on the flush thread by
     ``worker_calls``, which use the thread's own scratch tile, if the

@@ -20,13 +20,15 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import Ansatz, _beside, _flush_thread_usable, ansatz_layout, prepare_state
+from . import ansatz as _ansatz
+from .ansatz import Ansatz, ansatz_layout, prepare_state
 from .mclachlan import (
     TangentFrame,
     assemble_frame,
@@ -345,6 +347,20 @@ def grow_once(
     return GrowthResult(new_ansatz, tuple(chosen), stalled=False, suppressed=suppressed)
 
 
+def _blas_on_one_thread() -> bool:
+    """Whether BLAS was told to run on one thread, as perfbench and the
+    ``run.workers > 1`` pool workers tell it: OpenBLAS takes its thread
+    count from the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+    and ``OMP_NUM_THREADS`` that is set, MKL from ``MKL_NUM_THREADS`` or
+    else ``OMP_NUM_THREADS``, and either takes every core when none is.
+    With BLAS on every core no core is idle while the solve runs: on two
+    cores, the stepped oracle beside a two-thread solve did not shorten the
+    steps in total."""
+    chains = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+              ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
+    return all(next((os.environ[k].strip() for k in chain if k in os.environ), None) == "1" for chain in chains)
+
+
 class AvqdsRun:
     """Driver holding the evolving ansatz and emitting per-step records.
 
@@ -355,13 +371,15 @@ class AvqdsRun:
 
     Above ``statevector._DENSE_MAX_QUBITS`` the exact oracle is the Taylor
     stepper, whose state at t needs nothing of the step. Where the flush
-    thread is usable (``ansatz._flush_thread_usable()``), each step hands
-    that call to it once its assembly has drained every flush and its shots
-    are drawn, so the call runs beside the solve's BLAS and LAPACK calls;
-    the step joins it before it reads the infidelity, even when it raises,
-    and an error of the call (``EvolveError``) is raised from ``step``
-    unchanged. Elsewhere the oracle runs inline, as the dense oracle always
-    does: its call costs less than handing it over.
+    thread is usable (``ansatz._flush_thread_usable()``) and BLAS runs on
+    one thread (``_blas_on_one_thread()``), each step hands that call to the
+    flush thread once its assembly has drained every flush and its shots
+    are drawn, so the call runs on the core the solve's BLAS and LAPACK
+    calls leave idle; the step joins it before it reads the infidelity,
+    even when it raises, and an error of the call (``EvolveError``) is
+    raised from ``step`` unchanged. Elsewhere the oracle runs inline, as
+    the dense oracle always does: its call is shorter than a hand-over to
+    the thread and back.
     """
 
     def __init__(
@@ -395,7 +413,8 @@ class AvqdsRun:
             if compute_infidelity
             else None
         )
-        self._oracle_beside = self._oracle is not None and not self._oracle._dense and _flush_thread_usable()
+        self._oracle_beside = (self._oracle is not None and self._oracle.stepped
+                               and _ansatz._flush_thread_usable() and _blas_on_one_thread())
 
     def _located(self, phase: str, fn, *args):
         """``fn(*args)``, with a non-finite system reported at this step."""
@@ -420,90 +439,84 @@ class AvqdsRun:
         system = self._drawn(frame)
         # the stepped oracle needs only t: it advances on the flush thread
         # while this one solves, and is joined before the step returns
-        oracle = _beside(self._oracle.state_at, self.t) if self._oracle_beside else None
+        oracle = _ansatz._flush_executor().submit(self._oracle.state_at, self.t) if self._oracle_beside else None
         try:
-            return self._finish(frame, system, oracle)
+            theta_dot, l2 = self._solved(system)
+            stalled = suppressed = exhausted = False
+
+            if self.growth is not None:
+                iters = 0
+                while l2 >= self.growth.l2_cut and iters < self.growth.max_grow_iters:
+                    # scoring works on the exact frame; noise only enters the
+                    # per-step equations of motion
+                    if system is frame.system:  # no noise drawn: l2 is already exact
+                        exact_l2 = l2
+                    else:
+                        exact_td, _ = self._located("exact solve", solve, frame.system, self.solver)
+                        exact_l2 = mclachlan_distance(frame.system, exact_td)
+                    result = self._located(
+                        "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2
+                    )
+                    stalled |= result.stalled
+                    suppressed |= result.suppressed
+                    if not result.added:
+                        log.debug("growth stalled at t=%g (l2=%.3e)", self.t, l2)
+                        break
+                    self.ansatz = result.ansatz
+                    frame = extend_frame(frame, self.ansatz)
+                    system = self._drawn(frame)
+                    theta_dot, l2 = self._solved(system)
+                    iters += 1
+                exhausted = l2 >= self.growth.l2_cut and iters >= self.growth.max_grow_iters
+                if exhausted:
+                    log.warning(
+                        "growth budget exhausted at t=%g with l2=%.3e", self.t, l2
+                    )
+                if suppressed and l2 >= self.growth.l2_cut and not self._depth_cap_warned:
+                    self._depth_cap_warned = True
+                    log.warning(
+                        "growth.max_depth=%d suppressed growth at t=%g with l2=%.3e "
+                        ">= l2_cut=%.3e; the run continues above the cutoff "
+                        "(warned once per run)",
+                        self.growth.max_depth, self.t, l2, self.growth.l2_cut,
+                    )
+
+            max_rate = float(np.max(np.abs(theta_dot))) if theta_dot.size else 0.0
+            if self.step_cfg.dt_fixed is not None:
+                dt = self.step_cfg.dt_fixed
+            elif max_rate < STALL_RATE_FLOOR:
+                dt = 10.0 * self.step_cfg.dtheta_max
+            else:
+                dt = self.step_cfg.dtheta_max / max_rate
+
+            if self._oracle is not None:
+                target = (oracle.result() if oracle is not None else self._oracle.state_at(self.t)).amplitudes
+                infidelity = 1.0 - float(abs(np.vdot(frame.psi, target)) ** 2)
+            else:
+                infidelity = math.nan
+
+            layout = ansatz_layout(self.ansatz)
+            record = TrajectoryRecord(
+                t=self.t,
+                n_params=self.ansatz.n_params,
+                l2=l2,
+                depth=layout.depth,
+                cnot_count=layout.cnot_count,
+                dt=dt,
+                energy=frame.energy,
+                infidelity=infidelity,
+                seed=self.seed,
+                growth_stalled=stalled,
+                growth_suppressed=suppressed,
+                growth_exhausted=exhausted,
+            )
+            self.records.append(record)
+            self.ansatz = self.ansatz.with_angles(self.ansatz.angles + theta_dot * dt)
+            self.t += dt
+            return record
         finally:
             if oracle is not None:
                 futures.wait([oracle])
-
-    def _finish(self, frame: TangentFrame, system, oracle: futures.Future | None) -> TrajectoryRecord:
-        """The step from its drawn system on: solve, grow, pick dt, record
-        and advance. ``oracle`` is the oracle's state at t on the flush
-        thread, or None where the oracle runs here."""
-        theta_dot, l2 = self._solved(system)
-        stalled = suppressed = exhausted = False
-
-        if self.growth is not None:
-            iters = 0
-            while l2 >= self.growth.l2_cut and iters < self.growth.max_grow_iters:
-                # scoring works on the exact frame; noise only enters the
-                # per-step equations of motion
-                if system is frame.system:  # no noise drawn: l2 is already exact
-                    exact_l2 = l2
-                else:
-                    exact_td, _ = self._located("exact solve", solve, frame.system, self.solver)
-                    exact_l2 = mclachlan_distance(frame.system, exact_td)
-                result = self._located(
-                    "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2
-                )
-                stalled |= result.stalled
-                suppressed |= result.suppressed
-                if not result.added:
-                    log.debug("growth stalled at t=%g (l2=%.3e)", self.t, l2)
-                    break
-                self.ansatz = result.ansatz
-                frame = extend_frame(frame, self.ansatz)
-                system = self._drawn(frame)
-                theta_dot, l2 = self._solved(system)
-                iters += 1
-            exhausted = l2 >= self.growth.l2_cut and iters >= self.growth.max_grow_iters
-            if exhausted:
-                log.warning(
-                    "growth budget exhausted at t=%g with l2=%.3e", self.t, l2
-                )
-            if suppressed and l2 >= self.growth.l2_cut and not self._depth_cap_warned:
-                self._depth_cap_warned = True
-                log.warning(
-                    "growth.max_depth=%d suppressed growth at t=%g with l2=%.3e "
-                    ">= l2_cut=%.3e; the run continues above the cutoff "
-                    "(warned once per run)",
-                    self.growth.max_depth, self.t, l2, self.growth.l2_cut,
-                )
-
-        max_rate = float(np.max(np.abs(theta_dot))) if theta_dot.size else 0.0
-        if self.step_cfg.dt_fixed is not None:
-            dt = self.step_cfg.dt_fixed
-        elif max_rate < STALL_RATE_FLOOR:
-            dt = 10.0 * self.step_cfg.dtheta_max
-        else:
-            dt = self.step_cfg.dtheta_max / max_rate
-
-        if self._oracle is not None:
-            target = (oracle.result() if oracle is not None else self._oracle.state_at(self.t)).amplitudes
-            infidelity = 1.0 - float(abs(np.vdot(frame.psi, target)) ** 2)
-        else:
-            infidelity = math.nan
-
-        layout = ansatz_layout(self.ansatz)
-        record = TrajectoryRecord(
-            t=self.t,
-            n_params=self.ansatz.n_params,
-            l2=l2,
-            depth=layout.depth,
-            cnot_count=layout.cnot_count,
-            dt=dt,
-            energy=frame.energy,
-            infidelity=infidelity,
-            seed=self.seed,
-            growth_stalled=stalled,
-            growth_suppressed=suppressed,
-            growth_exhausted=exhausted,
-        )
-        self.records.append(record)
-        self.ansatz = self.ansatz.with_angles(self.ansatz.angles + theta_dot * dt)
-        self.t += dt
-        return record
 
     def run(self) -> list[TrajectoryRecord]:
         while self.t < self.step_cfg.t_final - 1e-12:

@@ -368,10 +368,10 @@ class ExactPropagator:
     A step whose result does not keep the norm raises ``EvolveError``.
 
     Both paths only go forward: a time below the latest one asked for (or
-    below 0) raises ``ValueError``. ``AvqdsRun`` calls the stepper on the
-    flush thread while its step solves, and never touches the propagator
-    until that call has ended; the call computes the same bits on either
-    thread.
+    below 0) raises ``ValueError``. ``AvqdsRun`` may call the stepper
+    (``stepped``) on the flush thread while its step solves, and then never
+    touches the propagator until that call has ended; the call computes the
+    same bits on either thread.
     """
 
     def __init__(self, h: WeightedPauliSum, psi0: StateVector):
@@ -395,6 +395,11 @@ class ExactPropagator:
         for x, coeffs in sorted(groups.items()):
             src, out = _planned_views(_rotation_plan(n, x, 0), self._term, self._h_term if x == 0 else self._flip)
             self._groups.append((src, coeffs, out))
+
+    @property
+    def stepped(self) -> bool:
+        """Whether states come from the Taylor stepper, not the spectrum."""
+        return not self._dense
 
     def _apply_h(self) -> None:
         """``_h_term`` = H·``_term``: the diagonal group writes it, and each

@@ -8,7 +8,8 @@ TFIM HVAs at 10 and 12 qubits, where a tile holds 32 and 8 rows, so the
 sweeps of every split flush tiles, and adaptive TFIM runs at 10 qubits, the
 smallest size whose oracle is the Taylor stepper. The threaded side counts
 what it hands to the thread through a spy on the executor, and sees two
-usable cores whatever the machine has.
+usable cores and BLAS told to run on one thread whatever the machine and
+the shell have.
 """
 
 import dataclasses
@@ -23,7 +24,7 @@ import pytest
 import avqds.ansatz
 from avqds.ansatz import Ansatz, _drain, _flush, _flush_executor, tangent_states
 from avqds.config import parse_config
-from avqds.engine import AvqdsRun
+from avqds.engine import AvqdsRun, _blas_on_one_thread
 from avqds.experiment import run_experiment, run_single
 from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame
 from avqds.models import build_model, default_model, hamiltonian_term_pool
@@ -43,6 +44,8 @@ step.t_final = 0.01
 run.oracle = false
 """
 
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # a short noisy adaptive run whose oracle is the Taylor stepper
 ADAPTIVE10 = """
@@ -77,11 +80,20 @@ class SpyExecutor:
         return self.futures[-1]
 
 
+def blas_threads(monkeypatch, **env):
+    """The BLAS thread variables set to ``env`` alone."""
+    for name in BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+
+
 @pytest.fixture
 def threaded(monkeypatch):
     spy = SpyExecutor()
     monkeypatch.setattr(avqds.ansatz, "_flush_executor", lambda: spy)
     monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    blas_threads(monkeypatch, OMP_NUM_THREADS="1")
     return spy
 
 
@@ -261,17 +273,33 @@ def test_an_evolve_error_on_the_thread_leaves_the_step_unchanged(monkeypatch, th
     assert threaded.oracle_calls == 2 and all(f.done() for f in threaded.futures)
 
 
-def test_a_dense_oracle_and_one_usable_core_submit_no_oracle_call(monkeypatch, threaded):
-    dense = adaptive_run(_DENSE_MAX_QUBITS)
-    dense.step()
-    dense.step()
+@pytest.mark.parametrize("env, pinned", [
+    ({}, False),
+    ({"OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": " 1 ", "MKL_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, False),  # MKL would take every core
+    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, False),
+    ({"OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "4"}, False),
+    ({"OMP_NUM_THREADS": "2"}, False),
+])
+def test_blas_on_one_thread_follows_the_order_the_blas_libraries_read(monkeypatch, env, pinned):
+    blas_threads(monkeypatch, **env)
+    assert _blas_on_one_thread() is pinned
+
+
+@pytest.mark.parametrize("inline", ["dense oracle", "one usable core", "blas on every core"])
+def test_the_oracle_runs_inline_where_it_cannot_use_an_idle_core(monkeypatch, threaded, inline):
+    n_qubits = _DENSE_MAX_QUBITS if inline == "dense oracle" else 10
+    if inline == "one usable core":
+        monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    if inline == "blas on every core":
+        blas_threads(monkeypatch, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="2")
+    run = adaptive_run(n_qubits)
+    assert run._oracle.stepped == (n_qubits > _DENSE_MAX_QUBITS) and not run._oracle_beside
+    run.step()
+    run.step()
     assert threaded.oracle_calls == 0
-    monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    before = threaded.submitted
-    stepped = adaptive_run()
-    stepped.step()
-    stepped.step()
-    assert threaded.submitted == before
 
 
 def _oracle_in_a_pool_worker():
@@ -284,7 +312,8 @@ def _oracle_in_a_pool_worker():
     return run._oracle_beside, [t.name for t in flush_threads()]
 
 
-def test_a_pool_worker_submits_no_oracle_call():
+def test_a_pool_worker_submits_no_oracle_call(monkeypatch):
+    blas_threads(monkeypatch, OMP_NUM_THREADS="1")  # the spawned worker inherits it
     assert adaptive_run()._oracle_beside == avqds.ansatz._flush_thread_usable()
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         assert pool.submit(_oracle_in_a_pool_worker).result(timeout=120) == (False, [])
