@@ -145,18 +145,29 @@ class CandidateRanking:
     comes next. So the order does not depend on rounding that moves scores
     by less than the tolerance, and exact ties break as in a full sort.
     Scores are cached across ``ranked`` calls.
+
+    With ``submit`` (an executor's), scores also run there: when the top
+    must be scored here, the next unscored candidate that could come up is
+    handed to it first, and a near-tie block hands it every other member it
+    scores. A handed score is read from its future only when the walk comes
+    to that candidate, as the walk without ``submit`` would score it, so
+    the order, and any error a score raises, are those of the walk without
+    it; one the walk never comes to is never read. ``wait`` waits for them.
     """
 
-    def __init__(self, bounds: Mapping[int, float], score: Callable[[int], float]):
+    def __init__(self, bounds: Mapping[int, float], score: Callable[[int], float],
+                 submit: Callable[..., futures.Future] | None = None):
         self._bounds = bounds
         self._score = score
+        self._submit = submit
         self._known: dict[int, float] = {}
+        self._handed: dict[int, futures.Future] = {}
 
     def ranked(self, cut: float, skip: Callable[[int], int | bool]) -> Iterator[tuple[int, float]]:
         """(index, score) with score > cut, best first up to near-ties.
         ``skip`` drops a candidate unscored when it comes up; it must stay
         true once true."""
-        known = self._known
+        known, handed = self._known, self._handed
         heap = [(-known.get(i, b), i) for i, b in self._bounds.items()]
         heapq.heapify(heap)
         while heap:
@@ -166,18 +177,38 @@ class CandidateRanking:
             if skip(idx):
                 heapq.heappop(heap)
             elif idx not in known:
-                known[idx] = self._score(idx)
+                if self._submit is not None and idx not in handed:
+                    later = (i for k, i in sorted(heap)[1:] if -k > cut and i not in known and not skip(i))
+                    self._hand(next(later, None))
+                known[idx] = self._take(idx)
                 heapq.heapreplace(heap, (-known[idx], idx))
             else:
                 near = -key - _TIE_RTOL * abs(key)
                 tied = [i for k, i in heap if -k >= near and not skip(i)]
+                if self._submit is not None:
+                    for i in [i for i in tied if i not in known and i not in handed][1::2]:
+                        self._hand(i)
                 for i in tied:
                     if i not in known:
-                        known[i] = self._score(i)
+                        known[i] = self._take(i)
                 best = min(i for i in tied if known[i] >= near and known[i] > cut)
                 heap = [(-known[i] if i in known else k, i) for k, i in heap if i != best]
                 heapq.heapify(heap)
                 yield best, known[best]
+
+    def _hand(self, idx: int | None) -> None:
+        """Score unscored ``idx`` through ``submit`` unless it is handed already."""
+        if idx is not None and idx not in self._handed:
+            self._handed[idx] = self._submit(self._score, idx)
+
+    def _take(self, idx: int) -> float:
+        handed = self._handed.pop(idx, None)
+        return self._score(idx) if handed is None else handed.result()
+
+    def wait(self) -> None:
+        """Wait for every score handed to ``submit``; those the walk did not
+        come to stay unread."""
+        futures.wait(list(self._handed.values()))
 
 
 def _spanned(ansatz: Ansatz, candidates: Sequence) -> np.ndarray:
@@ -249,6 +280,8 @@ def score_candidates(
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
     l2_before: float,
+    border: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    submit: Callable[..., futures.Future] | None = None,
 ) -> tuple[list[int], bool]:
     """Score the pool by how much each operator, appended at angle zero,
     would lower the McLachlan distance, and select under ``growth_cfg``.
@@ -263,8 +296,14 @@ def score_candidates(
     are the brute-force scores bit for bit, and the ranking is exact, so
     the selection is the one the full ranking gives. Returns
     ``select_additions``'s (indices, depth_suppressed).
+
+    ``border`` is the pool's ``augment_block``, formed here when not given.
+    Under method 3, whose walk scores on until the qubits are full, the
+    ranking hands scores to ``submit`` when there is one; every one of
+    them is done when this returns. The other methods stop at their first
+    pick, so a handed score would mostly go unread.
     """
-    cols, diags, v_news = augment_block(frame, list(pool.operators))
+    cols, diags, v_news = border if border is not None else augment_block(frame, list(pool.operators))
     bounds, slack = score_bounds(frame, pool, (cols, diags, v_news), l2_before)
 
     def score(idx: int) -> float:
@@ -272,10 +311,14 @@ def score_candidates(
         td, _ = solve(extended, solver_cfg)
         return l2_before - mclachlan_distance(extended, td)
 
-    ranking = CandidateRanking(dict(enumerate((bounds + slack).tolist())), score)
-    return select_additions(
-        growth_cfg.method, ranking, pool, frame.ansatz, growth_cfg.score_cut, growth_cfg.max_depth
-    )
+    ranking = CandidateRanking(dict(enumerate((bounds + slack).tolist())), score,
+                               submit if growth_cfg.method == 3 else None)
+    try:
+        return select_additions(
+            growth_cfg.method, ranking, pool, frame.ansatz, growth_cfg.score_cut, growth_cfg.max_depth
+        )
+    finally:
+        ranking.wait()
 
 
 @dataclass(frozen=True)
@@ -338,9 +381,12 @@ def grow_once(
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
     l2_before: float,
+    border: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+    submit: Callable[..., futures.Future] | None = None,
 ) -> GrowthResult:
-    """One growth iteration; appended angles are zero so the state is kept."""
-    chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before)
+    """One growth iteration; appended angles are zero so the state is kept.
+    ``border`` and ``submit`` go to ``score_candidates``."""
+    chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before, border, submit)
     if not chosen:
         return GrowthResult(frame.ansatz, (), stalled=not suppressed, suppressed=suppressed)
     new_ansatz = frame.ansatz.extended(pool.operators[i] for i in chosen)
@@ -369,17 +415,26 @@ class AvqdsRun:
     describe the state at the start of each step together with the increment
     taken from there.
 
-    Above ``statevector._DENSE_MAX_QUBITS`` the exact oracle is the Taylor
-    stepper, whose state at t needs nothing of the step. Where the flush
-    thread is usable (``ansatz._flush_thread_usable()``) and BLAS runs on
-    one thread (``_blas_on_one_thread()``), each step hands that call to the
-    flush thread once its assembly has drained every flush and its shots
-    are drawn, so the call runs on the core the solve's BLAS and LAPACK
-    calls leave idle; the step joins it before it reads the infidelity,
-    even when it raises, and an error of the call (``EvolveError``) is
-    raised from ``step`` unchanged. Elsewhere the oracle runs inline, as
-    the dense oracle always does: its call is shorter than a hand-over to
-    the thread and back.
+    Where the flush thread is usable (``ansatz._flush_thread_usable()``)
+    and BLAS runs on one thread (``_blas_on_one_thread()``), the run keeps
+    the thread's ``submit``, and each step hands it LAPACK and oracle work
+    that it would otherwise do here, so it runs on the core the step's own
+    BLAS and LAPACK calls leave idle:
+
+    - the stepped exact oracle (above ``statevector._DENSE_MAX_QUBITS``),
+      whose state at t needs nothing of the step, once the step's assembly
+      has drained every flush and its shots are drawn. The step joins it
+      before it reads the infidelity, even when it raises, and an error of
+      the call (``EvolveError``) is raised from ``step`` unchanged. The
+      dense oracle's call is shorter than a hand-over and stays inline;
+    - in a noisy growth iteration, the solve of the exact frame, while
+      ``augment_block`` forms the candidate border here;
+    - under growth method 3, candidate scores (``CandidateRanking``).
+
+    Every job is done before the growth iteration, or the step, that handed
+    it over returns, so none runs beside the next assembly's flushes, and
+    the records are those of the one-thread path bit for bit. Elsewhere
+    everything runs inline.
     """
 
     def __init__(
@@ -413,8 +468,10 @@ class AvqdsRun:
             if compute_infidelity
             else None
         )
-        self._oracle_beside = (self._oracle is not None and self._oracle.stepped
-                               and _ansatz._flush_thread_usable() and _blas_on_one_thread())
+        # the flush thread's submit, where a step has work for it and it has a core
+        beside = ((growth_cfg is not None or (self._oracle is not None and self._oracle.stepped))
+                  and _ansatz._flush_thread_usable() and _blas_on_one_thread())
+        self._submit = _ansatz._flush_executor().submit if beside else None
 
     def _located(self, phase: str, fn, *args):
         """``fn(*args)``, with a non-finite system reported at this step."""
@@ -434,12 +491,29 @@ class AvqdsRun:
         theta_dot, _ = self._located("step solve", solve, system, self.solver)
         return theta_dot, mclachlan_distance(system, theta_dot)
 
+    def _exact(self, frame: TangentFrame) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The noiseless distance of ``frame`` at its solution and the pool's
+        border, formed here while the solve runs on the flush thread if the
+        run hands work to it."""
+        solved = self._submit(solve, frame.system, self.solver) if self._submit is not None else None
+        try:
+            border = augment_block(frame, list(self.pool.operators))
+        finally:
+            if solved is not None:
+                futures.wait([solved])
+        if solved is None:
+            exact_td, _ = self._located("exact solve", solve, frame.system, self.solver)
+        else:
+            exact_td, _ = self._located("exact solve", solved.result)
+        return mclachlan_distance(frame.system, exact_td), border
+
     def step(self) -> TrajectoryRecord:
         frame = assemble_frame(self.ansatz, self.h, len(self.pool) if self.growth is not None else 0)
         system = self._drawn(frame)
         # the stepped oracle needs only t: it advances on the flush thread
         # while this one solves, and is joined before the step returns
-        oracle = _ansatz._flush_executor().submit(self._oracle.state_at, self.t) if self._oracle_beside else None
+        stepped = self._submit is not None and self._oracle is not None and self._oracle.stepped
+        oracle = self._submit(self._oracle.state_at, self.t) if stepped else None
         try:
             theta_dot, l2 = self._solved(system)
             stalled = suppressed = exhausted = False
@@ -450,12 +524,12 @@ class AvqdsRun:
                     # scoring works on the exact frame; noise only enters the
                     # per-step equations of motion
                     if system is frame.system:  # no noise drawn: l2 is already exact
-                        exact_l2 = l2
+                        exact_l2, border = l2, None
                     else:
-                        exact_td, _ = self._located("exact solve", solve, frame.system, self.solver)
-                        exact_l2 = mclachlan_distance(frame.system, exact_td)
+                        exact_l2, border = self._exact(frame)
                     result = self._located(
-                        "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2
+                        "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2,
+                        border, self._submit,
                     )
                     stalled |= result.stalled
                     suppressed |= result.suppressed

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .baselines import build_hva, trotter_run
-from .config import ExperimentConfig, serialize_config
+from .config import ConfigError, ExperimentConfig, serialize_config
 from .engine import GrowthConfig, TrajectoryRecord, run_avqds, run_fixed_ansatz
 from .models import build_model, default_model, hamiltonian_term_pool, model_pool, model_sublayers
 from .noise import NoiseConfig
@@ -231,14 +231,19 @@ def preset_solver_comparison(n_qubits: int = 8, t_final: float = 5.0) -> list[tu
     return out
 
 
+# a growth method as preset labels name it; AVQDS(T) is the layer-packed method 3
+_GROWTH_TAGS = {1: "m1", 2: "m2", 3: "t"}
+
+
 def preset_benchmark(kind: str = "tfim", n_qubits: int = 8, t_final: float = 4.0) -> list[tuple[str, ExperimentConfig]]:
     """Adaptive (methods 1 and 3), product-formula and fixed-layer baselines."""
     model = default_model(kind, n_qubits)
     base = ExperimentConfig(model=model)
     step = replace(base.step, t_final=t_final)
+    adaptive = replace(base, algorithm="avqds", pool="hamiltonian", step=step)
     return [
-        ("avqds-m1", replace(base, algorithm="avqds", pool="hamiltonian", growth=GrowthConfig(method=1), step=step)),
-        ("avqds-t", replace(base, algorithm="avqds", pool="hamiltonian", growth=GrowthConfig(method=3), step=step)),
+        (f"avqds-{_GROWTH_TAGS[1]}", replace(adaptive, growth=GrowthConfig(method=1))),
+        (f"avqds-{_GROWTH_TAGS[3]}", replace(adaptive, growth=GrowthConfig(method=3))),
         ("trotter", replace(base, algorithm="trotter", trotter_dt=TROTTER_DT[kind], step=step)),
         ("hva", replace(base, algorithm="hva", hva_layers=HVA_LAYERS[kind], step=step)),
     ]
@@ -277,7 +282,7 @@ def preset_hybrid_noise(
             label = _noise_label(noise)
             out.append(
                 (
-                    f"avqds-t-{label}",
+                    f"avqds-{_GROWTH_TAGS[3]}-{label}",
                     replace(
                         base,
                         algorithm="avqds",
@@ -337,19 +342,29 @@ PRESETS = {
 }
 
 
+def _named(cfg: ExperimentConfig) -> tuple[str, ...]:
+    """What a preset label may name of its config: the noise grid point, the
+    growth method's tag and the solver."""
+    return _noise_label(cfg.noise), _GROWTH_TAGS[cfg.growth.method], cfg.solver.method
+
+
 def preset_runs(
     name: str, adjust: Callable[[ExperimentConfig], ExperimentConfig]
 ) -> list[tuple[str, ExperimentConfig]]:
     """The runs of preset ``name`` once ``adjust`` (the command line's
-    overrides) has changed each config. A label that ends in its config's
-    noise grid point is renamed to the point the adjusted config runs, so it
-    never names a threshold or shot count the run did not use; configs that
-    ``adjust`` made equal then share a label and run once."""
+    overrides) has changed each config. Each dash-separated part of a label
+    that names a fact of its config (``_named``) is renamed to the fact of
+    the adjusted config, so no label names a threshold, shot count, growth
+    method or solver its run did not use; configs that ``adjust`` made equal
+    then share a label and run once. Two different configs that would share
+    one raise ``ConfigError``."""
     runs: dict[str, ExperimentConfig] = {}
     for label, cfg in PRESETS[name]():
         adjusted = adjust(cfg)
-        point = _noise_label(cfg.noise)
-        if label.endswith(point):
-            label = label.removesuffix(point) + _noise_label(adjusted.noise)
-        runs.setdefault(label, adjusted)
+        label = f"-{label}-"
+        for old, new in zip(_named(cfg), _named(adjusted)):
+            label = label.replace(f"-{old}-", f"-{new}-")
+        label = label[1:-1]
+        if runs.setdefault(label, adjusted) != adjusted:
+            raise ConfigError("preset", f"the overrides give two different runs of {name} the label {label}")
     return list(runs.items())

@@ -13,7 +13,6 @@ which reduces to 2·(var_h - V'·td) at a solution of M·td = V.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,29 @@ import numpy as np
 from .ansatz import Ansatz, CircuitSlice, prepare_state, tangent_states
 from .pauli import PauliString, WeightedPauliSum
 from .statevector import _pauli_into
+
+
+class memo:
+    """A read-only attribute that the method computes on first read and
+    stores in the instance's ``__dict__``, where it shadows this descriptor
+    from then on (frozen dataclasses included). ``functools.cached_property``
+    does the same, but on Python 3.11 it holds one lock, shared by every
+    instance, while the method runs, so two threads could never decompose
+    two systems at once; this takes no lock. Two threads that read one
+    instance's value at once may both compute it, and each gets the value
+    the method returns."""
+
+    def __init__(self, method):
+        self._method, self.__doc__ = method, method.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self._name] = self._method(obj)
+        return value
 
 
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -48,7 +70,7 @@ class McLachlanSystem:
     def n_params(self) -> int:
         return self.v.shape[0]
 
-    @functools.cached_property
+    @memo
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """``np.linalg.eigh(m)``, computed on first use: a truncated solve
         and the candidate bounds of one growth iteration share it. Other

@@ -11,12 +11,11 @@ deliberately fragile reference point on singular systems.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .mclachlan import McLachlanSystem
+from .mclachlan import McLachlanSystem, memo
 
 METHODS = ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation")
 
@@ -52,7 +51,7 @@ class SolveDiagnostics:
     def __init__(self, system: McLachlanSystem, theta_dot: np.ndarray, epsilon: float):
         self._system, self._theta_dot, self._epsilon = system, theta_dot, epsilon
 
-    @functools.cached_property
+    @memo
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         w, u = self._system.eig
         return w, w <= self._epsilon, u.T @ self._system.v
@@ -71,7 +70,7 @@ class SolveDiagnostics:
         w = self._spectrum[0]
         return float(w[-1]) if w.size else -np.inf
 
-    @functools.cached_property
+    @memo
     def residual(self) -> float:
         return float(np.linalg.norm(self._system.m @ self._theta_dot - self._system.v))
 

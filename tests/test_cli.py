@@ -217,6 +217,40 @@ def test_hybrid_noise_dc_override_runs_each_config_once_under_its_threshold(tmp_
     assert len(capsys.readouterr().out.splitlines()) == 4  # one path per run written
 
 
+def run_dirs(out):
+    """Each run directory under ``out`` and the header of its one CSV."""
+    return {run.name: (run / "run_000.csv").read_text() for run in out.iterdir()}
+
+
+@pytest.mark.parametrize("method, label", [(1, "avqds-m1"), (2, "avqds-m2"), (3, "avqds-t")])
+def test_benchmark_method_override_runs_each_config_once_under_its_method(tmp_path, capsys, method, label):
+    out = tmp_path / "bench"
+    argv = ["preset", "benchmark", "--nq", "4", "--t-final", "0.05", "--method", str(method), "--out", str(out)]
+    assert main(argv) == 0
+    runs = run_dirs(out)
+    assert sorted(runs) == sorted([label, "trotter", "hva"])
+    assert f"# growth.method = {method}" in runs[label]
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_solver_comparison_solver_override_runs_once_under_its_solver(tmp_path, capsys):
+    out = tmp_path / "solvers"
+    argv = ["preset", "solver-comparison", "--nq", "4", "--t-final", "0.05", "--solver", "tikhonov", "--out", str(out)]
+    assert main(argv) == 0
+    runs = run_dirs(out)
+    assert list(runs) == ["solver-tikhonov"] and "# solver.method = tikhonov" in runs["solver-tikhonov"]
+    assert len(capsys.readouterr().out.splitlines()) == 1
+
+
+def test_an_override_that_gives_two_runs_one_label_writes_nothing(tmp_path, capsys):
+    # truncation at epsilon 1e-3 and tikhonov at 1e-2 would both be "tikhonov"
+    out = tmp_path / "noisy"
+    argv = ["preset", "noisy-regularization", "--nq", "4", "--solver", "tikhonov", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error key=preset message=the overrides give two different runs")
+    assert not out.exists()
+
+
 # --- oracle -------------------------------------------------------------------
 
 

@@ -1,15 +1,16 @@
-"""Full tiles flushed, and the stepped exact oracle advanced, on the flush
-thread: bit for bit the one-thread path, used only where it cannot
-oversubscribe the cores, and never left running.
+"""Full tiles flushed, the stepped exact oracle advanced, and growth-step
+solves (exact frame, candidate scores) run on the flush thread: bit for bit
+the one-thread path, used only where it cannot oversubscribe the cores, and
+never left running.
 
 The one-thread path (``ansatz._FLUSH_THREAD = False``, every tile flushed
-inline and every oracle call made by the step) is the oracle. The cases are
-TFIM HVAs at 10 and 12 qubits, where a tile holds 32 and 8 rows, so the
-sweeps of every split flush tiles, and adaptive TFIM runs at 10 qubits, the
-smallest size whose oracle is the Taylor stepper. The threaded side counts
-what it hands to the thread through a spy on the executor, and sees two
-usable cores and BLAS told to run on one thread whatever the machine and
-the shell have.
+inline and every oracle call and solve made by the step) is the oracle. The
+cases are TFIM HVAs at 10 and 12 qubits, where a tile holds 32 and 8 rows,
+so the sweeps of every split flush tiles, and adaptive TFIM runs at 10
+qubits, the smallest size whose oracle is the Taylor stepper. The threaded
+side counts what it hands to the thread through a spy on the executor, and
+sees two usable cores and BLAS told to run on one thread whatever the
+machine and the shell have.
 """
 
 import dataclasses
@@ -17,20 +18,24 @@ import multiprocessing
 import sys
 import threading
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import avqds.ansatz
+import avqds.engine
 from avqds.ansatz import Ansatz, _drain, _flush, _flush_executor, tangent_states
 from avqds.config import parse_config
-from avqds.engine import AvqdsRun, _blas_on_one_thread
+from avqds.engine import AvqdsRun, CandidateRanking, _blas_on_one_thread
 from avqds.experiment import run_experiment, run_single
 from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame
 from avqds.models import build_model, default_model, hamiltonian_term_pool
+from avqds.solvers import NonFiniteSystemError, solve
 from avqds.statevector import _DENSE_MAX_QUBITS, EvolveError, ExactPropagator
 from conftest import step_bounds
 from test_circuit import FRAME_ARRAYS, hva
+from test_scoring import planted_tie_cases
 
 # 6 HVA layers at 10 qubits are 120 generators, so each split of the fixed
 # ansatz fills a 32-row tile in at least one sweep
@@ -62,13 +67,20 @@ step.t_final = 0.03
 """
 
 
+# the same run without noise, so its growth scores the exact frame it steps on
+NOISELESS10 = "\n".join(line for line in ADAPTIVE10.splitlines() if not line.startswith("noise."))
+# with noise from depth 1 on, so that its growth steps solve the exact frame apart
+DEEP_NOISE10 = ADAPTIVE10.replace("d_c = 4", "d_c = 1")
+
+
 class SpyExecutor:
     """The flush executor, keeping the futures of the jobs handed to it and
-    counting the oracle calls among them."""
+    counting the oracle calls, candidate scores and exact-frame solves among
+    them."""
 
     def __init__(self):
         self.futures = []
-        self.oracle_calls = 0
+        self.oracle_calls = self.scores = self.exact_solves = 0
 
     @property
     def submitted(self):
@@ -76,6 +88,8 @@ class SpyExecutor:
 
     def submit(self, fn, *args):
         self.oracle_calls += getattr(fn, "__func__", None) is ExactPropagator.state_at
+        self.scores += getattr(fn, "__name__", None) == "score"
+        self.exact_solves += fn is solve
         self.futures.append(_flush_executor().submit(fn, *args))
         return self.futures[-1]
 
@@ -236,12 +250,19 @@ def test_one_usable_core_starts_no_flush_thread(rng, monkeypatch):
     assert np.array_equal(frame.system.m, assemble_frame(one_thread(monkeypatch, a), h).system.m)
 
 
-def adaptive_run(n_qubits=10):
-    """A noisy adaptive TFIM run of ``n_qubits`` with its exact oracle."""
-    cfg = parse_config(ADAPTIVE10.replace("n_qubits = 10", f"n_qubits = {n_qubits}"))
+def adaptive_run(n_qubits=10, text=ADAPTIVE10, method=3):
+    """An adaptive TFIM run of ``n_qubits`` with its exact oracle, noisy
+    unless ``text`` is ``NOISELESS10``."""
+    cfg = parse_config(text.replace("n_qubits = 10", f"n_qubits = {n_qubits}"))
     _, h, psi0 = build_model(cfg.model)
-    return AvqdsRun(h, Ansatz(psi0), cfg.step, cfg.solver, hamiltonian_term_pool(cfg.model), cfg.growth,
-                    cfg.noise, seed=3)
+    return AvqdsRun(h, Ansatz(psi0), cfg.step, cfg.solver, hamiltonian_term_pool(cfg.model),
+                    replace(cfg.growth, method=method), cfg.noise if cfg.noise_enabled else None, seed=3)
+
+
+def records(run):
+    """repr of each record, which writes each float with the digits that
+    give back its bits."""
+    return [repr(dataclasses.astuple(r)) for r in run.records]
 
 
 def test_oracle_on_the_thread_writes_the_records_of_the_one_thread_path(monkeypatch, threaded):
@@ -253,6 +274,116 @@ def test_oracle_on_the_thread_writes_the_records_of_the_one_thread_path(monkeypa
     assert len(got) > 1 and threaded.oracle_calls == len(got)
     # repr writes each float with the digits that give back its bits
     assert [repr(dataclasses.astuple(r)) for r in got] == [repr(dataclasses.astuple(r)) for r in want]
+
+
+@pytest.mark.parametrize("text", [DEEP_NOISE10, NOISELESS10], ids=["noisy", "noiseless"])
+def test_growth_solves_on_the_thread_write_the_records_of_the_one_thread_path(monkeypatch, threaded, text):
+    with monkeypatch.context() as patch:
+        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        want = adaptive_run(text=text)
+        want.run()
+    assert threaded.submitted == 0
+    got = adaptive_run(text=text)
+    done = []
+    while got.t < got.step_cfg.t_final - 1e-12:
+        got.step()
+        done.append(all(f.done() for f in threaded.futures))
+    assert len(got.records) > 1 and records(got) == records(want)
+    assert threaded.scores > 0 and all(done)
+    assert (threaded.exact_solves > 0) == ("noise." in text)
+
+
+def test_single_op_growth_hands_no_score_to_the_thread(monkeypatch, threaded):
+    with monkeypatch.context() as patch:
+        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        want = adaptive_run(text=NOISELESS10, method=1)
+        want.run()
+    got = adaptive_run(text=NOISELESS10, method=1)
+    got.run()
+    assert records(got) == records(want) and got.ansatz.n_params > 0
+    assert threaded.scores == 0 and threaded.oracle_calls > 0
+
+
+def test_every_job_is_done_when_a_growth_step_raises(monkeypatch, threaded):
+    """The exact solve is on the thread while ``augment_block`` raises here."""
+    run = adaptive_run(text=DEEP_NOISE10)
+
+    def fail(*args):
+        if threaded.exact_solves:
+            raise RuntimeError("border failed")
+        return augment_block(*args)
+
+    monkeypatch.setattr(avqds.engine, "augment_block", fail)
+    with pytest.raises(RuntimeError, match="border failed"):
+        while True:
+            run.step()
+    assert threaded.exact_solves > 0 and all(f.done() for f in threaded.futures)
+
+
+def failing_solve(fails):
+    """``solve`` raising ``NonFiniteSystemError`` for the systems ``fails``
+    picks."""
+    def solve_or_fail(s, cfg):
+        if fails(s):
+            raise NonFiniteSystemError(s.n_params)
+        return solve(s, cfg)
+
+    return solve_or_fail
+
+
+def test_a_handed_score_that_raises_is_raised_where_the_inline_score_would_be(monkeypatch, threaded):
+    """Every score the thread runs fails; the walk comes to one of them and
+    raises as the inline walk does when every score fails."""
+    with monkeypatch.context() as patch:
+        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        inline = adaptive_run(text=NOISELESS10)
+        patch.setattr(avqds.engine, "solve", failing_solve(lambda s: s.n_params > inline.ansatz.n_params))
+        with pytest.raises(NonFiniteSystemError) as want:
+            inline.step()
+    monkeypatch.setattr(avqds.engine, "solve",
+                        failing_solve(lambda s: threading.current_thread().name.startswith("avqds-flush")))
+    run = adaptive_run(text=NOISELESS10)
+    with pytest.raises(NonFiniteSystemError) as got:
+        run.step()
+    assert (got.value.phase, got.value.t, got.value.step) == ("candidate score", 0.0, 0)
+    assert str(got.value) == str(want.value)
+    assert threaded.scores > 0 and all(f.done() for f in threaded.futures)
+
+
+@pytest.mark.parametrize("comes_to_it", [False, True])
+def test_a_handed_score_that_raises_is_raised_only_if_the_walk_comes_to_it(comes_to_it):
+    scores = {0: 2.5, 2: 0.5}
+    yielded = []
+
+    def score(i):
+        if i not in scores:
+            raise NonFiniteSystemError(1)
+        return scores[i]
+
+    with ThreadPoolExecutor(1) as pool:
+        # candidate 1 is handed to the pool while 0 is scored; once 0 is
+        # taken, 1 is skipped unless the walk is to come to it
+        ranking = CandidateRanking({0: 3.0, 1: 2.0, 2: 1.0}, score, pool.submit)
+        walk = ranking.ranked(0.0, skip=lambda i: i == 1 and bool(yielded) and not comes_to_it)
+        try:
+            if comes_to_it:
+                with pytest.raises(NonFiniteSystemError):
+                    for pick in walk:
+                        yielded.append(pick)
+            else:
+                yielded.extend(walk)
+        finally:
+            ranking.wait()
+        assert yielded == ([(0, 2.5)] if comes_to_it else [(0, 2.5), (2, 0.5)])
+
+
+def test_a_ranking_with_submit_yields_the_sequence_of_one_without(rng):
+    with ThreadPoolExecutor(1) as pool:
+        for scores, bounds, cut in planted_tie_cases(rng):
+            inline = CandidateRanking(bounds, scores.__getitem__)
+            handed = CandidateRanking(bounds, scores.__getitem__, pool.submit)
+            assert list(handed.ranked(cut, skip=lambda i: False)) == list(inline.ranked(cut, skip=lambda i: False))
+            handed.wait()
 
 
 def test_an_evolve_error_on_the_thread_leaves_the_step_unchanged(monkeypatch, threaded):
@@ -296,10 +427,13 @@ def test_the_oracle_runs_inline_where_it_cannot_use_an_idle_core(monkeypatch, th
     if inline == "blas on every core":
         blas_threads(monkeypatch, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="2")
     run = adaptive_run(n_qubits)
-    assert run._oracle.stepped == (n_qubits > _DENSE_MAX_QUBITS) and not run._oracle_beside
+    assert run._oracle.stepped == (n_qubits > _DENSE_MAX_QUBITS)
+    assert (run._submit is not None) == (inline == "dense oracle")
     run.step()
     run.step()
     assert threaded.oracle_calls == 0
+    if run._submit is None:  # nor any growth-step solve
+        assert threaded.scores == threaded.exact_solves == 0
 
 
 def _oracle_in_a_pool_worker():
@@ -309,12 +443,12 @@ def _oracle_in_a_pool_worker():
     run = adaptive_run()
     run.step()
     run.step()
-    return run._oracle_beside, [t.name for t in flush_threads()]
+    return run._submit is not None, [t.name for t in flush_threads()]
 
 
 def test_a_pool_worker_submits_no_oracle_call(monkeypatch):
     blas_threads(monkeypatch, OMP_NUM_THREADS="1")  # the spawned worker inherits it
-    assert adaptive_run()._oracle_beside == avqds.ansatz._flush_thread_usable()
+    assert (adaptive_run()._submit is not None) == avqds.ansatz._flush_thread_usable()
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
         assert pool.submit(_oracle_in_a_pool_worker).result(timeout=120) == (False, [])
 

@@ -1,4 +1,6 @@
-"""``tools/output_digests.py --against``: the paths that moved, and by how much."""
+"""``tools/output_digests.py``: ``--against`` prints the paths that moved,
+and by how much; ``--one-thread`` writes the outputs with nothing handed to
+the flush thread."""
 
 import importlib.util
 import os
@@ -7,6 +9,8 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+
+import avqds.ansatz
 
 _spec = importlib.util.spec_from_file_location(
     "output_digests", Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
@@ -58,3 +62,13 @@ def test_csv_differences_report_rows_comments_and_text(tmp_path):
         "rows: 2 -> 3 (compared in order over the first 2)",
         "label: differs",
     ]
+
+
+@pytest.mark.parametrize("flags, flush_thread", [([], True), (["--one-thread"], False)])
+def test_one_thread_turns_the_flush_thread_off_before_any_run(tmp_path, monkeypatch, flags, flush_thread):
+    monkeypatch.setattr(avqds.ansatz, "_FLUSH_THREAD", True)  # and back after the test
+    seen = []
+    monkeypatch.setattr(output_digests, "write_outputs", lambda out: seen.append(avqds.ansatz._FLUSH_THREAD))
+    monkeypatch.setattr(sys, "argv", ["output_digests.py", str(tmp_path / "out"), *flags])
+    assert output_digests.main() == 0
+    assert seen == [flush_thread]

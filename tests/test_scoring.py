@@ -92,12 +92,12 @@ def test_bounds_hold_on_every_growth_event(monkeypatch, name):
     events = []
     real_grow = engine.grow_once
 
-    def spy(frame, pool, growth_cfg, solver_cfg, l2_before=None):
+    def spy(frame, pool, growth_cfg, solver_cfg, l2_before, *rest):
         border = augment_block(frame, list(pool.operators))
         bounds, slack = score_bounds(frame, pool, border, l2_before)
         scores = np.array([s for _, s in brute_force_scores(frame, pool, solver_cfg, l2_before)])
         events.append((bounds, slack, scores))
-        return real_grow(frame, pool, growth_cfg, solver_cfg, l2_before)
+        return real_grow(frame, pool, growth_cfg, solver_cfg, l2_before, *rest)
 
     monkeypatch.setattr(engine, "grow_once", spy)
     for spec, make_pool, growth, t_final in runs:
@@ -178,13 +178,18 @@ def test_exact_score_ties_break_toward_the_lower_index():
             assert score_candidates(frame, pool, growth, TRUNC, l2) == expected
 
 
-def test_lazy_ranking_reproduces_the_full_sort_with_planted_ties(rng):
-    for _ in range(200):
+def planted_tie_cases(rng, count=200):
+    """(scores, bounds, cut) of small rankings with many exact ties."""
+    for _ in range(count):
         size = int(rng.integers(1, 12))
         scores = {i: float(rng.integers(0, 4)) for i in range(size)}  # many exact ties
         # bounds: exact for some, loose for others, some equal to another's score
         bounds = {i: s + float(rng.choice([0.0, 0.0, 1.0, 2.5])) for i, s in scores.items()}
-        cut = float(rng.choice([-1.0, 0.0, 1.5]))
+        yield scores, bounds, float(rng.choice([-1.0, 0.0, 1.5]))
+
+
+def test_lazy_ranking_reproduces_the_full_sort_with_planted_ties(rng):
+    for scores, bounds, cut in planted_tie_cases(rng):
         solved = []
 
         def score(i):

@@ -20,6 +20,14 @@ relative to OUT. Run it on two trees and ``diff`` the listings: a change
 that keeps every output byte prints nothing. BLAS and OpenMP are pinned to
 one thread before numpy is imported, as the benchmark pins them.
 
+    python3 tools/output_digests.py OUT --one-thread
+
+writes the same files with ``avqds.ansatz._FLUSH_THREAD = False`` set before
+any run, so that every tile flush, exact oracle call and growth-step solve
+runs on the main thread. ``--against`` between a run with it and one
+without, on one tree, shows that no work handed to the flush thread moves
+a byte.
+
     python3 tools/output_digests.py OUT --against PARENT
 
 compares OUT with PARENT, the OUT of a run of this script on the parent
@@ -145,6 +153,7 @@ def main() -> int:
     parser = argparse.ArgumentParser(usage=__doc__.strip().splitlines()[2].strip())
     parser.add_argument("out", type=Path)
     parser.add_argument("--against", type=Path, metavar="PARENT")
+    parser.add_argument("--one-thread", action="store_true", help="hand nothing to the flush thread")
     args = parser.parse_args()
     out = args.out.resolve()
     if out.exists() and any(out.iterdir()):
@@ -153,6 +162,10 @@ def main() -> int:
     if args.against is not None and not args.against.exists():
         print(f"error: {args.against} does not exist", file=sys.stderr)
         return 2
+    if args.one_thread:
+        import avqds.ansatz
+
+        avqds.ansatz._FLUSH_THREAD = False
     write_outputs(out)
     if args.against is not None:
         compare(out, args.against.resolve())
