@@ -280,7 +280,6 @@ def score_candidates(
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
     l2_before: float,
-    border: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     submit: Callable[..., futures.Future] | None = None,
 ) -> tuple[list[int], bool]:
     """Score the pool by how much each operator, appended at angle zero,
@@ -297,13 +296,12 @@ def score_candidates(
     the selection is the one the full ranking gives. Returns
     ``select_additions``'s (indices, depth_suppressed).
 
-    ``border`` is the pool's ``augment_block``, formed here when not given.
     Under method 3, whose walk scores on until the qubits are full, the
     ranking hands scores to ``submit`` when there is one; every one of
     them is done when this returns. The other methods stop at their first
     pick, so a handed score would mostly go unread.
     """
-    cols, diags, v_news = border if border is not None else augment_block(frame, list(pool.operators))
+    cols, diags, v_news = augment_block(frame, list(pool.operators))
     bounds, slack = score_bounds(frame, pool, (cols, diags, v_news), l2_before)
 
     def score(idx: int) -> float:
@@ -381,12 +379,11 @@ def grow_once(
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
     l2_before: float,
-    border: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
     submit: Callable[..., futures.Future] | None = None,
 ) -> GrowthResult:
     """One growth iteration; appended angles are zero so the state is kept.
-    ``border`` and ``submit`` go to ``score_candidates``."""
-    chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before, border, submit)
+    ``submit`` goes to ``score_candidates``."""
+    chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before, submit)
     if not chosen:
         return GrowthResult(frame.ansatz, (), stalled=not suppressed, suppressed=suppressed)
     new_ansatz = frame.ansatz.extended(pool.operators[i] for i in chosen)
@@ -427,8 +424,6 @@ class AvqdsRun:
       before it reads the infidelity, even when it raises, and an error of
       the call (``EvolveError``) is raised from ``step`` unchanged. The
       dense oracle's call is shorter than a hand-over and stays inline;
-    - in a noisy growth iteration, the solve of the exact frame, while
-      ``augment_block`` forms the candidate border here;
     - under growth method 3, candidate scores (``CandidateRanking``).
 
     Every job is done before the growth iteration, or the step, that handed
@@ -491,22 +486,6 @@ class AvqdsRun:
         theta_dot, _ = self._located("step solve", solve, system, self.solver)
         return theta_dot, mclachlan_distance(system, theta_dot)
 
-    def _exact(self, frame: TangentFrame) -> tuple[float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The noiseless distance of ``frame`` at its solution and the pool's
-        border, formed here while the solve runs on the flush thread if the
-        run hands work to it."""
-        solved = self._submit(solve, frame.system, self.solver) if self._submit is not None else None
-        try:
-            border = augment_block(frame, list(self.pool.operators))
-        finally:
-            if solved is not None:
-                futures.wait([solved])
-        if solved is None:
-            exact_td, _ = self._located("exact solve", solve, frame.system, self.solver)
-        else:
-            exact_td, _ = self._located("exact solve", solved.result)
-        return mclachlan_distance(frame.system, exact_td), border
-
     def step(self) -> TrajectoryRecord:
         frame = assemble_frame(self.ansatz, self.h, len(self.pool) if self.growth is not None else 0)
         system = self._drawn(frame)
@@ -524,12 +503,13 @@ class AvqdsRun:
                     # scoring works on the exact frame; noise only enters the
                     # per-step equations of motion
                     if system is frame.system:  # no noise drawn: l2 is already exact
-                        exact_l2, border = l2, None
+                        exact_l2 = l2
                     else:
-                        exact_l2, border = self._exact(frame)
+                        exact_td, _ = self._located("exact solve", solve, frame.system, self.solver)
+                        exact_l2 = mclachlan_distance(frame.system, exact_td)
                     result = self._located(
                         "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2,
-                        border, self._submit,
+                        self._submit,
                     )
                     stalled |= result.stalled
                     suppressed |= result.suppressed

@@ -1,7 +1,6 @@
 """Full tiles flushed, the stepped exact oracle advanced, and growth-step
-solves (exact frame, candidate scores) run on the flush thread: bit for bit
-the one-thread path, used only where it cannot oversubscribe the cores, and
-never left running.
+candidate scores run on the flush thread: bit for bit the one-thread path,
+used only where it cannot oversubscribe the cores, and never left running.
 
 The one-thread path (``ansatz._FLUSH_THREAD = False``, every tile flushed
 inline and every oracle call and solve made by the step) is the oracle. The
@@ -29,7 +28,7 @@ from avqds.ansatz import Ansatz, _drain, _flush, _flush_executor, tangent_states
 from avqds.config import parse_config
 from avqds.engine import AvqdsRun, CandidateRanking, _blas_on_one_thread
 from avqds.experiment import run_experiment, run_single
-from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame
+from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame, extend_system
 from avqds.models import build_model, default_model, hamiltonian_term_pool
 from avqds.solvers import NonFiniteSystemError, solve
 from avqds.statevector import _DENSE_MAX_QUBITS, EvolveError, ExactPropagator
@@ -69,18 +68,15 @@ step.t_final = 0.03
 
 # the same run without noise, so its growth scores the exact frame it steps on
 NOISELESS10 = "\n".join(line for line in ADAPTIVE10.splitlines() if not line.startswith("noise."))
-# with noise from depth 1 on, so that its growth steps solve the exact frame apart
-DEEP_NOISE10 = ADAPTIVE10.replace("d_c = 4", "d_c = 1")
 
 
 class SpyExecutor:
     """The flush executor, keeping the futures of the jobs handed to it and
-    counting the oracle calls, candidate scores and exact-frame solves among
-    them."""
+    counting the oracle calls and candidate scores among them."""
 
     def __init__(self):
         self.futures = []
-        self.oracle_calls = self.scores = self.exact_solves = 0
+        self.oracle_calls = self.scores = 0
 
     @property
     def submitted(self):
@@ -89,7 +85,6 @@ class SpyExecutor:
     def submit(self, fn, *args):
         self.oracle_calls += getattr(fn, "__func__", None) is ExactPropagator.state_at
         self.scores += getattr(fn, "__name__", None) == "score"
-        self.exact_solves += fn is solve
         self.futures.append(_flush_executor().submit(fn, *args))
         return self.futures[-1]
 
@@ -276,7 +271,7 @@ def test_oracle_on_the_thread_writes_the_records_of_the_one_thread_path(monkeypa
     assert [repr(dataclasses.astuple(r)) for r in got] == [repr(dataclasses.astuple(r)) for r in want]
 
 
-@pytest.mark.parametrize("text", [DEEP_NOISE10, NOISELESS10], ids=["noisy", "noiseless"])
+@pytest.mark.parametrize("text", [ADAPTIVE10, NOISELESS10], ids=["noisy", "noiseless"])
 def test_growth_solves_on_the_thread_write_the_records_of_the_one_thread_path(monkeypatch, threaded, text):
     with monkeypatch.context() as patch:
         patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
@@ -290,7 +285,6 @@ def test_growth_solves_on_the_thread_write_the_records_of_the_one_thread_path(mo
         done.append(all(f.done() for f in threaded.futures))
     assert len(got.records) > 1 and records(got) == records(want)
     assert threaded.scores > 0 and all(done)
-    assert (threaded.exact_solves > 0) == ("noise." in text)
 
 
 def test_single_op_growth_hands_no_score_to_the_thread(monkeypatch, threaded):
@@ -305,19 +299,18 @@ def test_single_op_growth_hands_no_score_to_the_thread(monkeypatch, threaded):
 
 
 def test_every_job_is_done_when_a_growth_step_raises(monkeypatch, threaded):
-    """The exact solve is on the thread while ``augment_block`` raises here."""
-    run = adaptive_run(text=DEEP_NOISE10)
+    """A score is on the thread while the one scored here raises."""
+    run = adaptive_run(text=NOISELESS10)
 
     def fail(*args):
-        if threaded.exact_solves:
-            raise RuntimeError("border failed")
-        return augment_block(*args)
+        if threaded.scores and threading.current_thread() is threading.main_thread():
+            raise RuntimeError("score failed")
+        return extend_system(*args)
 
-    monkeypatch.setattr(avqds.engine, "augment_block", fail)
-    with pytest.raises(RuntimeError, match="border failed"):
-        while True:
-            run.step()
-    assert threaded.exact_solves > 0 and all(f.done() for f in threaded.futures)
+    monkeypatch.setattr(avqds.engine, "extend_system", fail)
+    with pytest.raises(RuntimeError, match="score failed"):
+        run.step()
+    assert threaded.scores > 0 and all(f.done() for f in threaded.futures)
 
 
 def failing_solve(fails):
@@ -433,7 +426,7 @@ def test_the_oracle_runs_inline_where_it_cannot_use_an_idle_core(monkeypatch, th
     run.step()
     assert threaded.oracle_calls == 0
     if run._submit is None:  # nor any growth-step solve
-        assert threaded.scores == threaded.exact_solves == 0
+        assert threaded.scores == 0
 
 
 def _oracle_in_a_pool_worker():
