@@ -208,17 +208,13 @@ class _Trig:
 # 128 at 8, so a tile and its scratch stay inside a 2 MiB L2 cache.
 _TILE_BYTES = 512 * 1024
 
-# Whether a workspace may hand full tiles to the flush thread. Set to False,
-# every tile is flushed inline: the one-thread path, the oracle of the other.
-_FLUSH_THREAD = True
-
-
 def _flush_thread_usable() -> bool:
     """Whether a workspace built now flushes tiles on the flush thread: with
     at least two usable cores, and not in a process that multiprocessing
     started (a ``run.workers > 1`` pool worker), so that threads times
-    workers never exceed the cores."""
-    return (_FLUSH_THREAD and multiprocessing.parent_process() is None
+    workers never exceed the cores. With one usable core every tile is
+    flushed inline: the one-thread path, the oracle of the other."""
+    return (multiprocessing.parent_process() is None
             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
 
 
@@ -499,14 +495,13 @@ class CircuitLayout:
     """ASAP layer assignment of an ordered set of unitaries."""
 
     n_qubits: int
-    layers: tuple[tuple[int, ...], ...] = ()
     layer_masks: tuple[int, ...] = ()
     layer_of: tuple[int, ...] = ()
     cnot_count: int = 0
 
     @property
     def depth(self) -> int:
-        return len(self.layers)
+        return len(self.layer_masks)
 
     def prefix_depths(self) -> np.ndarray:
         """Entry k is the depth of the circuit cut after unitary k: the running
@@ -520,7 +515,7 @@ class CircuitLayout:
 
     def idle_qubits_in_last_layer(self) -> int:
         """Bit mask of qubits untouched by the final layer (0 if no layers)."""
-        if not self.layers:
+        if not self.layer_masks:
             return 0
         full = (1 << self.n_qubits) - 1
         return full & ~self.layer_masks[-1]
@@ -542,22 +537,18 @@ def _asap_level(masks, support_mask: int) -> int:
 def _placed(base: CircuitLayout, generators) -> CircuitLayout:
     """``base`` with ``generators`` appended under the ASAP rule, which
     places a prefix of the unitaries the same whatever follows it."""
-    layers = [list(l) for l in base.layers]
     masks = list(base.layer_masks)
     layer_of = list(base.layer_of)
     cnots = base.cnot_count
     for g in generators:
         level = _asap_level(masks, g.support_mask)
-        if level == len(layers):
-            layers.append([])
+        if level == len(masks):
             masks.append(0)
-        layers[level].append(len(layer_of))
         masks[level] |= g.support_mask
         layer_of.append(level)
         cnots += cnot_cost(g)
     return CircuitLayout(
         n_qubits=base.n_qubits,
-        layers=tuple(tuple(l) for l in layers),
         layer_masks=tuple(masks),
         layer_of=tuple(layer_of),
         cnot_count=cnots,

@@ -7,7 +7,9 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, config_from_mapping, parse_assignments, serialize_config
+from .config import ALGORITHMS, POOL_KINDS, ConfigError, config_from_mapping, parse_assignments, serialize_config
+from .models import KINDS
+from .solvers import METHODS
 
 
 # flag, configuration key it overrides, add_argument keywords
@@ -18,15 +20,15 @@ _OVERRIDE_FLAGS = (
     ("--workers", "run.workers", {"type": int}),
     ("--t-final", "step.t_final", {"type": float}),
     ("--method", "growth.method", {"type": int, "help": "growth method 1, 2 or 3"}),
-    ("--solver", "solver.method", {"help": "lsq_unbounded | lsq_bounded | tikhonov | truncation"}),
+    ("--solver", "solver.method", {"help": " | ".join(METHODS)}),
     ("--epsilon", "solver.epsilon", {"type": float}),
     ("--ns", "noise.n_shots", {"help": "shots per matrix element (number or 'inf')"}),
     ("--dc", "noise.d_c", {"type": int, "help": "exact-evaluation depth threshold"}),
     ("--l2-cut", "growth.l2_cut", {"type": float}),
-    ("--model", "model.kind", {"help": "tfim | mfim | hm"}),
+    ("--model", "model.kind", {"help": " | ".join(KINDS)}),
     ("--nq", "model.n_qubits", {"type": int}),
-    ("--pool", "pool.kind", {"help": "model | hamiltonian"}),
-    ("--algorithm", "run.algorithm", {"help": "avqds | hva | trotter"}),
+    ("--pool", "pool.kind", {"help": " | ".join(POOL_KINDS)}),
+    ("--algorithm", "run.algorithm", {"help": " | ".join(ALGORITHMS)}),
     ("--oracle", "run.oracle", {"help": "true | false"}),
 )
 

@@ -89,8 +89,8 @@ class ExperimentConfig:
             raise ConfigError("model.n_qubits", f"{message}, got {self.model.n_qubits}")
         if self.hva_layers < 1:
             raise ConfigError("hva.layers", "must be a positive integer")
-        if not self.trotter_dt > 0:
-            raise ConfigError("trotter.dt", "must be positive")
+        if not 0 < self.trotter_dt < math.inf:
+            raise ConfigError("trotter.dt", f"must be finite and positive, got {self.trotter_dt}")
         if self.runs < 1:
             raise ConfigError("run.runs", "must be a positive integer")
         if self.workers < 1:
@@ -176,8 +176,9 @@ def config_from_mapping(assignments: dict[str, str]) -> ExperimentConfig:
             else:
                 base = ExperimentConfig.__dataclass_fields__[name].default_factory()
             kwargs[name] = replace(base, **fields)
-        except ValueError as exc:
-            raise ConfigError(f"{name}.*", str(exc)) from None
+        except ValueError as exc:  # a section's validator starts its message with the key at fault
+            key = str(exc).split(" ", 1)[0]
+            raise ConfigError(key if key in _SCHEMA else f"{name}.*", str(exc)) from None
     try:
         return ExperimentConfig(**kwargs)
     except ConfigError:

@@ -107,12 +107,12 @@ class StepConfig:
     t_final: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.dtheta_max > 0:
-            raise ValueError("step.dtheta_max must be positive")
-        if self.dt_fixed is not None and not self.dt_fixed > 0:
-            raise ValueError("step.dt_fixed must be positive when set")
-        if not self.t_final > 0:
-            raise ValueError("step.t_final must be positive")
+        if not 0 < self.dtheta_max < math.inf:
+            raise ValueError(f"step.dtheta_max must be finite and positive, got {self.dtheta_max}")
+        if self.dt_fixed is not None and not 0 < self.dt_fixed < math.inf:
+            raise ValueError(f"step.dt_fixed must be finite and positive when set, got {self.dt_fixed}")
+        if not 0 < self.t_final < math.inf:
+            raise ValueError(f"step.t_final must be finite and positive, got {self.t_final}")
 
 
 @dataclass(frozen=True)
@@ -306,7 +306,7 @@ def score_candidates(
 
     def score(idx: int) -> float:
         extended = extend_system(frame.system, cols[idx], float(diags[idx]), float(v_news[idx]))
-        td, _ = solve(extended, solver_cfg)
+        td = solve(extended, solver_cfg)
         return l2_before - mclachlan_distance(extended, td)
 
     ranking = CandidateRanking(dict(enumerate((bounds + slack).tolist())), score,
@@ -483,7 +483,7 @@ class AvqdsRun:
         return noisy_system(frame.system, ansatz_layout(frame.ansatz), self.noise, self.rng)
 
     def _solved(self, system):
-        theta_dot, _ = self._located("step solve", solve, system, self.solver)
+        theta_dot = self._located("step solve", solve, system, self.solver)
         return theta_dot, mclachlan_distance(system, theta_dot)
 
     def step(self) -> TrajectoryRecord:
@@ -505,7 +505,7 @@ class AvqdsRun:
                     if system is frame.system:  # no noise drawn: l2 is already exact
                         exact_l2 = l2
                     else:
-                        exact_td, _ = self._located("exact solve", solve, frame.system, self.solver)
+                        exact_td = self._located("exact solve", solve, frame.system, self.solver)
                         exact_l2 = mclachlan_distance(frame.system, exact_td)
                     result = self._located(
                         "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2,

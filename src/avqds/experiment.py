@@ -28,31 +28,27 @@ from .noise import NoiseConfig
 from .solvers import SolverConfig
 from .statevector import ExactPropagator, expectation
 
-CSV_COLUMNS = ("t", "n_params", "l2", "depth", "cnots", "dt", "energy", "infidelity")
-
 
 def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+# (CSV column, TrajectoryRecord field, format) of a trajectory CSV, in order;
+# the aggregate has a mean and a std column for each after t
+TRAJECTORY_COLUMNS = (
+    ("t", "t", _fmt_float),
+    ("n_params", "n_params", str),
+    ("l2", "l2", _fmt_float),
+    ("depth", "depth", str),
+    ("cnots", "cnot_count", str),
+    ("dt", "dt", _fmt_float),
+    ("energy", "energy", _fmt_float),
+    ("infidelity", "infidelity", _fmt_float),
+)
+
+
 def record_rows(records: list[TrajectoryRecord]) -> list[str]:
-    rows = []
-    for r in records:
-        rows.append(
-            ",".join(
-                (
-                    _fmt_float(r.t),
-                    str(r.n_params),
-                    _fmt_float(r.l2),
-                    str(r.depth),
-                    str(r.cnot_count),
-                    _fmt_float(r.dt),
-                    _fmt_float(r.energy),
-                    _fmt_float(r.infidelity),
-                )
-            )
-        )
-    return rows
+    return [",".join(fmt(getattr(r, field)) for _, field, fmt in TRAJECTORY_COLUMNS) for r in records]
 
 
 def write_trajectory_csv(
@@ -60,7 +56,7 @@ def write_trajectory_csv(
 ) -> None:
     lines = ["# avqds trajectory v1", f"# seed = {seed}"]
     lines += [f"# {line}" for line in serialize_config(cfg).strip().splitlines()]
-    lines.append(",".join(CSV_COLUMNS))
+    lines.append(",".join(column for column, _, _ in TRAJECTORY_COLUMNS))
     lines += record_rows(records)
     path.write_text("\n".join(lines) + "\n")
 
@@ -141,11 +137,9 @@ def _run_and_write(args: tuple[ExperimentConfig, int, str]) -> tuple[str, list[T
 
 def _aggregate(per_run: list[list[TrajectoryRecord]]) -> list[str]:
     grid = sorted({r.t for records in per_run for r in records})
-    fields = ("n_params", "l2", "depth", "cnot_count", "dt", "energy", "infidelity")
-    header = ["t", "n_runs"]
-    for f in fields:
-        name = "cnots" if f == "cnot_count" else f
-        header += [f"{name}_mean", f"{name}_std"]
+    columns = TRAJECTORY_COLUMNS[1:]  # t is the grid
+    fields = [field for _, field, _ in columns]
+    header = ["t", "n_runs"] + [f"{column}_{stat}" for column, _, _ in columns for stat in ("mean", "std")]
     # (grid, field, run), runs contiguous: each point reduces its runs as a 1-D mean would
     table = np.empty((len(grid), len(fields), len(per_run)))
     after = np.array(grid) + 1e-15

@@ -23,29 +23,6 @@ from .pauli import PauliString, WeightedPauliSum
 from .statevector import _pauli_into
 
 
-class memo:
-    """A read-only attribute that the method computes on first read and
-    stores in the instance's ``__dict__``, where it shadows this descriptor
-    from then on (frozen dataclasses included). ``functools.cached_property``
-    does the same, but on Python 3.11 it holds one lock, shared by every
-    instance, while the method runs, so two threads could never decompose
-    two systems at once; this takes no lock. Two threads that read one
-    instance's value at once may both compute it, and each gets the value
-    the method returns."""
-
-    def __init__(self, method):
-        self._method, self.__doc__ = method, method.__doc__
-
-    def __set_name__(self, owner, name: str) -> None:
-        self._name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self._name] = self._method(obj)
-        return value
-
-
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (ascending) and eigenvectors (as columns) of a real symmetric matrix."""
     m = np.asarray(m, dtype=float)
@@ -70,12 +47,19 @@ class McLachlanSystem:
     def n_params(self) -> int:
         return self.v.shape[0]
 
-    @memo
+    @property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """``np.linalg.eigh(m)``, computed on first use: a truncated solve
         and the candidate bounds of one growth iteration share it. Other
-        solvers leave it to the bounds or to diagnostics that are read."""
-        return np.linalg.eigh(self.m)
+        solvers leave it to the bounds or to ``diagnose``. The cache takes
+        no lock (``functools.cached_property`` on Python 3.11 holds one,
+        shared by every instance, while it computes), so two threads
+        decompose two systems at once; two threads that read one system's
+        at once may both compute it."""
+        cached = self.__dict__.get("_eig")
+        if cached is None:
+            cached = self.__dict__["_eig"] = np.linalg.eigh(self.m)
+        return cached
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,6 +11,7 @@ layered fixed ansatz.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .pauli import PauliString, WeightedPauliSum
@@ -40,6 +41,9 @@ class ModelSpec:
             raise ValueError(
                 "model.n_qubits must be at least 3 (periodic bonds would double up)"
             )
+        for name in ("j", "h_x", "h_z"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"model.{name} must be finite, got {getattr(self, name)}")
         if self.kind == "tfim" and self.h_z != 0.0:
             raise ValueError("tfim has no longitudinal field; use kind=mfim for h_z != 0")
         if self.kind == "hm" and (self.h_x != 0.0 or self.h_z != 0.0):

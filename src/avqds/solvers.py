@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mclachlan import McLachlanSystem, memo
+from .mclachlan import McLachlanSystem
 
 METHODS = ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation")
 
@@ -35,49 +35,38 @@ class SolverConfig:
             raise ValueError(f"solver.bound must be positive, got {self.bound}")
 
 
+@dataclass(frozen=True)
 class SolveDiagnostics:
-    """What a solve met, computed from the system and theta_dot the first
-    time a field is read.
+    """What a solve of ``system`` met (``diagnose``).
 
     ``n_null`` counts the eigenvalues of M at or below epsilon,
     ``min_eigenvalue`` and ``max_eigenvalue`` bound the spectrum (inf and
     -inf when M is empty), ``residual`` is |M·theta_dot - V| and
     ``null_defect`` the largest |u_k·V| over those null eigenvectors (0.0 if
-    none). Every field but ``residual`` reads the system's cached ``eig``,
-    so only truncation's diagnostics come without a decomposition of their
-    own; a solve whose diagnostics go unread pays for none of them.
+    none).
     """
 
-    def __init__(self, system: McLachlanSystem, theta_dot: np.ndarray, epsilon: float):
-        self._system, self._theta_dot, self._epsilon = system, theta_dot, epsilon
+    n_null: int
+    min_eigenvalue: float
+    max_eigenvalue: float
+    residual: float
+    null_defect: float
 
-    @memo
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        w, u = self._system.eig
-        return w, w <= self._epsilon, u.T @ self._system.v
 
-    @property
-    def n_null(self) -> int:
-        return int(np.sum(self._spectrum[1]))
-
-    @property
-    def min_eigenvalue(self) -> float:
-        w = self._spectrum[0]
-        return float(w[0]) if w.size else np.inf
-
-    @property
-    def max_eigenvalue(self) -> float:
-        w = self._spectrum[0]
-        return float(w[-1]) if w.size else -np.inf
-
-    @memo
-    def residual(self) -> float:
-        return float(np.linalg.norm(self._system.m @ self._theta_dot - self._system.v))
-
-    @property
-    def null_defect(self) -> float:
-        _, null, y = self._spectrum
-        return float(np.max(np.abs(y[null]))) if null.any() else 0.0
+def diagnose(system: McLachlanSystem, theta_dot: np.ndarray, epsilon: float) -> SolveDiagnostics:
+    """The diagnostics of ``theta_dot``, a solve of ``system`` at ``epsilon``.
+    The spectrum is the system's cached ``eig``: after a truncated solve
+    they decompose nothing, after any other solve M once."""
+    w, u = system.eig
+    null = w <= epsilon
+    y = u.T @ system.v
+    return SolveDiagnostics(
+        n_null=int(np.sum(null)),
+        min_eigenvalue=float(w[0]) if w.size else np.inf,
+        max_eigenvalue=float(w[-1]) if w.size else -np.inf,
+        residual=float(np.linalg.norm(system.m @ theta_dot - system.v)),
+        null_defect=float(np.max(np.abs(y[null]))) if null.any() else 0.0,
+    )
 
 
 class NonFiniteSystemError(ValueError):
@@ -121,16 +110,15 @@ def _cgls(m: np.ndarray, v: np.ndarray, max_iters: int, tol: float) -> np.ndarra
     return x
 
 
-def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagnostics]:
-    """Solve the equations of motion with the configured strategy.
+def solve(s: McLachlanSystem, cfg: SolverConfig) -> np.ndarray:
+    """theta_dot solving the equations of motion with the configured strategy.
 
     Only truncation decomposes M (through the system's cached ``eig``, which
     candidate scoring shares); Tikhonov solves (M + epsilon·I)·theta_dot = V
     by one LU factorisation, and the least-squares solvers work on M itself.
-    The diagnostics, computed when read, report the null-space defect, the
-    worst overlap of V with an eigenvector at or below epsilon. It is never
-    enforced: noiseless assembly keeps it at the numerical floor, noise does
-    not.
+    ``diagnose`` reports the null-space defect, the worst overlap of V with
+    an eigenvector at or below epsilon. It is never enforced: noiseless
+    assembly keeps it at the numerical floor, noise does not.
     """
     m, v = s.m, s.v
     n = s.n_params
@@ -157,4 +145,4 @@ def solve(s: McLachlanSystem, cfg: SolverConfig) -> tuple[np.ndarray, SolveDiagn
 
         result = lsq_linear(m, v, bounds=(-cfg.bound, cfg.bound), method="bvls", tol=1e-14)
         theta_dot = np.clip(result.x, -cfg.bound, cfg.bound)
-    return theta_dot, SolveDiagnostics(s, theta_dot, cfg.epsilon)
+    return theta_dot

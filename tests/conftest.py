@@ -8,7 +8,7 @@ package's bitmask kernels. The others must be reproduced bit for bit unless mark
 - the compiled circuit and its workspaces, from the generators alone: ``rebuilt_pass``, ``rebuilt_split_frame``
 - the bound-pruned ranking and ``engine._spanned``: ``brute_force_scores``, ``full_ranking``, ``reference_spanned``
 - the noise plan and one-stream draws, and ``_aggregate``: ``reference_noisy_system``, ``reference_aggregate``
-- the LU ridge solve (tolerance) and lazy diagnostics: ``reference_tikhonov``, ``reference_diagnostics``
+- the LU ridge solve (tolerance) and ``diagnose``: ``reference_tikhonov``, ``reference_diagnostics``
 - the Taylor stepper (tolerance): ``hamiltonian_coo``, ``expm_multiply_state``, ``eigh_propagator``
 
 ``rebuilt_split_frame`` sweeps the ``rebuilt_pass`` of three ``sliced`` ansätze by ``bound_tangent_states``
@@ -271,13 +271,13 @@ def brute_force_scores(frame, pool, solver_cfg, l2_before=None):
     """(index, score) for every pool operator: border the system with its
     column, re-solve and difference the distances."""
     if l2_before is None:
-        td, _ = solve(frame.system, solver_cfg)
+        td = solve(frame.system, solver_cfg)
         l2_before = mclachlan_distance(frame.system, td)
     cols, diags, v_news = augment_block(frame, list(pool.operators))
     scores = []
     for idx in range(len(pool)):
         extended = extend_system(frame.system, cols[idx], float(diags[idx]), float(v_news[idx]))
-        td, _ = solve(extended, solver_cfg)
+        td = solve(extended, solver_cfg)
         scores.append((idx, l2_before - mclachlan_distance(extended, td)))
     return scores
 
@@ -355,7 +355,7 @@ def reference_tikhonov(s, epsilon):
 
 
 def reference_diagnostics(s, theta_dot, epsilon):
-    """The ``SolveDiagnostics`` fields of a solve, computed at once."""
+    """The ``SolveDiagnostics`` fields of a solve, from a decomposition of its own."""
     if s.n_params == 0:
         return dict(n_null=0, min_eigenvalue=np.inf, max_eigenvalue=-np.inf, residual=0.0, null_defect=0.0)
     w, u = np.linalg.eigh(s.m)

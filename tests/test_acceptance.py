@@ -95,7 +95,7 @@ def test_criterion_03_exactly_representable_dynamics():
     records = run_fixed_ansatz(
         a, h, StepConfig(dtheta_max=0.005, t_final=2.0), TRUNC, seed=0
     )
-    td, _ = solve(assemble_frame(a.with_angles([0.7]), h).system, TRUNC)
+    td = solve(assemble_frame(a.with_angles([0.7]), h).system, TRUNC)
     max_l2 = max(r.l2 for r in records)
     max_inf = max(r.infidelity for r in records)
     dt_dev = max(abs(r.dt - 0.005) for r in records)
@@ -132,7 +132,7 @@ def test_criterion_04_solver_oracle_equivalence():
         m = u @ np.diag(w) @ u.T
         v = m @ rng.normal(size=n)
         s = McLachlanSystem(m=m, v=v, var_h=1.0)
-        td, _ = solve(s, SolverConfig("truncation", epsilon=1e-6))
+        td = solve(s, SolverConfig("truncation", epsilon=1e-6))
         worst_pinv = max(worst_pinv, float(np.max(np.abs(td - np.linalg.pinv(m) @ v))))
 
     worst_agree = 0.0
@@ -143,7 +143,7 @@ def test_criterion_04_solver_oracle_equivalence():
         v = m @ rng.uniform(-1.0, 1.0, size=n)
         s = McLachlanSystem(m=m, v=v, var_h=1.0)
         sols = [
-            solve(s, SolverConfig(meth, epsilon=1e-6, bound=5.0))[0]
+            solve(s, SolverConfig(meth, epsilon=1e-6, bound=5.0))
             for meth in ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation")
         ]
         scale = max(1.0, max(np.linalg.norm(x) for x in sols))

@@ -296,13 +296,12 @@ def test_disjoint_two_qubit_pair():
     lo = layout((g("ZZII"), g("IIXX")), 4)
     assert lo.depth == 1
     assert lo.cnot_count == 4
-    assert lo.layers == ((0, 1),)
+    assert lo.layer_of == (0, 0)
 
 
 def test_asap_packs_independent_late_unitary():
     lo = layout((g("ZZII"), g("IZZI"), g("IIIX")), 4)
     assert lo.depth == 2
-    assert lo.layers == ((0, 2), (1,))
     assert lo.cnot_count == 4
     assert lo.layer_of == (0, 1, 0)
 
@@ -328,13 +327,13 @@ def test_depth_bounds(rng):
 def test_layout_depends_only_on_supports():
     a = layout((g("ZZII"), g("IZZI"), g("IIIX")), 4)
     b = layout((g("XYII"), g("IXXI"), g("IIIZ")), 4)
-    assert a.layers == b.layers
     assert a.layer_of == b.layer_of
+    assert a.layer_masks == b.layer_masks
 
 
 def test_layout_idempotent_on_ansatz(rng):
     a = make_ansatz(rng, 4, 6)
-    assert ansatz_layout(a).layers == ansatz_layout(a).layers
+    assert ansatz_layout(a).layer_of == ansatz_layout(a).layer_of
 
 
 def test_prefix_depth_is_prefix_of_full_schedule(rng):
@@ -361,9 +360,11 @@ def test_layers_have_disjoint_supports(rng):
         n = int(rng.integers(2, 6))
         gens = tuple(random_pauli(rng, n) for _ in range(int(rng.integers(1, 12))))
         lo = layout(gens, n)
-        for layer in lo.layers:
-            seen = 0
-            for idx in layer:
-                mask = gens[idx].support_mask
-                assert seen & mask == 0
-                seen |= mask
+        seen = [0] * lo.depth
+        for k, (g, level) in enumerate(zip(gens, lo.layer_of)):
+            assert seen[level] & g.support_mask == 0
+            seen[level] |= g.support_mask
+            # ASAP: one layer past the last earlier unitary sharing a qubit
+            earlier = [lo.layer_of[j] for j in range(k) if gens[j].support_mask & g.support_mask]
+            assert level == max(earlier, default=-1) + 1
+        assert tuple(seen) == lo.layer_masks

@@ -21,7 +21,7 @@ per-step rebuild (``conftest.rebuilt_pass``); both first agree bit for bit.
 
 The assembly at 10, 12 and 14 qubits, where the sweeps fill tiles, is timed
 with full tiles flushed on the flush thread and with every tile flushed
-inline (``ansatz._FLUSH_THREAD = False``); both first agree bit for bit.
+inline, as on one usable core; both first agree bit for bit.
 """
 
 import numpy as np
@@ -209,7 +209,7 @@ def test_commuting_run_sweep_speed(benchmark, route):
 def test_threaded_flush_speed(benchmark, monkeypatch, n_qubits, n_params, route):
     a, h = _case(n_qubits, n_params)
     with monkeypatch.context() as patch:
-        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        patch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
         inline = Ansatz(a.reference, a.generators, a.angles)
         want = assemble_frame(inline, h)  # builds the workspace, whose flushes run inline
     got = assemble_frame(a, h)

@@ -5,6 +5,7 @@ import pytest
 from avqds.cli import main
 from avqds.config import parse_config
 from avqds.experiment import PRESETS, run_single
+from avqds.solvers import METHODS
 
 TINY_CONFIG = """
 model.kind = tfim
@@ -63,6 +64,27 @@ def test_odd_chain_brick_wall_algorithms_fail_on_one_line(tmp_path, capsys, algo
 
 def test_odd_chain_avqds_validates(tmp_path):
     assert main(["validate", str(write_cfg(tmp_path, ODD_CONFIG))]) == 0
+
+
+@pytest.mark.parametrize("key, value", [
+    ("model.j", "nan"),
+    ("model.h_x", "inf"),
+    ("model.h_z", "-inf"),
+    ("step.dtheta_max", "inf"),
+    ("step.dt_fixed", "inf"),
+    ("step.t_final", "inf"),
+    ("trotter.dt", "inf"),
+])
+def test_non_finite_values_fail_naming_their_key(tmp_path, capsys, key, value):
+    """Before the check, a NaN coupling raised from the exact oracle's
+    eigensolver, t_final = inf never returned, and dtheta_max or trotter.dt
+    = inf wrote an inf step or NaN rows and exited 0."""
+    lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key)]
+    path = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith(f"error key={key} message=")
+    assert not (tmp_path / "out").exists()
 
 
 # --- run ----------------------------------------------------------------------
@@ -285,3 +307,19 @@ def test_oracle_rejects_bad_time_grid(tmp_path, capsys, flags, key):
     assert main(["oracle", "--nq", "4", "--out", str(out)] + flags) == 2
     assert capsys.readouterr().err.startswith(f"error key={key} message=")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--j", "nan"], ["--hx", "inf"], ["--model", "mfim", "--hz", "nan"]])
+def test_oracle_rejects_non_finite_couplings(tmp_path, capsys, flags):
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--nq", "4", "--out", str(out)] + flags) == 2
+    assert capsys.readouterr().err.startswith("error key=model message=model.")
+    assert not out.exists()
+
+
+def test_run_help_names_every_solver_method(capsys):
+    with pytest.raises(SystemExit) as done:
+        main(["run", "--help"])
+    assert done.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines
+    assert all(method in help_text for method in METHODS)

@@ -92,11 +92,11 @@ def test_scores_match_full_reassembly(rng):
         h = random_hamiltonian(rng, n)
         frame = assemble_frame(a, h)
         pool = OperatorPool(n, tuple({(p.x_bits, p.z_bits): p for p in (random_pauli(rng, n) for _ in range(8))}.values()))
-        td, _ = solve(frame.system, SOLVER)
+        td = solve(frame.system, SOLVER)
         l2_before = mclachlan_distance(frame.system, td)
         for idx, delta in brute_force_scores(frame, pool, SOLVER):
             full = assemble_frame(a.extended([pool.operators[idx]]), h).system
-            td_full, _ = solve(full, SOLVER)
+            td_full = solve(full, SOLVER)
             l2_full = mclachlan_distance(full, td_full)
             assert delta == pytest.approx(l2_before - l2_full, abs=1e-10)
             assert delta >= -1e-9
@@ -186,7 +186,7 @@ def test_grow_keeps_state_and_reduces_distance(rng):
     pool = nearest_neighbour_pool(n)
     growth = GrowthConfig(l2_cut=1e-3, method=3)
     before_state = prepare_state(frame.ansatz)
-    td, _ = solve(frame.system, SOLVER)
+    td = solve(frame.system, SOLVER)
     l2_before = mclachlan_distance(frame.system, td)
 
     result = grow_once(frame, pool, growth, SOLVER, l2_before)
@@ -195,7 +195,7 @@ def test_grow_keeps_state_and_reduces_distance(rng):
     assert fidelity(before_state, after_state) == pytest.approx(1.0, abs=1e-12)
 
     new_system = assemble_frame(result.ansatz, h).system
-    td_new, _ = solve(new_system, SOLVER)
+    td_new = solve(new_system, SOLVER)
     assert mclachlan_distance(new_system, td_new) <= l2_before + 1e-9
 
     # supports added in one iteration are pairwise disjoint
@@ -211,7 +211,7 @@ def test_grow_stalls_on_hopeless_pool():
     h = WeightedPauliSum(2, [(1.0, g("XI"))])
     frame = assemble_frame(Ansatz(StateVector.basis_state(2)), h)
     pool = OperatorPool(2, (g("ZI"), g("IZ"), g("ZZ")))
-    td, _ = solve(frame.system, SOLVER)
+    td = solve(frame.system, SOLVER)
     result = grow_once(frame, pool, GrowthConfig(), SOLVER, mclachlan_distance(frame.system, td))
     assert result.stalled and not result.added
 

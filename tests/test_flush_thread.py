@@ -2,8 +2,8 @@
 candidate scores run on the flush thread: bit for bit the one-thread path,
 used only where it cannot oversubscribe the cores, and never left running.
 
-The one-thread path (``ansatz._FLUSH_THREAD = False``, every tile flushed
-inline and every oracle call and solve made by the step) is the oracle. The
+The one-thread path (one usable core, so every tile is flushed inline and
+every oracle call and solve is made by the step) is the oracle. The
 cases are TFIM HVAs at 10 and 12 qubits, where a tile holds 32 and 8 rows,
 so the sweeps of every split flush tiles, and adaptive TFIM runs at 10
 qubits, the smallest size whose oracle is the Taylor stepper. The threaded
@@ -106,6 +106,11 @@ def threaded(monkeypatch):
     return spy
 
 
+def one_usable_core(patch):
+    """Take the one-thread path: one usable core, where no flush thread starts."""
+    patch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+
 def flushes(p):
     """The ``_flush`` calls of a compiled pass."""
     return [args for fn, args in p.calls if fn is _flush]
@@ -119,7 +124,7 @@ def one_thread(monkeypatch, a):
     """``a`` on a new circuit whose workspaces, built here at every step
     boundary, flush every tile inline."""
     with monkeypatch.context() as patch:
-        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        one_usable_core(patch)
         inline = Ansatz(a.reference, a.generators, a.angles)
         for m in boundaries(a):
             inline.circuit.workspace(m)
@@ -236,7 +241,7 @@ def test_one_usable_core_starts_no_flush_thread(rng, monkeypatch):
         raise AssertionError("the flush executor was asked for")
 
     monkeypatch.setattr(avqds.ansatz, "_flush_executor", no_thread)
-    monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    one_usable_core(monkeypatch)
     a, h = hva("tfim", 10, 6, rng)
     frame = assemble_frame(a, h)
     ws = a.circuit.workspace(_split_point(a))
@@ -262,7 +267,7 @@ def records(run):
 
 def test_oracle_on_the_thread_writes_the_records_of_the_one_thread_path(monkeypatch, threaded):
     with monkeypatch.context() as patch:
-        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        one_usable_core(patch)
         want = adaptive_run().run()
     assert threaded.submitted == 0  # every oracle call and flush ran inline
     got = adaptive_run().run()
@@ -274,7 +279,7 @@ def test_oracle_on_the_thread_writes_the_records_of_the_one_thread_path(monkeypa
 @pytest.mark.parametrize("text", [ADAPTIVE10, NOISELESS10], ids=["noisy", "noiseless"])
 def test_growth_solves_on_the_thread_write_the_records_of_the_one_thread_path(monkeypatch, threaded, text):
     with monkeypatch.context() as patch:
-        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        one_usable_core(patch)
         want = adaptive_run(text=text)
         want.run()
     assert threaded.submitted == 0
@@ -289,7 +294,7 @@ def test_growth_solves_on_the_thread_write_the_records_of_the_one_thread_path(mo
 
 def test_single_op_growth_hands_no_score_to_the_thread(monkeypatch, threaded):
     with monkeypatch.context() as patch:
-        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        one_usable_core(patch)
         want = adaptive_run(text=NOISELESS10, method=1)
         want.run()
     got = adaptive_run(text=NOISELESS10, method=1)
@@ -328,7 +333,7 @@ def test_a_handed_score_that_raises_is_raised_where_the_inline_score_would_be(mo
     """Every score the thread runs fails; the walk comes to one of them and
     raises as the inline walk does when every score fails."""
     with monkeypatch.context() as patch:
-        patch.setattr(avqds.ansatz, "_FLUSH_THREAD", False)
+        one_usable_core(patch)
         inline = adaptive_run(text=NOISELESS10)
         patch.setattr(avqds.engine, "solve", failing_solve(lambda s: s.n_params > inline.ansatz.n_params))
         with pytest.raises(NonFiniteSystemError) as want:
@@ -416,7 +421,7 @@ def test_blas_on_one_thread_follows_the_order_the_blas_libraries_read(monkeypatc
 def test_the_oracle_runs_inline_where_it_cannot_use_an_idle_core(monkeypatch, threaded, inline):
     n_qubits = _DENSE_MAX_QUBITS if inline == "dense oracle" else 10
     if inline == "one usable core":
-        monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        one_usable_core(monkeypatch)
     if inline == "blas on every core":
         blas_threads(monkeypatch, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="2")
     run = adaptive_run(n_qubits)

@@ -307,7 +307,7 @@ def test_noisy_negative_distance_stays_negative(rng):
     hva = build_hva(h, psi0, 4, model_sublayers(spec))
     frame = assemble_frame(hva.with_angles(rng.uniform(-0.3, 0.3, size=hva.n_params)), h)
     noisy = noisy_system(frame.system, ansatz_layout(frame.ansatz), NoiseConfig(n_shots=1e2), rng)
-    td, _ = solve(noisy, SolverConfig("tikhonov", epsilon=1e-2))
+    td = solve(noisy, SolverConfig("tikhonov", epsilon=1e-2))
     l2 = mclachlan_distance(noisy, td)
     assert l2 < -1e-3
     assert l2 == float(2.0 * td @ noisy.m @ td - 4.0 * noisy.v @ td + 2.0 * noisy.var_h)

@@ -1,6 +1,6 @@
 """``tools/output_digests.py``: ``--against`` prints the paths that moved,
-and by how much; ``--one-thread`` writes the outputs with nothing handed to
-the flush thread."""
+and by how much; ``--one-thread`` writes the outputs on one CPU, with
+nothing handed to the flush thread."""
 
 import importlib.util
 import os
@@ -66,9 +66,22 @@ def test_csv_differences_report_rows_comments_and_text(tmp_path):
 
 @pytest.mark.parametrize("flags, flush_thread", [([], True), (["--one-thread"], False)])
 def test_one_thread_turns_the_flush_thread_off_before_any_run(tmp_path, monkeypatch, flags, flush_thread):
-    monkeypatch.setattr(avqds.ansatz, "_FLUSH_THREAD", True)  # and back after the test
+    """``--one-thread`` pins the process to one of its CPUs before any run,
+    which leaves the flush thread unusable; the pin is stubbed, so this
+    process keeps its CPUs."""
+    cpus = {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: cpus.intersection_update(mask), raising=False)
     seen = []
-    monkeypatch.setattr(output_digests, "write_outputs", lambda out: seen.append(avqds.ansatz._FLUSH_THREAD))
+    monkeypatch.setattr(output_digests, "write_outputs", lambda out: seen.append(avqds.ansatz._flush_thread_usable()))
     monkeypatch.setattr(sys, "argv", ["output_digests.py", str(tmp_path / "out"), *flags])
     assert output_digests.main() == 0
-    assert seen == [flush_thread]
+    assert seen == [flush_thread] and cpus == ({0, 1} if flush_thread else {0})
+
+
+def test_one_thread_leaves_a_platform_without_the_pin_as_it_is(tmp_path, monkeypatch):
+    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+    seen = []
+    monkeypatch.setattr(output_digests, "write_outputs", lambda out: seen.append(out))
+    monkeypatch.setattr(sys, "argv", ["output_digests.py", str(tmp_path / "out"), "--one-thread"])
+    assert output_digests.main() == 0 and len(seen) == 1

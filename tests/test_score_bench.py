@@ -31,7 +31,7 @@ def _growth_iteration(n_params):
     angles = np.random.default_rng(n_params).normal(scale=0.2, size=n_params)
     generators = tuple(pool.operators[k % len(pool)] for k in range(n_params))
     frame = assemble_frame(Ansatz(psi0, generators, angles), h)
-    td, _ = solve(frame.system, SOLVER)
+    td = solve(frame.system, SOLVER)
     return frame, pool, mclachlan_distance(frame.system, td)
 
 

@@ -120,7 +120,7 @@ def _random_frame(rng, n, pool, solver):
     psi0 = StateVector(n, random_state(rng, n)) if rng.random() < 0.5 else StateVector.basis_state(n)
     a = Ansatz(psi0, tuple(pool.operators[i] for i in picks), angles)
     frame = assemble_frame(a, random_hamiltonian(rng, n, n_terms=6))
-    td, _ = solve(frame.system, solver)
+    td = solve(frame.system, solver)
     return frame, mclachlan_distance(frame.system, td)
 
 
@@ -167,7 +167,7 @@ def test_exact_score_ties_break_toward_the_lower_index():
     pool = nearest_neighbour_pool(n)
     for generators in ((), (PauliString.single(n, 1, "Z"),)):
         frame = assemble_frame(Ansatz(StateVector.basis_state(n), generators, np.zeros(len(generators))), h)
-        td, _ = solve(frame.system, TRUNC)
+        td = solve(frame.system, TRUNC)
         l2 = mclachlan_distance(frame.system, td)
         brute = brute_force_scores(frame, pool, TRUNC, l2)
         best = max(s for _, s in brute)
@@ -229,7 +229,7 @@ def test_capped_candidates_go_unscored_once_suppression_is_flagged(monkeypatch):
     layer = tuple(PauliString.single(n, q, "X") for q in range(n))
     frame = assemble_frame(Ansatz(psi0, layer, np.full(n, 0.2)), h)
     pool = nearest_neighbour_pool(n)
-    td, _ = solve(frame.system, TRUNC)
+    td = solve(frame.system, TRUNC)
     l2 = mclachlan_distance(frame.system, td)
     brute = brute_force_scores(frame, pool, TRUNC, l2)
     bounds, slack = score_bounds(frame, pool, augment_block(frame, list(pool.operators)), l2)
@@ -310,7 +310,7 @@ def test_one_growth_iteration_decomposes_the_metric_once(monkeypatch):
         return real_eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    td, _ = solve(frame.system, TRUNC)
+    td = solve(frame.system, TRUNC)
     result = grow_once(frame, pool, GrowthConfig(l2_cut=1e-3, method=3), TRUNC, mclachlan_distance(frame.system, td))
     assert result.added
     assert sum(a is frame.system.m for a in calls) == 1

@@ -54,7 +54,7 @@ def _fresh_solve(system, cfg):
 def test_solver_speed(benchmark, method, n_params, noisy):
     system = _system(n_params, noisy)
     cfg = SolverConfig(method, epsilon=EPSILON[method])
-    theta_dot, _ = _fresh_solve(system, cfg)
+    theta_dot = _fresh_solve(system, cfg)
     assert np.all(np.isfinite(theta_dot))
     if not noisy:
         assert mclachlan_distance(system, theta_dot) <= 2.0 * system.var_h * (1 + 1e-9)

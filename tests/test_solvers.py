@@ -1,3 +1,4 @@
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -13,6 +14,7 @@ from avqds.solvers import (
     METHODS,
     NonFiniteSystemError,
     SolverConfig,
+    diagnose,
     solve,
 )
 from test_mclachlan import make_ansatz
@@ -79,22 +81,22 @@ def test_eig_deterministic(rng):
 def test_tikhonov_identity_metric():
     eps = 1e-2
     v = np.array([1.0, -2.0, 0.5])
-    td, diag = solve(system(np.eye(3), v), SolverConfig("tikhonov", epsilon=eps))
+    td = solve(system(np.eye(3), v), SolverConfig("tikhonov", epsilon=eps))
     np.testing.assert_allclose(td, v / (1 + eps), atol=1e-14)
-    assert diag.n_null == 0
+    assert diagnose(system(np.eye(3), v), td, eps).n_null == 0
 
 
 def test_singular_rank_one_all_methods():
     m = np.diag([1.0, 0.0])
     v = np.array([1.0, 0.0])
-    td, diag = solve(system(m, v), SolverConfig("truncation", epsilon=1e-6))
+    td = solve(system(m, v), SolverConfig("truncation", epsilon=1e-6))
     np.testing.assert_allclose(td, [1.0, 0.0], atol=1e-12)
-    assert diag.n_null == 1
+    assert diagnose(system(m, v), td, 1e-6).n_null == 1
 
-    td, _ = solve(system(m, v), SolverConfig("lsq_unbounded"))
+    td = solve(system(m, v), SolverConfig("lsq_unbounded"))
     assert td[0] == pytest.approx(1.0, abs=1e-9)
 
-    td, _ = solve(system(m, v), SolverConfig("lsq_bounded", bound=5.0))
+    td = solve(system(m, v), SolverConfig("lsq_bounded", bound=5.0))
     assert td[0] == pytest.approx(1.0, abs=1e-9)
     assert np.all(np.abs(td) <= 5.0)
 
@@ -105,7 +107,7 @@ def test_truncation_equals_pseudoinverse(rng):
         rank = int(rng.integers(1, n))
         m, _, _ = random_singular_psd(rng, n, rank)
         v = m @ rng.normal(size=n)
-        td, _ = solve(system(m, v), SolverConfig("truncation", epsilon=1e-6))
+        td = solve(system(m, v), SolverConfig("truncation", epsilon=1e-6))
         np.testing.assert_allclose(td, np.linalg.pinv(m) @ v, atol=1e-8)
 
 
@@ -113,7 +115,7 @@ def test_truncation_output_orthogonal_to_null(rng):
     m, u, w = random_singular_psd(rng, 8, 5)
     v = m @ rng.normal(size=8)
     cfg = SolverConfig("truncation", epsilon=1e-6)
-    td, _ = solve(system(m, v), cfg)
+    td = solve(system(m, v), cfg)
     w, u = symmetric_eig(m)
     null = u[:, w <= cfg.epsilon]
     assert np.linalg.norm(null.T @ td) <= 1e-10
@@ -123,16 +125,16 @@ def test_truncation_ties_count_as_truncated():
     eps = 0.5
     m = np.diag([0.5, 2.0])
     v = np.array([1.0, 1.0])
-    td, diag = solve(system(m, v), SolverConfig("truncation", epsilon=eps))
+    td = solve(system(m, v), SolverConfig("truncation", epsilon=eps))
     np.testing.assert_allclose(td, [0.0, 0.5])
-    assert diag.n_null == 1
+    assert diagnose(system(m, v), td, eps).n_null == 1
 
 
 def test_tikhonov_null_suppression_noiseless(rng):
     for eps in (1e-8, 1e-6, 1e-4):
         m, _, _ = random_singular_psd(rng, 6, 3)
         v = m @ rng.normal(size=6)
-        td, _ = solve(system(m, v), SolverConfig("tikhonov", epsilon=eps))
+        td = solve(system(m, v), SolverConfig("tikhonov", epsilon=eps))
         w, u = symmetric_eig(m)
         null = u[:, w <= 1e-10]
         assert np.linalg.norm(null.T @ td) <= 1e-6
@@ -149,7 +151,7 @@ def test_all_methods_agree_when_well_conditioned(rng):
         m = u @ np.diag(w) @ u.T
         v = m @ rng.uniform(-1.0, 1.0, size=n)
         sols = [
-            solve(system(m, v), SolverConfig(meth, epsilon=eps, bound=5.0))[0]
+            solve(system(m, v), SolverConfig(meth, epsilon=eps, bound=5.0))
             for meth in ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation")
         ]
         scale = max(np.linalg.norm(s) for s in sols)
@@ -161,15 +163,16 @@ def test_bounded_solution_stays_in_box(rng):
     m = np.diag([1e-8, 1.0])
     v = np.array([1.0, 0.3])  # huge unconstrained first component
     b = 2.0
-    td, _ = solve(system(m, v), SolverConfig("lsq_bounded", bound=b))
+    td = solve(system(m, v), SolverConfig("lsq_bounded", bound=b))
     assert np.all(np.abs(td) <= b)
     assert abs(td[0]) == pytest.approx(b)
 
 
 def test_empty_system():
-    td, diag = solve(system(np.zeros((0, 0)), np.zeros(0)), SolverConfig())
+    s = system(np.zeros((0, 0)), np.zeros(0))
+    td = solve(s, SolverConfig())
     assert td.shape == (0,)
-    assert diag.residual == 0.0
+    assert diagnose(s, td, SolverConfig().epsilon).residual == 0.0
 
 
 def test_nonfinite_rejected():
@@ -198,21 +201,23 @@ def test_solver_config_validation():
 def test_residual_reported(rng):
     m = np.diag([1.0, 0.0])
     v = np.array([1.0, 0.5])  # inconsistent: v not in range(m)
-    td, diag = solve(system(m, v), SolverConfig("truncation", epsilon=1e-6))
-    assert diag.residual == pytest.approx(0.5)
+    td = solve(system(m, v), SolverConfig("truncation", epsilon=1e-6))
+    assert diagnose(system(m, v), td, 1e-6).residual == pytest.approx(0.5)
 
 
 # --- null-space diagnostics ------------------------------------------------
 
 
 def test_null_diagnostics_rank_one():
-    diag = solve(system(np.diag([1.0, 0.0]), [1.0, 0.0]), SolverConfig(epsilon=1e-6))[1]
+    s = system(np.diag([1.0, 0.0]), [1.0, 0.0])
+    diag = diagnose(s, solve(s, SolverConfig(epsilon=1e-6)), 1e-6)
     assert diag.n_null == 1
     assert diag.null_defect == pytest.approx(0.0, abs=1e-15)
 
 
 def test_null_diagnostics_identity():
-    diag = solve(system(np.eye(3), [1.0, 2.0, 3.0]), SolverConfig(epsilon=1e-6))[1]
+    s = system(np.eye(3), [1.0, 2.0, 3.0])
+    diag = diagnose(s, solve(s, SolverConfig(epsilon=1e-6)), 1e-6)
     assert diag.n_null == 0
     assert diag.null_defect == 0.0
 
@@ -223,7 +228,7 @@ def test_null_diagnostics_on_assembled_systems(rng):
         a = make_ansatz(rng, n, int(rng.integers(2, 9)))
         h = random_hamiltonian(rng, n)
         s = assemble_frame(a, h).system
-        defect = solve(s, SolverConfig(epsilon=1e-10))[1].null_defect
+        defect = diagnose(s, solve(s, SolverConfig(epsilon=1e-10)), 1e-10).null_defect
         assert defect <= 1e-8
 
 
@@ -260,7 +265,7 @@ def test_tikhonov_matches_eigen_route(rng, kind, n):
     if kind == "shot_noise":
         assert s.eig[0][0] < 0
     epsilon = 1e-2
-    td, _ = solve(s, SolverConfig("tikhonov", epsilon=epsilon))
+    td = solve(s, SolverConfig("tikhonov", epsilon=epsilon))
     reference = reference_tikhonov(s, epsilon)
     assert np.max(np.abs(td - reference)) <= 1e-10 * np.max(np.abs(reference))
 
@@ -269,9 +274,8 @@ def test_tikhonov_matches_eigen_route(rng, kind, n):
 def test_diagnostics_on_demand_match_eager_formulas(rng, method):
     for s in (random_psd_system(rng, 12, 7), shot_noise_system(32), system(np.zeros((0, 0)), np.zeros(0))):
         cfg = SolverConfig(method, epsilon=1e-2)
-        td, diag = solve(s, cfg)
-        reference = reference_diagnostics(s, td, cfg.epsilon)
-        assert {name: getattr(diag, name) for name in reference} == reference
+        td = solve(s, cfg)
+        assert dataclasses.asdict(diagnose(s, td, cfg.epsilon)) == reference_diagnostics(s, td, cfg.epsilon)
 
 
 def counting_eigh(monkeypatch):
@@ -286,15 +290,18 @@ def counting_eigh(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("method", ["tikhonov", "lsq_unbounded", "lsq_bounded"])
+@pytest.mark.parametrize("method", METHODS)
 def test_unread_diagnostics_leave_metric_undecomposed(rng, monkeypatch, method):
+    """A solve decomposes M only under truncation; ``diagnose`` reads the
+    system's cached ``eig``, so it adds one decomposition after any other
+    solve, none after truncation's, and a second ``diagnose`` none."""
     s = random_psd_system(rng, 10, 6)
     calls = counting_eigh(monkeypatch)
-    _, diag = solve(s, SolverConfig(method))
-    assert calls == []
-    assert diag.n_null == 4
+    td = solve(s, SolverConfig(method))
+    assert len(calls) == (method == "truncation")
+    assert diagnose(s, td, 1e-6).n_null == 4
     assert len(calls) == 1 and calls[0] is s.m
-    assert diag.n_null == 4  # a second read
+    assert diagnose(s, td, 1e-6).n_null == 4  # a second diagnose
     assert len(calls) == 1
 
 

@@ -22,11 +22,13 @@ one thread before numpy is imported, as the benchmark pins them.
 
     python3 tools/output_digests.py OUT --one-thread
 
-writes the same files with ``avqds.ansatz._FLUSH_THREAD = False`` set before
-any run, so that every tile flush, exact oracle call and growth-step solve
-runs on the main thread. ``--against`` between a run with it and one
-without, on one tree, shows that no work handed to the flush thread moves
-a byte.
+writes the same files with the process pinned to one CPU before any run
+(``os.sched_setaffinity``, which the pool workers it spawns inherit), so
+the flush thread never starts and every tile flush, exact oracle call and
+growth-step solve runs on the main thread. A platform without
+``os.sched_setaffinity`` never starts the thread either, and is left as it
+is. ``--against`` between a run with it and one without, on one tree,
+shows that no work handed to the flush thread moves a byte.
 
     python3 tools/output_digests.py OUT --against PARENT
 
@@ -162,10 +164,8 @@ def main() -> int:
     if args.against is not None and not args.against.exists():
         print(f"error: {args.against} does not exist", file=sys.stderr)
         return 2
-    if args.one_thread:
-        import avqds.ansatz
-
-        avqds.ansatz._FLUSH_THREAD = False
+    if args.one_thread and hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     write_outputs(out)
     if args.against is not None:
         compare(out, args.against.resolve())
