@@ -82,10 +82,10 @@ class Circuit:
     sweeps group the steps into runs of commuting generators.
 
     An assembly fills its workspace in place, so two threads must not
-    assemble ansätze of one circuit at once. Its sweeps may hand full tiles
-    to the flush thread (``_flush``), and it waits for them before it
-    returns. ``run.workers > 1`` runs trajectories in processes, which share
-    no circuit and flush no tile on a second thread.
+    assemble ansätze of one circuit at once; ``run.workers > 1`` runs
+    trajectories in processes, which share no circuit. Its sweeps may hand
+    full tiles to the flush thread (``_flush``, as ``_thread_jobs`` allows),
+    and it waits for them before it returns.
     """
 
     n_qubits: int
@@ -208,14 +208,27 @@ class _Trig:
 # 128 at 8, so a tile and its scratch stay inside a 2 MiB L2 cache.
 _TILE_BYTES = 512 * 1024
 
-def _flush_thread_usable() -> bool:
-    """Whether a workspace built now flushes tiles on the flush thread: with
-    at least two usable cores, and not in a process that multiprocessing
-    started (a ``run.workers > 1`` pool worker), so that threads times
-    workers never exceed the cores. With one usable core every tile is
-    flushed inline: the one-thread path, the oracle of the other."""
-    return (multiprocessing.parent_process() is None
-            and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+# The BLAS thread variables in the order each library reads them: OpenBLAS
+# and MKL each take the first one of their chain that is set, else every core.
+_BLAS_THREAD_CHAINS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
+                       ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
+ThreadJobs = namedtuple("ThreadJobs", "tiles beside")
+
+
+def _thread_jobs() -> ThreadJobs:
+    """Which jobs go to the flush thread, read from the process now. ``tiles``
+    (full tiles, ``Workspace``) needs at least two usable cores, outside a
+    process that multiprocessing started (a ``run.workers > 1`` pool worker),
+    so that threads times workers never exceed the cores. ``beside`` (the
+    stepped oracle and method 3's scores, ``AvqdsRun``) also needs BLAS pinned
+    to one thread: with BLAS on every core, the oracle beside the solve did
+    not shorten the steps. Without ``tiles`` every job runs inline: the
+    one-thread path, the oracle of the other."""
+    tiles = (multiprocessing.parent_process() is None
+             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
+    pinned = all(next((os.environ[k].strip() for k in chain if k in os.environ), None) == "1"
+                 for chain in _BLAS_THREAD_CHAINS)
+    return ThreadJobs(tiles, tiles and pinned)
 
 
 @functools.cache
@@ -343,7 +356,7 @@ class Workspace:
     commuting generators once, here, and birth the tangents of a run at its
     end. An assembly only loads the reference and the angles.
 
-    Where a sweep fills a tile and ``_flush_thread_usable()``, the workspace
+    Where a sweep fills a tile and ``_thread_jobs().tiles``, the workspace
     also holds a scratch tile for the flush thread and a second form of each
     flush's calls on it; ``pending`` holds the flushes handed to the thread
     until ``wait``. Every row meets the same operations in the same order
@@ -362,7 +375,7 @@ class Workspace:
         back = np.empty((n - m + 2, dim), dtype=np.complex128)  # H·psi, rows N-1..m, running row
         buf = np.empty((max(min(m, tile), min(n - m + 1, tile) + 1), dim), dtype=np.complex128)
         worker_buf, pending = None, []
-        if max(m, n - m + 1) >= tile and _flush_thread_usable():
+        if max(m, n - m + 1) >= tile and _thread_jobs().tiles:
             worker_buf = np.empty((tile, dim), dtype=np.complex128)
         row, gens = back[1:2], circuit.generators
         head_runs, back_runs = _commuting_runs(forward[:s], gens[:m]), _commuting_runs(inverse, gens[m:][::-1])

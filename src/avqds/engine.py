@@ -20,7 +20,6 @@ from __future__ import annotations
 import heapq
 import logging
 import math
-import os
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from concurrent import futures
 from dataclasses import dataclass
@@ -93,7 +92,7 @@ class GrowthConfig:
         if not self.l2_cut > 0:
             raise ValueError(f"growth.l2_cut must be positive, got {self.l2_cut}")
         if not 0 <= self.score_cut < self.l2_cut:
-            raise ValueError("growth config requires l2_cut > score_cut >= 0")
+            raise ValueError(f"growth.score_cut must be at least 0 and below growth.l2_cut, got {self.score_cut}")
         if self.max_depth is not None and self.max_depth < 1:
             raise ValueError("growth.max_depth must be positive when set")
         if self.max_grow_iters < 1:
@@ -296,10 +295,9 @@ def score_candidates(
     the selection is the one the full ranking gives. Returns
     ``select_additions``'s (indices, depth_suppressed).
 
-    Under method 3, whose walk scores on until the qubits are full, the
-    ranking hands scores to ``submit`` when there is one; every one of
-    them is done when this returns. The other methods stop at their first
-    pick, so a handed score would mostly go unread.
+    The ranking hands scores to ``submit`` when there is one (``AvqdsRun``
+    passes the flush thread's under method 3); every one of them is done
+    when this returns.
     """
     cols, diags, v_news = augment_block(frame, list(pool.operators))
     bounds, slack = score_bounds(frame, pool, (cols, diags, v_news), l2_before)
@@ -309,8 +307,7 @@ def score_candidates(
         td = solve(extended, solver_cfg)
         return l2_before - mclachlan_distance(extended, td)
 
-    ranking = CandidateRanking(dict(enumerate((bounds + slack).tolist())), score,
-                               submit if growth_cfg.method == 3 else None)
+    ranking = CandidateRanking(dict(enumerate((bounds + slack).tolist())), score, submit)
     try:
         return select_additions(
             growth_cfg.method, ranking, pool, frame.ansatz, growth_cfg.score_cut, growth_cfg.max_depth
@@ -390,20 +387,6 @@ def grow_once(
     return GrowthResult(new_ansatz, tuple(chosen), stalled=False, suppressed=suppressed)
 
 
-def _blas_on_one_thread() -> bool:
-    """Whether BLAS was told to run on one thread, as perfbench and the
-    ``run.workers > 1`` pool workers tell it: OpenBLAS takes its thread
-    count from the first of ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
-    and ``OMP_NUM_THREADS`` that is set, MKL from ``MKL_NUM_THREADS`` or
-    else ``OMP_NUM_THREADS``, and either takes every core when none is.
-    With BLAS on every core no core is idle while the solve runs: on two
-    cores, the stepped oracle beside a two-thread solve did not shorten the
-    steps in total."""
-    chains = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-              ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
-    return all(next((os.environ[k].strip() for k in chain if k in os.environ), None) == "1" for chain in chains)
-
-
 class AvqdsRun:
     """Driver holding the evolving ansatz and emitting per-step records.
 
@@ -412,9 +395,8 @@ class AvqdsRun:
     describe the state at the start of each step together with the increment
     taken from there.
 
-    Where the flush thread is usable (``ansatz._flush_thread_usable()``)
-    and BLAS runs on one thread (``_blas_on_one_thread()``), the run keeps
-    the thread's ``submit``, and each step hands it LAPACK and oracle work
+    The run reads ``ansatz._thread_jobs()`` once. Where it answers
+    ``beside``, each step hands the flush thread LAPACK and oracle work
     that it would otherwise do here, so it runs on the core the step's own
     BLAS and LAPACK calls leave idle:
 
@@ -424,12 +406,13 @@ class AvqdsRun:
       before it reads the infidelity, even when it raises, and an error of
       the call (``EvolveError``) is raised from ``step`` unchanged. The
       dense oracle's call is shorter than a hand-over and stays inline;
-    - under growth method 3, candidate scores (``CandidateRanking``).
+    - under growth method 3, whose walk scores on until the qubits are
+      full, candidate scores (``CandidateRanking``). Methods 1 and 2 stop
+      at their first pick, so a handed score would mostly go unread.
 
     Every job is done before the growth iteration, or the step, that handed
     it over returns, so none runs beside the next assembly's flushes, and
-    the records are those of the one-thread path bit for bit. Elsewhere
-    everything runs inline.
+    the records are those of the one-thread path bit for bit.
     """
 
     def __init__(
@@ -463,10 +446,10 @@ class AvqdsRun:
             if compute_infidelity
             else None
         )
-        # the flush thread's submit, where a step has work for it and it has a core
-        beside = ((growth_cfg is not None or (self._oracle is not None and self._oracle.stepped))
-                  and _ansatz._flush_thread_usable() and _blas_on_one_thread())
-        self._submit = _ansatz._flush_executor().submit if beside else None
+        # the run's jobs for the flush thread, resolved here so no step tests them
+        submit = _ansatz._flush_executor().submit if _ansatz._thread_jobs().beside else None
+        self._oracle_submit = submit if self._oracle is not None and self._oracle.stepped else None
+        self._score_submit = submit if growth_cfg is not None and growth_cfg.method == 3 else None
 
     def _located(self, phase: str, fn, *args):
         """``fn(*args)``, with a non-finite system reported at this step."""
@@ -491,8 +474,7 @@ class AvqdsRun:
         system = self._drawn(frame)
         # the stepped oracle needs only t: it advances on the flush thread
         # while this one solves, and is joined before the step returns
-        stepped = self._submit is not None and self._oracle is not None and self._oracle.stepped
-        oracle = self._submit(self._oracle.state_at, self.t) if stepped else None
+        oracle = self._oracle_submit(self._oracle.state_at, self.t) if self._oracle_submit is not None else None
         try:
             theta_dot, l2 = self._solved(system)
             stalled = suppressed = exhausted = False
@@ -509,7 +491,7 @@ class AvqdsRun:
                         exact_l2 = mclachlan_distance(frame.system, exact_td)
                     result = self._located(
                         "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2,
-                        self._submit,
+                        self._score_submit,
                     )
                     stalled |= result.stalled
                     suppressed |= result.suppressed

@@ -45,9 +45,11 @@ class ModelSpec:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"model.{name} must be finite, got {getattr(self, name)}")
         if self.kind == "tfim" and self.h_z != 0.0:
-            raise ValueError("tfim has no longitudinal field; use kind=mfim for h_z != 0")
-        if self.kind == "hm" and (self.h_x != 0.0 or self.h_z != 0.0):
-            raise ValueError("the Heisenberg chain takes no field terms")
+            raise ValueError("model.h_z must be 0: tfim has no longitudinal field; use kind=mfim for h_z != 0")
+        if self.kind == "hm":
+            for name in ("h_x", "h_z"):
+                if getattr(self, name) != 0.0:
+                    raise ValueError(f"model.{name} must be 0: the Heisenberg chain takes no field terms")
 
 
 def default_model(kind: str = "tfim", n_qubits: int = 8) -> ModelSpec:

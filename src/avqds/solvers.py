@@ -11,6 +11,7 @@ deliberately fragile reference point on singular systems.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,8 +30,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"solver.method must be one of {METHODS}, got {self.method!r}")
-        if not self.epsilon > 0:
-            raise ValueError(f"solver.epsilon must be positive, got {self.epsilon}")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError(f"solver.epsilon must be finite and positive, got {self.epsilon}")
         if not self.bound > 0:
             raise ValueError(f"solver.bound must be positive, got {self.bound}")
 

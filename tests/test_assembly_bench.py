@@ -21,7 +21,8 @@ per-step rebuild (``conftest.rebuilt_pass``); both first agree bit for bit.
 
 The assembly at 10, 12 and 14 qubits, where the sweeps fill tiles, is timed
 with full tiles flushed on the flush thread and with every tile flushed
-inline, as on one usable core; both first agree bit for bit.
+inline, as where ``_thread_jobs`` gives the thread no job; both first agree
+bit for bit.
 """
 
 import numpy as np
@@ -209,11 +210,11 @@ def test_commuting_run_sweep_speed(benchmark, route):
 def test_threaded_flush_speed(benchmark, monkeypatch, n_qubits, n_params, route):
     a, h = _case(n_qubits, n_params)
     with monkeypatch.context() as patch:
-        patch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        patch.setattr(avqds.ansatz, "_thread_jobs", lambda: avqds.ansatz.ThreadJobs(False, False))
         inline = Ansatz(a.reference, a.generators, a.angles)
         want = assemble_frame(inline, h)  # builds the workspace, whose flushes run inline
     got = assemble_frame(a, h)
     assert np.array_equal(got.system.m, want.system.m) and np.array_equal(got.system.v, want.system.v)
     assert np.array_equal(got.psi, want.psi) and np.array_equal(got.tangents, want.tangents)
-    benchmark.extra_info["threaded"] = avqds.ansatz._flush_thread_usable()
+    benchmark.extra_info["thread_jobs"] = avqds.ansatz._thread_jobs()._asdict()
     benchmark.pedantic(assemble_frame, args=(inline if route == "inline" else a, h), rounds=7, iterations=1)

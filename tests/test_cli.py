@@ -74,17 +74,34 @@ def test_odd_chain_avqds_validates(tmp_path):
     ("step.dt_fixed", "inf"),
     ("step.t_final", "inf"),
     ("trotter.dt", "inf"),
+    ("solver.epsilon", "inf"),
 ])
 def test_non_finite_values_fail_naming_their_key(tmp_path, capsys, key, value):
     """Before the check, a NaN coupling raised from the exact oracle's
-    eigensolver, t_final = inf never returned, and dtheta_max or trotter.dt
-    = inf wrote an inf step or NaN rows and exited 0."""
+    eigensolver, t_final = inf never returned, dtheta_max or trotter.dt
+    = inf wrote an inf step or NaN rows and exited 0, and epsilon = inf
+    zeroed every velocity, so the circuit never grew."""
     lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key)]
     path = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
     for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error key={key} message=")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, lines", [
+    ("growth.score_cut", ["model.kind = tfim", "growth.l2_cut = 1e-8", "growth.score_cut = 1e-6"]),
+    ("model.h_z", ["model.kind = tfim", "model.h_z = 0.5"]),
+    ("model.h_x", ["model.kind = hm", "model.h_x = 0.5"]),
+    ("model.h_z", ["model.kind = hm", "model.h_z = 0.5"]),
+], ids=["growth", "tfim", "hm-h_x", "hm-h_z"])
+def test_cross_field_errors_name_their_key(tmp_path, capsys, key, lines):
+    """Each of these printed the section, ``growth.*`` or ``model.*``, as
+    its key."""
+    kept = [line for line in TINY_CONFIG.splitlines() if not line.startswith(("model.kind", "model.h_x"))]
+    path = write_cfg(tmp_path, "\n".join(kept + lines) + "\n")
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error key={key} message={key} must be ")
 
 
 # --- run ----------------------------------------------------------------------

@@ -6,10 +6,12 @@ The one-thread path (one usable core, so every tile is flushed inline and
 every oracle call and solve is made by the step) is the oracle. The
 cases are TFIM HVAs at 10 and 12 qubits, where a tile holds 32 and 8 rows,
 so the sweeps of every split flush tiles, and adaptive TFIM runs at 10
-qubits, the smallest size whose oracle is the Taylor stepper. The threaded
-side counts what it hands to the thread through a spy on the executor, and
-sees two usable cores and BLAS told to run on one thread whatever the
-machine and the shell have.
+qubits, the smallest size whose oracle is the Taylor stepper. Each side
+patches the one function that decides, ``ansatz._thread_jobs``: the
+threaded side to give the thread every job, whatever the machine and the
+shell have, the one-thread side to give it none. The threaded side counts
+what it hands to the thread through a spy on the executor. The policy's
+own tests read the real cores, process and BLAS environment.
 """
 
 import dataclasses
@@ -24,9 +26,10 @@ import pytest
 
 import avqds.ansatz
 import avqds.engine
-from avqds.ansatz import Ansatz, _drain, _flush, _flush_executor, tangent_states
+from avqds.ansatz import (_BLAS_THREAD_CHAINS, Ansatz, ThreadJobs, _drain, _flush, _flush_executor, _thread_jobs,
+                          tangent_states)
 from avqds.config import parse_config
-from avqds.engine import AvqdsRun, CandidateRanking, _blas_on_one_thread
+from avqds.engine import AvqdsRun, CandidateRanking
 from avqds.experiment import run_experiment, run_single
 from avqds.mclachlan import _split_frame, _split_point, assemble_frame, augment_block, extend_frame, extend_system
 from avqds.models import build_model, default_model, hamiltonian_term_pool
@@ -47,9 +50,6 @@ step.dt_fixed = 0.005
 step.t_final = 0.01
 run.oracle = false
 """
-
-
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # a short noisy adaptive run whose oracle is the Taylor stepper
 ADAPTIVE10 = """
@@ -91,24 +91,28 @@ class SpyExecutor:
 
 def blas_threads(monkeypatch, **env):
     """The BLAS thread variables set to ``env`` alone."""
-    for name in BLAS_THREAD_VARS:
+    for name in {k for chain in _BLAS_THREAD_CHAINS for k in chain}:
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
+
+
+def thread_jobs(patch, jobs):
+    """The policy patched to answer ``jobs``."""
+    patch.setattr(avqds.ansatz, "_thread_jobs", lambda: jobs)
 
 
 @pytest.fixture
 def threaded(monkeypatch):
     spy = SpyExecutor()
     monkeypatch.setattr(avqds.ansatz, "_flush_executor", lambda: spy)
-    monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    blas_threads(monkeypatch, OMP_NUM_THREADS="1")
+    thread_jobs(monkeypatch, ThreadJobs(tiles=True, beside=True))
     return spy
 
 
-def one_usable_core(patch):
-    """Take the one-thread path: one usable core, where no flush thread starts."""
-    patch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+def no_thread_jobs(patch):
+    """Take the one-thread path: the policy gives the flush thread no job."""
+    thread_jobs(patch, ThreadJobs(tiles=False, beside=False))
 
 
 def flushes(p):
@@ -124,7 +128,7 @@ def one_thread(monkeypatch, a):
     """``a`` on a new circuit whose workspaces, built here at every step
     boundary, flush every tile inline."""
     with monkeypatch.context() as patch:
-        one_usable_core(patch)
+        no_thread_jobs(patch)
         inline = Ansatz(a.reference, a.generators, a.angles)
         for m in boundaries(a):
             inline.circuit.workspace(m)
@@ -241,7 +245,7 @@ def test_one_usable_core_starts_no_flush_thread(rng, monkeypatch):
         raise AssertionError("the flush executor was asked for")
 
     monkeypatch.setattr(avqds.ansatz, "_flush_executor", no_thread)
-    one_usable_core(monkeypatch)
+    no_thread_jobs(monkeypatch)
     a, h = hva("tfim", 10, 6, rng)
     frame = assemble_frame(a, h)
     ws = a.circuit.workspace(_split_point(a))
@@ -267,7 +271,7 @@ def records(run):
 
 def test_oracle_on_the_thread_writes_the_records_of_the_one_thread_path(monkeypatch, threaded):
     with monkeypatch.context() as patch:
-        one_usable_core(patch)
+        no_thread_jobs(patch)
         want = adaptive_run().run()
     assert threaded.submitted == 0  # every oracle call and flush ran inline
     got = adaptive_run().run()
@@ -279,7 +283,7 @@ def test_oracle_on_the_thread_writes_the_records_of_the_one_thread_path(monkeypa
 @pytest.mark.parametrize("text", [ADAPTIVE10, NOISELESS10], ids=["noisy", "noiseless"])
 def test_growth_solves_on_the_thread_write_the_records_of_the_one_thread_path(monkeypatch, threaded, text):
     with monkeypatch.context() as patch:
-        one_usable_core(patch)
+        no_thread_jobs(patch)
         want = adaptive_run(text=text)
         want.run()
     assert threaded.submitted == 0
@@ -294,7 +298,7 @@ def test_growth_solves_on_the_thread_write_the_records_of_the_one_thread_path(mo
 
 def test_single_op_growth_hands_no_score_to_the_thread(monkeypatch, threaded):
     with monkeypatch.context() as patch:
-        one_usable_core(patch)
+        no_thread_jobs(patch)
         want = adaptive_run(text=NOISELESS10, method=1)
         want.run()
     got = adaptive_run(text=NOISELESS10, method=1)
@@ -333,7 +337,7 @@ def test_a_handed_score_that_raises_is_raised_where_the_inline_score_would_be(mo
     """Every score the thread runs fails; the walk comes to one of them and
     raises as the inline walk does when every score fails."""
     with monkeypatch.context() as patch:
-        one_usable_core(patch)
+        no_thread_jobs(patch)
         inline = adaptive_run(text=NOISELESS10)
         patch.setattr(avqds.engine, "solve", failing_solve(lambda s: s.n_params > inline.ansatz.n_params))
         with pytest.raises(NonFiniteSystemError) as want:
@@ -413,49 +417,75 @@ def test_an_evolve_error_on_the_thread_leaves_the_step_unchanged(monkeypatch, th
     ({"OMP_NUM_THREADS": "2"}, False),
 ])
 def test_blas_on_one_thread_follows_the_order_the_blas_libraries_read(monkeypatch, env, pinned):
+    monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     blas_threads(monkeypatch, **env)
-    assert _blas_on_one_thread() is pinned
+    assert _thread_jobs() == ThreadJobs(tiles=True, beside=pinned)
 
 
-@pytest.mark.parametrize("inline", ["dense oracle", "one usable core", "blas on every core"])
-def test_the_oracle_runs_inline_where_it_cannot_use_an_idle_core(monkeypatch, threaded, inline):
-    n_qubits = _DENSE_MAX_QUBITS if inline == "dense oracle" else 10
-    if inline == "one usable core":
-        one_usable_core(monkeypatch)
-    if inline == "blas on every core":
-        blas_threads(monkeypatch, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="2")
-    run = adaptive_run(n_qubits)
-    assert run._oracle.stepped == (n_qubits > _DENSE_MAX_QUBITS)
-    assert (run._submit is not None) == (inline == "dense oracle")
+@pytest.mark.parametrize("cores, pool_worker, env, jobs", [
+    ({0}, False, {"OMP_NUM_THREADS": "1"}, ThreadJobs(False, False)),
+    (None, False, {"OMP_NUM_THREADS": "1"}, ThreadJobs(False, False)),  # no sched_getaffinity
+    ({0, 1}, True, {"OMP_NUM_THREADS": "1"}, ThreadJobs(False, False)),
+    ({0, 1}, False, {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2"}, ThreadJobs(True, False)),
+    ({0, 1, 2, 3}, False, {}, ThreadJobs(True, False)),
+    ({0, 1}, False, {"OMP_NUM_THREADS": "1"}, ThreadJobs(True, True)),
+], ids=["one core", "no affinity", "pool worker", "blas on every core", "four cores unpinned", "pinned"])
+def test_thread_jobs_follow_the_cores_the_process_and_blas(monkeypatch, cores, pool_worker, env, jobs):
+    if cores is None:
+        monkeypatch.delattr(avqds.ansatz.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: cores, raising=False)
+    parent = multiprocessing.current_process() if pool_worker else None
+    monkeypatch.setattr(avqds.ansatz.multiprocessing, "parent_process", lambda: parent)
+    blas_threads(monkeypatch, **env)
+    assert _thread_jobs() == jobs
+
+
+@pytest.mark.parametrize("jobs", [ThreadJobs(False, False), ThreadJobs(True, False), ThreadJobs(True, True)],
+                         ids=["none", "tiles", "all"])
+def test_the_workspace_and_the_run_follow_the_policy(rng, monkeypatch, threaded, jobs):
+    """Tile flushes follow ``tiles``; the stepped oracle and method 3's
+    scores follow ``beside``, while the dense oracle and methods 1 and 2
+    stay inline whatever it answers."""
+    thread_jobs(monkeypatch, jobs)
+    a, h = hva("tfim", 10, 6, rng)
+    assemble_frame(a, h)
+    ws = a.circuit.workspace(_split_point(a))
+    sweeps = flushes(ws.prefix) + flushes(ws.inverse)
+    assert sweeps and all((worker_calls is not None) == jobs.tiles for _, worker_calls, _ in sweeps)
+    assert (threaded.submitted > 0) == jobs.tiles
+    assert adaptive_run(_DENSE_MAX_QUBITS)._oracle_submit is None
+    assert adaptive_run(method=1)._score_submit is None
+    run = adaptive_run()
+    assert (run._oracle_submit is not None) == (run._score_submit is not None) == jobs.beside
     run.step()
     run.step()
-    assert threaded.oracle_calls == 0
-    if run._submit is None:  # nor any growth-step solve
-        assert threaded.scores == 0
+    assert threaded.oracle_calls == (2 if jobs.beside else 0)
+    assert (threaded.scores > 0) == jobs.beside
 
 
 def _oracle_in_a_pool_worker():
     """Two steps of the 10-qubit adaptive run in a process that
-    multiprocessing started, whether its oracle could use the thread, and
-    the flush threads it left."""
+    multiprocessing started, the policy's answer there, whether its oracle
+    could use the thread, and the flush threads it left."""
     run = adaptive_run()
     run.step()
     run.step()
-    return run._submit is not None, [t.name for t in flush_threads()]
+    return _thread_jobs(), run._oracle_submit is not None, [t.name for t in flush_threads()]
 
 
 def test_a_pool_worker_submits_no_oracle_call(monkeypatch):
     blas_threads(monkeypatch, OMP_NUM_THREADS="1")  # the spawned worker inherits it
-    assert (adaptive_run()._submit is not None) == avqds.ansatz._flush_thread_usable()
+    assert (adaptive_run()._oracle_submit is not None) == _thread_jobs().beside
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        assert pool.submit(_oracle_in_a_pool_worker).result(timeout=120) == (False, [])
+        assert pool.submit(_oracle_in_a_pool_worker).result(timeout=120) == (ThreadJobs(False, False), False, [])
 
 
 def _flush_threads_in_a_pool_worker(cfg):
     """One trajectory in a process that multiprocessing started, as a
     ``run.workers > 1`` pool worker runs it, and the flush threads it left."""
     run_single(cfg, 0)
-    return [t.name for t in flush_threads()], avqds.ansatz._flush_thread_usable()
+    return [t.name for t in flush_threads()], _thread_jobs()
 
 
 def test_pool_workers_start_no_flush_thread_and_write_the_same_csvs(tmp_path, threaded):
@@ -463,7 +493,7 @@ def test_pool_workers_start_no_flush_thread_and_write_the_same_csvs(tmp_path, th
     run_single(cfg, 0)
     assert threaded.submitted > 0  # the config flushes tiles on the thread outside a pool
     with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("spawn")) as pool:
-        assert pool.submit(_flush_threads_in_a_pool_worker, cfg).result(timeout=120) == ([], False)
+        assert pool.submit(_flush_threads_in_a_pool_worker, cfg).result(timeout=120) == ([], ThreadJobs(False, False))
     sequential, parallel = tmp_path / "w1", tmp_path / "w2"
     run_experiment(cfg, sequential)
     run_experiment(parse_config(HVA10 + "run.runs = 2\nrun.workers = 2\n"), parallel)

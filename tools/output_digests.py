@@ -23,12 +23,13 @@ one thread before numpy is imported, as the benchmark pins them.
     python3 tools/output_digests.py OUT --one-thread
 
 writes the same files with the process pinned to one CPU before any run
-(``os.sched_setaffinity``, which the pool workers it spawns inherit), so
-the flush thread never starts and every tile flush, exact oracle call and
-growth-step solve runs on the main thread. A platform without
-``os.sched_setaffinity`` never starts the thread either, and is left as it
-is. ``--against`` between a run with it and one without, on one tree,
-shows that no work handed to the flush thread moves a byte.
+(``os.sched_setaffinity``, which the pool workers it spawns inherit). With
+one usable core ``avqds.ansatz._thread_jobs()`` gives the flush thread no
+job, so every tile flush, exact oracle call and growth-step solve runs on
+the main thread. A platform without ``os.sched_setaffinity`` gives it none
+either, and is left as it is. ``--against`` between a run with it and one
+without, on one tree, shows that no work handed to the flush thread moves
+a byte.
 
     python3 tools/output_digests.py OUT --against PARENT
 
