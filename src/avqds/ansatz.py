@@ -318,7 +318,7 @@ def _sweep_calls(runs: list, block: np.ndarray, carried: int, buf: np.ndarray, t
                 calls.append((_run_births, (coeffs, psi, born[lo:hi])))
             else:
                 src, dst = _planned_views(plan, psi, born[lo:hi])
-                calls.append((_multiply_views, (src, coeffs, dst)))
+                calls.append((_multiply_views, (plan, src, coeffs, dst, born[lo:hi])))
         later = [step for later_run in runs[i + 1 :] for step in later_run]
         while carried + stop - start >= tile:
             rows = block[start : start + tile]

@@ -91,6 +91,8 @@ class ExperimentConfig:
             raise ConfigError("hva.layers", "must be a positive integer")
         if not 0 < self.trotter_dt < math.inf:
             raise ConfigError("trotter.dt", f"must be finite and positive, got {self.trotter_dt}")
+        if self.seed < 0:
+            raise ConfigError("run.seed", f"must be a non-negative integer, got {self.seed}")
         if self.runs < 1:
             raise ConfigError("run.runs", "must be a positive integer")
         if self.workers < 1:

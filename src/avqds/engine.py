@@ -89,8 +89,8 @@ class GrowthConfig:
     def __post_init__(self) -> None:
         if self.method not in (1, 2, 3):
             raise ValueError(f"growth.method must be 1, 2 or 3, got {self.method}")
-        if not self.l2_cut > 0:
-            raise ValueError(f"growth.l2_cut must be positive, got {self.l2_cut}")
+        if not 0 < self.l2_cut < math.inf:
+            raise ValueError(f"growth.l2_cut must be finite and positive, got {self.l2_cut}")
         if not 0 <= self.score_cut < self.l2_cut:
             raise ValueError(f"growth.score_cut must be at least 0 and below growth.l2_cut, got {self.score_cut}")
         if self.max_depth is not None and self.max_depth < 1:

@@ -32,8 +32,8 @@ class NoiseConfig:
             raise ValueError(f"noise.n_shots must be >= 1 (or inf), got {self.n_shots}")
         if self.d_c < 0:
             raise ValueError(f"noise.d_c must be non-negative, got {self.d_c}")
-        if self.truncate_sigmas is not None and not self.truncate_sigmas > 0:
-            raise ValueError("noise.truncate_sigmas must be positive or None")
+        if self.truncate_sigmas is not None and not 0 < self.truncate_sigmas < math.inf:
+            raise ValueError(f"noise.truncate_sigmas must be finite and positive or None, got {self.truncate_sigmas}")
 
 
 def shot_sigma(m_elements, n_shots: float):

@@ -6,6 +6,16 @@ so tangent-state sweeps stay vectorized. The exceptions to purity are the
 private kernels, which overwrite or write into the blocks they are given;
 their callers hand them arrays they own.
 
+A Pauli's action on a row block is one elementwise product through strided
+views (``_rotation_plan``). Whether a flip runs near the contiguous rate
+depends on the flipped qubits: with the lowest one at qubit 2 or above, the
+blocks of amplitudes below it are copied as single items and multiplied in
+one contiguous pass; below that the row axis is iterated first and the
+longest axis last, so each row stays in L1. At 8 qubits and 32 rows that
+took X on qubit 2 from 4.6 to 3.1 ns per amplitude and the slowest flip
+pattern, XY on qubits 1 and 2, from 5.4 to 4.1, against 2.1–2.3 for X on
+qubit 0 or 7.
+
 A Pauli string is a real matrix iff it has an even number of Y factors, so
 the Hamiltonians of the built-in models (tfim, mfim, hm) are real. The exact
 oracle diagonalizes those densely, in real arithmetic, up to
@@ -102,12 +112,16 @@ def _pauli_tables(n_qubits: int, x_bits: int, z_bits: int):
     return src, signs, complex(phase)
 
 
-_Plan = namedtuple("_Plan", "shape reverse order coeffs pauli")
+_Plan = namedtuple("_Plan", "shape reverse order coeffs pauli item")
+
+# Lowest flipped qubit from which a plan gathers whole blocks (``item``)
+# instead of iterating strided axes; see ``_rotation_plan``.
+_GATHER_FROM_QUBIT = 2
 
 
 @functools.lru_cache(maxsize=4096)
 def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int) -> _Plan:
-    """Strided form of a Pauli's permutation: (axes shape, reversal, axis order, coefficients, Pauli).
+    """Strided form of a Pauli's permutation: (axes shape, reversal, axis order, coefficients, Pauli, item).
 
     The index bits are split into axes from the most significant bit down:
     every flipped (X or Y) bit is its own length-2 axis and each run of other
@@ -115,16 +129,31 @@ def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int) -> _Plan:
     reshaped to ``(k, *shape)`` then reads ``rows[..., i ^ x_bits]`` at
     position i without a gather.
 
-    The axis order is the order the kernel iterates the block in, axis 0
-    being the row axis. It is the natural one unless the last axis is shorter
-    than 8 amplitudes (a flip on qubit 0, 1 or 2): then the longest axis goes
-    last, directly after the row axis, so the inner loop stays long whichever
-    qubit is flipped.
+    Where the lowest flipped qubit q is at least ``_GATHER_FROM_QUBIT``, the
+    run of the q bits below it becomes ``item``, one opaque item of 2**q
+    amplitudes (a cache line or more): the block is copied item by item,
+    reversed on the flipped axes above, and the coefficients multiply the
+    copy in one contiguous pass. Otherwise ``item`` is None, and one strided
+    multiply reads and writes through the views in ``order``, axis 0 being
+    the row axis: the row axis first and the longest axis last, so each row
+    (4 KiB at 8 qubits) stays in L1 while the short axes revisit it. A flip
+    of qubit 0 alone keeps its flip axis outermost and the row axis just
+    before the long axis, which numpy merges with it into one loop over the
+    rows for a pure-X string.
+
+    The rule was chosen per flip pattern by ``tests/test_kernel_bench.py``
+    (one thread, ns per amplitude at 8 qubits and 32 rows). The previous
+    order, every short axis outside the row axis, took 4.6 on X at qubit 2,
+    5.3 on Y at qubit 2 and 5.4 on XY at qubits (1, 2), against 2.1–2.3 on
+    X at qubits 0 and 7; these now take 3.1, 3.8 and 4.1. Gathering items of
+    one or two amplitudes (q = 0, 1) was slower than either strided order,
+    and rows first was slower for a flip of qubit 0 alone (3.3 against 2.3).
 
     The coefficients are ``phase·signs``, shaped ``(1, *shape)`` and put in
-    that order. When they are all equal (every pure-X string) they are one
-    Python complex instead, so nothing pins the row axis and numpy can merge
-    it with the axis after it into one loop over the rows.
+    that order, or ``(1, 2**n)`` in index order with an ``item``. When they
+    are all equal (every pure-X string) they are one Python complex instead.
+    Both the layout and the order depend on ``x_bits`` alone, so plans that
+    flip the same bits can sum their coefficients.
     """
     shape: list[int] = []
     flipped: list[bool] = []
@@ -142,38 +171,49 @@ def _rotation_plan(n_qubits: int, x_bits: int, z_bits: int) -> _Plan:
     if run:
         shape.append(1 << run)
         flipped.append(False)
-    reverse = (slice(None),) + tuple(slice(None, None, -1) if f else slice(None) for f in flipped)
-    axes = list(range(1, len(shape) + 1))
-    if shape[-1] < 8:
+    low = (x_bits & -x_bits).bit_length() - 1  # lowest flipped qubit, -1 for none
+    axes, item = list(range(1, len(shape) + 1)), None
+    if low >= _GATHER_FROM_QUBIT:
+        item = np.dtype((np.void, 16 << low))
+        del shape[-1], flipped[-1], axes[-1]
+        order = (0, *axes)
+    else:
         longest = 1 + shape.index(max(shape))
         axes.remove(longest)
-        order = tuple(axes) + (0, longest)
-    else:
-        order = (0, *axes)
+        order = (*axes, 0, longest) if x_bits == 1 else (0, *axes, longest)
+    reverse = (slice(None),) + tuple(slice(None, None, -1) if f else slice(None) for f in flipped)
     _, signs, phase = _pauli_tables(n_qubits, x_bits, z_bits)
     coeffs = phase * signs
     if np.all(coeffs == coeffs[0]):
         coeffs = complex(coeffs[0])
     else:
-        coeffs = coeffs.reshape((1, *shape)).transpose(order)
+        coeffs = coeffs.reshape(1, -1) if item is not None else coeffs.reshape((1, *shape)).transpose(order)
         coeffs.setflags(write=False)
-    return _Plan(tuple(shape), reverse, order, coeffs, PauliString(n_qubits, x_bits, z_bits))
+    return _Plan(tuple(shape), reverse, order, coeffs, PauliString(n_qubits, x_bits, z_bits), item)
 
 
 def _planned_views(plan: _Plan, src: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The strided views through which ``_multiply_views`` reads ``src``
-    and writes ``out``, both C-contiguous (k, dim) blocks: ``src`` reversed
-    on the flipped axes, both in the plan's axis order."""
+    """The views through which ``_multiply_views`` reads ``src`` and writes
+    ``out``, both C-contiguous (k, dim) blocks: ``src`` reversed on the
+    flipped axes, both in the plan's axis order, as items if it has one."""
     block = (src.shape[0], *plan.shape)
+    if plan.item is not None:
+        return src.view(plan.item).reshape(block)[plan.reverse], out.view(plan.item).reshape(block)
     return src.reshape(block)[plan.reverse].transpose(plan.order), out.reshape(block).transpose(plan.order)
 
 
-def _multiply_views(src: np.ndarray, coeffs, out: np.ndarray) -> None:
-    """out = coeffs·src[..., i ^ x_bits] through a plan's ``_planned_views`` of
-    two blocks that do not overlap, ``coeffs`` shaped as ``plan.coeffs``: one
-    strided multiply, iterated in the plan's axis order (``order="C"`` on the
-    transposed views keeps numpy from sorting the axes back by stride)."""
-    np.multiply(src, coeffs, out=out, order="C")
+def _multiply_views(plan: _Plan, src: np.ndarray, coeffs, dst: np.ndarray, out: np.ndarray) -> None:
+    """out = coeffs·src[..., i ^ x_bits] through ``src`` and ``dst``, the
+    plan's ``_planned_views`` of two blocks that do not overlap, ``dst``
+    viewing ``out`` and ``coeffs`` shaped as ``plan.coeffs``. Strided views
+    take one multiply, iterated in the plan's axis order (``order="C"`` on
+    the transposed views keeps numpy from sorting the axes back by stride);
+    item views take one copy, then one multiply of ``out`` in place."""
+    if plan.item is None:
+        np.multiply(src, coeffs, out=dst, order="C")
+    else:
+        np.copyto(dst, src)
+        np.multiply(out, coeffs, out=out)
 
 
 def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray) -> None:
@@ -187,7 +227,7 @@ def _pauli_into(p: PauliString, scale: complex, src: np.ndarray, out: np.ndarray
     """
     plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
     view, dst = _planned_views(plan, src, out)
-    _multiply_views(view, scale * plan.coeffs, dst)
+    _multiply_views(plan, view, scale * plan.coeffs, dst, out)
 
 
 def _run(calls: list) -> None:
@@ -206,9 +246,14 @@ def _rotate_views(plan: _Plan, coeffs, cos, rows: np.ndarray, src: np.ndarray, s
     The three operations below round exactly as cos·rows + (-i·sin·phase)·
     (signs·rows[..., src]) does: the multiply by the imaginary scale rounds
     once per component (see ``_pauli_into``), and so does the real cos. Only
-    the iteration order of the first operation depends on the flipped qubits.
+    the first, ``_multiply_views``, depends on the flipped qubits, and only
+    in the order it visits the amplitudes.
     """
-    np.multiply(src, coeffs, out=dst, order="C")
+    if plan.item is None:  # _multiply_views inline, one call less on a one-row block
+        np.multiply(src, coeffs, out=dst, order="C")
+    else:
+        np.copyto(dst, src)
+        np.multiply(scratch, coeffs, out=scratch)
     rows *= cos
     rows += scratch
 
@@ -231,7 +276,8 @@ def _hamiltonian_calls(h: WeightedPauliSum, src: np.ndarray, out: np.ndarray, sc
     for coeff, p in h.terms:
         plan = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits)
         view, dst = _planned_views(plan, src, scratch)
-        calls += [(_multiply_views, (view, np.asarray(coeff * plan.coeffs), dst)), (np.add, (out, scratch, out))]
+        calls += [(_multiply_views, (plan, view, np.asarray(coeff * plan.coeffs), dst, scratch)),
+                  (np.add, (out, scratch, out))]
     return calls
 
 
@@ -363,8 +409,9 @@ class ExactPropagator:
     stepper, with no set-up beyond grouping the terms: H is held as one
     coefficient vector per set of flipped bits x (one diagonal group, and
     for TFIM one group per X field), laid out as ``_rotation_plan(n, x, 0)``
-    iterates, so H·v is one strided multiply and one add per group. The
-    strided views of the propagator's one-row buffers are built here once.
+    lays out its coefficients, so H·v is one ``_multiply_views`` and one add
+    per group. The views of the propagator's one-row buffers are built here
+    once.
     A step whose result does not keep the norm raises ``EvolveError``.
 
     Both paths only go forward: a time below the latest one asked for (or
@@ -393,8 +440,10 @@ class ExactPropagator:
         self._term, self._h_term, self._flip = np.empty((3, 1, 1 << n), dtype=np.complex128)
         self._groups = []
         for x, coeffs in sorted(groups.items()):
-            src, out = _planned_views(_rotation_plan(n, x, 0), self._term, self._h_term if x == 0 else self._flip)
-            self._groups.append((src, coeffs, out))
+            out = self._h_term if x == 0 else self._flip
+            plan = _rotation_plan(n, x, 0)
+            src, dst = _planned_views(plan, self._term, out)
+            self._groups.append((plan, src, coeffs, dst, out))
 
     @property
     def stepped(self) -> bool:
@@ -404,10 +453,10 @@ class ExactPropagator:
     def _apply_h(self) -> None:
         """``_h_term`` = H·``_term``: the diagonal group writes it, and each
         flip group is multiplied into ``_flip`` and added."""
-        (src, coeffs, out), *flips = self._groups
-        np.multiply(src, coeffs, out=out, order="C")
-        for src, coeffs, out in flips:
-            np.multiply(src, coeffs, out=out, order="C")
+        diagonal, *flips = self._groups
+        _multiply_views(*diagonal)
+        for group in flips:
+            _multiply_views(*group)
             self._h_term += self._flip
 
     def _advance(self, tau: float) -> np.ndarray:

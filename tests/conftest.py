@@ -13,7 +13,8 @@ package's bitmask kernels. The others must be reproduced bit for bit unless mark
 
 ``rebuilt_split_frame`` sweeps the ``rebuilt_pass`` of three ``sliced`` ansätze by ``bound_tangent_states``
 and ``bound_prepare_state``: untiled, each tangent born after its own step, steps by ``step_bounds``.
-``rows_rotated`` counts the row operations of a compiled pass.
+``rows_rotated`` counts the row operations of a compiled pass, and ``index_order`` puts a plan's
+coefficients back in index order.
 """
 
 import functools
@@ -62,6 +63,13 @@ def _pauli_rows(p: PauliString, rows: np.ndarray) -> np.ndarray:
     """P applied to each row of a (k, dim) array by one fancy-index gather."""
     src, signs, phase = _pauli_tables(p.n_qubits, p.x_bits, p.z_bits)
     return phase * (signs * rows[..., src])
+
+
+def index_order(plan, coeffs) -> np.ndarray:
+    """A plan's coefficient array, or one shaped as it, back in index order as (1, dim)."""
+    if plan.item is None:
+        coeffs = coeffs.transpose(np.argsort(plan.order))
+    return coeffs.reshape(1, -1)
 
 
 def _rotation_rows(p: PauliString, theta: float, rows: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from avqds.models import ModelSpec, build_model, hamiltonian_term_pool, model_su
 from avqds.noise import NoiseConfig, noisy_system, shot_sigma
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig, solve
-from avqds.statevector import StateVector, exact_evolve, fidelity
+from avqds.statevector import ExactPropagator, StateVector, exact_evolve, fidelity
 from conftest import random_hamiltonian, random_pauli, random_state
 
 TRUNC = SolverConfig("truncation", epsilon=1e-6)
@@ -296,6 +296,42 @@ def test_criterion_07_trotter_step_halving():
         f"(window [1.5, 3.0]); infidelities {infid[0.04]:.3e} / "
         f"{infid[0.02]:.3e}, ratio {infid[0.04] / infid[0.02]:.2f}",
     )
+
+
+def test_adaptive_circuit_needs_fewer_cnots_than_trotter_and_single_op_growth():
+    """The compressed-circuit claim on criterion 6's config (TFIM, 4 sites,
+    t = 5, l2_cut 2e-3, score_cut 1e-4): AVQDS(T) ends with fewer CNOTs than
+    single-op growth, and far fewer than a first-order Trotter circuit
+    (``model_sublayers``) as accurate as it.
+
+    Measured: AVQDS(T) ends with 20 CNOTs at depth 9 and max infidelity
+    9.87e-4; single-op growth with 38 CNOTs at 2.93e-3. Trotter's max
+    infidelity at its step boundaries, against ``ExactPropagator``, is
+    3.22e-3 with 1,000 CNOTs at dt = 0.04, 7.45e-4 with 2,000 at dt = 0.02
+    and 1.81e-4 with 4,000 at dt = 0.01. The coarsest of those dt that is as
+    accurate as the adaptive run is 0.02, 100 times its CNOTs; the clause
+    asks for more than 50 times.
+    """
+    spec = ModelSpec("tfim", 4, j=1.0, h_x=-2.0)
+    _, h, psi0 = build_model(spec)
+    step = StepConfig(dtheta_max=0.005, t_final=5.0)
+    rec = {
+        m: run_avqds(psi0, h, hamiltonian_term_pool(spec),
+                     GrowthConfig(method=m, l2_cut=2e-3, score_cut=1e-4), step, TRUNC, seed=0)
+        for m in (1, 3)
+    }
+    cnots = {m: records[-1].cnot_count for m, records in rec.items()}
+    worst = max(r.infidelity for r in rec[3])
+    trotter = {}
+    for dt in (0.04, 0.02, 0.01):
+        result = trotter_run(h, psi0, dt=dt, t_final=5.0, sublayers=model_sublayers(spec))
+        oracle = ExactPropagator(h, psi0)
+        infid = max(1 - fidelity(s, oracle.state_at(t)) for t, s in zip(result.times, result.states))
+        trotter[dt] = (int(result.cnot_counts[-1]), infid)
+    dt = max((dt for dt, (_, infid) in trotter.items() if infid <= worst), default=None)
+    assert dt is not None, (worst, trotter)
+    assert cnots[3] < cnots[1], cnots
+    assert trotter[dt][0] > 50 * cnots[3], (dt, trotter, cnots)
 
 
 @pytest.mark.slow

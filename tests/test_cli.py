@@ -75,17 +75,31 @@ def test_odd_chain_avqds_validates(tmp_path):
     ("step.t_final", "inf"),
     ("trotter.dt", "inf"),
     ("solver.epsilon", "inf"),
+    ("growth.l2_cut", "inf"),
+    ("noise.truncate_sigmas", "inf"),
 ])
 def test_non_finite_values_fail_naming_their_key(tmp_path, capsys, key, value):
     """Before the check, a NaN coupling raised from the exact oracle's
     eigensolver, t_final = inf never returned, dtheta_max or trotter.dt
-    = inf wrote an inf step or NaN rows and exited 0, and epsilon = inf
-    zeroed every velocity, so the circuit never grew."""
+    = inf wrote an inf step or NaN rows and exited 0, epsilon = inf zeroed
+    every velocity and l2_cut = inf stopped all growth, so the circuit never
+    grew, and truncate_sigmas = inf made inf·0 = NaN half-widths wherever a
+    shot sigma is 0, so a noisy run raised at its first step."""
     lines = [line for line in TINY_CONFIG.splitlines() if not line.startswith(key)]
     path = write_cfg(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n")
     for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error key={key} message=")
+    assert not (tmp_path / "out").exists()
+
+
+def test_negative_seed_fails_naming_its_key(tmp_path, capsys):
+    """``validate`` accepted run.seed = -1, and ``run`` then failed inside
+    ``np.random.default_rng`` with numpy's traceback."""
+    path = write_cfg(tmp_path, TINY_CONFIG.replace("run.seed = 11", "run.seed = -1"))
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error key=run.seed message=")
     assert not (tmp_path / "out").exists()
 
 

@@ -22,7 +22,7 @@ from avqds.noise import NoiseConfig
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import NonFiniteSystemError, SolverConfig, solve
 from avqds.statevector import StateVector, _pauli_tables, fidelity
-from conftest import brute_force_scores, full_ranking, random_hamiltonian, random_pauli, random_state
+from conftest import brute_force_scores, full_ranking, index_order, random_hamiltonian, random_pauli, random_state
 
 
 def g(label):
@@ -476,8 +476,8 @@ def test_run_matches_gather_oracle_kernel(monkeypatch):
     def gather_kernel(plan, coeffs, cos, rows, *views):
         calls.append(rows.shape[0])
         src = _pauli_tables(plan.pauli.n_qubits, plan.pauli.x_bits, plan.pauli.z_bits)[0]
-        if np.ndim(coeffs):  # -i·sin·phase·signs, from the plan's axis order back to index order
-            coeffs = coeffs.transpose(np.argsort(plan.order)).reshape(1, -1)
+        if np.ndim(coeffs):  # -i·sin·phase·signs, from the plan's layout back to index order
+            coeffs = index_order(plan, coeffs)
         rows[...] = cos * rows + coeffs * rows[..., src]
 
     monkeypatch.setattr(avqds.ansatz, "_rotate_views", gather_kernel)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,7 +18,10 @@ from avqds.statevector import (
     apply_pauli,
     _hamiltonian_rows,
     _pauli_into,
+    _multiply_views,
+    _planned_views,
     _rotate_rows,
+    _rotate_views,
     _TAYLOR_SPAN,
     _rotation_plan,
     apply_rotation,
@@ -227,17 +231,68 @@ def test_pauli_into_matches_gather_bitwise(rng):
 
 @pytest.mark.parametrize("letter", "XYZ")
 def test_rotation_plan_iterates_a_long_axis_last(letter):
-    """The bitwise tests cannot see the iteration order; this pins it, so that
-    low-qubit flips keep a long inner loop."""
+    """The bitwise tests cannot see the iteration order; this pins the rule
+    for every flip pattern x at 8 qubits. With the lowest flipped qubit at 2
+    or above, the blocks of amplitudes below it are gathered as items; a flip
+    of qubit 0 alone iterates its flip axis, then the rows, then the long
+    axis; every other pattern takes the row axis first and its longest axis
+    last. The z bits are none (``X``), those of x (Y on every flipped qubit,
+    ``Y``) or all (Z on the rest, ``Z``), and the plan must not depend on them."""
     n = 8
-    for q in range(n):
-        p = PauliString.single(n, q, letter)
-        shape, _, order, coeffs, _ = _rotation_plan(n, p.x_bits, p.z_bits)
+    for x in range(1 << n):
+        z = {"X": 0, "Y": x, "Z": (1 << n) - 1}[letter]
+        shape, reverse, order, coeffs, _, item = _rotation_plan(n, x, z)
+        bare = _rotation_plan(n, x, 0)
+        assert (shape, reverse, order, item) == (bare.shape, bare.reverse, bare.order, bare.item)
         assert sorted(order) == list(range(len(shape) + 1))
-        assert order[-1] != 0  # never the row axis
-        last = shape[order[-1] - 1]
-        assert last == max(shape) or last >= 8, (p.label(), shape, order)
-        assert isinstance(coeffs, complex) == (letter == "X")
+        low = (x & -x).bit_length() - 1
+        if low >= 2:
+            assert item.itemsize == 16 << low and order == tuple(range(len(shape) + 1))
+            assert math.prod(shape) << low == 1 << n
+        elif x == 1:
+            assert item is None and order == (2, 0, 1), order
+        else:
+            assert item is None and order[0] == 0
+            assert shape[order[-1] - 1] == max(shape), (x, shape, order)
+        assert isinstance(coeffs, complex) == (letter == "X" or x == 0 and letter == "Y"), (x, letter)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+_PLAN_PATHS = [(3, 0), (8, 1), (8, 0b10), (8, 0b11), (8, 0b10000001), (8, 0b100), (10, 0b1101000)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, (1 << n) - 1), st.integers(0, (1 << n) - 1), st.integers(1, 9),
+    st.floats(-math.pi, math.pi), st.integers(0, 2**31 - 1))))
+def test_no_plan_moves_a_bit(case):
+    """Whatever order or path ``_rotation_plan`` picks, ``_rotate_views`` and
+    ``_multiply_views`` equal the gathers ``_rotation_rows`` and
+    ``_pauli_rows`` bit for bit, sign bits included: the rows hold no zero, so
+    each output component is one rounded product (plus one rounded sum)
+    whatever the iteration order. ``_PLAN_PATHS`` runs every path of the rule
+    at each draw."""
+    n, x, z, k, theta, seed = case
+    rng = np.random.default_rng(seed)
+    for n, x in [(n, x)] + _PLAN_PATHS:
+        dim = 1 << n
+        p = PauliString(n, x, z % dim)
+        plan = _rotation_plan(n, p.x_bits, p.z_bits)
+        rows = rng.normal(size=(k, dim)) + 1j * rng.normal(size=(k, dim))
+        # a zero or underflowing scale gives products whose only bits are the signs of zeros
+        for scale in (-1j, -1j * np.sin(theta)) if abs(np.sin(theta)) > 1e-150 else (-1j,):
+            out = np.full((k, dim), np.nan + 0j)
+            src, dst = _planned_views(plan, rows, out)
+            _multiply_views(plan, src, scale * plan.coeffs, dst, out)
+            assert np.array_equal(_bits(out), _bits(scale * _pauli_rows(p, rows))), (n, x, z, k, scale)
+
+        rotated, scratch = rows.copy(), np.full((k, dim), np.nan + 0j)
+        src, dst = _planned_views(plan, rotated, scratch)
+        _rotate_views(plan, -1j * np.sin(theta) * plan.coeffs, np.cos(theta), rotated, src, scratch, dst)
+        assert np.array_equal(_bits(rotated), _bits(_rotation_rows(p, theta, rows))), (n, x, z, k, theta)
 
 
 # --- apply_hamiltonian / expectation / variance --------------------------
