@@ -87,6 +87,9 @@ class ExperimentConfig:
         if self.algorithm in ("hva", "trotter") and self.model.n_qubits % 2:
             message = f"run.algorithm = {self.algorithm} groups terms in brick-wall layers, which need an even chain"
             raise ConfigError("model.n_qubits", f"{message}, got {self.model.n_qubits}")
+        if self.noise_enabled and self.algorithm == "trotter":
+            raise ConfigError("noise.enabled", "run.algorithm = trotter applies its product formula to the exact "
+                              "state and draws no shot noise; set noise.enabled = false")
         if self.hva_layers < 1:
             raise ConfigError("hva.layers", "must be a positive integer")
         if not 0 < self.trotter_dt < math.inf:

@@ -291,15 +291,21 @@ def score_candidates(
     ``score_bounds`` and the selection consumes a ``CandidateRanking`` that
     solves in bound order. On the 100 growth events of the wide-pool
     benchmark run that is about 7 % of the candidates. The solved scores
-    are the brute-force scores bit for bit, and the ranking is exact, so
-    the selection is the one the full ranking gives. Returns
-    ``select_additions``'s (indices, depth_suppressed).
+    are bit for bit those of brute force over the same border, and the
+    ranking is exact, so the selection is the one the full ranking gives.
+    The border is ``augment_block``'s: its births, carry, overlaps, forces
+    and diagonals are made once per growth step, and each iteration forms
+    only its columns against the current tangents, by a real product whose
+    rounding differs from the complex Gram's; the selections equal those of
+    brute force over the complex Gram's border on every growth event of
+    ``tests/test_scoring.py``. Returns ``select_additions``'s (indices,
+    depth_suppressed).
 
     The ranking hands scores to ``submit`` when there is one (``AvqdsRun``
     passes the flush thread's under method 3); every one of them is done
     when this returns.
     """
-    cols, diags, v_news = augment_block(frame, list(pool.operators))
+    cols, diags, v_news = augment_block(frame, pool.operators)
     bounds, slack = score_bounds(frame, pool, (cols, diags, v_news), l2_before)
 
     def score(idx: int) -> float:

@@ -13,14 +13,17 @@ which reduces to 2·(var_h - V'·td) at a solution of M·td = V.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .ansatz import Ansatz, CircuitSlice, prepare_state, tangent_states
 from .pauli import PauliString, WeightedPauliSum
-from .statevector import _pauli_into
+from .statevector import _multiply_views, _planned_views, _rotation_plan, _run
 
 
 def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -74,6 +77,16 @@ class TangentFrame:
     M, V and the overlaps do not depend on the frame, since one unitary acts
     on every tangent row and on psi and H·psi alike. With m = N the suffix
     is empty and the frame is the end of the circuit.
+
+    ``borders`` memoises the candidate border of a growth step per candidate
+    list (``augment_block``): each candidate's tangent carried back to m,
+    bit for bit what ``statevector._pauli_into`` and the inverse suffix
+    give, and <cand|psi>, its force element and its diagonal. None of these
+    changes while generators are appended at angle zero, so ``extend_frame``
+    passes the memo on to the frames of the same step, as ``Circuit.splits``
+    is kept per circuit, and their borders form only the columns, by a real
+    product against their tangents. An entry serves only frames of its own
+    psi and inverse suffix.
     """
 
     ansatz: Ansatz
@@ -86,6 +99,7 @@ class TangentFrame:
     inverse_suffix: CircuitSlice
     frame_psi: np.ndarray
     frame_h_psi: np.ndarray
+    borders: dict[tuple[PauliString, ...], _Border] = field(default_factory=dict, repr=False)
 
 
 def assemble_frame(a: Ansatz, h: WeightedPauliSum, pool_size: int = 0) -> TangentFrame:
@@ -201,6 +215,12 @@ def extend_frame(frame: TangentFrame, grown: Ansatz) -> TangentFrame:
     The appended rotations are identities, so the old tangents, psi, H·psi,
     the energy, the variance and the frame's split stay; each new tangent is
     -i·P·psi carried back to the split, and only M and V are formed again.
+    The new rows are those of the border (``augment_block``) that holds
+    every appended generator, bit for bit the rows a birth and a carry of
+    their own would give: the step's border of the pool, when the growth
+    step scored it, else a border of the appended generators made here. The
+    new frame keeps the memo, so the step's later borders birth and carry
+    nothing and form only their real products.
     It agrees with ``assemble_frame(grown, h)`` up to rounding: a fresh sweep
     merges appended Z-only generators into the phase of a Z-only run they
     extend, and may split elsewhere.
@@ -212,9 +232,11 @@ def extend_frame(frame: TangentFrame, grown: Ansatz) -> TangentFrame:
         raise ValueError("grown ansatz must extend the frame's ansatz with generators at angle zero")
     xi = np.empty((grown.n_params, frame.psi.shape[0]), dtype=np.complex128)
     xi[:n] = frame.tangents
-    for k in range(n, grown.n_params):
-        _pauli_into(grown.generators[k], -1j, frame.psi.reshape(1, -1), xi[k : k + 1])
-    frame.inverse_suffix.apply(xi[n:])
+    new = grown.generators[n:]
+    if new:
+        held = (b for b in frame.borders.values() if _holds(frame, b) and all(g in b.births.index for g in new))
+        border = next(held, None) or _border(frame, new)
+        xi[n:] = border.births.rows[[border.births.index[g] for g in new]]
     system, overlaps = _system(xi, frame.frame_psi, frame.frame_h_psi, frame.energy, frame.system.var_h)
     return dataclasses.replace(frame, ansatz=grown, system=system, tangents=xi, overlaps=overlaps)
 
@@ -264,7 +286,71 @@ def _distance_rounding(s: McLachlanSystem, theta_dot: np.ndarray) -> float:
     return np.finfo(float).eps * (s.n_params + 1) * size
 
 
-def augment_block(frame: TangentFrame, candidates: list[PauliString]):
+class _Births:
+    """The kernel calls that write -i·P·psi for each P of a candidate list
+    into the fixed rows ``rows``, from psi copied into the fixed row ``psi``,
+    built once per candidate list (``_births``) as a ``Workspace`` is per
+    split point. Each call is the one ``statevector._pauli_into`` makes, so
+    the rows are its rows bit for bit. ``index`` maps each candidate to its
+    row; ``fills`` counts the times the rows were born, so a ``_Border`` can
+    tell whether they still hold its step."""
+
+    def __init__(self, candidates: tuple[PauliString, ...], dim: int):
+        self.psi = np.empty((1, dim), dtype=np.complex128)
+        self.rows = np.empty((len(candidates), dim), dtype=np.complex128)
+        self.calls, self.fills = [], 0
+        for j, p in enumerate(candidates):
+            plan, row = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits), self.rows[j : j + 1]
+            src, dst = _planned_views(plan, self.psi, row)
+            self.calls.append((_multiply_views, (plan, src, -1j * plan.coeffs, dst, row)))
+        self.index = {p: j for j, p in enumerate(candidates)}
+
+
+@functools.lru_cache(maxsize=4)
+def _births(candidates: tuple[PauliString, ...], dim: int) -> _Births:
+    return _Births(candidates, dim)
+
+
+# The border of one candidate list in one growth step: the ``_Births`` whose
+# rows hold the candidates' tangents carried back to the split as of fill
+# ``fill``, <cand|psi>, the force elements and the diagonals, and the psi and
+# inverse suffix of the frames it serves.
+_Border = namedtuple("_Border", "births fill overlaps v_new diags psi suffix")
+
+
+def _holds(frame: TangentFrame, border: _Border) -> bool:
+    """Whether ``border`` is the border of ``frame``'s step and its rows are
+    still those of that step."""
+    return (border.psi is frame.psi and border.suffix is frame.inverse_suffix
+            and border.births.fills == border.fill)
+
+
+def _border(frame: TangentFrame, candidates: tuple[PauliString, ...]) -> _Border:
+    """The step's border of ``candidates``, from the frame's memo, or born,
+    carried and memoised now. The overlaps and forces are taken at the end
+    of the circuit, before the carry."""
+    border = frame.borders.get(candidates)
+    if border is not None and _holds(frame, border):
+        return border
+    births = _births(candidates, frame.psi.shape[0])
+    births.psi[0] = frame.psi
+    _run(births.calls)
+    conj = births.rows.conj()
+    overlaps = conj @ frame.psi
+    v_new = np.imag(conj @ frame.h_psi - overlaps * frame.energy)
+    del conj  # freed before the carry takes its scratch block
+    if frame.inverse_suffix.n_params:
+        frame.inverse_suffix.apply(births.rows)
+    births.fills += 1
+    diags = 1.0 - np.abs(overlaps) ** 2
+    for values in (overlaps, v_new, diags):
+        values.setflags(write=False)
+    border = frame.borders[candidates] = _Border(births, births.fills, overlaps, v_new, diags, frame.psi,
+                                                 frame.inverse_suffix)
+    return border
+
+
+def augment_block(frame: TangentFrame, candidates: Sequence[PauliString]):
     """New M column and V element for each candidate appended with angle 0.
 
     Each candidate's tangent is -i·A|psi> (no trailing rotations follow it),
@@ -273,22 +359,25 @@ def augment_block(frame: TangentFrame, candidates: list[PauliString]):
     of the circuit; its products with the stored tangents after carrying it
     back to the frame's split, P·(N - m) row rotations.
 
-    Returns ``(cols, diags, v_new)`` with shapes (P, N), (P,), (P,).
+    The border is a quantity of the growth step: appending generators at
+    angle zero changes neither psi, H·psi nor the split, so the births, by
+    kernel calls built once per candidate list, their carry, the overlaps,
+    the forces and the diagonals are made on the step's first call and
+    memoised on the frame (``TangentFrame.borders``). The carried rows are
+    those of ``statevector._pauli_into`` followed by ``CircuitSlice.apply``
+    bit for bit.
+    Every call forms only Re<xi|cand>, one real product of the float64
+    views of the carried rows and of the tangents, as ``_system`` forms M,
+    with no conjugated copy; it moves the columns from those of the complex
+    Gram at rounding level.
+
+    Returns ``(cols, diags, v_new)`` with shapes (P, N), (P,), (P,); the
+    last two are the memo's, read-only.
     """
-    psi = frame.psi
-    new_tangents = np.empty((len(candidates), psi.shape[0]), dtype=np.complex128)
-    for j, op in enumerate(candidates):
-        _pauli_into(op, -1j, psi.reshape(1, -1), new_tangents[j : j + 1])
-    c_new = new_tangents.conj() @ psi
-    v_new = np.imag(new_tangents.conj() @ frame.h_psi - c_new * frame.energy)
-    if frame.tangents.shape[0]:
-        frame.inverse_suffix.apply(new_tangents)
-        gram = frame.tangents.conj() @ new_tangents.T  # (N, P)
-        cols = np.real(gram - np.outer(frame.overlaps, c_new.conj())).T
-    else:
-        cols = np.zeros((len(candidates), 0))
-    diags = 1.0 - np.abs(c_new) ** 2
-    return cols, diags, v_new
+    border = _border(frame, tuple(candidates))
+    cols = border.births.rows.view(np.float64) @ frame.tangents.view(np.float64).T
+    cols -= np.real(np.outer(border.overlaps.conj(), frame.overlaps))
+    return cols, border.diags, border.v_new
 
 
 def extend_system(s: McLachlanSystem, col: np.ndarray, diag: float, v_new: float) -> McLachlanSystem:

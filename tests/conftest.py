@@ -7,6 +7,7 @@ package's bitmask kernels. The others must be reproduced bit for bit unless mark
 - the assembly before the fused sweep and the real Gram (tolerance): ``reference_frame``, ``complex_gram``
 - the compiled circuit and its workspaces, from the generators alone: ``rebuilt_pass``, ``rebuilt_split_frame``
 - the bound-pruned ranking and ``engine._spanned``: ``brute_force_scores``, ``full_ranking``, ``reference_spanned``
+- the per-step border's births and carry: ``reference_carried``; its real product (tolerance): ``reference_border``
 - the noise plan and one-stream draws, and ``_aggregate``: ``reference_noisy_system``, ``reference_aggregate``
 - the LU ridge solve (tolerance) and ``diagnose``: ``reference_tikhonov``, ``reference_diagnostics``
 - the Taylor stepper (tolerance): ``hamiltonian_coo``, ``expm_multiply_state``, ``eigh_propagator``
@@ -275,13 +276,38 @@ def reference_frame(a, h):
     return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy, unsplit, psi, h_psi)
 
 
-def brute_force_scores(frame, pool, solver_cfg, l2_before=None):
+def reference_carried(frame, candidates):
+    """Each candidate's tangent -i·P·psi by ``_pauli_into``, carried back to
+    the frame's split by its ``inverse_suffix``, and its overlap and force
+    element, all made afresh on every call."""
+    psi = frame.psi.reshape(1, -1)
+    rows = np.empty((len(candidates), psi.shape[1]), dtype=np.complex128)
+    for j, op in enumerate(candidates):
+        _pauli_into(op, -1j, psi, rows[j : j + 1])
+    overlaps = rows.conj() @ frame.psi
+    forces = np.imag(rows.conj() @ frame.h_psi - overlaps * frame.energy)
+    frame.inverse_suffix.apply(rows)
+    return rows, overlaps, forces
+
+
+def reference_border(frame, candidates):
+    """``augment_block`` as it was before the border became a quantity of the
+    growth step: births and carry on every call (``reference_carried``), and
+    the columns from the complex Gram of a conjugated copy of the tangents."""
+    rows, c_new, v_new = reference_carried(frame, candidates)
+    gram = frame.tangents.conj() @ rows.T  # (N, P)
+    cols = np.real(gram - np.outer(frame.overlaps, c_new.conj())).T
+    return cols, 1.0 - np.abs(c_new) ** 2, v_new
+
+
+def brute_force_scores(frame, pool, solver_cfg, l2_before=None, border=None):
     """(index, score) for every pool operator: border the system with its
-    column, re-solve and difference the distances."""
+    column, re-solve and difference the distances. The border is
+    ``augment_block``'s unless one is given."""
     if l2_before is None:
         td = solve(frame.system, solver_cfg)
         l2_before = mclachlan_distance(frame.system, td)
-    cols, diags, v_news = augment_block(frame, list(pool.operators))
+    cols, diags, v_news = augment_block(frame, list(pool.operators)) if border is None else border
     scores = []
     for idx in range(len(pool)):
         extended = extend_system(frame.system, cols[idx], float(diags[idx]), float(v_news[idx]))

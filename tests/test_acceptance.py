@@ -17,7 +17,7 @@ from avqds.baselines import build_hva, trotter_run
 from avqds.cli import main as cli_main
 from avqds.engine import GrowthConfig, StepConfig, run_avqds, run_fixed_ansatz
 from avqds.mclachlan import McLachlanSystem, assemble_frame
-from avqds.models import ModelSpec, build_model, hamiltonian_term_pool, model_sublayers
+from avqds.models import ModelSpec, OperatorPool, build_model, hamiltonian_term_pool, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system, shot_sigma
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig, solve
@@ -298,11 +298,29 @@ def test_criterion_07_trotter_step_halving():
     )
 
 
-def test_adaptive_circuit_needs_fewer_cnots_than_trotter_and_single_op_growth():
+def _site_rotated(p: PauliString) -> PauliString:
+    """``p`` with each site moved to the next one around the ring."""
+    n, full = p.n_qubits, (1 << p.n_qubits) - 1
+    return PauliString(n, *(((bits << 1) | (bits >> (n - 1))) & full for bits in (p.x_bits, p.z_bits)))
+
+
+# criterion 6's pool orderings, each a function of the pool's operators
+POOL_ORDERINGS = {
+    "default": lambda ops: ops,
+    "reversed": lambda ops: ops[::-1],
+    "x_first": lambda ops: sorted(ops, key=lambda p: not p.x_bits),
+    "site_rotated": lambda ops: [_site_rotated(p) for p in ops],
+    "shuffled": lambda ops: [ops[i] for i in np.random.default_rng(0).permutation(len(ops))],
+}
+
+
+@pytest.mark.parametrize("ordering", list(POOL_ORDERINGS))
+def test_adaptive_circuit_needs_fewer_cnots_than_trotter_and_single_op_growth(ordering):
     """The compressed-circuit claim on criterion 6's config (TFIM, 4 sites,
     t = 5, l2_cut 2e-3, score_cut 1e-4): AVQDS(T) ends with fewer CNOTs than
-    single-op growth, and far fewer than a first-order Trotter circuit
-    (``model_sublayers``) as accurate as it.
+    single-op growth in each of criterion 6's pool orderings, and far fewer
+    than a first-order Trotter circuit (``model_sublayers``) as accurate as
+    it.
 
     Measured: AVQDS(T) ends with 20 CNOTs at depth 9 and max infidelity
     9.87e-4; single-op growth with 38 CNOTs at 2.93e-3. Trotter's max
@@ -310,28 +328,40 @@ def test_adaptive_circuit_needs_fewer_cnots_than_trotter_and_single_op_growth():
     3.22e-3 with 1,000 CNOTs at dt = 0.04, 7.45e-4 with 2,000 at dt = 0.02
     and 1.81e-4 with 4,000 at dt = 0.01. The coarsest of those dt that is as
     accurate as the adaptive run is 0.02, 100 times its CNOTs; the clause
-    asks for more than 50 times.
+    asks for more than 50 times. The Trotter circuit does not depend on the
+    pool, so that clause runs with the default ordering only.
+
+    Over the pool orderings (default, reversed, X-first, site-rotated, that
+    is every site moved to the next, and shuffled by rng seed 0), AVQDS(T)
+    ends with 20 CNOTs at depth 9 and 26 params in all five; single-op
+    growth ends with 38, 36, 36, 38 and 38 CNOTs at depth 16, 16, 16, 16
+    and 17, 34 params each. The four extra orderings take about 8.5 s on one
+    core.
     """
     spec = ModelSpec("tfim", 4, j=1.0, h_x=-2.0)
     _, h, psi0 = build_model(spec)
+    pool = OperatorPool(4, POOL_ORDERINGS[ordering](list(hamiltonian_term_pool(spec).operators)))
+    assert set(pool.operators) == set(hamiltonian_term_pool(spec).operators)
     step = StepConfig(dtheta_max=0.005, t_final=5.0)
     rec = {
-        m: run_avqds(psi0, h, hamiltonian_term_pool(spec),
-                     GrowthConfig(method=m, l2_cut=2e-3, score_cut=1e-4), step, TRUNC, seed=0)
+        m: run_avqds(psi0, h, pool, GrowthConfig(method=m, l2_cut=2e-3, score_cut=1e-4), step, TRUNC, seed=0)
         for m in (1, 3)
     }
     cnots = {m: records[-1].cnot_count for m, records in rec.items()}
-    worst = max(r.infidelity for r in rec[3])
-    trotter = {}
-    for dt in (0.04, 0.02, 0.01):
-        result = trotter_run(h, psi0, dt=dt, t_final=5.0, sublayers=model_sublayers(spec))
-        oracle = ExactPropagator(h, psi0)
-        infid = max(1 - fidelity(s, oracle.state_at(t)) for t, s in zip(result.times, result.states))
-        trotter[dt] = (int(result.cnot_counts[-1]), infid)
-    dt = max((dt for dt, (_, infid) in trotter.items() if infid <= worst), default=None)
-    assert dt is not None, (worst, trotter)
+    print(f"\n{ordering}: " + ", ".join(f"method {m} {r[-1].cnot_count} CNOTs, depth {r[-1].depth}, "
+                                         f"{r[-1].n_params} params" for m, r in rec.items()))
     assert cnots[3] < cnots[1], cnots
-    assert trotter[dt][0] > 50 * cnots[3], (dt, trotter, cnots)
+    if ordering == "default":
+        worst = max(r.infidelity for r in rec[3])
+        trotter = {}
+        for dt in (0.04, 0.02, 0.01):
+            result = trotter_run(h, psi0, dt=dt, t_final=5.0, sublayers=model_sublayers(spec))
+            oracle = ExactPropagator(h, psi0)
+            infid = max(1 - fidelity(s, oracle.state_at(t)) for t, s in zip(result.times, result.states))
+            trotter[dt] = (int(result.cnot_counts[-1]), infid)
+        dt = max((dt for dt, (_, infid) in trotter.items() if infid <= worst), default=None)
+        assert dt is not None, (worst, trotter)
+        assert trotter[dt][0] > 50 * cnots[3], (dt, trotter, cnots)
 
 
 @pytest.mark.slow

@@ -103,6 +103,34 @@ def test_negative_seed_fails_naming_its_key(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+NOISY_TROTTER_ERROR = ("error key=noise.enabled message=run.algorithm = trotter applies its product formula to the "
+                       "exact state and draws no shot noise; set noise.enabled = false\n")
+
+
+def test_noisy_trotter_fails_naming_noise_enabled(tmp_path, capsys):
+    """``validate`` exited 0, and ``run`` wrote a noiseless product-formula
+    CSV whose header said noise.enabled = true."""
+    path = write_cfg(tmp_path, TINY_CONFIG + "run.algorithm = trotter\nnoise.enabled = true\nnoise.n_shots = 100\n")
+    for argv in (["validate", str(path)], ["run", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == NOISY_TROTTER_ERROR
+    assert not (tmp_path / "out").exists()
+
+
+def test_noisy_preset_with_trotter_fails_naming_noise_enabled(tmp_path, capsys):
+    """``--algorithm trotter`` on the hybrid-noise preset dropped the noise."""
+    out = tmp_path / "hybrid"
+    argv = ["preset", "hybrid-noise", "--nq", "4", "--t-final", "0.02", "--algorithm", "trotter", "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == NOISY_TROTTER_ERROR
+    assert not out.exists()
+
+
+def test_noiseless_trotter_validates(tmp_path):
+    path = write_cfg(tmp_path, TINY_CONFIG + "run.algorithm = trotter\nnoise.enabled = false\nnoise.n_shots = 100\n")
+    assert main(["validate", str(path)]) == 0
+
+
 @pytest.mark.parametrize("key, lines", [
     ("growth.score_cut", ["model.kind = tfim", "growth.l2_cut = 1e-8", "growth.score_cut = 1e-6"]),
     ("model.h_z", ["model.kind = tfim", "model.h_z = 0.5"]),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import avqds.engine as engine
-from avqds.ansatz import Ansatz, ansatz_layout, prepare_state, tangent_states
+import avqds.mclachlan as mclachlan
+from avqds.ansatz import Ansatz, CircuitSlice, ansatz_layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
 from avqds.experiment import preset_benchmark, run_single
 from avqds.mclachlan import (
@@ -27,6 +28,8 @@ from conftest import (
     random_hamiltonian,
     random_pauli,
     random_state,
+    reference_border,
+    reference_carried,
     reference_frame,
     step_bounds,
     swept_state,
@@ -197,6 +200,73 @@ def test_split_frame_matches_the_reference_at_every_step_boundary(rng):
             for got, want in zip(augment_block(frame, pool), border):
                 np.testing.assert_allclose(got, want, rtol=0, atol=SPLIT_ATOL)
             assert_frames_close(extend_frame(frame, grown), expected_grown, SPLIT_ATOL)
+
+
+def counted_births_and_carries(monkeypatch):
+    """Counts of the births (``_run`` of prebuilt calls) and carries
+    (``CircuitSlice.apply``) that ``mclachlan`` makes from now on."""
+    counts = {"births": 0, "carries": 0}
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(mclachlan, "_run", counting("births", mclachlan._run))
+    monkeypatch.setattr(CircuitSlice, "apply", counting("carries", CircuitSlice.apply))
+    return counts
+
+
+def test_border_rows_are_the_births_carried_bit_for_bit(rng, monkeypatch):
+    """At every step boundary, the carried rows the border memoises and the
+    rows ``extend_frame`` appends, from the memo or born without it, are
+    ``_pauli_into`` followed by ``CircuitSlice.apply`` bit for bit, sign bits
+    included; so are the forces. A second ``augment_block`` on the extended
+    frame births and carries nothing, and its columns are the reference
+    border's against the grown tangents."""
+    for a, h in split_cases(rng):
+        pool = [random_pauli(rng, a.n_qubits) for _ in range(6)]
+        grown, n = a.extended(pool[1:4]), a.n_params
+        for m in [first for first, _ in step_bounds(a.generators)] + [n]:
+            frame = _split_frame(a, h, m)
+            _, diags, v_new = augment_block(frame, pool)
+            fresh_slice = replace(frame, inverse_suffix=CircuitSlice(a.circuit, a.angles, m, inverse=True), borders={})
+            rows, overlaps, forces = reference_carried(fresh_slice, pool)
+            assert frame.borders[tuple(pool)].births.rows.tobytes() == rows.tobytes()
+            assert v_new.tobytes() == forces.tobytes()
+            assert diags.tobytes() == (1.0 - np.abs(overlaps) ** 2).tobytes()
+            unmemoised = extend_frame(replace(frame, borders={}), grown)
+            assert unmemoised.tangents[n:].tobytes() == rows[1:4].tobytes()
+            counts = counted_births_and_carries(monkeypatch)
+            ext = extend_frame(frame, grown)
+            assert ext.tangents[n:].tobytes() == rows[1:4].tobytes()
+            again = augment_block(ext, pool)
+            assert counts == {"births": 0, "carries": 0}
+            monkeypatch.undo()
+            for got, want in zip(again, reference_border(ext, pool), strict=True):
+                np.testing.assert_allclose(got, want, rtol=0, atol=SPLIT_ATOL)
+
+
+def test_one_frame_bordered_with_other_lists_keeps_its_own_rows(rng):
+    """Two candidate lists on one frame, and the same lists on a frame of
+    other angles, in turn: each border gets its own list's rows, carried by
+    its own frame, although one list's prebuilt births serve both frames;
+    a frame whose rows another frame has since overwritten births again."""
+    a, h = next(split_cases(rng))
+    boundaries = [first for first, _ in step_bounds(a.generators)]
+    m = boundaries[len(boundaries) // 2]
+    frame = _split_frame(a, h, m)
+    other = _split_frame(a.with_angles(rng.uniform(-1.5, 1.5, size=a.n_params)), h, m)
+    first, second = [random_pauli(rng, 4) for _ in range(4)], [random_pauli(rng, 4) for _ in range(3)]
+    for f, pool in [(frame, first), (frame, second), (other, first), (frame, first), (other, second),
+                    (frame, second), (frame, first)]:
+        for got, want in zip(augment_block(f, pool), reference_border(f, pool), strict=True):
+            np.testing.assert_allclose(got, want, rtol=0, atol=SPLIT_ATOL)
+        assert f.borders[tuple(pool)].births.rows.tobytes() == reference_carried(f, pool)[0].tobytes()
+    augment_block(other, first)  # overwrites the rows frame's border of ``first`` holds
+    ext = extend_frame(frame, a.extended(first[:2]))
+    assert ext.tangents[a.n_params :].tobytes() == reference_carried(frame, first)[0][:2].tobytes()
 
 
 def test_unsplit_frame_is_the_forward_sweep_bit_for_bit(rng):
