@@ -10,11 +10,7 @@ of a prefix of the ansatz never depends on what comes later.
 from __future__ import annotations
 
 import bisect
-import functools
-import multiprocessing
-import os
 from collections import namedtuple
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,9 +79,7 @@ class Circuit:
 
     An assembly fills its workspace in place, so two threads must not
     assemble ansätze of one circuit at once; ``run.workers > 1`` runs
-    trajectories in processes, which share no circuit. Its sweeps may hand
-    full tiles to the flush thread (``_flush``, as ``_thread_jobs`` allows),
-    and it waits for them before it returns.
+    trajectories in processes, which share no circuit.
     """
 
     n_qubits: int
@@ -208,58 +202,6 @@ class _Trig:
 # 128 at 8, so a tile and its scratch stay inside a 2 MiB L2 cache.
 _TILE_BYTES = 512 * 1024
 
-# The BLAS thread variables in the order each library reads them: OpenBLAS
-# and MKL each take the first one of their chain that is set, else every core.
-_BLAS_THREAD_CHAINS = (("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"),
-                       ("MKL_NUM_THREADS", "OMP_NUM_THREADS"))
-ThreadJobs = namedtuple("ThreadJobs", "tiles beside")
-
-
-def _thread_jobs() -> ThreadJobs:
-    """Which jobs go to the flush thread, read from the process now. ``tiles``
-    (full tiles, ``Workspace``) needs at least two usable cores, outside a
-    process that multiprocessing started (a ``run.workers > 1`` pool worker),
-    so that threads times workers never exceed the cores. ``beside`` (the
-    stepped oracle and method 3's scores, ``AvqdsRun``) also needs BLAS pinned
-    to one thread: with BLAS on every core, the oracle beside the solve did
-    not shorten the steps. Without ``tiles`` every job runs inline: the
-    one-thread path, the oracle of the other."""
-    tiles = (multiprocessing.parent_process() is None
-             and hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) >= 2)
-    pinned = all(next((os.environ[k].strip() for k in chain if k in os.environ), None) == "1"
-                 for chain in _BLAS_THREAD_CHAINS)
-    return ThreadJobs(tiles, tiles and pinned)
-
-
-@functools.cache
-def _flush_executor() -> futures.ThreadPoolExecutor:
-    """The one persistent flush thread, started by the first tile handed to it."""
-    return futures.ThreadPoolExecutor(max_workers=1, thread_name_prefix="avqds-flush")
-
-
-def _flush(calls: list, worker_calls: list | None, pending: list) -> None:
-    """Push a full tile through the rest of its pass: on the flush thread by
-    ``worker_calls``, which use the thread's own scratch tile, if the
-    workspace has one and the thread is idle; else here, by ``calls``.
-    Either way the sweep goes on with the rows in flight, which the tile's
-    calls do not touch, and ``pending`` keeps the thread's future for
-    ``_drain``."""
-    if worker_calls is not None and (not pending or pending[-1].done()):
-        pending.append(_flush_executor().submit(_run, worker_calls))
-    else:
-        _run(calls)
-
-
-def _drain(pending: list) -> None:
-    """Wait for every flush in ``pending`` and clear it, then raise the first
-    error that one of them raised."""
-    futures.wait(pending)
-    done = pending[:]
-    pending.clear()
-    for future in done:
-        future.result()
-
-
 def _run_births(signs: np.ndarray, psi: np.ndarray, rows: np.ndarray) -> None:
     """-i·s_j·psi for every generator of a Z-only run in one multiply."""
     np.multiply(-1j * signs, psi, out=rows)
@@ -297,14 +239,12 @@ def _commuting_runs(steps: list, generators: tuple[PauliString, ...]) -> list[li
     return runs
 
 
-def _sweep_calls(runs: list, block: np.ndarray, carried: int, buf: np.ndarray, tile: int, trig: _Trig,
-                 worker_buf: np.ndarray | None, pending: list) -> list:
+def _sweep_calls(runs: list, block: np.ndarray, carried: int, buf: np.ndarray, tile: int, trig: _Trig) -> list:
     """The calls of the tangent sweep over the ``_commuting_runs`` of a pass
     into ``block``, in the order ``tangent_states`` describes: per run each
     step on the rows in flight when the run starts, the running row copied
-    on once and the births of every generator of the run, and a ``_flush``
-    of each full tile through the steps after the run, with the flush
-    thread's scratch tile ``worker_buf``, or None to flush inline."""
+    on once and the births of every generator of the run, and each full
+    tile's calls through the steps after the run."""
     calls = []
     born = block[carried:]  # row k of the sweep is born[k]; the carried rows precede row 0
     start = 0  # first row of the tile being filled, in block
@@ -322,23 +262,18 @@ def _sweep_calls(runs: list, block: np.ndarray, carried: int, buf: np.ndarray, t
         later = [step for later_run in runs[i + 1 :] for step in later_run]
         while carried + stop - start >= tile:
             rows = block[start : start + tile]
-            if later:
-                flush = [_apply_call(step, rows, buf, trig) for step in later]
-                worker_calls = None if worker_buf is None else [_apply_call(s, rows, worker_buf, trig) for s in later]
-                calls.append((_flush, (flush, worker_calls, pending)))
+            calls += [_apply_call(step, rows, buf, trig) for step in later]
             start += tile
     return calls
 
 
-class Pass(namedtuple("Pass", "n_qubits n_params block carried calls pending")):
+class Pass(namedtuple("Pass", "n_qubits n_params block carried calls")):
     """A pass over the steps of a circuit between two step boundaries,
     compiled onto fixed rows: ``calls`` are ``_run`` calls, each holding the
     strided views of the rows it reads and writes and of the trig values of
     its angle. ``block`` holds ``carried`` rows, then the pass's tangents
     and its running row (a one-row pass has no tangents). A pass starts from
-    what its running row holds, unless its first call copies a state in.
-    ``pending`` is its workspace's list of the flushes on the flush thread
-    that are yet to be waited for."""
+    what its running row holds, unless its first call copies a state in."""
 
     __slots__ = ()
 
@@ -355,12 +290,6 @@ class Workspace:
     two sweeps group their steps, each in its own order, into runs of
     commuting generators once, here, and birth the tangents of a run at its
     end. An assembly only loads the reference and the angles.
-
-    Where a sweep fills a tile and ``_thread_jobs().tiles``, the workspace
-    also holds a scratch tile for the flush thread and a second form of each
-    flush's calls on it; ``pending`` holds the flushes handed to the thread
-    until ``wait``. Every row meets the same operations in the same order
-    whichever thread flushes it, so the bits do not depend on the thread.
     """
 
     def __init__(self, circuit: Circuit, m: int):
@@ -374,18 +303,13 @@ class Workspace:
         head = np.empty((m + 1, dim), dtype=np.complex128)
         back = np.empty((n - m + 2, dim), dtype=np.complex128)  # H·psi, rows N-1..m, running row
         buf = np.empty((max(min(m, tile), min(n - m + 1, tile) + 1), dim), dtype=np.complex128)
-        worker_buf, pending = None, []
-        if max(m, n - m + 1) >= tile and _thread_jobs().tiles:
-            worker_buf = np.empty((tile, dim), dtype=np.complex128)
         row, gens = back[1:2], circuit.generators
         head_runs, back_runs = _commuting_runs(forward[:s], gens[:m]), _commuting_runs(inverse, gens[m:][::-1])
-        head_calls = _sweep_calls(head_runs, head, 0, buf, tile, self.trig, worker_buf, pending)
-        self.prefix = Pass(nq, m, head, 0, head_calls, pending)
+        self.prefix = Pass(nq, m, head, 0, _sweep_calls(head_runs, head, 0, buf, tile, self.trig))
         suffix = [(np.copyto, (row, head[m]))] + [_apply_call(step, row, buf, self.trig) for step in forward[s:]]
-        self.suffix = Pass(nq, n - m, row, 0, suffix, pending)
-        back_calls = _sweep_calls(back_runs, back, 1, buf, tile, self.trig, worker_buf, pending)
-        self.inverse = Pass(nq, n - m, back, 1, back_calls, pending)
-        self.pending, self._scratch, self._h, self._h_calls = pending, buf[:1], None, []
+        self.suffix = Pass(nq, n - m, row, 0, suffix)
+        self.inverse = Pass(nq, n - m, back, 1, _sweep_calls(back_runs, back, 1, buf, tile, self.trig))
+        self._scratch, self._h, self._h_calls = buf[:1], None, []
 
     def load(self, reference: np.ndarray, angles: np.ndarray) -> tuple[Pass, Pass, Pass]:
         """The prefix, suffix and inverse passes from ``reference`` at
@@ -403,10 +327,6 @@ class Workspace:
             self._h_calls, self._h = _hamiltonian_calls(h, self.suffix.block, out, self._scratch), h
         _run(self._h_calls)
         return out[0]
-
-    def wait(self) -> None:
-        """Wait for the flushes of both sweeps (``_drain``)."""
-        _drain(self.pending)
 
 
 class CircuitSlice:
@@ -447,7 +367,7 @@ def prepare_state(a: Ansatz | Pass) -> StateVector:
     return StateVector(a.n_qubits, rows[0])
 
 
-def tangent_states(a: Ansatz | Pass, wait: bool = True) -> np.ndarray:
+def tangent_states(a: Ansatz | Pass) -> np.ndarray:
     """All derivative states d|psi>/d(angle_k), one per row, each unit norm.
 
     The forward pass applies the steps of its pass: one rotation per
@@ -474,10 +394,7 @@ def tangent_states(a: Ansatz | Pass, wait: bool = True) -> np.ndarray:
     alone through every remaining step, with scratch the size of one tile,
     and the sweep carries on from the running row; each amplitude meets the
     same operations in the same order as in one untiled block, so the result
-    does not depend on the tile size. A full tile goes to the flush thread
-    when it is idle (``_flush``), so the rest of the sweep runs beside it;
-    the result waits for those flushes unless ``wait`` is False, in which
-    case its rows are finished only after the workspace's ``wait``.
+    does not depend on the tile size.
 
     For an ansatz the sweep runs in a one-off workspace, and the result is
     an (n_params, 2**n) view of an (n_params + 1)-row block whose last row
@@ -489,11 +406,7 @@ def tangent_states(a: Ansatz | Pass, wait: bool = True) -> np.ndarray:
     """
     if isinstance(a, Ansatz):  # the prefix pass of a workspace split at N sweeps the whole circuit
         a = Workspace(a.circuit, a.n_params).load(a.reference.amplitudes, a.angles)[0]
-    try:
-        _run(a.calls)
-    finally:
-        if wait:
-            _drain(a.pending)
+    _run(a.calls)
     return a.block[a.carried : a.carried + a.n_params]
 
 

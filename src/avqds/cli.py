@@ -60,14 +60,34 @@ def _fail(key: str, message: str) -> int:
     return 2
 
 
+def _config_text(path: str) -> str:
+    """The text of a config file, ``ConfigError`` keyed ``config`` if it
+    cannot be read or is not UTF-8."""
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError("config", str(exc)) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"{path} is not UTF-8: {exc}") from exc
+
+
+def _make_dirs(key: str, *dirs: Path) -> None:
+    """Create output directories, ``ConfigError`` naming ``key`` if one
+    cannot be made (a path that is a file, say)."""
+    try:
+        for d in dirs:
+            d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(key, str(exc)) from exc
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
-        assignments = parse_assignments(Path(args.config).read_text())
+        assignments = parse_assignments(_config_text(args.config))
         cfg = config_from_mapping(_merge_overrides(assignments, _override_pairs(args)))
+        _make_dirs("run.out", Path(cfg.out))
     except ConfigError as exc:
         return _fail(exc.key, exc.reason)
-    except OSError as exc:
-        return _fail("config", str(exc))
     from .experiment import run_experiment
 
     for path in run_experiment(cfg):
@@ -77,11 +97,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
-        cfg = config_from_mapping(parse_assignments(Path(args.config).read_text()))
+        cfg = config_from_mapping(parse_assignments(_config_text(args.config)))
     except ConfigError as exc:
         return _fail(exc.key, exc.reason)
-    except OSError as exc:
-        return _fail("config", str(exc))
     sys.stdout.write(serialize_config(cfg))
     return 0
 
@@ -102,6 +120,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
             args.name,
             lambda cfg: config_from_mapping(_merge_overrides(parse_assignments(serialize_config(cfg)), overrides)),
         )
+        _make_dirs("run.out", *(base_out / label for label, _ in configs))
     except ConfigError as exc:
         return _fail(exc.key, exc.reason)
     for label, cfg in configs:
@@ -139,8 +158,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         lines.append(f"{t:.17g},{expectation(h, state):.17g},{ret:.17g}")
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            return _fail("out", str(exc))
         print(args.out)
     else:
         sys.stdout.write(text)

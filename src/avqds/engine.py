@@ -21,12 +21,10 @@ import heapq
 import logging
 import math
 from collections.abc import Callable, Iterator, Mapping, Sequence
-from concurrent import futures
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import ansatz as _ansatz
 from .ansatz import Ansatz, ansatz_layout, prepare_state
 from .mclachlan import (
     TangentFrame,
@@ -144,29 +142,18 @@ class CandidateRanking:
     comes next. So the order does not depend on rounding that moves scores
     by less than the tolerance, and exact ties break as in a full sort.
     Scores are cached across ``ranked`` calls.
-
-    With ``submit`` (an executor's), scores also run there: when the top
-    must be scored here, the next unscored candidate that could come up is
-    handed to it first, and a near-tie block hands it every other member it
-    scores. A handed score is read from its future only when the walk comes
-    to that candidate, as the walk without ``submit`` would score it, so
-    the order, and any error a score raises, are those of the walk without
-    it; one the walk never comes to is never read. ``wait`` waits for them.
     """
 
-    def __init__(self, bounds: Mapping[int, float], score: Callable[[int], float],
-                 submit: Callable[..., futures.Future] | None = None):
+    def __init__(self, bounds: Mapping[int, float], score: Callable[[int], float]):
         self._bounds = bounds
         self._score = score
-        self._submit = submit
         self._known: dict[int, float] = {}
-        self._handed: dict[int, futures.Future] = {}
 
     def ranked(self, cut: float, skip: Callable[[int], int | bool]) -> Iterator[tuple[int, float]]:
         """(index, score) with score > cut, best first up to near-ties.
         ``skip`` drops a candidate unscored when it comes up; it must stay
         true once true."""
-        known, handed = self._known, self._handed
+        known = self._known
         heap = [(-known.get(i, b), i) for i, b in self._bounds.items()]
         heapq.heapify(heap)
         while heap:
@@ -176,38 +163,18 @@ class CandidateRanking:
             if skip(idx):
                 heapq.heappop(heap)
             elif idx not in known:
-                if self._submit is not None and idx not in handed:
-                    later = (i for k, i in sorted(heap)[1:] if -k > cut and i not in known and not skip(i))
-                    self._hand(next(later, None))
-                known[idx] = self._take(idx)
+                known[idx] = self._score(idx)
                 heapq.heapreplace(heap, (-known[idx], idx))
             else:
                 near = -key - _TIE_RTOL * abs(key)
                 tied = [i for k, i in heap if -k >= near and not skip(i)]
-                if self._submit is not None:
-                    for i in [i for i in tied if i not in known and i not in handed][1::2]:
-                        self._hand(i)
                 for i in tied:
                     if i not in known:
-                        known[i] = self._take(i)
+                        known[i] = self._score(i)
                 best = min(i for i in tied if known[i] >= near and known[i] > cut)
                 heap = [(-known[i] if i in known else k, i) for k, i in heap if i != best]
                 heapq.heapify(heap)
                 yield best, known[best]
-
-    def _hand(self, idx: int | None) -> None:
-        """Score unscored ``idx`` through ``submit`` unless it is handed already."""
-        if idx is not None and idx not in self._handed:
-            self._handed[idx] = self._submit(self._score, idx)
-
-    def _take(self, idx: int) -> float:
-        handed = self._handed.pop(idx, None)
-        return self._score(idx) if handed is None else handed.result()
-
-    def wait(self) -> None:
-        """Wait for every score handed to ``submit``; those the walk did not
-        come to stay unread."""
-        futures.wait(list(self._handed.values()))
 
 
 def _spanned(ansatz: Ansatz, candidates: Sequence) -> np.ndarray:
@@ -279,7 +246,6 @@ def score_candidates(
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
     l2_before: float,
-    submit: Callable[..., futures.Future] | None = None,
 ) -> tuple[list[int], bool]:
     """Score the pool by how much each operator, appended at angle zero,
     would lower the McLachlan distance, and select under ``growth_cfg``.
@@ -300,10 +266,6 @@ def score_candidates(
     brute force over the complex Gram's border on every growth event of
     ``tests/test_scoring.py``. Returns ``select_additions``'s (indices,
     depth_suppressed).
-
-    The ranking hands scores to ``submit`` when there is one (``AvqdsRun``
-    passes the flush thread's under method 3); every one of them is done
-    when this returns.
     """
     cols, diags, v_news = augment_block(frame, pool.operators)
     bounds, slack = score_bounds(frame, pool, (cols, diags, v_news), l2_before)
@@ -313,13 +275,8 @@ def score_candidates(
         td = solve(extended, solver_cfg)
         return l2_before - mclachlan_distance(extended, td)
 
-    ranking = CandidateRanking(dict(enumerate((bounds + slack).tolist())), score, submit)
-    try:
-        return select_additions(
-            growth_cfg.method, ranking, pool, frame.ansatz, growth_cfg.score_cut, growth_cfg.max_depth
-        )
-    finally:
-        ranking.wait()
+    ranking = CandidateRanking(dict(enumerate((bounds + slack).tolist())), score)
+    return select_additions(growth_cfg.method, ranking, pool, frame.ansatz, growth_cfg.score_cut, growth_cfg.max_depth)
 
 
 @dataclass(frozen=True)
@@ -382,11 +339,9 @@ def grow_once(
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
     l2_before: float,
-    submit: Callable[..., futures.Future] | None = None,
 ) -> GrowthResult:
-    """One growth iteration; appended angles are zero so the state is kept.
-    ``submit`` goes to ``score_candidates``."""
-    chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before, submit)
+    """One growth iteration; appended angles are zero so the state is kept."""
+    chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before)
     if not chosen:
         return GrowthResult(frame.ansatz, (), stalled=not suppressed, suppressed=suppressed)
     new_ansatz = frame.ansatz.extended(pool.operators[i] for i in chosen)
@@ -399,26 +354,8 @@ class AvqdsRun:
     ``step()`` performs one adaptive Euler update: solve, grow while the
     distance is above the cutoff, pick the time increment, advance. Records
     describe the state at the start of each step together with the increment
-    taken from there.
-
-    The run reads ``ansatz._thread_jobs()`` once. Where it answers
-    ``beside``, each step hands the flush thread LAPACK and oracle work
-    that it would otherwise do here, so it runs on the core the step's own
-    BLAS and LAPACK calls leave idle:
-
-    - the stepped exact oracle (above ``statevector._DENSE_MAX_QUBITS``),
-      whose state at t needs nothing of the step, once the step's assembly
-      has drained every flush and its shots are drawn. The step joins it
-      before it reads the infidelity, even when it raises, and an error of
-      the call (``EvolveError``) is raised from ``step`` unchanged. The
-      dense oracle's call is shorter than a hand-over and stays inline;
-    - under growth method 3, whose walk scores on until the qubits are
-      full, candidate scores (``CandidateRanking``). Methods 1 and 2 stop
-      at their first pick, so a handed score would mostly go unread.
-
-    Every job is done before the growth iteration, or the step, that handed
-    it over returns, so none runs beside the next assembly's flushes, and
-    the records are those of the one-thread path bit for bit.
+    taken from there. Every step runs on the calling thread;
+    ``run.workers > 1`` runs trajectories in processes.
     """
 
     def __init__(
@@ -452,10 +389,6 @@ class AvqdsRun:
             if compute_infidelity
             else None
         )
-        # the run's jobs for the flush thread, resolved here so no step tests them
-        submit = _ansatz._flush_executor().submit if _ansatz._thread_jobs().beside else None
-        self._oracle_submit = submit if self._oracle is not None and self._oracle.stepped else None
-        self._score_submit = submit if growth_cfg is not None and growth_cfg.method == 3 else None
 
     def _located(self, phase: str, fn, *args):
         """``fn(*args)``, with a non-finite system reported at this step."""
@@ -478,87 +411,79 @@ class AvqdsRun:
     def step(self) -> TrajectoryRecord:
         frame = assemble_frame(self.ansatz, self.h, len(self.pool) if self.growth is not None else 0)
         system = self._drawn(frame)
-        # the stepped oracle needs only t: it advances on the flush thread
-        # while this one solves, and is joined before the step returns
-        oracle = self._oracle_submit(self._oracle.state_at, self.t) if self._oracle_submit is not None else None
-        try:
-            theta_dot, l2 = self._solved(system)
-            stalled = suppressed = exhausted = False
+        theta_dot, l2 = self._solved(system)
+        stalled = suppressed = exhausted = False
 
-            if self.growth is not None:
-                iters = 0
-                while l2 >= self.growth.l2_cut and iters < self.growth.max_grow_iters:
-                    # scoring works on the exact frame; noise only enters the
-                    # per-step equations of motion
-                    if system is frame.system:  # no noise drawn: l2 is already exact
-                        exact_l2 = l2
-                    else:
-                        exact_td = self._located("exact solve", solve, frame.system, self.solver)
-                        exact_l2 = mclachlan_distance(frame.system, exact_td)
-                    result = self._located(
-                        "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2,
-                        self._score_submit,
-                    )
-                    stalled |= result.stalled
-                    suppressed |= result.suppressed
-                    if not result.added:
-                        log.debug("growth stalled at t=%g (l2=%.3e)", self.t, l2)
-                        break
-                    self.ansatz = result.ansatz
-                    frame = extend_frame(frame, self.ansatz)
-                    system = self._drawn(frame)
-                    theta_dot, l2 = self._solved(system)
-                    iters += 1
-                exhausted = l2 >= self.growth.l2_cut and iters >= self.growth.max_grow_iters
-                if exhausted:
-                    log.warning(
-                        "growth budget exhausted at t=%g with l2=%.3e", self.t, l2
-                    )
-                if suppressed and l2 >= self.growth.l2_cut and not self._depth_cap_warned:
-                    self._depth_cap_warned = True
-                    log.warning(
-                        "growth.max_depth=%d suppressed growth at t=%g with l2=%.3e "
-                        ">= l2_cut=%.3e; the run continues above the cutoff "
-                        "(warned once per run)",
-                        self.growth.max_depth, self.t, l2, self.growth.l2_cut,
-                    )
+        if self.growth is not None:
+            iters = 0
+            while l2 >= self.growth.l2_cut and iters < self.growth.max_grow_iters:
+                # scoring works on the exact frame; noise only enters the
+                # per-step equations of motion
+                if system is frame.system:  # no noise drawn: l2 is already exact
+                    exact_l2 = l2
+                else:
+                    exact_td = self._located("exact solve", solve, frame.system, self.solver)
+                    exact_l2 = mclachlan_distance(frame.system, exact_td)
+                result = self._located(
+                    "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2
+                )
+                stalled |= result.stalled
+                suppressed |= result.suppressed
+                if not result.added:
+                    log.debug("growth stalled at t=%g (l2=%.3e)", self.t, l2)
+                    break
+                self.ansatz = result.ansatz
+                frame = extend_frame(frame, self.ansatz)
+                system = self._drawn(frame)
+                theta_dot, l2 = self._solved(system)
+                iters += 1
+            exhausted = l2 >= self.growth.l2_cut and iters >= self.growth.max_grow_iters
+            if exhausted:
+                log.warning(
+                    "growth budget exhausted at t=%g with l2=%.3e", self.t, l2
+                )
+            if suppressed and l2 >= self.growth.l2_cut and not self._depth_cap_warned:
+                self._depth_cap_warned = True
+                log.warning(
+                    "growth.max_depth=%d suppressed growth at t=%g with l2=%.3e "
+                    ">= l2_cut=%.3e; the run continues above the cutoff "
+                    "(warned once per run)",
+                    self.growth.max_depth, self.t, l2, self.growth.l2_cut,
+                )
 
-            max_rate = float(np.max(np.abs(theta_dot))) if theta_dot.size else 0.0
-            if self.step_cfg.dt_fixed is not None:
-                dt = self.step_cfg.dt_fixed
-            elif max_rate < STALL_RATE_FLOOR:
-                dt = 10.0 * self.step_cfg.dtheta_max
-            else:
-                dt = self.step_cfg.dtheta_max / max_rate
+        max_rate = float(np.max(np.abs(theta_dot))) if theta_dot.size else 0.0
+        if self.step_cfg.dt_fixed is not None:
+            dt = self.step_cfg.dt_fixed
+        elif max_rate < STALL_RATE_FLOOR:
+            dt = 10.0 * self.step_cfg.dtheta_max
+        else:
+            dt = self.step_cfg.dtheta_max / max_rate
 
-            if self._oracle is not None:
-                target = (oracle.result() if oracle is not None else self._oracle.state_at(self.t)).amplitudes
-                infidelity = 1.0 - float(abs(np.vdot(frame.psi, target)) ** 2)
-            else:
-                infidelity = math.nan
+        if self._oracle is not None:
+            target = self._oracle.state_at(self.t).amplitudes
+            infidelity = 1.0 - float(abs(np.vdot(frame.psi, target)) ** 2)
+        else:
+            infidelity = math.nan
 
-            layout = ansatz_layout(self.ansatz)
-            record = TrajectoryRecord(
-                t=self.t,
-                n_params=self.ansatz.n_params,
-                l2=l2,
-                depth=layout.depth,
-                cnot_count=layout.cnot_count,
-                dt=dt,
-                energy=frame.energy,
-                infidelity=infidelity,
-                seed=self.seed,
-                growth_stalled=stalled,
-                growth_suppressed=suppressed,
-                growth_exhausted=exhausted,
-            )
-            self.records.append(record)
-            self.ansatz = self.ansatz.with_angles(self.ansatz.angles + theta_dot * dt)
-            self.t += dt
-            return record
-        finally:
-            if oracle is not None:
-                futures.wait([oracle])
+        layout = ansatz_layout(self.ansatz)
+        record = TrajectoryRecord(
+            t=self.t,
+            n_params=self.ansatz.n_params,
+            l2=l2,
+            depth=layout.depth,
+            cnot_count=layout.cnot_count,
+            dt=dt,
+            energy=frame.energy,
+            infidelity=infidelity,
+            seed=self.seed,
+            growth_stalled=stalled,
+            growth_suppressed=suppressed,
+            growth_exhausted=exhausted,
+        )
+        self.records.append(record)
+        self.ansatz = self.ansatz.with_angles(self.ansatz.angles + theta_dot * dt)
+        self.t += dt
+        return record
 
     def run(self) -> list[TrajectoryRecord]:
         while self.t < self.step_cfg.t_final - 1e-12:

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .ansatz import _BLAS_THREAD_CHAINS
 from .baselines import build_hva, trotter_run
 from .config import ConfigError, ExperimentConfig, serialize_config
 from .engine import GrowthConfig, TrajectoryRecord, run_avqds, run_fixed_ansatz
@@ -160,16 +159,19 @@ def _aggregate(per_run: list[list[TrajectoryRecord]]) -> list[str]:
     return lines
 
 
+# The variables OpenBLAS and MKL read their thread count from
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 @contextmanager
 def _one_blas_thread_env():
     """BLAS pinned to one thread in the environment that spawned workers
-    inherit, every variable of ``_BLAS_THREAD_CHAINS`` set to 1, then the
+    inherit, every variable of ``_BLAS_THREAD_VARS`` set to 1, then the
     parent's values back. Workers that each kept the parent's thread count
     would oversubscribe the cores; two-way contention made ``eigh`` six
     times slower."""
-    names = dict.fromkeys(k for chain in _BLAS_THREAD_CHAINS for k in chain)
-    saved = {k: os.environ.get(k) for k in names}
-    os.environ.update(dict.fromkeys(names, "1"))
+    saved = {k: os.environ.get(k) for k in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:
         yield
     finally:

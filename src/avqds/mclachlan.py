@@ -129,20 +129,14 @@ def _split_frame(a: Ansatz, h: WeightedPauliSum, m: int) -> TangentFrame:
 
     The passes run in the circuit's ``Workspace`` for m, built at the first
     assembly there; the frame copies its rows out of it, so no frame shares
-    memory with a later assembly. Full tiles the two sweeps hand to the
-    flush thread run beside the rest of the passes; the frame waits for
-    them after the inverse sweep, before it copies a row or forms M, so no
-    BLAS call runs beside a flush.
+    memory with a later assembly.
     """
     n, dim, ws = a.n_params, 1 << a.n_qubits, a.circuit.workspace(m)
     prefix, suffix, inverse = ws.load(a.reference.amplitudes, a.angles)
-    try:
-        head = tangent_states(prefix, wait=False)
-        psi = prepare_state(suffix).amplitudes.copy()
-        h_psi = ws.apply_hamiltonian(h).copy()
-        tail = tangent_states(inverse, wait=False)
-    finally:
-        ws.wait()
+    head = tangent_states(prefix)
+    psi = prepare_state(suffix).amplitudes.copy()
+    h_psi = ws.apply_hamiltonian(h).copy()
+    tail = tangent_states(inverse)
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
     back = inverse.block  # H·psi, rows N-1..m, psi

@@ -415,10 +415,7 @@ class ExactPropagator:
     A step whose result does not keep the norm raises ``EvolveError``.
 
     Both paths only go forward: a time below the latest one asked for (or
-    below 0) raises ``ValueError``. ``AvqdsRun`` may call the stepper
-    (``stepped``) on the flush thread while its step solves, and then never
-    touches the propagator until that call has ended; the call computes the
-    same bits on either thread.
+    below 0) raises ``ValueError``.
     """
 
     def __init__(self, h: WeightedPauliSum, psi0: StateVector):
@@ -444,11 +441,6 @@ class ExactPropagator:
             plan = _rotation_plan(n, x, 0)
             src, dst = _planned_views(plan, self._term, out)
             self._groups.append((plan, src, coeffs, dst, out))
-
-    @property
-    def stepped(self) -> bool:
-        """Whether states come from the Taylor stepper, not the spectrum."""
-        return not self._dense
 
     def _apply_h(self) -> None:
         """``_h_term`` = H·``_term``: the diagonal group writes it, and each

@@ -27,7 +27,6 @@ import pytest
 from scipy.sparse import coo_array
 from scipy.sparse.linalg import expm_multiply
 
-import avqds.ansatz
 from avqds.ansatz import Ansatz, CircuitSlice
 from avqds.engine import CandidateRanking
 from avqds.experiment import _fmt_float
@@ -207,18 +206,12 @@ def rows_rotated(p):
     """Rows that the calls of a compiled ``Pass`` apply steps to, summed: the
     rows of each rotation and of each Z-only run's phase multiply, those of
     the tile flushes included."""
-    return _rows_rotated(p.calls)
-
-
-def _rows_rotated(calls):
     total = 0
-    for fn, args in calls:
+    for fn, args in p.calls:
         if fn is _rotate_views:
             total += args[3].shape[0]
         elif fn is np.multiply:  # a phase multiply; births and copies are other functions
             total += args[0].shape[0]
-        elif fn is avqds.ansatz._flush:  # a tile's calls, on whichever thread it runs
-            total += _rows_rotated(args[0])
     return total
 
 

@@ -20,15 +20,12 @@ than a tile, is timed with births at the end of each run and by the
 per-step rebuild (``conftest.rebuilt_pass``); both first agree bit for bit.
 
 The assembly at 10, 12 and 14 qubits, where the sweeps fill tiles, is timed
-with full tiles flushed on the flush thread and with every tile flushed
-inline, as where ``_thread_jobs`` gives the thread no job; both first agree
-bit for bit.
+after it agrees with ``reference_frame``.
 """
 
 import numpy as np
 import pytest
 
-import avqds.ansatz
 from avqds.ansatz import Ansatz, ansatz_layout, layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
 from avqds.mclachlan import _split_frame, _split_point, _system, assemble_frame
@@ -205,16 +202,12 @@ def test_commuting_run_sweep_speed(benchmark, route):
     benchmark.pedantic(rebuilt if route == "rebuilt" else compiled, rounds=20, iterations=1)
 
 
-@pytest.mark.parametrize("route", ["inline", "threaded"])
 @pytest.mark.parametrize("n_qubits, n_params", [(10, 200), (12, 192), (14, 140)])
-def test_threaded_flush_speed(benchmark, monkeypatch, n_qubits, n_params, route):
+def test_tiled_assembly_speed(benchmark, n_qubits, n_params):
     a, h = _case(n_qubits, n_params)
-    with monkeypatch.context() as patch:
-        patch.setattr(avqds.ansatz, "_thread_jobs", lambda: avqds.ansatz.ThreadJobs(False, False))
-        inline = Ansatz(a.reference, a.generators, a.angles)
-        want = assemble_frame(inline, h)  # builds the workspace, whose flushes run inline
-    got = assemble_frame(a, h)
-    assert np.array_equal(got.system.m, want.system.m) and np.array_equal(got.system.v, want.system.v)
-    assert np.array_equal(got.psi, want.psi) and np.array_equal(got.tangents, want.tangents)
-    benchmark.extra_info["thread_jobs"] = avqds.ansatz._thread_jobs()._asdict()
-    benchmark.pedantic(assemble_frame, args=(inline if route == "inline" else a, h), rounds=7, iterations=1)
+    frame, expected = assemble_frame(a, h), reference_frame(a, h)
+    assert np.max(np.abs(frame.system.m - expected.system.m)) <= ATOL
+    assert np.max(np.abs(frame.system.v - expected.system.v)) <= ATOL
+    assert np.array_equal(frame.psi, prepare_state(a).amplitudes)
+    benchmark.extra_info["split"] = _split_point(a)
+    benchmark.pedantic(assemble_frame, args=(a, h), rounds=7, iterations=1)

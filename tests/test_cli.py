@@ -376,6 +376,35 @@ def test_oracle_rejects_non_finite_couplings(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def one_error_line(capsys, key):
+    err = capsys.readouterr().err
+    assert err.startswith(f"error key={key} message=") and err.count("\n") == 1, err
+    return err
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_a_config_that_is_not_utf8_fails_on_one_line(tmp_path, capsys, command):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(TINY_CONFIG.encode() + b"\xff\n")
+    assert main([command, str(path)]) == 2
+    assert "is not UTF-8" in one_error_line(capsys, "config")
+
+
+def test_an_output_path_that_is_a_file_fails_on_one_line(tmp_path, capsys):
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    path = write_cfg(tmp_path, TINY_CONFIG + f"run.out = {blocker}\n")
+    runs = [
+        (["run", str(path)], "run.out"),
+        (["preset", "benchmark", "--nq", "4", "--t-final", "0.01", "--out", str(blocker)], "run.out"),
+        (["oracle", "--nq", "4", "--t-final", "0.1", "--out", str(blocker / "x.csv")], "out"),
+    ]
+    for argv, key in runs:
+        assert main(argv) == 2, argv
+        one_error_line(capsys, key)
+    assert blocker.read_text() == "" and sorted(p.name for p in tmp_path.iterdir()) == ["blocker", "exp.cfg"]
+
+
 def test_run_help_names_every_solver_method(capsys):
     with pytest.raises(SystemExit) as done:
         main(["run", "--help"])

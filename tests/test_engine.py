@@ -425,6 +425,33 @@ def test_singular_ridge_system_raises_located_error(monkeypatch):
     assert "no finite solution of the linear system (step solve at t=0, step 0" in str(err)
 
 
+def test_a_non_finite_candidate_score_raises_located_error(monkeypatch):
+    """A bordered system whose solve fails is reported at the growth
+    iteration's candidate score, not at the step's solve."""
+    n = 4
+    run = AvqdsRun(
+        tfim(n),
+        Ansatz(StateVector.basis_state(n)),
+        StepConfig(dtheta_max=0.005, t_final=0.1),
+        SOLVER,
+        pool=nearest_neighbour_pool(n),
+        growth_cfg=GrowthConfig(),
+        compute_infidelity=False,
+    )
+
+    def solve_or_fail(s, cfg):
+        if s.n_params > run.ansatz.n_params:
+            raise NonFiniteSystemError(s.n_params)
+        return solve(s, cfg)
+
+    monkeypatch.setattr(avqds.engine, "solve", solve_or_fail)
+    with pytest.raises(NonFiniteSystemError) as info:
+        run.step()
+    err = info.value
+    assert (err.t, err.step, err.n_params, err.phase) == (0.0, 0, 1, "candidate score")
+    assert "candidate score at t=0, step 0" in str(err)
+
+
 def test_depth_cap_suppresses_and_flags():
     n = 4
     h = tfim(n)

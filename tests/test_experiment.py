@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import avqds.ansatz
 import avqds.experiment
 from avqds.config import parse_config, serialize_config
 from avqds.engine import TrajectoryRecord
@@ -144,22 +143,17 @@ def test_workers_are_spawned_with_one_blas_thread(tmp_path, monkeypatch):
 
         def map(self, fn, jobs):
             seen["env"] = {k: os.environ.get(k) for k in blas_vars}
-            seen["jobs"] = avqds.ansatz._thread_jobs()
             return map(fn, jobs)
 
     monkeypatch.setattr(avqds.experiment, "ProcessPoolExecutor", RecordingExecutor)
-    # two usable cores, so the policy's ``beside`` reads the BLAS environment alone
-    monkeypatch.setattr(avqds.ansatz.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     parent = {"OPENBLAS_NUM_THREADS": "4", "GOTO_NUM_THREADS": "4", "MKL_NUM_THREADS": "4"}
     for k, v in parent.items():
         monkeypatch.setenv(k, v)
     monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
     cfg = parse_config("model.kind = tfim\nmodel.n_qubits = 3\nstep.t_final = 0.01\nrun.runs = 2\nrun.workers = 2\n")
-    assert not avqds.ansatz._thread_jobs().beside
     paths = run_experiment(cfg, tmp_path)
     assert len(paths) == 3
-    assert seen == {"start_method": "spawn", "env": dict.fromkeys(blas_vars, "1"),
-                    "jobs": avqds.ansatz.ThreadJobs(tiles=True, beside=True)}
+    assert seen == {"start_method": "spawn", "env": dict.fromkeys(blas_vars, "1")}
     assert {k: os.environ.get(k) for k in blas_vars} == {**parent, "OMP_NUM_THREADS": None}
 
 

@@ -1,6 +1,5 @@
 """``tools/output_digests.py``: ``--against`` prints the paths that moved,
-and by how much; ``--one-thread`` writes the outputs on one CPU, with
-nothing handed to the flush thread."""
+and by how much."""
 
 import importlib.util
 import os
@@ -9,9 +8,6 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-
-import avqds.ansatz
-from avqds.ansatz import ThreadJobs
 
 _spec = importlib.util.spec_from_file_location(
     "output_digests", Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
@@ -63,29 +59,3 @@ def test_csv_differences_report_rows_comments_and_text(tmp_path):
         "rows: 2 -> 3 (compared in order over the first 2)",
         "label: differs",
     ]
-
-
-@pytest.mark.parametrize("flags, flush_thread", [([], True), (["--one-thread"], False)])
-def test_one_thread_turns_the_flush_thread_off_before_any_run(tmp_path, monkeypatch, flags, flush_thread):
-    """``--one-thread`` pins the process to one of its CPUs before any run,
-    which leaves the policy with no job for the flush thread; the pin is
-    stubbed, so this process keeps its CPUs. BLAS is pinned to one thread
-    here, as the tool pins it on import."""
-    cpus = {0, 1}
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        monkeypatch.setenv(var, "1")
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, mask: cpus.intersection_update(mask), raising=False)
-    seen = []
-    monkeypatch.setattr(output_digests, "write_outputs", lambda out: seen.append(avqds.ansatz._thread_jobs()))
-    monkeypatch.setattr(sys, "argv", ["output_digests.py", str(tmp_path / "out"), *flags])
-    assert output_digests.main() == 0
-    assert seen == [ThreadJobs(flush_thread, flush_thread)] and cpus == ({0, 1} if flush_thread else {0})
-
-
-def test_one_thread_leaves_a_platform_without_the_pin_as_it_is(tmp_path, monkeypatch):
-    monkeypatch.delattr(os, "sched_setaffinity", raising=False)
-    seen = []
-    monkeypatch.setattr(output_digests, "write_outputs", lambda out: seen.append(out))
-    monkeypatch.setattr(sys, "argv", ["output_digests.py", str(tmp_path / "out"), "--one-thread"])
-    assert output_digests.main() == 0 and len(seen) == 1

@@ -20,17 +20,6 @@ relative to OUT. Run it on two trees and ``diff`` the listings: a change
 that keeps every output byte prints nothing. BLAS and OpenMP are pinned to
 one thread before numpy is imported, as the benchmark pins them.
 
-    python3 tools/output_digests.py OUT --one-thread
-
-writes the same files with the process pinned to one CPU before any run
-(``os.sched_setaffinity``, which the pool workers it spawns inherit). With
-one usable core ``avqds.ansatz._thread_jobs()`` gives the flush thread no
-job, so every tile flush, exact oracle call and growth-step solve runs on
-the main thread. A platform without ``os.sched_setaffinity`` gives it none
-either, and is left as it is. ``--against`` between a run with it and one
-without, on one tree, shows that no work handed to the flush thread moves
-a byte.
-
     python3 tools/output_digests.py OUT --against PARENT
 
 compares OUT with PARENT, the OUT of a run of this script on the parent
@@ -156,7 +145,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(usage=__doc__.strip().splitlines()[2].strip())
     parser.add_argument("out", type=Path)
     parser.add_argument("--against", type=Path, metavar="PARENT")
-    parser.add_argument("--one-thread", action="store_true", help="hand nothing to the flush thread")
     args = parser.parse_args()
     out = args.out.resolve()
     if out.exists() and any(out.iterdir()):
@@ -165,8 +153,6 @@ def main() -> int:
     if args.against is not None and not args.against.exists():
         print(f"error: {args.against} does not exist", file=sys.stderr)
         return 2
-    if args.one_thread and hasattr(os, "sched_setaffinity"):
-        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     write_outputs(out)
     if args.against is not None:
         compare(out, args.against.resolve())
