@@ -9,10 +9,9 @@ from .engine import (
     TrajectoryRecord,
     grow_once,
     run_avqds,
-    run_fixed_ansatz,
     score_candidates,
 )
-from .mclachlan import McLachlanSystem, TangentFrame, assemble_frame, mclachlan_distance, symmetric_eig
+from .mclachlan import McLachlanSystem, TangentFrame, assemble_frame, mclachlan_distance
 from .models import (
     ModelSpec,
     OperatorPool,

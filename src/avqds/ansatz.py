@@ -259,10 +259,9 @@ def _sweep_calls(runs: list, block: np.ndarray, carried: int, buf: np.ndarray, t
             else:
                 src, dst = _planned_views(plan, psi, born[lo:hi])
                 calls.append((_multiply_views, (plan, src, coeffs, dst, born[lo:hi])))
-        later = [step for later_run in runs[i + 1 :] for step in later_run]
         while carried + stop - start >= tile:
             rows = block[start : start + tile]
-            calls += [_apply_call(step, rows, buf, trig) for step in later]
+            calls += [_apply_call(step, rows, buf, trig) for later_run in runs[i + 1 :] for step in later_run]
             start += tile
     return calls
 

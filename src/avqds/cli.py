@@ -132,6 +132,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     import numpy as np
 
+    from .experiment import _fmt_float
     from .models import build_model, default_model
     from .statevector import ExactPropagator, expectation
 
@@ -155,7 +156,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     for t in times:
         state = prop.state_at(float(t))
         ret = float(abs(np.vdot(psi0.amplitudes, state.amplitudes)) ** 2)
-        lines.append(f"{t:.17g},{expectation(h, state):.17g},{ret:.17g}")
+        lines.append(",".join(map(_fmt_float, (t, expectation(h, state), ret))))
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

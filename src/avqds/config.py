@@ -37,12 +37,6 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_float_or_inf(text: str) -> float:
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    return float(text)
-
-
 def _parse_optional_float(text: str):
     return None if text.lower() == "none" else float(text)
 
@@ -121,7 +115,7 @@ _SCHEMA = {
     "solver.epsilon": ("solver", "epsilon", float),
     "solver.bound": ("solver", "bound", float),
     "noise.enabled": (None, "noise_enabled", _parse_bool),
-    "noise.n_shots": ("noise", "n_shots", _parse_float_or_inf),
+    "noise.n_shots": ("noise", "n_shots", float),
     "noise.d_c": ("noise", "d_c", int),
     "noise.noisy_v": ("noise", "noisy_v", _parse_bool),
     "noise.truncate_sigmas": ("noise", "truncate_sigmas", _parse_optional_float),

@@ -122,7 +122,6 @@ class TrajectoryRecord:
     dt: float
     energy: float
     infidelity: float  # nan when no oracle is attached
-    seed: int
     growth_stalled: bool = False
     growth_suppressed: bool = False
     growth_exhausted: bool = False  # max_grow_iters ran out with l2 >= l2_cut
@@ -283,7 +282,6 @@ def score_candidates(
 class GrowthResult:
     ansatz: Ansatz
     added: tuple[int, ...]  # pool indices, in append order
-    stalled: bool
     suppressed: bool
 
 
@@ -343,18 +341,20 @@ def grow_once(
     """One growth iteration; appended angles are zero so the state is kept."""
     chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before)
     if not chosen:
-        return GrowthResult(frame.ansatz, (), stalled=not suppressed, suppressed=suppressed)
-    new_ansatz = frame.ansatz.extended(pool.operators[i] for i in chosen)
-    return GrowthResult(new_ansatz, tuple(chosen), stalled=False, suppressed=suppressed)
+        return GrowthResult(frame.ansatz, (), suppressed)
+    return GrowthResult(frame.ansatz.extended(pool.operators[i] for i in chosen), tuple(chosen), suppressed)
 
 
 class AvqdsRun:
     """Driver holding the evolving ansatz and emitting per-step records.
 
-    ``step()`` performs one adaptive Euler update: solve, grow while the
-    distance is above the cutoff, pick the time increment, advance. Records
-    describe the state at the start of each step together with the increment
-    taken from there. Every step runs on the calling thread;
+    It drives both variational arms: the adaptive one, given a pool and a
+    growth config (``run_avqds`` starts it from an empty ansatz), and the
+    fixed-ansatz one, given neither, whose ansatz only changes its angles.
+    ``step()`` performs one Euler update: solve, grow while the distance is
+    above the cutoff (adaptive arm only), pick the time increment, advance.
+    Records describe the state at the start of each step together with the
+    increment taken from there. Every step runs on the calling thread;
     ``run.workers > 1`` runs trajectories in processes.
     """
 
@@ -379,7 +379,6 @@ class AvqdsRun:
         self.step_cfg = step_cfg
         self.solver = solver_cfg
         self.noise = noise_cfg
-        self.seed = seed
         self.rng = np.random.default_rng(seed)
         self.t = 0.0
         self.records: list[TrajectoryRecord] = []
@@ -397,21 +396,18 @@ class AvqdsRun:
         except NonFiniteSystemError as err:
             raise NonFiniteSystemError(err.n_params, phase, self.t, len(self.records)) from err
 
-    def _drawn(self, frame: TangentFrame):
-        """The system a step solves: the frame's, with shot noise drawn on it
-        in a noisy run."""
-        if self.noise is None:
-            return frame.system
-        return noisy_system(frame.system, ansatz_layout(frame.ansatz), self.noise, self.rng)
-
-    def _solved(self, system):
+    def _solve(self, frame: TangentFrame):
+        """(system, theta_dot, l2) of a step: the frame's system, with shot
+        noise drawn on it in a noisy run, solved."""
+        system = frame.system
+        if self.noise is not None:
+            system = noisy_system(system, ansatz_layout(frame.ansatz), self.noise, self.rng)
         theta_dot = self._located("step solve", solve, system, self.solver)
-        return theta_dot, mclachlan_distance(system, theta_dot)
+        return system, theta_dot, mclachlan_distance(system, theta_dot)
 
     def step(self) -> TrajectoryRecord:
         frame = assemble_frame(self.ansatz, self.h, len(self.pool) if self.growth is not None else 0)
-        system = self._drawn(frame)
-        theta_dot, l2 = self._solved(system)
+        system, theta_dot, l2 = self._solve(frame)
         stalled = suppressed = exhausted = False
 
         if self.growth is not None:
@@ -427,15 +423,14 @@ class AvqdsRun:
                 result = self._located(
                     "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2
                 )
-                stalled |= result.stalled
                 suppressed |= result.suppressed
                 if not result.added:
+                    stalled = not result.suppressed
                     log.debug("growth stalled at t=%g (l2=%.3e)", self.t, l2)
                     break
                 self.ansatz = result.ansatz
                 frame = extend_frame(frame, self.ansatz)
-                system = self._drawn(frame)
-                theta_dot, l2 = self._solved(system)
+                system, theta_dot, l2 = self._solve(frame)
                 iters += 1
             exhausted = l2 >= self.growth.l2_cut and iters >= self.growth.max_grow_iters
             if exhausted:
@@ -475,7 +470,6 @@ class AvqdsRun:
             dt=dt,
             energy=frame.energy,
             infidelity=infidelity,
-            seed=self.seed,
             growth_stalled=stalled,
             growth_suppressed=suppressed,
             growth_exhausted=exhausted,
@@ -503,37 +497,7 @@ def run_avqds(
     compute_infidelity: bool = True,
 ) -> list[TrajectoryRecord]:
     """Adaptive run from an empty ansatz on the reference state."""
-    run = AvqdsRun(
-        hamiltonian,
-        Ansatz(psi0),
-        step_cfg,
-        solver_cfg,
-        pool=pool,
-        growth_cfg=growth_cfg,
-        noise_cfg=noise_cfg,
-        seed=seed,
-        compute_infidelity=compute_infidelity,
-    )
-    return run.run()
-
-
-def run_fixed_ansatz(
-    initial: Ansatz,
-    hamiltonian: WeightedPauliSum,
-    step_cfg: StepConfig,
-    solver_cfg: SolverConfig,
-    noise_cfg: NoiseConfig | None = None,
-    seed: int = 0,
-    compute_infidelity: bool = True,
-) -> list[TrajectoryRecord]:
-    """Same stepping loop with growth disabled (fixed-ansatz dynamics)."""
-    run = AvqdsRun(
-        hamiltonian,
-        initial,
-        step_cfg,
-        solver_cfg,
-        noise_cfg=noise_cfg,
-        seed=seed,
-        compute_infidelity=compute_infidelity,
-    )
-    return run.run()
+    return AvqdsRun(
+        hamiltonian, Ansatz(psi0), step_cfg, solver_cfg, pool, growth_cfg,
+        noise_cfg=noise_cfg, seed=seed, compute_infidelity=compute_infidelity,
+    ).run()

@@ -20,9 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
+from .ansatz import Ansatz
 from .baselines import build_hva, trotter_run
 from .config import ConfigError, ExperimentConfig, serialize_config
-from .engine import GrowthConfig, TrajectoryRecord, run_avqds, run_fixed_ansatz
+from .engine import AvqdsRun, GrowthConfig, TrajectoryRecord
 from .models import build_model, default_model, hamiltonian_term_pool, model_pool, model_sublayers
 from .noise import NoiseConfig
 from .solvers import SolverConfig
@@ -47,21 +48,17 @@ TRAJECTORY_COLUMNS = (
 )
 
 
-def record_rows(records: list[TrajectoryRecord]) -> list[str]:
-    return [",".join(fmt(getattr(r, field)) for _, field, fmt in TRAJECTORY_COLUMNS) for r in records]
-
-
 def write_trajectory_csv(
     path: Path, cfg: ExperimentConfig, seed: int, records: list[TrajectoryRecord]
 ) -> None:
     lines = ["# avqds trajectory v1", f"# seed = {seed}"]
     lines += [f"# {line}" for line in serialize_config(cfg).strip().splitlines()]
     lines.append(",".join(column for column, _, _ in TRAJECTORY_COLUMNS))
-    lines += record_rows(records)
+    lines += [",".join(fmt(getattr(r, field)) for _, field, fmt in TRAJECTORY_COLUMNS) for r in records]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _trotter_records(cfg: ExperimentConfig, seed: int) -> list[TrajectoryRecord]:
+def _trotter_records(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
     _, h, psi0 = build_model(cfg.model)
     sublayers = model_sublayers(cfg.model)
     result = trotter_run(h, psi0, cfg.trotter_dt, cfg.step.t_final, sublayers)
@@ -84,47 +81,30 @@ def _trotter_records(cfg: ExperimentConfig, seed: int) -> list[TrajectoryRecord]
                 dt=cfg.trotter_dt,
                 energy=expectation(h, state),
                 infidelity=infidelity,
-                seed=seed,
             )
         )
     return records
 
 
 def run_single(cfg: ExperimentConfig, run_index: int) -> list[TrajectoryRecord]:
-    """One seeded run of the configured algorithm."""
-    seed = cfg.seed + run_index
+    """One seeded run of the configured algorithm: a Trotter run, or one
+    ``AvqdsRun`` that grows an empty ansatz from the pool (avqds) or steps
+    the fixed HVA ansatz (hva)."""
     if cfg.algorithm == "trotter":
-        return _trotter_records(cfg, seed)
-
+        return _trotter_records(cfg)
     _, h, psi0 = build_model(cfg.model)
-    noise = cfg.noise if cfg.noise_enabled else None
     if cfg.algorithm == "avqds":
-        pool = (
-            hamiltonian_term_pool(cfg.model)
-            if cfg.pool == "hamiltonian"
-            else model_pool(cfg.model)
-        )
-        return run_avqds(
-            psi0,
-            h,
-            pool,
-            cfg.growth,
-            cfg.step,
-            cfg.solver,
-            noise_cfg=noise,
-            seed=seed,
-            compute_infidelity=cfg.oracle,
-        )
-    hva = build_hva(h, psi0, cfg.hva_layers, model_sublayers(cfg.model))
-    return run_fixed_ansatz(
-        hva,
-        h,
-        cfg.step,
-        cfg.solver,
-        noise_cfg=noise,
-        seed=seed,
+        pool = hamiltonian_term_pool(cfg.model) if cfg.pool == "hamiltonian" else model_pool(cfg.model)
+        initial, growth = Ansatz(psi0), cfg.growth
+    else:
+        initial, pool, growth = build_hva(h, psi0, cfg.hva_layers, model_sublayers(cfg.model)), None, None
+    run = AvqdsRun(
+        h, initial, cfg.step, cfg.solver, pool, growth,
+        noise_cfg=cfg.noise if cfg.noise_enabled else None,
+        seed=cfg.seed + run_index,
         compute_infidelity=cfg.oracle,
     )
+    return run.run()
 
 
 def _run_and_write(args: tuple[ExperimentConfig, int, str]) -> tuple[str, list[TrajectoryRecord]]:

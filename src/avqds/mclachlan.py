@@ -26,16 +26,6 @@ from .pauli import PauliString, WeightedPauliSum
 from .statevector import _multiply_views, _planned_views, _rotation_plan, _run
 
 
-def symmetric_eig(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors (as columns) of a real symmetric matrix."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.size and np.max(np.abs(m - m.T)) > 1e-10:
-        raise ValueError("matrix is not symmetric within 1e-10")
-    return np.linalg.eigh(m)
-
-
 @dataclass(frozen=True, eq=False)
 class McLachlanSystem:
     """M·theta_dot = V with the energy variance. M must be symmetric: every

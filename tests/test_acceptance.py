@@ -15,7 +15,7 @@ import pytest
 from avqds.ansatz import Ansatz, prepare_state, tangent_states
 from avqds.baselines import build_hva, trotter_run
 from avqds.cli import main as cli_main
-from avqds.engine import GrowthConfig, StepConfig, run_avqds, run_fixed_ansatz
+from avqds.engine import AvqdsRun, GrowthConfig, StepConfig, run_avqds
 from avqds.mclachlan import McLachlanSystem, assemble_frame
 from avqds.models import ModelSpec, OperatorPool, build_model, hamiltonian_term_pool, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system, shot_sigma
@@ -92,9 +92,7 @@ def test_criterion_03_exactly_representable_dynamics():
     """Single X rotation under an X field: unit velocity, zero distance."""
     h = WeightedPauliSum(1, [(1.0, PauliString.from_label("X"))])
     a = Ansatz(StateVector.basis_state(1), (PauliString.from_label("X"),), [0.0])
-    records = run_fixed_ansatz(
-        a, h, StepConfig(dtheta_max=0.005, t_final=2.0), TRUNC, seed=0
-    )
+    records = AvqdsRun(h, a, StepConfig(dtheta_max=0.005, t_final=2.0), TRUNC, seed=0).run()
     td = solve(assemble_frame(a.with_angles([0.7]), h).system, TRUNC)
     max_l2 = max(r.l2 for r in records)
     max_inf = max(r.infidelity for r in records)
@@ -371,9 +369,7 @@ def test_criterion_08_fixed_ansatz_failure_mode():
     _, h, psi0 = build_model(spec)
     solver = TRUNC
     hva = build_hva(h, psi0, 2, model_sublayers(spec))
-    rec_hva = run_fixed_ansatz(
-        hva, h, StepConfig(dtheta_max=0.005, dt_fixed=0.005, t_final=10.0), solver
-    )
+    rec_hva = AvqdsRun(h, hva, StepConfig(dtheta_max=0.005, dt_fixed=0.005, t_final=10.0), solver).run()
     worst_hva = max(r.infidelity for r in rec_hva)
     rec_adaptive = run_avqds(
         psi0,
@@ -407,7 +403,7 @@ def test_criterion_09_noisy_solver_ordering():
     def acceptance_time(solver):
         times = []
         for seed in range(20):
-            records = run_fixed_ansatz(hva, h, step, solver, noise_cfg=noise, seed=seed)
+            records = AvqdsRun(h, hva, step, solver, noise_cfg=noise, seed=seed).run()
             t_exit = step.t_final
             for r in records:
                 if r.infidelity >= 0.1:  # fidelity drops to 0.9

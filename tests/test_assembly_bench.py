@@ -21,12 +21,18 @@ per-step rebuild (``conftest.rebuilt_pass``); both first agree bit for bit.
 
 The assembly at 10, 12 and 14 qubits, where the sweeps fill tiles, is timed
 after it agrees with ``reference_frame``.
+
+Building a circuit's ``Workspace`` from scratch, which the first assembly
+after each growth pays, is timed at the final sizes of the benchmark
+workloads (8 qubits at N = 101 and 128, 10 qubits at N = 167, whose sweeps
+fill tiles) after a frame assembled in the built workspace equals
+``conftest.rebuilt_split_frame`` bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from avqds.ansatz import Ansatz, ansatz_layout, layout, prepare_state, tangent_states
+from avqds.ansatz import Ansatz, Workspace, ansatz_layout, layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
 from avqds.mclachlan import _split_frame, _split_point, _system, assemble_frame
 from avqds.models import build_model, default_model, hamiltonian_term_pool, model_sublayers
@@ -37,6 +43,7 @@ from conftest import (
     complex_gram,
     gather_sweep,
     rebuilt_pass,
+    rebuilt_split_frame,
     reference_frame,
     reference_noisy_system,
     rows_rotated,
@@ -211,3 +218,16 @@ def test_tiled_assembly_speed(benchmark, n_qubits, n_params):
     assert np.array_equal(frame.psi, prepare_state(a).amplitudes)
     benchmark.extra_info["split"] = _split_point(a)
     benchmark.pedantic(assemble_frame, args=(a, h), rounds=7, iterations=1)
+
+
+@pytest.mark.parametrize("n_qubits, n_params", [(8, 101), (8, 128), (10, 167)])
+def test_workspace_build_speed(benchmark, n_qubits, n_params):
+    a, h = _case(n_qubits, n_params)
+    m = _split_point(a)
+    frame, want = _split_frame(a, h, m), rebuilt_split_frame(a, h, m)  # the first assembly builds the workspace
+    for name in ("psi", "h_psi", "tangents", "overlaps", "frame_psi", "frame_h_psi"):
+        assert np.array_equal(getattr(frame, name), getattr(want, name)), name
+    assert np.array_equal(frame.system.m, want.system.m) and np.array_equal(frame.system.v, want.system.v)
+    assert (frame.energy, frame.system.var_h) == (want.energy, want.system.var_h)
+    benchmark.extra_info["split"] = m
+    benchmark.pedantic(Workspace, args=(a.circuit, m), rounds=40, iterations=1)

@@ -3,7 +3,7 @@ import pytest
 
 from avqds.ansatz import ansatz_layout, prepare_state
 from avqds.baselines import build_hva, trotter_run
-from avqds.engine import StepConfig, run_fixed_ansatz
+from avqds.engine import AvqdsRun, StepConfig
 from avqds.models import ModelSpec, greedy_sublayers, model_sublayers
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig
@@ -144,9 +144,7 @@ def test_hva_dynamics_tracks_short_quench():
     h = tfim(n)
     psi0 = StateVector.basis_state(n)
     hva = build_hva(h, psi0, 4)
-    records = run_fixed_ansatz(
-        hva, h, StepConfig(dtheta_max=0.005, t_final=1.0), SOLVER
-    )
+    records = AvqdsRun(h, hva, StepConfig(dtheta_max=0.005, t_final=1.0), SOLVER).run()
     assert records[0].infidelity == pytest.approx(0.0, abs=1e-12)
     assert max(r.infidelity for r in records) < 1e-2
     assert all(r.n_params == hva.n_params for r in records)

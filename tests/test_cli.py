@@ -3,7 +3,7 @@ import math
 import pytest
 
 from avqds.cli import main
-from avqds.config import parse_config
+from avqds.config import parse_config, serialize_config
 from avqds.experiment import PRESETS, run_single
 from avqds.solvers import METHODS
 
@@ -77,6 +77,8 @@ def test_odd_chain_avqds_validates(tmp_path):
     ("solver.epsilon", "inf"),
     ("growth.l2_cut", "inf"),
     ("noise.truncate_sigmas", "inf"),
+    ("noise.n_shots", "nan"),
+    ("noise.n_shots", "-inf"),
 ])
 def test_non_finite_values_fail_naming_their_key(tmp_path, capsys, key, value):
     """Before the check, a NaN coupling raised from the exact oracle's
@@ -91,6 +93,15 @@ def test_non_finite_values_fail_naming_their_key(tmp_path, capsys, key, value):
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith(f"error key={key} message=")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, value", [("inf", math.inf), ("Infinity", math.inf), ("INF", math.inf), ("1e4", 1e4)])
+def test_shot_count_spellings_round_trip(text, value):
+    """``noise.n_shots`` parses with ``float``, which takes every spelling
+    of infinity; nan and -inf are refused by ``NoiseConfig``."""
+    cfg = parse_config(f"noise.n_shots = {text}\n")
+    assert cfg.noise.n_shots == value
+    assert parse_config(serialize_config(cfg)) == cfg
 
 
 def test_negative_seed_fails_naming_its_key(tmp_path, capsys):

@@ -13,7 +13,6 @@ from avqds.engine import (
     StepConfig,
     grow_once,
     run_avqds,
-    run_fixed_ansatz,
     select_additions,
 )
 from avqds.mclachlan import McLachlanSystem, assemble_frame, mclachlan_distance
@@ -213,7 +212,7 @@ def test_grow_stalls_on_hopeless_pool():
     pool = OperatorPool(2, (g("ZI"), g("IZ"), g("ZZ")))
     td = solve(frame.system, SOLVER)
     result = grow_once(frame, pool, GrowthConfig(), SOLVER, mclachlan_distance(frame.system, td))
-    assert result.stalled and not result.added
+    assert not result.added and not result.suppressed
 
 
 # --- stepping ---------------------------------------------------------------
@@ -535,8 +534,6 @@ def test_fixed_ansatz_run_never_grows(rng):
     h = tfim(n)
     gens = tuple(random_pauli(rng, n) for _ in range(4))
     a = Ansatz(StateVector.basis_state(n), gens, np.zeros(4))
-    records = run_fixed_ansatz(
-        a, h, StepConfig(dtheta_max=0.01, t_final=0.1), SOLVER
-    )
+    records = AvqdsRun(h, a, StepConfig(dtheta_max=0.01, t_final=0.1), SOLVER).run()
     assert all(rec.n_params == 4 for rec in records)
     assert records[0].infidelity == pytest.approx(0.0, abs=1e-12)

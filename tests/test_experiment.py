@@ -14,7 +14,7 @@ from avqds.experiment import PRESETS, _aggregate, run_experiment
 from conftest import reference_aggregate
 
 
-def rec(t, infidelity, dt=0.1, seed=0):
+def rec(t, infidelity, dt=0.1):
     return TrajectoryRecord(
         t=t,
         n_params=2,
@@ -24,7 +24,6 @@ def rec(t, infidelity, dt=0.1, seed=0):
         dt=dt,
         energy=-1.0,
         infidelity=infidelity,
-        seed=seed,
     )
 
 
@@ -89,7 +88,6 @@ def _ragged_runs(rng, n_runs):
                 dt=float(rng.uniform(1e-4, 1e-2)),
                 energy=float(rng.normal(-5.0, 3.0)),
                 infidelity=float(rng.uniform(0, 1) ** 6),
-                seed=i,
             )
             for t in times
         ])
@@ -237,7 +235,6 @@ def _parse_records(path):
                 dt=float(dt),
                 energy=float(energy),
                 infidelity=float(infidelity),
-                seed=0,
             )
         )
     return records

@@ -7,7 +7,7 @@ import pytest
 
 from avqds.ansatz import Ansatz, ansatz_layout
 from avqds.baselines import build_hva
-from avqds.mclachlan import McLachlanSystem, assemble_frame, symmetric_eig
+from avqds.mclachlan import McLachlanSystem, assemble_frame
 from avqds.models import build_model, default_model, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system
 from avqds.solvers import (
@@ -35,44 +35,6 @@ def random_singular_psd(rng, n, rank):
     w = np.zeros(n)
     w[n - rank :] = rng.uniform(0.5, 3.0, size=rank)
     return u @ np.diag(w) @ u.T, u, np.sort(w)
-
-
-# --- symmetric_eig --------------------------------------------------------
-
-
-def test_eig_diagonal_matrix():
-    w, u = symmetric_eig(np.diag([3.0, 1.0, 2.0]))
-    np.testing.assert_allclose(w, [1.0, 2.0, 3.0])
-    perm = np.abs(u)
-    np.testing.assert_allclose(perm, np.eye(3)[:, [1, 2, 0]], atol=1e-12)
-
-
-def test_eig_pauli_x_block():
-    w, _ = symmetric_eig(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-
-
-def test_eig_reconstruction_50x50(rng):
-    a = rng.normal(size=(50, 50))
-    m = a + a.T
-    w, u = symmetric_eig(m)
-    assert np.max(np.abs(u.T @ u - np.eye(50))) <= 1e-10
-    recon = u @ np.diag(w) @ u.T
-    assert np.max(np.abs(recon - m)) <= 1e-9 * max(1.0, np.max(np.abs(m)))
-    assert np.all(np.diff(w) >= 0)
-
-
-def test_eig_rejects_nonsymmetric():
-    with pytest.raises(ValueError):
-        symmetric_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eig_deterministic(rng):
-    a = rng.normal(size=(20, 20))
-    m = a + a.T
-    (w1, u1), (w2, u2) = symmetric_eig(m), symmetric_eig(m.copy())
-    np.testing.assert_array_equal(w1, w2)
-    np.testing.assert_array_equal(u1, u2)
 
 
 # --- solve ----------------------------------------------------------------
@@ -116,7 +78,7 @@ def test_truncation_output_orthogonal_to_null(rng):
     v = m @ rng.normal(size=8)
     cfg = SolverConfig("truncation", epsilon=1e-6)
     td = solve(system(m, v), cfg)
-    w, u = symmetric_eig(m)
+    w, u = np.linalg.eigh(m)
     null = u[:, w <= cfg.epsilon]
     assert np.linalg.norm(null.T @ td) <= 1e-10
 
@@ -135,7 +97,7 @@ def test_tikhonov_null_suppression_noiseless(rng):
         m, _, _ = random_singular_psd(rng, 6, 3)
         v = m @ rng.normal(size=6)
         td = solve(system(m, v), SolverConfig("tikhonov", epsilon=eps))
-        w, u = symmetric_eig(m)
+        w, u = np.linalg.eigh(m)
         null = u[:, w <= 1e-10]
         assert np.linalg.norm(null.T @ td) <= 1e-6
 
