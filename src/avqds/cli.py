@@ -8,7 +8,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ALGORITHMS, POOL_KINDS, ConfigError, config_from_mapping, parse_assignments, serialize_config
-from .models import KINDS
+from .models import COUPLINGS, DEFAULT_KIND, KINDS
 from .solvers import METHODS
 
 
@@ -45,12 +45,13 @@ def _override_pairs(args: argparse.Namespace) -> dict[str, str]:
 
 
 def _merge_overrides(assignments: dict[str, str], overrides: dict[str, str]) -> dict[str, str]:
-    """Apply overrides; switching the model kind resets its field values to
-    the kind-appropriate defaults unless those are overridden too."""
+    """Apply overrides; switching the model kind away from the one the
+    assignments give, set or by default, resets its couplings to the new
+    kind's unless those are overridden too."""
     merged = dict(assignments)
-    if overrides.get("model.kind") not in (None, merged.get("model.kind")):
-        for key in ("model.j", "model.h_x", "model.h_z"):
-            merged.pop(key, None)
+    if overrides.get("model.kind") not in (None, merged.get("model.kind", DEFAULT_KIND)):
+        for name in COUPLINGS:
+            merged.pop(f"model.{name}", None)
     merged.update(overrides)
     return merged
 
@@ -118,6 +119,7 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     try:
         configs = preset_runs(
             args.name,
+            overrides.get("model.kind", DEFAULT_KIND),
             lambda cfg: config_from_mapping(_merge_overrides(parse_assignments(serialize_config(cfg)), overrides)),
         )
         _make_dirs("run.out", *(base_out / label for label, _ in configs))
@@ -144,10 +146,9 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         times = np.arange(0.0, args.t_final + 1e-12, args.dt)
     except (ValueError, MemoryError) as exc:
         return _fail("dt", f"too small for a time grid up to {args.t_final}: {exc}")
-    couplings = {"j": args.j, "h_x": args.hx, "h_z": args.hz}
+    couplings = {name: getattr(args, name) for name in COUPLINGS if getattr(args, name) is not None}
     try:
-        spec = default_model(args.model, args.nq)
-        spec = replace(spec, **{k: v for k, v in couplings.items() if v is not None})
+        spec = replace(default_model(args.model, args.nq), **couplings)
         _, h, psi0 = build_model(spec)
     except ValueError as exc:
         return _fail("model", str(exc))
@@ -193,11 +194,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre.set_defaults(func=_cmd_preset)
 
     p_or = sub.add_parser("oracle", help="dump exact-evolution observables for a model")
-    p_or.add_argument("--model", default="tfim")
+    p_or.add_argument("--model", default=DEFAULT_KIND)
     p_or.add_argument("--nq", type=int, default=8)
-    p_or.add_argument("--j", type=float, help="defaults per model kind")
-    p_or.add_argument("--hx", type=float, help="defaults per model kind")
-    p_or.add_argument("--hz", type=float, help="defaults per model kind")
+    for name in COUPLINGS:  # --j, --hx, --hz
+        p_or.add_argument(f"--{name.replace('_', '')}", dest=name, type=float, help="defaults per model kind")
     p_or.add_argument("--t-final", dest="t_final", type=float, default=2.0)
     p_or.add_argument("--dt", type=float, default=0.05)
     p_or.add_argument("--out")

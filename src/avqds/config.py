@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .engine import GrowthConfig, StepConfig
-from .models import ModelSpec, default_model
+from .models import DEFAULT_KIND, ModelSpec, default_model
 from .noise import NoiseConfig
 from .solvers import SolverConfig
 
@@ -171,7 +171,7 @@ def config_from_mapping(assignments: dict[str, str]) -> ExperimentConfig:
             continue
         try:
             if name == "model":  # unset couplings take the kind's values
-                base = default_model(fields.get("kind", "tfim"))
+                base = default_model(fields.get("kind", DEFAULT_KIND))
             else:
                 base = ExperimentConfig.__dataclass_fields__[name].default_factory()
             kwargs[name] = replace(base, **fields)

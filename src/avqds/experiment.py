@@ -23,7 +23,7 @@ import numpy as np
 from .ansatz import Ansatz
 from .baselines import build_hva, trotter_run
 from .config import ConfigError, ExperimentConfig, serialize_config
-from .engine import AvqdsRun, GrowthConfig, TrajectoryRecord
+from .engine import AvqdsRun, GrowthConfig, StepConfig, TrajectoryRecord
 from .models import build_model, default_model, hamiltonian_term_pool, model_pool, model_sublayers
 from .noise import NoiseConfig
 from .solvers import SolverConfig
@@ -185,43 +185,40 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
 
 
 # --- presets ---------------------------------------------------------------
+# Each factory builds its preset for a model kind, at the preset's own size;
+# the command line selects the kind and rescales the runs (``preset_runs``).
 
 TROTTER_DT = {"tfim": 0.04, "mfim": 0.03, "hm": 0.01}
 HVA_LAYERS = {"tfim": 10, "mfim": 30, "hm": 20}
 
 
-def preset_solver_comparison(n_qubits: int = 8, t_final: float = 5.0) -> list[tuple[str, ExperimentConfig]]:
-    """Adaptive layer-packed runs under the four equation-of-motion solvers."""
-    model = default_model("tfim", n_qubits)
-    out = []
-    for method in ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation"):
-        solver = SolverConfig(method, epsilon=1e-6, bound=5.0)
-        cfg = ExperimentConfig(
-            model=model,
-            algorithm="avqds",
-            pool="hamiltonian",
-            solver=solver,
-            step=replace(ExperimentConfig().step, t_final=t_final),
-        )
-        out.append((f"solver-{method}", cfg))
-    return out
+def preset_solver_comparison(kind: str) -> list[tuple[str, ExperimentConfig]]:
+    """Adaptive layer-packed runs under the four equation-of-motion solvers,
+    8 qubits to t = 5."""
+    base = ExperimentConfig(
+        model=default_model(kind, 8), algorithm="avqds", pool="hamiltonian", step=StepConfig(t_final=5.0)
+    )
+    return [
+        (f"solver-{method}", replace(base, solver=SolverConfig(method, epsilon=1e-6, bound=5.0)))
+        for method in ("lsq_unbounded", "lsq_bounded", "tikhonov", "truncation")
+    ]
 
 
 # a growth method as preset labels name it; AVQDS(T) is the layer-packed method 3
 _GROWTH_TAGS = {1: "m1", 2: "m2", 3: "t"}
 
 
-def preset_benchmark(kind: str = "tfim", n_qubits: int = 8, t_final: float = 4.0) -> list[tuple[str, ExperimentConfig]]:
-    """Adaptive (methods 1 and 3), product-formula and fixed-layer baselines."""
-    model = default_model(kind, n_qubits)
-    base = ExperimentConfig(model=model)
-    step = replace(base.step, t_final=t_final)
-    adaptive = replace(base, algorithm="avqds", pool="hamiltonian", step=step)
+def preset_benchmark(kind: str) -> list[tuple[str, ExperimentConfig]]:
+    """Adaptive (methods 1 and 3), product-formula and fixed-layer baselines,
+    8 qubits to t = 4; the baselines take the kind's ``TROTTER_DT`` and
+    ``HVA_LAYERS``."""
+    base = ExperimentConfig(model=default_model(kind, 8), step=StepConfig(t_final=4.0))
+    adaptive = replace(base, algorithm="avqds", pool="hamiltonian")
     return [
         (f"avqds-{_GROWTH_TAGS[1]}", replace(adaptive, growth=GrowthConfig(method=1))),
         (f"avqds-{_GROWTH_TAGS[3]}", replace(adaptive, growth=GrowthConfig(method=3))),
-        ("trotter", replace(base, algorithm="trotter", trotter_dt=TROTTER_DT[kind], step=step)),
-        ("hva", replace(base, algorithm="hva", hva_layers=HVA_LAYERS[kind], step=step)),
+        ("trotter", replace(base, algorithm="trotter", trotter_dt=TROTTER_DT[kind])),
+        ("hva", replace(base, algorithm="hva", hva_layers=HVA_LAYERS[kind])),
     ]
 
 
@@ -233,80 +230,47 @@ def _noise_label(noise: NoiseConfig) -> str:
     return f"dc{noise.d_c}-ns{mantissa.rstrip('0').rstrip('.')}e{int(exponent)}"
 
 
-def preset_hybrid_noise(
-    n_qubits: int = 10,
-    t_final: float = 4.0,
-    runs: int = 20,
-    depth_cap: int = 30,
-) -> list[tuple[str, ExperimentConfig]]:
-    """Partially-exact metric: threshold depths {21, 27}, shots {1e4, 1e5}.
+def preset_hybrid_noise(kind: str) -> list[tuple[str, ExperimentConfig]]:
+    """Partially-exact metric: threshold depths {21, 27}, shots {1e4, 1e5},
+    10 qubits to t = 4, 20 runs each.
 
-    Compares the adaptive layer-packed run (depth-capped) against the
+    Compares the adaptive layer-packed run (depth-capped at 30) against the
     fixed 10-layer ansatz of equal final depth; V stays exact.
     """
-    model = default_model("tfim", n_qubits)
     base = ExperimentConfig(
-        model=model,
+        model=default_model(kind, 10),
         solver=SolverConfig("truncation", epsilon=1e-3),
-        runs=runs,
+        step=StepConfig(t_final=4.0),
+        noise_enabled=True,
+        runs=20,
     )
-    step = replace(base.step, t_final=t_final)
+    adaptive = replace(base, algorithm="avqds", pool="hamiltonian", growth=GrowthConfig(method=3, max_depth=30))
+    hva = replace(base, algorithm="hva", hva_layers=10, step=replace(base.step, dt_fixed=0.005))
     out = []
     for d_c in (21, 27):
         for n_shots in (1e4, 1e5):
             noise = NoiseConfig(n_shots=n_shots, d_c=d_c)
             label = _noise_label(noise)
-            out.append(
-                (
-                    f"avqds-{_GROWTH_TAGS[3]}-{label}",
-                    replace(
-                        base,
-                        algorithm="avqds",
-                        pool="hamiltonian",
-                        growth=GrowthConfig(method=3, max_depth=depth_cap),
-                        step=step,
-                        noise_enabled=True,
-                        noise=noise,
-                    ),
-                )
-            )
-            out.append(
-                (
-                    f"hva-{label}",
-                    replace(
-                        base,
-                        algorithm="hva",
-                        hva_layers=10,
-                        step=replace(step, dt_fixed=0.005),
-                        noise_enabled=True,
-                        noise=noise,
-                    ),
-                )
-            )
+            out.append((f"avqds-{_GROWTH_TAGS[3]}-{label}", replace(adaptive, noise=noise)))
+            out.append((f"hva-{label}", replace(hva, noise=noise)))
     return out
 
 
-def preset_noisy_regularization(
-    n_qubits: int = 6,
-    hva_layers: int = 8,
-    n_shots: float = 1e4,
-    runs: int = 20,
-    t_final: float = 2.0,
-) -> list[tuple[str, ExperimentConfig]]:
-    """Shot-noisy fixed-ansatz runs: eigenvalue truncation vs ridge shift."""
-    model = default_model("tfim", n_qubits)
+def preset_noisy_regularization(kind: str) -> list[tuple[str, ExperimentConfig]]:
+    """Shot-noisy fixed-ansatz runs, eigenvalue truncation vs ridge shift:
+    the 8-layer ansatz on 6 qubits to t = 2, 1e4 shots, 20 runs each."""
     base = ExperimentConfig(
-        model=model,
+        model=default_model(kind, 6),
         algorithm="hva",
-        hva_layers=hva_layers,
+        hva_layers=8,
+        step=StepConfig(dt_fixed=0.005, t_final=2.0),
         noise_enabled=True,
-        noise=NoiseConfig(n_shots=n_shots, d_c=0),
-        runs=runs,
+        noise=NoiseConfig(n_shots=1e4, d_c=0),
+        runs=20,
     )
-    step = replace(base.step, dt_fixed=0.005, t_final=t_final)
     return [
-        ("truncation", replace(base, solver=SolverConfig("truncation", epsilon=1e-3), step=step)),
-        ("tikhonov", replace(base, solver=SolverConfig("tikhonov", epsilon=1e-2), step=step)),
+        ("truncation", replace(base, solver=SolverConfig("truncation", epsilon=1e-3))),
+        ("tikhonov", replace(base, solver=SolverConfig("tikhonov", epsilon=1e-2))),
     ]
 
 
@@ -325,17 +289,22 @@ def _named(cfg: ExperimentConfig) -> tuple[str, ...]:
 
 
 def preset_runs(
-    name: str, adjust: Callable[[ExperimentConfig], ExperimentConfig]
+    name: str, kind: str, adjust: Callable[[ExperimentConfig], ExperimentConfig]
 ) -> list[tuple[str, ExperimentConfig]]:
-    """The runs of preset ``name`` once ``adjust`` (the command line's
-    overrides) has changed each config. Each dash-separated part of a label
-    that names a fact of its config (``_named``) is renamed to the fact of
-    the adjusted config, so no label names a threshold, shot count, growth
-    method or solver its run did not use; configs that ``adjust`` made equal
-    then share a label and run once. Two different configs that would share
-    one raise ``ConfigError``."""
+    """The runs of preset ``name``, built for model ``kind``, once ``adjust``
+    (the command line's overrides) has changed each config; an unknown kind
+    raises ``ConfigError``. Each dash-separated part of a label that names a
+    fact of its config (``_named``) is renamed to the fact of the adjusted
+    config, so no label names a threshold, shot count, growth method or
+    solver its run did not use; configs that ``adjust`` made equal then
+    share a label and run once. Two different configs that would share one
+    raise ``ConfigError``."""
+    try:
+        labelled = PRESETS[name](kind)
+    except ValueError as exc:  # ModelSpec's message names model.kind
+        raise ConfigError("model.kind", str(exc)) from None
     runs: dict[str, ExperimentConfig] = {}
-    for label, cfg in PRESETS[name]():
+    for label, cfg in labelled:
         adjusted = adjust(cfg)
         label = f"-{label}-"
         for old, new in zip(_named(cfg), _named(adjusted)):

@@ -40,19 +40,12 @@ class McLachlanSystem:
     def n_params(self) -> int:
         return self.v.shape[0]
 
-    @property
+    @functools.cached_property
     def eig(self) -> tuple[np.ndarray, np.ndarray]:
         """``np.linalg.eigh(m)``, computed on first use: a truncated solve
         and the candidate bounds of one growth iteration share it. Other
-        solvers leave it to the bounds or to ``diagnose``. The cache takes
-        no lock (``functools.cached_property`` on Python 3.11 holds one,
-        shared by every instance, while it computes), so two threads
-        decompose two systems at once; two threads that read one system's
-        at once may both compute it."""
-        cached = self.__dict__.get("_eig")
-        if cached is None:
-            cached = self.__dict__["_eig"] = np.linalg.eigh(self.m)
-        return cached
+        solvers leave it to the bounds or to ``diagnose``."""
+        return np.linalg.eigh(self.m)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,6 +24,9 @@ KIND_FIELDS = {
     "hm": {"j": 1.0},
 }
 KINDS = tuple(KIND_FIELDS)
+DEFAULT_KIND = "tfim"
+# the ModelSpec fields a kind sets (KIND_FIELDS)
+COUPLINGS = ("j", "h_x", "h_z")
 
 
 @dataclass(frozen=True)
@@ -41,7 +44,7 @@ class ModelSpec:
             raise ValueError(
                 "model.n_qubits must be at least 3 (periodic bonds would double up)"
             )
-        for name in ("j", "h_x", "h_z"):
+        for name in COUPLINGS:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"model.{name} must be finite, got {getattr(self, name)}")
         if self.kind == "tfim" and self.h_z != 0.0:
@@ -52,7 +55,7 @@ class ModelSpec:
                     raise ValueError(f"model.{name} must be 0: the Heisenberg chain takes no field terms")
 
 
-def default_model(kind: str = "tfim", n_qubits: int = 8) -> ModelSpec:
+def default_model(kind: str = DEFAULT_KIND, n_qubits: int = 8) -> ModelSpec:
     """The model of a kind with its quench couplings; an unknown kind fails in ModelSpec."""
     return ModelSpec(kind, n_qubits, **KIND_FIELDS.get(kind, {}))
 

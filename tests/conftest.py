@@ -45,6 +45,16 @@ from avqds.statevector import (
     dense_hamiltonian,
 )
 
+
+@pytest.hookimpl(tryfirst=True)
+def pytest_configure(config):
+    """Each pytest-benchmark case runs once as a plain test, every assertion
+    included, unless ``--benchmark-enable`` (or ``--benchmark-only``) asks
+    for its timings. Without the plugin the bench files skip themselves."""
+    if config.pluginmanager.hasplugin("benchmark") and not config.getoption("benchmark_only"):
+        config.option.benchmark_disable = True
+
+
 SINGLE = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),

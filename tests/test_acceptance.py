@@ -156,22 +156,32 @@ def test_criterion_04_solver_oracle_equivalence():
     )
 
 
-@pytest.mark.slow
-def test_criterion_05_desk_scale_fidelity():
-    """Layer-packed adaptive run tracks an 8-site quench below 1% infidelity."""
+DESK = ModelSpec("tfim", 8, j=1.0, h_x=-2.0)
+
+
+@pytest.fixture(scope="module")
+def desk_run():
+    """Criterion 5's layer-packed run of the 8-site TFIM quench to t = 4
+    (Hamiltonian pool, l2_cut 1e-3), once per module: its records and its
+    wall time in seconds."""
+    _, h, psi0 = build_model(DESK)
     start = time.time()
-    spec = ModelSpec("tfim", 8, j=1.0, h_x=-2.0)
-    _, h, psi0 = build_model(spec)
     records = run_avqds(
         psi0,
         h,
-        hamiltonian_term_pool(spec),
+        hamiltonian_term_pool(DESK),
         GrowthConfig(l2_cut=1e-3, method=3),
         StepConfig(dtheta_max=0.005, t_final=4.0),
         TRUNC,
         seed=0,
     )
-    elapsed = time.time() - start
+    return records, time.time() - start
+
+
+@pytest.mark.slow
+def test_criterion_05_desk_scale_fidelity(desk_run):
+    """Layer-packed adaptive run tracks an 8-site quench below 1% infidelity."""
+    records, elapsed = desk_run
     max_inf = max(r.infidelity for r in records)
     ok = max_inf < 1e-2 and elapsed < 300
     assert report(
@@ -360,6 +370,36 @@ def test_adaptive_circuit_needs_fewer_cnots_than_trotter_and_single_op_growth(or
         dt = max((dt for dt, (_, infid) in trotter.items() if infid <= worst), default=None)
         assert dt is not None, (worst, trotter)
         assert trotter[dt][0] > 50 * cnots[3], (dt, trotter, cnots)
+
+
+@pytest.mark.slow
+def test_desk_adaptive_circuit_needs_fewer_cnots_than_trotter(desk_run):
+    """The compressed-circuit claim at desk scale, on criterion 5's run:
+    AVQDS(T) ends with far fewer CNOTs than a first-order Trotter circuit
+    (``model_sublayers``) as accurate as it.
+
+    Measured: AVQDS(T) ends with 112 CNOTs at depth 23 (128 params) and max
+    infidelity 1.41e-3. Trotter's max infidelity at its step boundaries,
+    against ``ExactPropagator``, is 7.61e-3 with 1,600 CNOTs at dt = 0.04,
+    1.87e-3 with 3,200 at dt = 0.02 and 4.62e-4 with 6,400 at dt = 0.01.
+    The coarsest of those dt that is as accurate as the adaptive run is
+    0.01, 57 times its CNOTs; the clause asks for more than 40 times, which
+    holds while AVQDS(T) ends with at most 159 CNOTs, 47 more than it does
+    now. The Trotter runs take about 0.1 s.
+    """
+    records, _ = desk_run
+    worst, cnots = max(r.infidelity for r in records), records[-1].cnot_count
+    _, h, psi0 = build_model(DESK)
+    trotter = {}
+    for dt in (0.04, 0.02, 0.01):
+        result = trotter_run(h, psi0, dt=dt, t_final=4.0, sublayers=model_sublayers(DESK))
+        oracle = ExactPropagator(h, psi0)  # steps forward only
+        infid = max(1 - fidelity(s, oracle.state_at(t)) for t, s in zip(result.times, result.states))
+        trotter[dt] = (int(result.cnot_counts[-1]), infid)
+    print(f"\ndesk: AVQDS(T) {cnots} CNOTs at max infidelity {worst:.2e}; Trotter {trotter}")
+    dt = max((dt for dt, (_, infid) in trotter.items() if infid <= worst), default=None)
+    assert dt is not None, (worst, trotter)
+    assert trotter[dt][0] > 40 * cnots, (dt, trotter, cnots)
 
 
 @pytest.mark.slow

@@ -11,8 +11,9 @@ every call, and against ``noisy_system`` on a layout packed afresh.
 Each case is an n-qubit TFIM Hamiltonian-variational ansatz cut to N
 generators, at random angles: per layer a run of ZZ bonds, which the sweep
 applies as one phase multiply, and a run of X fields. ``pytest
-tests/test_assembly_bench.py`` prints the timings; every case first checks
-that both routes agree within the bounds the sweep and assembly tests use.
+tests/test_assembly_bench.py --benchmark-enable`` prints the timings; every
+case first checks that both routes agree within the bounds the sweep and
+assembly tests use.
 
 The tangent sweep of a TETRIS-like 10-qubit ansatz of the TFIM Hamiltonian
 pool, whose repeated X-field layers make runs of commuting generators wider

@@ -4,7 +4,8 @@ import pytest
 
 from avqds.cli import main
 from avqds.config import parse_config, serialize_config
-from avqds.experiment import PRESETS, run_single
+from avqds.experiment import PRESETS, preset_runs, run_single
+from avqds.models import default_model
 from avqds.solvers import METHODS
 
 TINY_CONFIG = """
@@ -169,6 +170,20 @@ def test_run_writes_csv_and_is_deterministic(tmp_path):
     assert (out / "run_000.csv").read_bytes() == first
 
 
+def test_model_flag_resets_couplings_only_when_it_changes_the_files_kind(tmp_path):
+    """A file that sets ``model.h_x`` but leaves ``model.kind`` at its
+    default is a tfim file: ``--model tfim`` keeps its h_x, while ``--model
+    mfim`` gives mfim's couplings."""
+    text = TINY_CONFIG.replace("model.kind = tfim\n", "").replace("model.h_x = -2.0", "model.h_x = -1.0")
+    path = write_cfg(tmp_path, text)
+    for kind, couplings in (("tfim", (-1.0, 0.0)), ("mfim", (-2.0, 0.5))):
+        out = tmp_path / kind
+        assert main(["run", str(path), "--model", kind, "--out", str(out)]) == 0
+        header = (out / "run_000.csv").read_text()
+        assert f"# model.kind = {kind}" in header
+        assert "# model.h_x = {!r}\n# model.h_z = {!r}\n".format(*couplings) in header
+
+
 def test_run_override_changes_seed_header(tmp_path):
     cfg_path = write_cfg(tmp_path)
     out = tmp_path / "o"
@@ -270,6 +285,32 @@ def test_preset_model_override_resets_kind_fields(tmp_path):
     header = (tmp_path / "hm" / "avqds-t" / "run_000.csv").read_text()
     assert "# model.kind = hm" in header
     assert "# model.h_x = 0.0" in header
+
+
+# the README's per-model baselines: Trotter step and HVA layers
+BASELINES = {"tfim": (0.04, 10), "mfim": (0.03, 30), "hm": (0.01, 20)}
+
+
+@pytest.mark.parametrize("kind", list(BASELINES))
+def test_benchmark_preset_builds_the_baselines_of_its_kind(kind):
+    runs = dict(preset_runs("benchmark", kind, lambda cfg: cfg))
+    assert {cfg.model for cfg in runs.values()} == {default_model(kind, 8)}
+    assert (runs["trotter"].trotter_dt, runs["hva"].hva_layers) == BASELINES[kind]
+
+
+def test_preset_with_unknown_model_names_model_kind(tmp_path, capsys):
+    assert main(["preset", "benchmark", "--model", "ising", "--out", str(tmp_path / "b")]) == 2
+    assert capsys.readouterr().err.startswith("error key=model.kind message=model.kind must be one of ")
+    assert not (tmp_path / "b").exists()
+
+
+@pytest.mark.parametrize("kind", ["mfim", "hm"])
+def test_model_flag_selects_the_benchmark_baselines(tmp_path, kind):
+    out = tmp_path / kind
+    assert main(["preset", "benchmark", "--model", kind, "--nq", "4", "--t-final", "0.02", "--out", str(out)]) == 0
+    dt, layers = BASELINES[kind]
+    assert f"# trotter.dt = {dt}\n" in (out / "trotter" / "run_000.csv").read_text()
+    assert f"# hva.layers = {layers}\n" in (out / "hva" / "run_000.csv").read_text()
 
 
 def test_benchmark_preset_tiny(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ import avqds.experiment
 from avqds.config import parse_config, serialize_config
 from avqds.engine import TrajectoryRecord
 from avqds.experiment import PRESETS, _aggregate, run_experiment
+from avqds.models import KINDS
 from conftest import reference_aggregate
 
 
@@ -28,12 +30,13 @@ def rec(t, infidelity, dt=0.1):
 
 
 def test_all_presets_produce_valid_round_trippable_configs():
-    for name, factory in PRESETS.items():
-        labelled = factory()
+    for (name, factory), kind in itertools.product(PRESETS.items(), KINDS):
+        labelled = factory(kind)
         assert labelled, name
         labels = [label for label, _ in labelled]
         assert len(labels) == len(set(labels))
         for label, cfg in labelled:
+            assert cfg.model.kind == kind
             assert parse_config(serialize_config(cfg)) == cfg
 
 

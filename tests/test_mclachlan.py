@@ -363,8 +363,8 @@ def test_noiseless_distances_are_never_negative(monkeypatch, kind):
         return returned[-1]
 
     monkeypatch.setattr(engine, "mclachlan_distance", spy)
-    cfg = dict(preset_benchmark(kind, 4))["avqds-t"]
-    run_single(replace(cfg, oracle=False), 0)
+    cfg = dict(preset_benchmark(kind))["avqds-t"]
+    run_single(replace(cfg, model=default_model(kind, 4), oracle=False), 0)
     assert min(raw) < -1e-11
     assert min(returned) >= 0.0
 

@@ -2,11 +2,12 @@
 ``state_at`` call on TFIM, on the dense path at 6, 8 and 9 qubits and on the
 Taylor stepper at 10 and 12, so both sides of ``_DENSE_MAX_QUBITS`` are timed.
 
-``pytest tests/test_oracle_bench.py`` prints the timings; ``--benchmark-disable``
-runs each case once as a plain test. Every case first checks the H that its
-path uses against the COO builder's (``conftest.hamiltonian_coo``): on the
-dense path the dense H bit for bit, and on the stepper its grouped H·v
-against the COO matrix times v, which builds no dense matrix.
+``pytest tests/test_oracle_bench.py --benchmark-enable`` prints the timings;
+without the flag each case runs once as a plain test. Every case first
+checks the H that its path uses against the COO builder's
+(``conftest.hamiltonian_coo``): on the dense path the dense H bit for bit,
+and on the stepper its grouped H·v against the COO matrix times v, which
+builds no dense matrix.
 """
 
 import numpy as np

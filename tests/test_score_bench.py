@@ -10,9 +10,9 @@ growth step's first iteration, whose frame is freshly assembled, and on its
 repeat, the frame that ``extend_frame`` gives after the first iteration's
 pick, at the sizes of two benchmark workloads (``BORDER_CASES``).
 
-``pytest tests/test_score_bench.py`` prints the timings; every case first
-checks that the pruned scorer makes the selection of brute force, over the
-reference border in the border cases.
+``pytest tests/test_score_bench.py --benchmark-enable`` prints the timings;
+every case first checks that the pruned scorer makes the selection of brute
+force, over the reference border in the border cases.
 """
 
 import numpy as np

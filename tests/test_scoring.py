@@ -8,6 +8,7 @@ the full brute-force ranking.
 
 import itertools
 import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,7 +351,8 @@ def test_growth_does_not_depend_on_the_assembly_rounding(monkeypatch, kind):
     this assembly too: scaling M by 1 + 2.2e-16·cos(j + k) took it from
     1,422 to 2,156 steps. Its growth sequence, each (n_params, depth) in
     turn, is still the same."""
-    runs = [(name, cfg) for name, cfg in preset_benchmark(kind, 4) if name.startswith("avqds")]
+    runs = [(name, replace(cfg, model=default_model(kind, 4))) for name, cfg in preset_benchmark(kind)
+            if name.startswith("avqds")]
     new = [run_single(cfg, 0) for _, cfg in runs]
     old = _runs_with_reference_assembly(monkeypatch, [cfg for _, cfg in runs])
     for (name, _), a, b in zip(runs, new, old):

@@ -9,9 +9,10 @@ element of M by a draw of 10^4 shots (``d_c = 0``), as the
 ``McLachlanSystem``, so that truncation's cached eigendecomposition is
 timed too; the other three solvers decompose nothing and leave the
 diagnostics unread, as a run does.
-``pytest tests/test_solver_bench.py`` prints the timings; every case first
-checks that the solution is finite and, on the noiseless system, that it
-does not raise the McLachlan distance above its value at zero.
+``pytest tests/test_solver_bench.py --benchmark-enable`` prints the timings;
+every case first checks that the solution is finite and, on the noiseless
+system, that it does not raise the McLachlan distance above its value at
+zero.
 """
 
 import numpy as np

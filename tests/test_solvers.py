@@ -1,6 +1,4 @@
 import dataclasses
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -265,22 +263,3 @@ def test_unread_diagnostics_leave_metric_undecomposed(rng, monkeypatch, method):
     assert len(calls) == 1 and calls[0] is s.m
     assert diagnose(s, td, 1e-6).n_null == 4  # a second diagnose
     assert len(calls) == 1
-
-
-def test_two_threads_decompose_two_systems_at_once(rng, monkeypatch):
-    """``eig`` holds no lock while it computes: each thread's ``eigh`` waits
-    until the other thread's has started. Under a lock shared by every
-    system, as ``functools.cached_property`` takes on Python 3.11, the
-    barrier would break."""
-    systems = [random_psd_system(rng, 8, 8) for _ in range(2)]
-    barrier, eigh = threading.Barrier(2, timeout=10), np.linalg.eigh
-
-    def met(m):
-        barrier.wait()
-        return eigh(m)
-
-    monkeypatch.setattr(np.linalg, "eigh", met)
-    with ThreadPoolExecutor(2) as pool:
-        got = [f.result() for f in [pool.submit(lambda s: s.eig, s) for s in systems]]
-    for s, (w, u) in zip(systems, got):
-        assert s.eig[0] is w and np.allclose(u * w @ u.T, s.m)
