@@ -77,7 +77,7 @@ class Circuit:
     ``Workspace`` of each split point the circuit was assembled at, whose
     sweeps group the steps into runs of commuting generators.
 
-    An assembly fills its workspace in place, so two threads must not
+    An assembly writes its workspace in place, so two threads must not
     assemble ansätze of one circuit at once; ``run.workers > 1`` runs
     trajectories in processes, which share no circuit.
     """
@@ -164,7 +164,7 @@ class _Trig:
     """The angle-dependent values of compiled passes, in arrays that their
     calls hold views of. Per rotation: its plan's coefficients times
     -i·sin(angle), and cos(angle) as a complex number; per Z-only run: its
-    phases exp(-i·angles @ signs). ``load`` fills them from the angles, with
+    phases exp(-i·angles @ signs). ``load`` sets them from the angles, with
     one sine and one cosine call over all of them."""
 
     def __init__(self, rotations: list, runs: list, dim: int):

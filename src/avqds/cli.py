@@ -136,7 +136,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
     from .experiment import _fmt_float
     from .models import build_model, default_model
-    from .statevector import ExactPropagator, expectation
+    from .statevector import ExactPropagator, expectation, fidelity
 
     if not args.dt > 0:
         return _fail("dt", f"must be positive, got {args.dt}")
@@ -156,8 +156,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     lines = ["t,energy,return_probability"]
     for t in times:
         state = prop.state_at(float(t))
-        ret = float(abs(np.vdot(psi0.amplitudes, state.amplitudes)) ** 2)
-        lines.append(",".join(map(_fmt_float, (t, expectation(h, state), ret))))
+        lines.append(",".join(map(_fmt_float, (t, expectation(h, state), fidelity(psi0, state)))))
     text = "\n".join(lines) + "\n"
     if args.out:
         try:

@@ -38,7 +38,7 @@ from .models import OperatorPool
 from .noise import NoiseConfig, noisy_system
 from .pauli import WeightedPauliSum, anticommutes, masks
 from .solvers import NonFiniteSystemError, SolverConfig, solve
-from .statevector import ExactPropagator, StateVector
+from .statevector import ExactPropagator, StateVector, fidelity
 
 log = logging.getLogger(__name__)
 
@@ -309,7 +309,7 @@ def select_additions(
         idle = layout.idle_qubits_in_last_layer()
         for idx, _ in scores.ranked(score_cut, skip=lambda i: masks[i] & ~idle):
             return [idx], False  # fits in the last layer, depth unchanged
-    # method 3 fills a layer with disjoint supports in score order; methods 1
+    # method 3 packs a layer with disjoint supports in score order; methods 1
     # and 2 (nothing helpful fits on idle qubits) open one with the best
     chosen: list[int] = []
     occupied = 0
@@ -455,8 +455,8 @@ class AvqdsRun:
             dt = self.step_cfg.dtheta_max / max_rate
 
         if self._oracle is not None:
-            target = self._oracle.state_at(self.t).amplitudes
-            infidelity = 1.0 - float(abs(np.vdot(frame.psi, target)) ** 2)
+            state = StateVector(self.ansatz.n_qubits, frame.psi)
+            infidelity = 1.0 - fidelity(state, self._oracle.state_at(self.t))
         else:
             infidelity = math.nan
 

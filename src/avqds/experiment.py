@@ -27,7 +27,7 @@ from .engine import AvqdsRun, GrowthConfig, StepConfig, TrajectoryRecord
 from .models import build_model, default_model, hamiltonian_term_pool, model_pool, model_sublayers
 from .noise import NoiseConfig
 from .solvers import SolverConfig
-from .statevector import ExactPropagator, expectation
+from .statevector import ExactPropagator, expectation, fidelity
 
 
 def _fmt_float(x: float) -> str:
@@ -66,11 +66,7 @@ def _trotter_records(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
     records = []
     for k, t in enumerate(result.times):
         state = result.states[k]
-        if oracle is not None:
-            target = oracle.state_at(float(t)).amplitudes
-            infidelity = 1.0 - float(abs(np.vdot(state.amplitudes, target)) ** 2)
-        else:
-            infidelity = math.nan
+        infidelity = 1.0 - fidelity(state, oracle.state_at(float(t))) if oracle is not None else math.nan
         records.append(
             TrajectoryRecord(
                 t=float(t),

@@ -64,12 +64,14 @@ class TangentFrame:
     ``borders`` memoises the candidate border of a growth step per candidate
     list (``augment_block``): each candidate's tangent carried back to m,
     bit for bit what ``statevector._pauli_into`` and the inverse suffix
-    give, and <cand|psi>, its force element and its diagonal. None of these
-    changes while generators are appended at angle zero, so ``extend_frame``
-    passes the memo on to the frames of the same step, as ``Circuit.splits``
-    is kept per circuit, and their borders form only the columns, by a real
-    product against their tangents. An entry serves only frames of its own
-    psi and inverse suffix.
+    give, in rows the border owns, and <cand|psi>, its force element and
+    its diagonal. None of these changes while generators are appended at
+    angle zero, so ``extend_frame`` passes the memo on to the frames of the
+    same step, as ``Circuit.splits`` is kept per circuit, and their borders
+    form only the columns, by a real product against their tangents. The
+    dict is made by the frame's assembly and handed on only by
+    ``extend_frame``, which keeps psi and the inverse suffix, so every frame
+    that reads an entry has the psi and suffix it was made from.
     """
 
     ansatz: Ansatz
@@ -196,7 +198,8 @@ def extend_frame(frame: TangentFrame, grown: Ansatz) -> TangentFrame:
     every appended generator, bit for bit the rows a birth and a carry of
     their own would give: the step's border of the pool, when the growth
     step scored it, else a border of the appended generators made here. The
-    new frame keeps the memo, so the step's later borders birth and carry
+    new frame keeps psi, the inverse suffix and the memo, so every border in
+    the memo stays its border, and the step's later borders birth and carry
     nothing and form only their real products.
     It agrees with ``assemble_frame(grown, h)`` up to rounding: a fresh sweep
     merges appended Z-only generators into the phase of a Z-only run they
@@ -211,9 +214,9 @@ def extend_frame(frame: TangentFrame, grown: Ansatz) -> TangentFrame:
     xi[:n] = frame.tangents
     new = grown.generators[n:]
     if new:
-        held = (b for b in frame.borders.values() if _holds(frame, b) and all(g in b.births.index for g in new))
+        held = (b for b in frame.borders.values() if all(g in b.index for g in new))
         border = next(held, None) or _border(frame, new)
-        xi[n:] = border.births.rows[[border.births.index[g] for g in new]]
+        xi[n:] = border.rows[[border.index[g] for g in new]]
     system, overlaps = _system(xi, frame.frame_psi, frame.frame_h_psi, frame.energy, frame.system.var_h)
     return dataclasses.replace(frame, ansatz=grown, system=system, tangents=xi, overlaps=overlaps)
 
@@ -265,17 +268,17 @@ def _distance_rounding(s: McLachlanSystem, theta_dot: np.ndarray) -> float:
 
 class _Births:
     """The kernel calls that write -i·P·psi for each P of a candidate list
-    into the fixed rows ``rows``, from psi copied into the fixed row ``psi``,
-    built once per candidate list (``_births``) as a ``Workspace`` is per
-    split point. Each call is the one ``statevector._pauli_into`` makes, so
-    the rows are its rows bit for bit. ``index`` maps each candidate to its
-    row; ``fills`` counts the times the rows were born, so a ``_Border`` can
-    tell whether they still hold its step."""
+    into the scratch block ``rows``, from psi copied into the fixed row
+    ``psi``, built once per candidate list (``_births``) as a ``Workspace``
+    is per split point. Each call is the one ``statevector._pauli_into``
+    makes, so the rows are its rows bit for bit. ``index`` maps each
+    candidate to its row. Every frame that borders the list births into the
+    same block, so no border keeps it: ``_border`` copies the rows out."""
 
     def __init__(self, candidates: tuple[PauliString, ...], dim: int):
         self.psi = np.empty((1, dim), dtype=np.complex128)
         self.rows = np.empty((len(candidates), dim), dtype=np.complex128)
-        self.calls, self.fills = [], 0
+        self.calls = []
         for j, p in enumerate(candidates):
             plan, row = _rotation_plan(p.n_qubits, p.x_bits, p.z_bits), self.rows[j : j + 1]
             src, dst = _planned_views(plan, self.psi, row)
@@ -288,42 +291,34 @@ def _births(candidates: tuple[PauliString, ...], dim: int) -> _Births:
     return _Births(candidates, dim)
 
 
-# The border of one candidate list in one growth step: the ``_Births`` whose
-# rows hold the candidates' tangents carried back to the split as of fill
-# ``fill``, <cand|psi>, the force elements and the diagonals, and the psi and
-# inverse suffix of the frames it serves.
-_Border = namedtuple("_Border", "births fill overlaps v_new diags psi suffix")
-
-
-def _holds(frame: TangentFrame, border: _Border) -> bool:
-    """Whether ``border`` is the border of ``frame``'s step and its rows are
-    still those of that step."""
-    return (border.psi is frame.psi and border.suffix is frame.inverse_suffix
-            and border.births.fills == border.fill)
+# The border of one candidate list in one growth step: the candidates'
+# tangents carried back to the split, one row each at ``index``, <cand|psi>,
+# the force elements and the diagonals.
+_Border = namedtuple("_Border", "rows index overlaps v_new diags")
 
 
 def _border(frame: TangentFrame, candidates: tuple[PauliString, ...]) -> _Border:
     """The step's border of ``candidates``, from the frame's memo, or born,
     carried and memoised now. The overlaps and forces are taken at the end
-    of the circuit, before the carry."""
+    of the circuit, before the carry, from a conjugated copy of the born
+    rows; conjugated back in place, which is exact, the copy is carried and
+    becomes the border's own rows."""
     border = frame.borders.get(candidates)
-    if border is not None and _holds(frame, border):
+    if border is not None:
         return border
     births = _births(candidates, frame.psi.shape[0])
     births.psi[0] = frame.psi
     _run(births.calls)
-    conj = births.rows.conj()
-    overlaps = conj @ frame.psi
-    v_new = np.imag(conj @ frame.h_psi - overlaps * frame.energy)
-    del conj  # freed before the carry takes its scratch block
+    rows = births.rows.conj()
+    overlaps = rows @ frame.psi
+    v_new = np.imag(rows @ frame.h_psi - overlaps * frame.energy)
+    np.conjugate(rows, out=rows)
     if frame.inverse_suffix.n_params:
-        frame.inverse_suffix.apply(births.rows)
-    births.fills += 1
+        frame.inverse_suffix.apply(rows)
     diags = 1.0 - np.abs(overlaps) ** 2
-    for values in (overlaps, v_new, diags):
+    for values in (rows, overlaps, v_new, diags):
         values.setflags(write=False)
-    border = frame.borders[candidates] = _Border(births, births.fills, overlaps, v_new, diags, frame.psi,
-                                                 frame.inverse_suffix)
+    border = frame.borders[candidates] = _Border(rows, births.index, overlaps, v_new, diags)
     return border
 
 
@@ -340,9 +335,12 @@ def augment_block(frame: TangentFrame, candidates: Sequence[PauliString]):
     angle zero changes neither psi, H·psi nor the split, so the births, by
     kernel calls built once per candidate list, their carry, the overlaps,
     the forces and the diagonals are made on the step's first call and
-    memoised on the frame (``TangentFrame.borders``). The carried rows are
-    those of ``statevector._pauli_into`` followed by ``CircuitSlice.apply``
-    bit for bit.
+    memoised on the frame (``TangentFrame.borders``), whose border owns its
+    carried rows. The memo checks nothing of the frame: its dict is made by
+    the frame's assembly and handed on only by ``extend_frame``, which keeps
+    psi and the inverse suffix. The carried rows are those of
+    ``statevector._pauli_into`` followed by ``CircuitSlice.apply`` bit for
+    bit.
     Every call forms only Re<xi|cand>, one real product of the float64
     views of the carried rows and of the tangents, as ``_system`` forms M,
     with no conjugated copy; it moves the columns from those of the complex
@@ -352,7 +350,7 @@ def augment_block(frame: TangentFrame, candidates: Sequence[PauliString]):
     last two are the memo's, read-only.
     """
     border = _border(frame, tuple(candidates))
-    cols = border.births.rows.view(np.float64) @ frame.tangents.view(np.float64).T
+    cols = border.rows.view(np.float64) @ frame.tangents.view(np.float64).T
     cols -= np.real(np.outer(border.overlaps.conj(), frame.overlaps))
     return cols, border.diags, border.v_new
 

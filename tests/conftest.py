@@ -50,9 +50,21 @@ from avqds.statevector import (
 def pytest_configure(config):
     """Each pytest-benchmark case runs once as a plain test, every assertion
     included, unless ``--benchmark-enable`` (or ``--benchmark-only``) asks
-    for its timings. Without the plugin the bench files skip themselves."""
+    for its timings."""
     if config.pluginmanager.hasplugin("benchmark") and not config.getoption("benchmark_only"):
         config.option.benchmark_disable = True
+
+
+def pytest_collection_modifyitems(config, items):
+    """Without the pytest-benchmark plugin, not installed or turned off by
+    ``-p no:benchmark``, every case that asks for its ``benchmark`` fixture
+    skips instead of failing to find it."""
+    if config.pluginmanager.hasplugin("benchmark"):
+        return
+    skip = pytest.mark.skip(reason="needs the pytest-benchmark plugin")
+    for item in items:
+        if "benchmark" in getattr(item, "fixturenames", ()):
+            item.add_marker(skip)
 
 
 SINGLE = {

@@ -51,7 +51,6 @@ from conftest import (
     swept_state,
 )
 
-pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
 
 ATOL = 1e-13

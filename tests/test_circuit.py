@@ -220,13 +220,14 @@ def test_lazy_inverse_suffix_matches_the_eager_binding(rng):
     """``augment_block`` and ``extend_frame`` on a frame whose inverse suffix
     is bound on first use, and again on the frame extended from it, equal
     the same calls on the frame whose suffix is the rebuilt pass that undoes
-    the generators after m."""
+    the generators after m, which carries its own borders."""
     a, h = hva("tfim", 6, 8, rng)
     pool = [random_pauli(rng, 6) for _ in range(6)]
     for m in (_split_point(a), 42, a.n_params):
         frame = _split_frame(a, h, m)
         assert frame.inverse_suffix._bound is None
-        eager = dataclasses.replace(frame, inverse_suffix=rebuilt_pass(sliced(a, m, frame.psi, inverse=True)))
+        eager = dataclasses.replace(frame, inverse_suffix=rebuilt_pass(sliced(a, m, frame.psi, inverse=True)),
+                                    borders={})
         for got, want in zip(augment_block(frame, pool), augment_block(eager, pool), strict=True):
             assert np.array_equal(got, want)
         grown = a.extended(pool[:3])

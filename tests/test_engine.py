@@ -451,6 +451,36 @@ def test_a_non_finite_candidate_score_raises_located_error(monkeypatch):
     assert "candidate score at t=0, step 0" in str(err)
 
 
+def test_a_non_finite_exact_system_raises_located_error(monkeypatch):
+    """In a noisy run whose drawn system is finite and above the cut, growth
+    solves the exact frame's system first; a NaN in its M is reported at
+    that exact solve, not at the step's solve or a candidate score."""
+    n = 4
+
+    def frame_with_nan(*args):
+        frame = assemble_frame(*args)
+        frame.system.m[0, 0] = np.nan
+        return frame
+
+    monkeypatch.setattr(avqds.engine, "assemble_frame", frame_with_nan)
+    monkeypatch.setattr(avqds.engine, "noisy_system", lambda *args: McLachlanSystem(np.eye(1), np.zeros(1), 1.0))
+    run = AvqdsRun(
+        tfim(n),
+        Ansatz(StateVector.basis_state(n), (g("YIII"),), np.full(1, 0.1)),
+        StepConfig(dtheta_max=0.005, t_final=0.1),
+        SOLVER,
+        pool=nearest_neighbour_pool(n),
+        growth_cfg=GrowthConfig(),
+        noise_cfg=NoiseConfig(n_shots=1e4, d_c=0),
+        compute_infidelity=False,
+    )
+    with pytest.raises(NonFiniteSystemError) as info:
+        run.step()
+    err = info.value
+    assert (err.t, err.step, err.n_params, err.phase) == (0.0, 0, 1, "exact solve")
+    assert "exact solve at t=0, step 0" in str(err)
+
+
 def test_depth_cap_suppresses_and_flags():
     n = 4
     h = tfim(n)

@@ -20,7 +20,6 @@ from avqds.pauli import PauliString
 from avqds.statevector import _rotate_rows
 from conftest import _rotation_rows
 
-pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
 
 ROWS = (32, 96)

@@ -233,7 +233,7 @@ def test_border_rows_are_the_births_carried_bit_for_bit(rng, monkeypatch):
             _, diags, v_new = augment_block(frame, pool)
             fresh_slice = replace(frame, inverse_suffix=CircuitSlice(a.circuit, a.angles, m, inverse=True), borders={})
             rows, overlaps, forces = reference_carried(fresh_slice, pool)
-            assert frame.borders[tuple(pool)].births.rows.tobytes() == rows.tobytes()
+            assert frame.borders[tuple(pool)].rows.tobytes() == rows.tobytes()
             assert v_new.tobytes() == forces.tobytes()
             assert diags.tobytes() == (1.0 - np.abs(overlaps) ** 2).tobytes()
             unmemoised = extend_frame(replace(frame, borders={}), grown)
@@ -248,11 +248,12 @@ def test_border_rows_are_the_births_carried_bit_for_bit(rng, monkeypatch):
                 np.testing.assert_allclose(got, want, rtol=0, atol=SPLIT_ATOL)
 
 
-def test_one_frame_bordered_with_other_lists_keeps_its_own_rows(rng):
+def test_one_frame_bordered_with_other_lists_keeps_its_own_rows(rng, monkeypatch):
     """Two candidate lists on one frame, and the same lists on a frame of
     other angles, in turn: each border gets its own list's rows, carried by
-    its own frame, although one list's prebuilt births serve both frames;
-    a frame whose rows another frame has since overwritten births again."""
+    its own frame, although one list's prebuilt births serve both frames.
+    A border keeps its rows after another frame borders its list, so
+    extending its frame then births and carries nothing."""
     a, h = next(split_cases(rng))
     boundaries = [first for first, _ in step_bounds(a.generators)]
     m = boundaries[len(boundaries) // 2]
@@ -263,9 +264,12 @@ def test_one_frame_bordered_with_other_lists_keeps_its_own_rows(rng):
                     (frame, second), (frame, first)]:
         for got, want in zip(augment_block(f, pool), reference_border(f, pool), strict=True):
             np.testing.assert_allclose(got, want, rtol=0, atol=SPLIT_ATOL)
-        assert f.borders[tuple(pool)].births.rows.tobytes() == reference_carried(f, pool)[0].tobytes()
-    augment_block(other, first)  # overwrites the rows frame's border of ``first`` holds
+        assert f.borders[tuple(pool)].rows.tobytes() == reference_carried(f, pool)[0].tobytes()
+    augment_block(other, first)  # births ``first`` again, into the block frame's border was born in
+    counts = counted_births_and_carries(monkeypatch)
     ext = extend_frame(frame, a.extended(first[:2]))
+    assert counts == {"births": 0, "carries": 0}
+    monkeypatch.undo()
     assert ext.tangents[a.n_params :].tobytes() == reference_carried(frame, first)[0][:2].tobytes()
 
 

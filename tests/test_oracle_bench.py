@@ -17,7 +17,6 @@ from avqds.models import ModelSpec, build_model
 from avqds.statevector import _DENSE_MAX_QUBITS, ExactPropagator, dense_hamiltonian
 from conftest import hamiltonian_coo, random_state
 
-pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
 
 DT = 0.005

@@ -1,8 +1,9 @@
 """``tools/output_digests.py``: ``--against`` prints the paths that moved,
-and by how much."""
+and by how much, and exits 1 when any did."""
 
 import importlib.util
 import os
+import shutil
 import sys
 from pathlib import Path
 from unittest import mock
@@ -33,7 +34,7 @@ def trees(tmp_path):
 
 def test_against_a_tree_prints_moved_paths_and_column_bounds(trees, capsys):
     parent, out = trees
-    output_digests.compare(out, parent)
+    assert output_digests.compare(out, parent) == 3
     assert capsys.readouterr().out.splitlines() == [
         "removed  gone.csv",
         "added    new.csv",
@@ -59,3 +60,12 @@ def test_csv_differences_report_rows_comments_and_text(tmp_path):
         "rows: 2 -> 3 (compared in order over the first 2)",
         "label: differs",
     ]
+
+
+def test_against_exits_one_when_a_path_moved_and_zero_when_none_did(trees, tmp_path, monkeypatch, capsys):
+    parent, out = trees
+    for written, status in ((out, 1), (parent, 0)):
+        monkeypatch.setattr(output_digests, "write_outputs", lambda dest, src=written: shutil.copytree(src, dest))
+        monkeypatch.setattr(sys, "argv", ["output_digests.py", str(tmp_path / f"run{status}"), "--against", str(parent)])
+        assert output_digests.main() == status
+        assert bool(capsys.readouterr().out) == bool(status)

@@ -25,7 +25,6 @@ from avqds.models import ModelSpec, build_model, hamiltonian_term_pool, model_po
 from avqds.solvers import SolverConfig, solve
 from conftest import brute_force_scores, full_ranking, reference_border
 
-pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
 
 SOLVER = SolverConfig("truncation", epsilon=1e-6)

@@ -25,7 +25,6 @@ from avqds.models import build_model, default_model, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system
 from avqds.solvers import METHODS, SolverConfig, solve
 
-pytest.importorskip("pytest_benchmark")
 pytestmark = pytest.mark.slow
 
 EPSILON = {"lsq_unbounded": 1e-6, "lsq_bounded": 1e-6, "tikhonov": 1e-2, "truncation": 1e-3}

@@ -27,7 +27,9 @@ tree (or the listing that run printed), and prints only the paths whose
 digest changed, was added or was removed. For a changed CSV whose parent
 copy is on disk it also prints, per column, the largest absolute
 difference of the numeric values, rows paired in order, and any
-difference in row count, header or ``#`` comment lines.
+difference in row count, header or ``#`` comment lines. It exits 1 when
+any path moved and 0 when none did, so a byte-identity check is its exit
+status.
 """
 
 import os
@@ -125,20 +127,23 @@ def csv_differences(parent: Path, path: Path) -> list[str]:
     return out
 
 
-def compare(out: Path, parent: Path) -> None:
-    """Print the changed, added and removed paths of ``out`` against ``parent``."""
+def compare(out: Path, parent: Path) -> int:
+    """Print the changed, added and removed paths of ``out`` against
+    ``parent``, and return how many there are."""
     before = digests(parent) if parent.is_dir() else read_listing(parent)
     after = digests(out)
-    for rel in sorted(before.keys() | after.keys()):
+    moved = sorted(rel for rel in before.keys() | after.keys() if before.get(rel) != after.get(rel))
+    for rel in moved:
         if rel not in after:
             print(f"removed  {rel}")
         elif rel not in before:
             print(f"added    {rel}")
-        elif before[rel] != after[rel]:
+        else:
             print(f"changed  {rel}")
             if rel.endswith(".csv") and parent.is_dir():
                 for line in csv_differences(parent / rel, out / rel):
                     print(f"    {line}")
+    return len(moved)
 
 
 def main() -> int:
@@ -155,8 +160,7 @@ def main() -> int:
         return 2
     write_outputs(out)
     if args.against is not None:
-        compare(out, args.against.resolve())
-        return 0
+        return 1 if compare(out, args.against.resolve()) else 0
     for rel, digest in digests(out).items():
         print(f"{digest}  {rel}")
     return 0
