@@ -65,7 +65,7 @@ def _config_text(path: str) -> str:
     """The text of a config file, ``ConfigError`` keyed ``config`` if it
     cannot be read or is not UTF-8."""
     try:
-        return Path(path).read_text()
+        return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError("config", str(exc)) from exc
     except UnicodeDecodeError as exc:
@@ -161,7 +161,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     if args.out:
         try:
             Path(args.out).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.out).write_text(text)
+            Path(args.out).write_text(text, encoding="utf-8")
         except OSError as exc:
             return _fail("out", str(exc))
         print(args.out)

@@ -181,7 +181,9 @@ def _spanned(ansatz: Ansatz, candidates: Sequence) -> np.ndarray:
 
     That holds for the tangent of generator j when P is that generator and
     every later one commutes with P or sits at angle zero (an identity
-    rotation), so the candidate adds nothing to the least-squares fit.
+    rotation). Such a candidate adds nothing to the least-squares fit, but
+    under truncation it can still lower the distance, by lifting an
+    eigenvalue of M above epsilon, so it is scored and can be chosen.
     """
     gx, gz = masks(ansatz.generators)
     px, pz = (b[:, None] for b in masks(candidates))
@@ -355,7 +357,10 @@ class AvqdsRun:
     above the cutoff (adaptive arm only), pick the time increment, advance.
     Records describe the state at the start of each step together with the
     increment taken from there. Every step runs on the calling thread;
-    ``run.workers > 1`` runs trajectories in processes.
+    ``run.workers > 1`` runs trajectories in processes. The generator
+    ``rng``, seeded with ``seed``, exists only in a noisy run (``None``
+    otherwise): shot noise is all that draws from it, so a noiseless run
+    never loads ``numpy.random``, and a noisy run draws in the same order.
     """
 
     def __init__(
@@ -379,7 +384,7 @@ class AvqdsRun:
         self.step_cfg = step_cfg
         self.solver = solver_cfg
         self.noise = noise_cfg
-        self.rng = np.random.default_rng(seed)
+        self.rng = np.random.default_rng(seed) if noise_cfg is not None else None
         self.t = 0.0
         self.records: list[TrajectoryRecord] = []
         self._depth_cap_warned = False

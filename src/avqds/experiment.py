@@ -10,10 +10,8 @@ at or before the grid time).
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
@@ -55,7 +53,7 @@ def write_trajectory_csv(
     lines += [f"# {line}" for line in serialize_config(cfg).strip().splitlines()]
     lines.append(",".join(column for column, _, _ in TRAJECTORY_COLUMNS))
     lines += [",".join(fmt(getattr(r, field)) for _, field, fmt in TRAJECTORY_COLUMNS) for r in records]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _trotter_records(cfg: ExperimentConfig) -> list[TrajectoryRecord]:
@@ -164,6 +162,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
     out.mkdir(parents=True, exist_ok=True)
     jobs = [(cfg, i, str(out)) for i in range(cfg.runs)]
     if cfg.workers > 1 and cfg.runs > 1:
+        # imported here, so a run with one worker or one run loads no process pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # spawned, not forked, so each worker loads BLAS under the pinned environment
         spawn = multiprocessing.get_context("spawn")
         with _one_blas_thread_env(), ProcessPoolExecutor(max_workers=cfg.workers, mp_context=spawn) as pool:
@@ -175,7 +177,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir: str | Path | None = None) -> 
         # the CSVs print every float with 17 significant digits, so the
         # aggregate equals one recomputed from the files
         agg_path = out / "aggregate.csv"
-        agg_path.write_text("\n".join(_aggregate([r for _, r in results])) + "\n")
+        agg_path.write_text("\n".join(_aggregate([r for _, r in results])) + "\n", encoding="utf-8")
         paths.append(agg_path)
     return paths
 

@@ -15,12 +15,17 @@ package's bitmask kernels. The others must be reproduced bit for bit unless mark
 ``rebuilt_split_frame`` sweeps the ``rebuilt_pass`` of three ``sliced`` ansätze by ``bound_tangent_states``
 and ``bound_prepare_state``: untiled, each tangent born after its own step, steps by ``step_bounds``.
 ``rows_rotated`` counts the row operations of a compiled pass, and ``index_order`` puts a plan's
-coefficients back in index order.
+coefficients back in index order. ``fresh_interpreter`` runs code in a new Python process, for what
+this test process has already imported or set.
 """
 
 import functools
+import os
+import subprocess
+import sys
 from collections import namedtuple
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -65,6 +70,21 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "benchmark" in getattr(item, "fixturenames", ()):
             item.add_marker(skip)
+
+
+def fresh_interpreter(code, *args, **env):
+    """``python -c code args...`` in a new interpreter that imports the package from this
+    tree, with the variables ``env`` added to the environment; the finished process, its
+    output as text."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 SINGLE = {

@@ -7,6 +7,7 @@ from avqds.config import parse_config, serialize_config
 from avqds.experiment import PRESETS, preset_runs, run_single
 from avqds.models import default_model
 from avqds.solvers import METHODS
+from conftest import fresh_interpreter
 
 TINY_CONFIG = """
 model.kind = tfim
@@ -440,6 +441,28 @@ def test_a_config_that_is_not_utf8_fails_on_one_line(tmp_path, capsys, command):
     path.write_bytes(TINY_CONFIG.encode() + b"\xff\n")
     assert main([command, str(path)]) == 2
     assert "is not UTF-8" in one_error_line(capsys, "config")
+
+
+_CLI = r"""
+import sys
+
+from avqds.cli import main
+
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_a_utf8_config_reads_and_runs_under_an_ascii_locale(tmp_path):
+    # the C locale, neither coerced nor overridden by UTF-8 mode, decodes text as ASCII
+    ascii_locale = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(f"# \u03b5 = 1e-6 is solver.epsilon\n{TINY_CONFIG}run.out = {tmp_path / 'out'}\n".encode())
+    validated = fresh_interpreter(_CLI, "validate", path, **ascii_locale)
+    assert validated.returncode == 0, validated.stderr
+    assert "model.kind = tfim" in validated.stdout
+    ran = fresh_interpreter(_CLI, "run", path, **ascii_locale)
+    assert ran.returncode == 0, ran.stderr
+    assert (tmp_path / "out" / "run_000.csv").exists()
 
 
 def test_an_output_path_that_is_a_file_fails_on_one_line(tmp_path, capsys):

@@ -1,19 +1,16 @@
+import concurrent.futures
 import itertools
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import avqds.experiment
 from avqds.config import parse_config, serialize_config
 from avqds.engine import TrajectoryRecord
 from avqds.experiment import PRESETS, _aggregate, run_experiment
 from avqds.models import KINDS
-from conftest import reference_aggregate
+from conftest import fresh_interpreter, reference_aggregate
 
 
 def rec(t, infidelity, dt=0.1):
@@ -146,7 +143,8 @@ def test_workers_are_spawned_with_one_blas_thread(tmp_path, monkeypatch):
             seen["env"] = {k: os.environ.get(k) for k in blas_vars}
             return map(fn, jobs)
 
-    monkeypatch.setattr(avqds.experiment, "ProcessPoolExecutor", RecordingExecutor)
+    # the name the pool branch of run_experiment imports when it runs
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingExecutor)
     parent = {"OPENBLAS_NUM_THREADS": "4", "GOTO_NUM_THREADS": "4", "MKL_NUM_THREADS": "4"}
     for k, v in parent.items():
         monkeypatch.setenv(k, v)
@@ -183,18 +181,45 @@ print(" ".join(loaded))
 
 
 def test_runs_up_to_ten_qubits_load_no_scipy_sparse_or_optimize(tmp_path):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run(
-        [sys.executable, "-c", _SCIPY_FREE_RUNS, str(tmp_path)],
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = fresh_interpreter(_SCIPY_FREE_RUNS, tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
     assert (tmp_path / "hva" / "run_000.csv").exists() and (tmp_path / "grow" / "run_000.csv").exists()
+
+
+# What a run loads beyond numpy: the process pool, and the generator that only
+# shot noise draws from
+_LEAN_START = r"""
+import sys
+
+from avqds.config import parse_config
+from avqds.experiment import run_experiment
+
+base = "model.kind = tfim\nmodel.n_qubits = 4\nstep.t_final = 0.02\n"
+growing = parse_config(base + "pool.kind = hamiltonian\ngrowth.method = 3\n")
+hva = parse_config(base + "run.algorithm = hva\nhva.layers = 2\nstep.dt_fixed = 0.005\n")
+one_run = parse_config(base + "run.workers = 2\nrun.runs = 1\n")
+noisy = parse_config(
+    base + "run.algorithm = hva\nhva.layers = 2\nstep.dt_fixed = 0.005\nsolver.method = truncation\n"
+    "solver.epsilon = 1e-3\nnoise.enabled = true\nnoise.n_shots = 1e4\nnoise.d_c = 0\n"
+)
+watched = ("multiprocessing", "concurrent.futures", "numpy.random")
+for name, cfg in (("grow", growing), ("hva", hva), ("one_run", one_run)):
+    run_experiment(cfg, sys.argv[1] + "/" + name)
+print(" ".join(m for m in watched if m in sys.modules))
+run_experiment(noisy, sys.argv[1] + "/noisy")
+print(" ".join(m for m in watched if m in sys.modules))
+"""
+
+
+def test_noiseless_single_process_runs_load_no_process_pool_or_random_generator(tmp_path):
+    proc = fresh_interpreter(_LEAN_START, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    noiseless, noisy = proc.stdout.splitlines()
+    assert noiseless == ""
+    assert noisy == "numpy.random"
+    for name in ("grow", "hva", "one_run", "noisy"):
+        assert (tmp_path / name / "run_000.csv").exists(), name
 
 
 _SCIPY_FREE_ORACLE = r"""
@@ -214,9 +239,7 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("scipy.sparse"))))
 
 
 def test_twelve_qubit_oracle_loads_no_scipy_sparse():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_FREE_ORACLE], env=env, capture_output=True, text=True, timeout=120)
+    proc = fresh_interpreter(_SCIPY_FREE_ORACLE)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == ""
 
