@@ -1,5 +1,7 @@
 """Adaptive variational quantum dynamics on a statevector simulator."""
 
+from types import ModuleType as _ModuleType
+
 from .ansatz import Ansatz, CircuitLayout, ansatz_layout, layout, prepare_state, tangent_states
 from .baselines import TrotterResult, build_hva, trotter_run
 from .engine import (
@@ -40,5 +42,5 @@ from .statevector import (
     variance,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]
 __version__ = "0.1.0"

@@ -4,56 +4,48 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ALGORITHMS, POOL_KINDS, ConfigError, config_from_mapping, parse_assignments, serialize_config
+from .config import (
+    ALGORITHMS, POOL_KINDS, ConfigError, config_from_mapping, merge_overrides, parse_assignments, serialize_config,
+)
 from .models import COUPLINGS, DEFAULT_KIND, KINDS
 from .solvers import METHODS
 
-
-# flag, configuration key it overrides, add_argument keywords
+# flag, configuration key it sets, help; each value reaches the config schema
+# as the text given, so the schema alone parses and checks it
 _OVERRIDE_FLAGS = (
-    ("--seed", "run.seed", {"type": int}),
-    ("--runs", "run.runs", {"type": int}),
-    ("--out", "run.out", {}),
-    ("--workers", "run.workers", {"type": int}),
-    ("--t-final", "step.t_final", {"type": float}),
-    ("--method", "growth.method", {"type": int, "help": "growth method 1, 2 or 3"}),
-    ("--solver", "solver.method", {"help": " | ".join(METHODS)}),
-    ("--epsilon", "solver.epsilon", {"type": float}),
-    ("--ns", "noise.n_shots", {"help": "shots per matrix element (number or 'inf')"}),
-    ("--dc", "noise.d_c", {"type": int, "help": "exact-evaluation depth threshold"}),
-    ("--l2-cut", "growth.l2_cut", {"type": float}),
-    ("--model", "model.kind", {"help": " | ".join(KINDS)}),
-    ("--nq", "model.n_qubits", {"type": int}),
-    ("--pool", "pool.kind", {"help": " | ".join(POOL_KINDS)}),
-    ("--algorithm", "run.algorithm", {"help": " | ".join(ALGORITHMS)}),
-    ("--oracle", "run.oracle", {"help": "true | false"}),
+    ("--seed", "run.seed", None),
+    ("--runs", "run.runs", None),
+    ("--out", "run.out", None),
+    ("--workers", "run.workers", None),
+    ("--t-final", "step.t_final", None),
+    ("--method", "growth.method", "growth method 1, 2 or 3"),
+    ("--solver", "solver.method", " | ".join(METHODS)),
+    ("--epsilon", "solver.epsilon", None),
+    ("--ns", "noise.n_shots", "shots per matrix element (number or 'inf')"),
+    ("--dc", "noise.d_c", "exact-evaluation depth threshold"),
+    ("--l2-cut", "growth.l2_cut", None),
+    ("--model", "model.kind", " | ".join(KINDS)),
+    ("--nq", "model.n_qubits", None),
+    ("--pool", "pool.kind", " | ".join(POOL_KINDS)),
+    ("--algorithm", "run.algorithm", " | ".join(ALGORITHMS)),
+    ("--oracle", "run.oracle", "true | false"),
+)
+# the model's flags, and one per coupling: --j, --hx, --hz
+_ORACLE_FLAGS = tuple(flag for flag in _OVERRIDE_FLAGS if flag[1].startswith("model.")) + tuple(
+    (f"--{name.replace('_', '')}", f"model.{name}", "defaults per model kind") for name in COUPLINGS
 )
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
-    for flag, key, kwargs in _OVERRIDE_FLAGS:
-        parser.add_argument(flag, dest=key, **kwargs)
+def _add_flags(parser: argparse.ArgumentParser, flags) -> None:
+    for flag, key, help_text in flags:
+        parser.add_argument(flag, dest=key, help=help_text)
 
 
-def _override_pairs(args: argparse.Namespace) -> dict[str, str]:
-    """CLI flags mapped onto their dotted configuration keys."""
-    values = ((key, getattr(args, key, None)) for _, key, _ in _OVERRIDE_FLAGS)
-    return {key: str(value) for key, value in values if value is not None}
-
-
-def _merge_overrides(assignments: dict[str, str], overrides: dict[str, str]) -> dict[str, str]:
-    """Apply overrides; switching the model kind away from the one the
-    assignments give, set or by default, resets its couplings to the new
-    kind's unless those are overridden too."""
-    merged = dict(assignments)
-    if overrides.get("model.kind") not in (None, merged.get("model.kind", DEFAULT_KIND)):
-        for name in COUPLINGS:
-            merged.pop(f"model.{name}", None)
-    merged.update(overrides)
-    return merged
+def _given(args: argparse.Namespace, flags) -> dict[str, str]:
+    """The flags given, mapped onto their dotted configuration keys."""
+    return {key: getattr(args, key) for _, key, _ in flags if getattr(args, key) is not None}
 
 
 def _fail(key: str, message: str) -> int:
@@ -85,7 +77,7 @@ def _make_dirs(key: str, *dirs: Path) -> None:
 def _cmd_run(args: argparse.Namespace) -> int:
     try:
         assignments = parse_assignments(_config_text(args.config))
-        cfg = config_from_mapping(_merge_overrides(assignments, _override_pairs(args)))
+        cfg = config_from_mapping(merge_overrides(assignments, _given(args, _OVERRIDE_FLAGS)))
         _make_dirs("run.out", Path(cfg.out))
     except ConfigError as exc:
         return _fail(exc.key, exc.reason)
@@ -114,13 +106,13 @@ def _cmd_preset(args: argparse.Namespace) -> int:
         return 0
     if args.name not in PRESETS:
         return _fail("preset", f"unknown preset {args.name!r}; try --list")
-    overrides = _override_pairs(args)
+    overrides = _given(args, _OVERRIDE_FLAGS)
     base_out = Path(overrides.pop("run.out", args.name))
     try:
         configs = preset_runs(
             args.name,
             overrides.get("model.kind", DEFAULT_KIND),
-            lambda cfg: config_from_mapping(_merge_overrides(parse_assignments(serialize_config(cfg)), overrides)),
+            lambda cfg: config_from_mapping(merge_overrides(parse_assignments(serialize_config(cfg)), overrides)),
         )
         _make_dirs("run.out", *(base_out / label for label, _ in configs))
     except ConfigError as exc:
@@ -131,27 +123,34 @@ def _cmd_preset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _time(key: str, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError as exc:  # --dt and --t-final are not configuration keys
+        raise ConfigError(key, str(exc)) from None
+
+
 def _cmd_oracle(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .experiment import _fmt_float
-    from .models import build_model, default_model
+    from .models import build_model
     from .statevector import ExactPropagator, expectation, fidelity
 
-    if not args.dt > 0:
-        return _fail("dt", f"must be positive, got {args.dt}")
-    if not 0 <= args.t_final < np.inf:
-        return _fail("t_final", f"must be finite and non-negative, got {args.t_final}")
     try:
-        times = np.arange(0.0, args.t_final + 1e-12, args.dt)
-    except (ValueError, MemoryError) as exc:
-        return _fail("dt", f"too small for a time grid up to {args.t_final}: {exc}")
-    couplings = {name: getattr(args, name) for name in COUPLINGS if getattr(args, name) is not None}
-    try:
-        spec = replace(default_model(args.model, args.nq), **couplings)
-        _, h, psi0 = build_model(spec)
-    except ValueError as exc:
-        return _fail("model", str(exc))
+        dt, t_final = _time("dt", args.dt), _time("t_final", args.t_final)
+        if not dt > 0:
+            raise ConfigError("dt", f"must be positive, got {dt}")
+        if not 0 <= t_final < np.inf:
+            raise ConfigError("t_final", f"must be finite and non-negative, got {t_final}")
+        try:
+            times = np.arange(0.0, t_final + 1e-12, dt)
+        except (ValueError, MemoryError) as exc:
+            raise ConfigError("dt", f"too small for a time grid up to {t_final}: {exc}") from None
+        spec = config_from_mapping(_given(args, _ORACLE_FLAGS)).model
+    except ConfigError as exc:
+        return _fail(exc.key, exc.reason)
+    _, h, psi0 = build_model(spec)
     prop = ExactPropagator(h, psi0)
     lines = ["t,energy,return_probability"]
     for t in times:
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run experiments from a config file")
     p_run.add_argument("config", help="path to a key = value config file")
-    _add_override_flags(p_run)
+    _add_flags(p_run, _OVERRIDE_FLAGS)
     p_run.set_defaults(func=_cmd_run)
 
     p_val = sub.add_parser("validate", help="check a config file and echo its canonical form")
@@ -189,16 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_pre = sub.add_parser("preset", help="run a named preset")
     p_pre.add_argument("name", nargs="?", default="")
     p_pre.add_argument("--list", action="store_true", help="list preset names")
-    _add_override_flags(p_pre)
+    _add_flags(p_pre, _OVERRIDE_FLAGS)
     p_pre.set_defaults(func=_cmd_preset)
 
     p_or = sub.add_parser("oracle", help="dump exact-evolution observables for a model")
-    p_or.add_argument("--model", default=DEFAULT_KIND)
-    p_or.add_argument("--nq", type=int, default=8)
-    for name in COUPLINGS:  # --j, --hx, --hz
-        p_or.add_argument(f"--{name.replace('_', '')}", dest=name, type=float, help="defaults per model kind")
-    p_or.add_argument("--t-final", dest="t_final", type=float, default=2.0)
-    p_or.add_argument("--dt", type=float, default=0.05)
+    _add_flags(p_or, _ORACLE_FLAGS)
+    p_or.add_argument("--t-final", dest="t_final", default="2.0")
+    p_or.add_argument("--dt", default="0.05")
     p_or.add_argument("--out")
     p_or.set_defaults(func=_cmd_oracle)
     return parser

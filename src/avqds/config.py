@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .engine import GrowthConfig, StepConfig
-from .models import DEFAULT_KIND, ModelSpec, default_model
+from .models import COUPLINGS, DEFAULT_KIND, ModelSpec, default_model
 from .noise import NoiseConfig
 from .solvers import SolverConfig
 
@@ -37,12 +37,9 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _parse_optional_float(text: str):
-    return None if text.lower() == "none" else float(text)
-
-
-def _parse_optional_int(text: str):
-    return None if text.lower() == "none" else int(text)
+def _optional(parse):
+    """``parse``, with the text ``none`` read as None."""
+    return lambda text: None if text.lower() == "none" else parse(text)
 
 
 def _fmt(value) -> str:
@@ -106,10 +103,10 @@ _SCHEMA = {
     "growth.method": ("growth", "method", int),
     "growth.l2_cut": ("growth", "l2_cut", float),
     "growth.score_cut": ("growth", "score_cut", float),
-    "growth.max_depth": ("growth", "max_depth", _parse_optional_int),
+    "growth.max_depth": ("growth", "max_depth", _optional(int)),
     "growth.max_grow_iters": ("growth", "max_grow_iters", int),
     "step.dtheta_max": ("step", "dtheta_max", float),
-    "step.dt_fixed": ("step", "dt_fixed", _parse_optional_float),
+    "step.dt_fixed": ("step", "dt_fixed", _optional(float)),
     "step.t_final": ("step", "t_final", float),
     "solver.method": ("solver", "method", str),
     "solver.epsilon": ("solver", "epsilon", float),
@@ -118,7 +115,7 @@ _SCHEMA = {
     "noise.n_shots": ("noise", "n_shots", float),
     "noise.d_c": ("noise", "d_c", int),
     "noise.noisy_v": ("noise", "noisy_v", _parse_bool),
-    "noise.truncate_sigmas": ("noise", "truncate_sigmas", _parse_optional_float),
+    "noise.truncate_sigmas": ("noise", "truncate_sigmas", _optional(float)),
     "pool.kind": (None, "pool", str),
     "hva.layers": (None, "hva_layers", int),
     "trotter.dt": (None, "trotter_dt", float),
@@ -152,20 +149,15 @@ def parse_assignments(text: str) -> dict[str, str]:
 
 
 def config_from_mapping(assignments: dict[str, str]) -> ExperimentConfig:
-    sections: dict[str, dict] = {name: {} for name, _, _ in _SCHEMA.values() if name}
-    top: dict = {}
+    sections: dict = {name: {} for name, _, _ in _SCHEMA.values()}  # None: ExperimentConfig's own fields
     for key, raw in assignments.items():
         section, fieldname, parser = _SCHEMA[key]
         try:
-            value = parser(raw)
+            sections[section][fieldname] = parser(raw)
         except ValueError as exc:
             raise ConfigError(key, str(exc)) from None
-        if section is None:
-            top[fieldname] = value
-        else:
-            sections[section][fieldname] = value
 
-    kwargs = dict(top)
+    kwargs = sections.pop(None)
     for name, fields in sections.items():
         if not fields:
             continue
@@ -184,6 +176,17 @@ def config_from_mapping(assignments: dict[str, str]) -> ExperimentConfig:
         raise
     except ValueError as exc:
         raise ConfigError("config", str(exc)) from None
+
+
+def merge_overrides(assignments: dict[str, str], overrides: dict[str, str]) -> dict[str, str]:
+    """Apply overrides; switching the model kind away from the one the assignments
+    give, set or by default, drops their couplings for the new kind's."""
+    merged = dict(assignments)
+    if overrides.get("model.kind") not in (None, merged.get("model.kind", DEFAULT_KIND)):
+        for name in COUPLINGS:
+            merged.pop(f"model.{name}", None)
+    merged.update(overrides)
+    return merged
 
 
 def parse_config(text: str) -> ExperimentConfig:

@@ -485,6 +485,7 @@ class AvqdsRun:
         return record
 
     def run(self) -> list[TrajectoryRecord]:
+        self.step()  # whatever t_final, so every trajectory records its start
         while self.t < self.step_cfg.t_final - 1e-12:
             self.step()
         return self.records

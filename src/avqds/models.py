@@ -45,14 +45,11 @@ class ModelSpec:
                 "model.n_qubits must be at least 3 (periodic bonds would double up)"
             )
         for name in COUPLINGS:
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"model.{name} must be finite, got {getattr(self, name)}")
-        if self.kind == "tfim" and self.h_z != 0.0:
-            raise ValueError("model.h_z must be 0: tfim has no longitudinal field; use kind=mfim for h_z != 0")
-        if self.kind == "hm":
-            for name in ("h_x", "h_z"):
-                if getattr(self, name) != 0.0:
-                    raise ValueError(f"model.{name} must be 0: the Heisenberg chain takes no field terms")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"model.{name} must be finite, got {value}")
+            if value != 0.0 and name not in KIND_FIELDS[self.kind]:
+                raise ValueError(f"model.{name} must be 0: {self.kind} couples only {', '.join(KIND_FIELDS[self.kind])}")
 
 
 def default_model(kind: str = DEFAULT_KIND, n_qubits: int = 8) -> ModelSpec:

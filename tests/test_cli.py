@@ -159,6 +159,41 @@ def test_cross_field_errors_name_their_key(tmp_path, capsys, key, lines):
     assert capsys.readouterr().err.startswith(f"error key={key} message={key} must be ")
 
 
+# every override flag but --out, a malformed value for it, and its configuration key
+MALFORMED_OVERRIDES = [
+    ("--seed", "abc", "run.seed"),
+    ("--runs", "abc", "run.runs"),
+    ("--workers", "abc", "run.workers"),
+    ("--t-final", "abc", "step.t_final"),
+    ("--method", "abc", "growth.method"),
+    ("--solver", "abc", "solver.method"),
+    ("--epsilon", "abc", "solver.epsilon"),
+    ("--ns", "abc", "noise.n_shots"),
+    ("--dc", "abc", "noise.d_c"),
+    ("--l2-cut", "abc", "growth.l2_cut"),
+    ("--model", "abc", "model.kind"),
+    ("--nq", "four", "model.n_qubits"),
+    ("--pool", "abc", "pool.kind"),
+    ("--algorithm", "abc", "run.algorithm"),
+    ("--oracle", "abc", "run.oracle"),
+]
+
+
+@pytest.mark.parametrize("flag, value, key", MALFORMED_OVERRIDES)
+def test_malformed_override_fails_on_one_line_naming_its_key(tmp_path, capsys, flag, value, key):
+    """The config schema parses every flag's text; argparse parsed the
+    numeric flags first and printed its usage block."""
+    path = write_cfg(tmp_path)
+    runs = [
+        ["run", str(path), "--out", str(tmp_path / "run")],
+        ["preset", "benchmark", "--nq", "4", "--out", str(tmp_path / "preset")],
+    ]
+    for argv in runs:
+        assert main(argv + [flag, value]) == 2
+        one_error_line(capsys, key)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.cfg"]
+
+
 # --- run ----------------------------------------------------------------------
 
 
@@ -425,8 +460,36 @@ def test_oracle_rejects_bad_time_grid(tmp_path, capsys, flags, key):
 def test_oracle_rejects_non_finite_couplings(tmp_path, capsys, flags):
     out = tmp_path / "oracle.csv"
     assert main(["oracle", "--nq", "4", "--out", str(out)] + flags) == 2
-    assert capsys.readouterr().err.startswith("error key=model message=model.")
+    key = {"--j": "model.j", "--hx": "model.h_x", "--hz": "model.h_z"}[flags[-2]]
+    assert capsys.readouterr().err.startswith(f"error key={key} message={key} must be finite")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, key", [
+    ("--nq", "four", "model.n_qubits"),
+    ("--j", "abc", "model.j"),
+    ("--hx", "abc", "model.h_x"),
+    ("--hz", "abc", "model.h_z"),
+    ("--dt", "abc", "dt"),
+    ("--t-final", "abc", "t_final"),
+    ("--model", "abc", "model.kind"),
+])
+def test_oracle_malformed_flag_fails_on_one_line_naming_its_key(tmp_path, capsys, flag, value, key):
+    """argparse parsed the numbers first and printed its usage block."""
+    out = tmp_path / "oracle.csv"
+    assert main(["oracle", "--nq", "4", "--out", str(out), flag, value]) == 2
+    one_error_line(capsys, key)
+    assert not out.exists()
+
+
+def test_oracle_without_out_writes_the_same_csv_to_stdout(tmp_path, capsys):
+    flags = ["oracle", "--model", "mfim", "--nq", "4", "--t-final", "0.5", "--dt", "0.1"]
+    assert main(flags) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "oracle.csv"
+    assert main(flags + ["--out", str(out)]) == 0
+    assert printed.encode() == out.read_bytes()
+    assert capsys.readouterr().out == f"{out}\n"
 
 
 def one_error_line(capsys, key):

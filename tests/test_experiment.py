@@ -278,3 +278,15 @@ def test_aggregate_is_recomputable_from_per_run_files(tmp_path, workers):
     per_run = [_parse_records(p) for p in paths[:3]]
     assert all(records and not any(math.isnan(r.infidelity) for r in records) for records in per_run)
     assert paths[3].read_text() == "\n".join(_aggregate(per_run)) + "\n"
+
+
+def test_a_run_shorter_than_its_first_step_records_its_start(tmp_path):
+    """``AvqdsRun.run`` stepped only while t < t_final - 1e-12, so t_final
+    = 1e-13 wrote CSVs with no record and the aggregate failed to broadcast."""
+    cfg = parse_config("model.kind = tfim\nmodel.n_qubits = 4\nstep.t_final = 1e-13\nrun.runs = 2\n")
+    paths = run_experiment(cfg, tmp_path / "short")
+    assert [p.name for p in paths] == ["run_000.csv", "run_001.csv", "aggregate.csv"]
+    for path in paths[:2]:
+        assert [r.t for r in _parse_records(path)] == [0.0]
+    aggregate = paths[2].read_text().splitlines()
+    assert len(aggregate) == 2 and aggregate[1].startswith("0,2,")
