@@ -328,30 +328,17 @@ class Workspace:
         return out[0]
 
 
-class CircuitSlice:
-    """The generators of a circuit from step boundary ``start`` on, applied
-    in place to any C-contiguous row block at ``angles`` (one per generator
-    of the circuit); with ``inverse``, undone, as the inverse pass of the
-    workspace split there undoes them. Its trig values are taken and its
-    steps listed on first use, which for a frame's slice only a growth step
-    makes. It keeps the circuit's steps, not the circuit, so no workspace
-    outlives its circuit through it."""
-
-    def __init__(self, circuit: Circuit, angles: np.ndarray, start: int = 0, inverse: bool = False):
-        self.n_qubits, self.n_params = circuit.n_qubits, len(circuit.generators) - start
-        self._steps, self._angles, self._start, self._inverse = circuit.steps, angles, start, inverse
-        self._bound = None
-
-    def apply(self, rows: np.ndarray) -> None:
-        if self._bound is None:
-            m, n, rotations, runs = self._start, self._start + self.n_params, [], []
-            steps = _pass_steps(self._steps[_boundary(self._steps, m, n) :], m, n, self._inverse, 0, rotations, runs)
-            trig = _Trig(rotations, runs, 1 << self.n_qubits)
-            trig.load(-self._angles[m:][::-1] if self._inverse else self._angles[m:])
-            self._bound = steps, trig
-        steps, trig = self._bound
-        buf = np.empty_like(rows)
-        _run([_apply_call(step, rows, buf, trig) for step in steps])
+def apply_slice(circuit: Circuit, angles: np.ndarray, rows: np.ndarray, start: int = 0, inverse: bool = False) -> None:
+    """Apply the generators of ``circuit`` from step boundary ``start`` on,
+    at ``angles`` (one per generator of the circuit), in place to ``rows``,
+    a C-contiguous row block; with ``inverse``, undo them, as the inverse
+    pass of the workspace split there undoes them."""
+    n, rotations, runs = len(circuit.generators), [], []
+    steps = _pass_steps(circuit.steps[_boundary(circuit.steps, start, n) :], start, n, inverse, 0, rotations, runs)
+    trig = _Trig(rotations, runs, 1 << circuit.n_qubits)
+    trig.load(-angles[start:][::-1] if inverse else angles[start:])
+    buf = np.empty_like(rows)
+    _run([_apply_call(step, rows, buf, trig) for step in steps])
 
 
 def prepare_state(a: Ansatz | Pass) -> StateVector:
@@ -362,7 +349,7 @@ def prepare_state(a: Ansatz | Pass) -> StateVector:
         _run(a.calls)
         return StateVector(a.n_qubits, a.block[0])
     rows = a.reference.amplitudes.reshape(1, -1).copy()
-    CircuitSlice(a.circuit, a.angles).apply(rows)
+    apply_slice(a.circuit, a.angles, rows)
     return StateVector(a.n_qubits, rows[0])
 
 

@@ -27,9 +27,11 @@ import numpy as np
 
 from .ansatz import Ansatz, ansatz_layout, prepare_state
 from .mclachlan import (
+    Border,
     TangentFrame,
     assemble_frame,
     augment_block,
+    border_columns,
     extend_frame,
     extend_system,
     mclachlan_distance,
@@ -196,10 +198,12 @@ def _spanned(ansatz: Ansatz, candidates: Sequence) -> np.ndarray:
 def score_bounds(
     frame: TangentFrame,
     pool: OperatorPool,
-    border: tuple[np.ndarray, np.ndarray, np.ndarray],
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
     l2_before: float,
 ) -> tuple[np.ndarray, float]:
-    """Upper bound B_p on every candidate's score, and the slack to add.
+    """Upper bound B_p on every candidate's score, and the slack to add;
+    ``entries`` are the candidates' M columns c_p, diagonals d_p and forces
+    v_p.
 
     With T the real-ified tangents (psi projected out) and b = -i(H-E)psi,
     M = T'T, V = T'b, var_h = |b|^2 and L2(x) = 2|Tx - b|^2. Whatever the
@@ -218,7 +222,7 @@ def score_bounds(
     level, B_p = L2_before, so the candidate is scored whenever it comes up.
     The module constants state the tolerances.
     """
-    cols, diags, v_news = border
+    cols, diags, v_news = entries
     s = frame.system
     if s.n_params:
         w, u = s.eig
@@ -244,6 +248,7 @@ def score_bounds(
 def score_candidates(
     frame: TangentFrame,
     pool: OperatorPool,
+    border: Border,
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
     l2_before: float,
@@ -260,15 +265,15 @@ def score_candidates(
     benchmark run that is about 7 % of the candidates. The solved scores
     are bit for bit those of brute force over the same border, and the
     ranking is exact, so the selection is the one the full ranking gives.
-    The border is ``augment_block``'s: its births, carry, overlaps, forces
-    and diagonals are made once per growth step, and each iteration forms
-    only its columns against the current tangents, by a real product whose
-    rounding differs from the complex Gram's; the selections equal those of
-    brute force over the complex Gram's border on every growth event of
+    ``border`` is the growth step's ``augment_block`` of the pool, made
+    once per growth step; each iteration forms only its columns against the
+    current tangents (``border_columns``), by a real product whose rounding
+    differs from the complex Gram's; the selections equal those of brute
+    force over the complex Gram's border on every growth event of
     ``tests/test_scoring.py``. Returns ``select_additions``'s (indices,
     depth_suppressed).
     """
-    cols, diags, v_news = augment_block(frame, pool.operators)
+    cols, diags, v_news = border_columns(frame, border), border.diags, border.v_new
     bounds, slack = score_bounds(frame, pool, (cols, diags, v_news), l2_before)
 
     def score(idx: int) -> float:
@@ -336,12 +341,13 @@ def select_additions(
 def grow_once(
     frame: TangentFrame,
     pool: OperatorPool,
+    border: Border,
     growth_cfg: GrowthConfig,
     solver_cfg: SolverConfig,
     l2_before: float,
 ) -> GrowthResult:
     """One growth iteration; appended angles are zero so the state is kept."""
-    chosen, suppressed = score_candidates(frame, pool, growth_cfg, solver_cfg, l2_before)
+    chosen, suppressed = score_candidates(frame, pool, border, growth_cfg, solver_cfg, l2_before)
     if not chosen:
         return GrowthResult(frame.ansatz, (), suppressed)
     return GrowthResult(frame.ansatz.extended(pool.operators[i] for i in chosen), tuple(chosen), suppressed)
@@ -377,6 +383,8 @@ class AvqdsRun:
     ):
         if (pool is None) != (growth_cfg is None):
             raise ValueError("pool and growth_cfg must be provided together")
+        if pool is not None and pool.n_qubits != hamiltonian.n_qubits:
+            raise ValueError(f"pool acts on {pool.n_qubits} qubits, the Hamiltonian on {hamiltonian.n_qubits}")
         self.h = hamiltonian
         self.ansatz = initial
         self.pool = pool
@@ -417,6 +425,8 @@ class AvqdsRun:
 
         if self.growth is not None:
             iters = 0
+            # one border of the pool, made on the assembled frame, serves the step's growth
+            border = augment_block(frame, self.pool.operators) if l2 >= self.growth.l2_cut else None
             while l2 >= self.growth.l2_cut and iters < self.growth.max_grow_iters:
                 # scoring works on the exact frame; noise only enters the
                 # per-step equations of motion
@@ -426,7 +436,7 @@ class AvqdsRun:
                     exact_td = self._located("exact solve", solve, frame.system, self.solver)
                     exact_l2 = mclachlan_distance(frame.system, exact_td)
                 result = self._located(
-                    "candidate score", grow_once, frame, self.pool, self.growth, self.solver, exact_l2
+                    "candidate score", grow_once, frame, self.pool, border, self.growth, self.solver, exact_l2
                 )
                 suppressed |= result.suppressed
                 if not result.added:
@@ -434,7 +444,7 @@ class AvqdsRun:
                     log.debug("growth stalled at t=%g (l2=%.3e)", self.t, l2)
                     break
                 self.ansatz = result.ansatz
-                frame = extend_frame(frame, self.ansatz)
+                frame = extend_frame(frame, self.ansatz, border)
                 system, theta_dot, l2 = self._solve(frame)
                 iters += 1
             exhausted = l2 >= self.growth.l2_cut and iters >= self.growth.max_grow_iters

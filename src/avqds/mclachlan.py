@@ -17,11 +17,11 @@ import functools
 import math
 from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .ansatz import Ansatz, CircuitSlice, prepare_state, tangent_states
+from .ansatz import Ansatz, apply_slice, prepare_state, tangent_states
 from .pauli import PauliString, WeightedPauliSum
 from .statevector import _multiply_views, _planned_views, _rotation_plan, _run
 
@@ -54,24 +54,12 @@ class TangentFrame:
 
     ``psi`` and ``h_psi`` are the prepared state and H·psi at the end of the
     circuit; the oracle reads ``psi``. The tangent rows are held in the frame
-    of a step boundary m of the circuit instead: ``inverse_suffix`` undoes
-    the circuit after m, so it carries a state from the end of the circuit
-    to m. ``frame_psi`` and ``frame_h_psi`` are psi and H·psi so carried.
-    M, V and the overlaps do not depend on the frame, since one unitary acts
-    on every tangent row and on psi and H·psi alike. With m = N the suffix
-    is empty and the frame is the end of the circuit.
-
-    ``borders`` memoises the candidate border of a growth step per candidate
-    list (``augment_block``): each candidate's tangent carried back to m,
-    bit for bit what ``statevector._pauli_into`` and the inverse suffix
-    give, in rows the border owns, and <cand|psi>, its force element and
-    its diagonal. None of these changes while generators are appended at
-    angle zero, so ``extend_frame`` passes the memo on to the frames of the
-    same step, as ``Circuit.splits`` is kept per circuit, and their borders
-    form only the columns, by a real product against their tangents. The
-    dict is made by the frame's assembly and handed on only by
-    ``extend_frame``, which keeps psi and the inverse suffix, so every frame
-    that reads an entry has the psi and suffix it was made from.
+    of the step boundary ``split`` of the circuit instead: undoing the
+    generators after it (``apply_slice`` with ``inverse``) carries a state
+    from the end of the circuit there. ``frame_psi`` and ``frame_h_psi`` are
+    psi and H·psi so carried. M, V and the overlaps do not depend on the
+    frame, since one unitary acts on every tangent row and on psi and H·psi
+    alike. With split = N the frame is the end of the circuit.
     """
 
     ansatz: Ansatz
@@ -81,10 +69,9 @@ class TangentFrame:
     tangents: np.ndarray
     overlaps: np.ndarray  # <tangent_k|psi>
     energy: float
-    inverse_suffix: CircuitSlice
+    split: int
     frame_psi: np.ndarray
     frame_h_psi: np.ndarray
-    borders: dict[tuple[PauliString, ...], _Border] = field(default_factory=dict, repr=False)
 
 
 def assemble_frame(a: Ansatz, h: WeightedPauliSum, pool_size: int = 0) -> TangentFrame:
@@ -131,8 +118,7 @@ def _split_frame(a: Ansatz, h: WeightedPauliSum, m: int) -> TangentFrame:
     block[n] = back[-1]
     xi, frame_h_psi = block[:n], back[0].copy()
     system, overlaps = _system(xi, block[n], frame_h_psi, energy, var_h)
-    undo = CircuitSlice(a.circuit, a.angles, m, inverse=True)
-    return TangentFrame(a, system, psi, h_psi, xi, overlaps, energy, undo, block[n], frame_h_psi)
+    return TangentFrame(a, system, psi, h_psi, xi, overlaps, energy, m, block[n], frame_h_psi)
 
 
 # Fixed cost of one step of a pass over the circuit, in amplitudes of row
@@ -187,20 +173,17 @@ def _split_point(a: Ansatz, pool_size: int = 0) -> int:
     return splits[pool_size]
 
 
-def extend_frame(frame: TangentFrame, grown: Ansatz) -> TangentFrame:
+def extend_frame(frame: TangentFrame, grown: Ansatz, border: Border) -> TangentFrame:
     """The frame of ``grown``, which appends generators at angle zero to
     ``frame.ansatz``, without a new sweep.
 
     The appended rotations are identities, so the old tangents, psi, H·psi,
     the energy, the variance and the frame's split stay; each new tangent is
     -i·P·psi carried back to the split, and only M and V are formed again.
-    The new rows are those of the border (``augment_block``) that holds
-    every appended generator, bit for bit the rows a birth and a carry of
-    their own would give: the step's border of the pool, when the growth
-    step scored it, else a border of the appended generators made here. The
-    new frame keeps psi, the inverse suffix and the memo, so every border in
-    the memo stays its border, and the step's later borders birth and carry
-    nothing and form only their real products.
+    The new rows are those of ``border``, the growth step's border
+    (``augment_block``) of a candidate list that holds every appended
+    generator, made on the step's assembled frame; ``ValueError`` names an
+    appended generator it does not hold.
     It agrees with ``assemble_frame(grown, h)`` up to rounding: a fresh sweep
     merges appended Z-only generators into the phase of a Z-only run they
     extend, and may split elsewhere.
@@ -210,13 +193,13 @@ def extend_frame(frame: TangentFrame, grown: Ansatz) -> TangentFrame:
         grown.angles, np.append(frame.ansatz.angles, np.zeros(grown.n_params - n))
     ):
         raise ValueError("grown ansatz must extend the frame's ansatz with generators at angle zero")
+    try:
+        new = [border.index[g] for g in grown.generators[n:]]
+    except KeyError as err:
+        raise ValueError(f"the border holds no row for the appended generator {err.args[0]}") from None
     xi = np.empty((grown.n_params, frame.psi.shape[0]), dtype=np.complex128)
     xi[:n] = frame.tangents
-    new = grown.generators[n:]
-    if new:
-        held = (b for b in frame.borders.values() if all(g in b.index for g in new))
-        border = next(held, None) or _border(frame, new)
-        xi[n:] = border.rows[[border.index[g] for g in new]]
+    xi[n:] = border.rows[new]
     system, overlaps = _system(xi, frame.frame_psi, frame.frame_h_psi, frame.energy, frame.system.var_h)
     return dataclasses.replace(frame, ansatz=grown, system=system, tangents=xi, overlaps=overlaps)
 
@@ -272,8 +255,8 @@ class _Births:
     ``psi``, built once per candidate list (``_births``) as a ``Workspace``
     is per split point. Each call is the one ``statevector._pauli_into``
     makes, so the rows are its rows bit for bit. ``index`` maps each
-    candidate to its row. Every frame that borders the list births into the
-    same block, so no border keeps it: ``_border`` copies the rows out."""
+    candidate to its row. Every border of the list is born in the same
+    block, so no border keeps it: ``augment_block`` copies the rows out."""
 
     def __init__(self, candidates: tuple[PauliString, ...], dim: int):
         self.psi = np.empty((1, dim), dtype=np.complex128)
@@ -291,21 +274,32 @@ def _births(candidates: tuple[PauliString, ...], dim: int) -> _Births:
     return _Births(candidates, dim)
 
 
-# The border of one candidate list in one growth step: the candidates'
-# tangents carried back to the split, one row each at ``index``, <cand|psi>,
-# the force elements and the diagonals.
-_Border = namedtuple("_Border", "rows index overlaps v_new diags")
+# The border of one candidate list in one growth step (``augment_block``):
+# the candidates' tangents carried back to the split, one row each at
+# ``index``, <cand|psi>, the force elements and the diagonals.
+Border = namedtuple("Border", "rows index overlaps v_new diags")
 
 
-def _border(frame: TangentFrame, candidates: tuple[PauliString, ...]) -> _Border:
-    """The step's border of ``candidates``, from the frame's memo, or born,
-    carried and memoised now. The overlaps and forces are taken at the end
-    of the circuit, before the carry, from a conjugated copy of the born
-    rows; conjugated back in place, which is exact, the copy is carried and
-    becomes the border's own rows."""
-    border = frame.borders.get(candidates)
-    if border is not None:
-        return border
+def augment_block(frame: TangentFrame, candidates: Sequence[PauliString]) -> Border:
+    """The border of ``candidates`` appended to the assembled frame's ansatz
+    at angle zero.
+
+    Each candidate's tangent is -i·A|psi> (no trailing rotations follow
+    it), born by kernel calls built once per candidate list, bit for bit
+    ``statevector._pauli_into``. Its overlap and force element are taken at
+    the end of the circuit, from a conjugated copy of the born rows;
+    conjugated back in place, which is exact, the copy is carried back to
+    the frame's split by ``apply_slice``, P·(N - m) row rotations, and
+    becomes the border's own rows. The arrays are read-only.
+
+    Appending generators at angle zero changes neither psi, H·psi nor the
+    split, so a growth step makes its border once, on its assembled frame:
+    ``extend_frame`` takes the appended tangents from it, and
+    ``border_columns`` forms its columns against each frame of the step.
+    A grown frame is no input here: its split need not be a step boundary
+    of the grown circuit, as appended Z-only generators extend a Z-only run.
+    """
+    candidates = tuple(candidates)
     births = _births(candidates, frame.psi.shape[0])
     births.psi[0] = frame.psi
     _run(births.calls)
@@ -313,46 +307,26 @@ def _border(frame: TangentFrame, candidates: tuple[PauliString, ...]) -> _Border
     overlaps = rows @ frame.psi
     v_new = np.imag(rows @ frame.h_psi - overlaps * frame.energy)
     np.conjugate(rows, out=rows)
-    if frame.inverse_suffix.n_params:
-        frame.inverse_suffix.apply(rows)
+    a = frame.ansatz
+    if frame.split < a.n_params:
+        apply_slice(a.circuit, a.angles, rows, frame.split, inverse=True)
     diags = 1.0 - np.abs(overlaps) ** 2
     for values in (rows, overlaps, v_new, diags):
         values.setflags(write=False)
-    border = frame.borders[candidates] = _Border(rows, births.index, overlaps, v_new, diags)
-    return border
+    return Border(rows, births.index, overlaps, v_new, diags)
 
 
-def augment_block(frame: TangentFrame, candidates: Sequence[PauliString]):
-    """New M column and V element for each candidate appended with angle 0.
+def border_columns(frame: TangentFrame, border: Border) -> np.ndarray:
+    """The (P, N) M columns of ``border`` against the tangents of ``frame``,
+    the frame it was made on or one that ``extend_frame`` grew from it.
 
-    Each candidate's tangent is -i·A|psi> (no trailing rotations follow it),
-    so one Pauli application plus inner products gives the full border of
-    the extended system. Its overlap and force element are taken at the end
-    of the circuit; its products with the stored tangents after carrying it
-    back to the frame's split, P·(N - m) row rotations.
-
-    The border is a quantity of the growth step: appending generators at
-    angle zero changes neither psi, H·psi nor the split, so the births, by
-    kernel calls built once per candidate list, their carry, the overlaps,
-    the forces and the diagonals are made on the step's first call and
-    memoised on the frame (``TangentFrame.borders``), whose border owns its
-    carried rows. The memo checks nothing of the frame: its dict is made by
-    the frame's assembly and handed on only by ``extend_frame``, which keeps
-    psi and the inverse suffix. The carried rows are those of
-    ``statevector._pauli_into`` followed by ``CircuitSlice.apply`` bit for
-    bit.
-    Every call forms only Re<xi|cand>, one real product of the float64
-    views of the carried rows and of the tangents, as ``_system`` forms M,
-    with no conjugated copy; it moves the columns from those of the complex
-    Gram at rounding level.
-
-    Returns ``(cols, diags, v_new)`` with shapes (P, N), (P,), (P,); the
-    last two are the memo's, read-only.
+    Re<xi|cand> is one real product of the float64 views of the carried rows
+    and of the tangents, as ``_system`` forms M, with no conjugated copy; it
+    moves the columns from those of the complex Gram at rounding level.
     """
-    border = _border(frame, tuple(candidates))
     cols = border.rows.view(np.float64) @ frame.tangents.view(np.float64).T
     cols -= np.real(np.outer(border.overlaps.conj(), frame.overlaps))
-    return cols, border.diags, border.v_new
+    return cols
 
 
 def extend_system(s: McLachlanSystem, col: np.ndarray, diag: float, v_new: float) -> McLachlanSystem:

@@ -32,10 +32,11 @@ import pytest
 from scipy.sparse import coo_array
 from scipy.sparse.linalg import expm_multiply
 
-from avqds.ansatz import Ansatz, CircuitSlice
+from avqds.ansatz import Ansatz
 from avqds.engine import CandidateRanking
 from avqds.experiment import _fmt_float
-from avqds.mclachlan import McLachlanSystem, TangentFrame, _system, augment_block, extend_system, mclachlan_distance
+from avqds.mclachlan import (McLachlanSystem, TangentFrame, _system, augment_block, border_columns, extend_system,
+                             mclachlan_distance)
 from avqds.noise import shot_sigma
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import solve
@@ -241,7 +242,7 @@ def rebuilt_split_frame(a, h, m):
     block[m:n] = bound_tangent_states(inverse, out=back, carried=1)[::-1]
     block[n] = back[-1]
     system, overlaps = _system(block[:n], block[n], back[0], energy, var_h)
-    return TangentFrame(a, system, psi, h_psi, block[:n], overlaps, energy, inverse, block[n], back[0].copy())
+    return TangentFrame(a, system, psi, h_psi, block[:n], overlaps, energy, m, block[n], back[0].copy())
 
 
 def rows_rotated(p):
@@ -307,28 +308,34 @@ def reference_frame(a, h):
     energy = float(np.real(np.vdot(psi, h_psi)))
     var_h = float(np.real(np.vdot(h_psi, h_psi)) - energy * energy)
     m, v, overlaps = complex_gram(xi, psi, h_psi, energy)
-    unsplit = CircuitSlice(a.circuit, a.angles, a.n_params, inverse=True)
-    return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy, unsplit, psi, h_psi)
+    return TangentFrame(a, McLachlanSystem(m, v, var_h), psi, h_psi, xi, overlaps, energy, a.n_params, psi, h_psi)
 
 
 def reference_carried(frame, candidates):
     """Each candidate's tangent -i·P·psi by ``_pauli_into``, carried back to
-    the frame's split by its ``inverse_suffix``, and its overlap and force
-    element, all made afresh on every call."""
+    the frame's split by the ``rebuilt_pass`` that undoes the generators
+    after it, and its overlap and force element, all made afresh on every
+    call."""
     psi = frame.psi.reshape(1, -1)
     rows = np.empty((len(candidates), psi.shape[1]), dtype=np.complex128)
     for j, op in enumerate(candidates):
         _pauli_into(op, -1j, psi, rows[j : j + 1])
     overlaps = rows.conj() @ frame.psi
     forces = np.imag(rows.conj() @ frame.h_psi - overlaps * frame.energy)
-    frame.inverse_suffix.apply(rows)
+    rebuilt_pass(sliced(frame.ansatz, frame.split, frame.psi, inverse=True)).apply(rows)
     return rows, overlaps, forces
 
 
+def bordered(frame, candidates):
+    """(columns, diagonals, forces) of the candidates: ``augment_block``, then
+    ``border_columns`` against the same frame."""
+    border = augment_block(frame, candidates)
+    return border_columns(frame, border), border.diags, border.v_new
+
+
 def reference_border(frame, candidates):
-    """``augment_block`` as it was before the border became a quantity of the
-    growth step: births and carry on every call (``reference_carried``), and
-    the columns from the complex Gram of a conjugated copy of the tangents."""
+    """``bordered`` with the births and carry of ``reference_carried`` and the
+    columns from the complex Gram of a conjugated copy of the tangents."""
     rows, c_new, v_new = reference_carried(frame, candidates)
     gram = frame.tangents.conj() @ rows.T  # (N, P)
     cols = np.real(gram - np.outer(frame.overlaps, c_new.conj())).T
@@ -338,11 +345,11 @@ def reference_border(frame, candidates):
 def brute_force_scores(frame, pool, solver_cfg, l2_before=None, border=None):
     """(index, score) for every pool operator: border the system with its
     column, re-solve and difference the distances. The border is
-    ``augment_block``'s unless one is given."""
+    ``bordered``'s unless one is given."""
     if l2_before is None:
         td = solve(frame.system, solver_cfg)
         l2_before = mclachlan_distance(frame.system, td)
-    cols, diags, v_news = augment_block(frame, list(pool.operators)) if border is None else border
+    cols, diags, v_news = bordered(frame, pool.operators) if border is None else border
     scores = []
     for idx in range(len(pool)):
         extended = extend_system(frame.system, cols[idx], float(diags[idx]), float(v_news[idx]))

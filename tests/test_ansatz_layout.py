@@ -4,8 +4,8 @@ import pytest
 import avqds.ansatz
 from avqds.ansatz import (
     Ansatz,
-    CircuitSlice,
     ansatz_layout,
+    apply_slice,
     cnot_cost,
     layout,
     prepare_state,
@@ -258,7 +258,7 @@ def test_carried_rows_ride_the_sweep_bitwise(rng, monkeypatch, tile):
                         assert np.array_equal(getattr(frame, name), getattr(other, name)), name
         states = [random_state(rng, 3) for _ in range(3)]
         rows = np.array(states)
-        CircuitSlice(a.circuit, a.angles).apply(rows)
+        apply_slice(a.circuit, a.angles, rows)
         for row, state in zip(rows, states):
             assert np.array_equal(row, prepare_state(Ansatz(StateVector(3, state), a.generators, a.angles)).amplitudes)
 

@@ -4,7 +4,6 @@ its generators (``conftest.rebuilt_pass`` and ``conftest.rebuilt_split_frame``).
 Its workspaces are built once per split point, and a plain step builds no
 view."""
 
-import dataclasses
 import functools
 
 import numpy as np
@@ -16,6 +15,7 @@ from avqds.ansatz import (
     _commuting_runs,
     _pass_steps,
     ansatz_layout,
+    apply_slice,
     layout,
     prepare_state,
     tangent_states,
@@ -29,6 +29,7 @@ from avqds.pauli import PauliString
 from avqds.solvers import SolverConfig
 from avqds.statevector import StateVector
 from conftest import (
+    bordered,
     bound_prepare_state,
     bound_tangent_states,
     random_hamiltonian,
@@ -140,11 +141,12 @@ def test_compiled_passes_match_the_rebuilt_passes_bitwise(rng):
         grown = a.extended(pool[:2])
         for m in [first for first, _ in step_bounds(a.generators)] + [a.n_params]:
             frame, want = _split_frame(a, h, m), rebuilt_split_frame(a, h, m)
-            assert frame.inverse_suffix.n_params == want.inverse_suffix.n_params == a.n_params - m
+            assert frame.split == want.split == m
             assert_frames_equal(frame, want)
-            for got, expected in zip(augment_block(frame, pool), augment_block(want, pool), strict=True):
+            for got, expected in zip(bordered(frame, pool), bordered(want, pool), strict=True):
                 assert np.array_equal(got, expected)
-            ext, ext_want = extend_frame(frame, grown), extend_frame(want, grown)
+            ext = extend_frame(frame, grown, augment_block(frame, pool))
+            ext_want = extend_frame(want, grown, augment_block(want, pool))
             assert np.array_equal(ext.tangents, ext_want.tangents)
             assert np.array_equal(ext.system.m, ext_want.system.m) and np.array_equal(ext.system.v, ext_want.system.v)
 
@@ -216,27 +218,18 @@ def test_frame_keeps_its_arrays_when_the_circuit_is_assembled_again(rng, layers)
         assert np.array_equal(getattr(frame, name), value), name
 
 
-def test_lazy_inverse_suffix_matches_the_eager_binding(rng):
-    """``augment_block`` and ``extend_frame`` on a frame whose inverse suffix
-    is bound on first use, and again on the frame extended from it, equal
-    the same calls on the frame whose suffix is the rebuilt pass that undoes
-    the generators after m, which carries its own borders."""
-    a, h = hva("tfim", 6, 8, rng)
-    pool = [random_pauli(rng, 6) for _ in range(6)]
-    for m in (_split_point(a), 42, a.n_params):
-        frame = _split_frame(a, h, m)
-        assert frame.inverse_suffix._bound is None
-        eager = dataclasses.replace(frame, inverse_suffix=rebuilt_pass(sliced(a, m, frame.psi, inverse=True)),
-                                    borders={})
-        for got, want in zip(augment_block(frame, pool), augment_block(eager, pool), strict=True):
-            assert np.array_equal(got, want)
-        grown = a.extended(pool[:3])
-        ext, ext_eager = extend_frame(frame, grown), extend_frame(eager, grown)
-        assert ext.inverse_suffix is frame.inverse_suffix
-        assert np.array_equal(ext.tangents, ext_eager.tangents)
-        assert np.array_equal(ext.system.m, ext_eager.system.m) and np.array_equal(ext.system.v, ext_eager.system.v)
-        for got, want in zip(augment_block(ext, pool[3:]), augment_block(ext_eager, pool[3:]), strict=True):
-            assert np.array_equal(got, want)
+def test_slice_matches_the_rebuilt_pass_at_every_step_boundary(rng):
+    """``apply_slice`` from every step boundary m on a block of random rows,
+    undoing the generators after m and applying them, equals the
+    ``rebuilt_pass`` of the sliced ansatz bit for bit."""
+    for a, _ in [*cases(rng), hva("tfim", 6, 8, rng)]:
+        rows = np.array([random_state(rng, a.n_qubits) for _ in range(5)])
+        for m in [first for first, _ in step_bounds(a.generators)] + [a.n_params]:
+            for inverse in (True, False):
+                got, want = rows.copy(), rows.copy()
+                apply_slice(a.circuit, a.angles, got, m, inverse=inverse)
+                rebuilt_pass(sliced(a, m, rows[0], inverse=inverse)).apply(want)
+                assert np.array_equal(got, want)
 
 
 def test_plain_step_builds_no_view_and_no_partial(rng, monkeypatch):

@@ -15,7 +15,7 @@ from avqds.engine import (
     run_avqds,
     select_additions,
 )
-from avqds.mclachlan import McLachlanSystem, assemble_frame, mclachlan_distance
+from avqds.mclachlan import McLachlanSystem, assemble_frame, augment_block, mclachlan_distance
 from avqds.models import OperatorPool, nearest_neighbour_pool
 from avqds.noise import NoiseConfig
 from avqds.pauli import PauliString, WeightedPauliSum
@@ -188,7 +188,7 @@ def test_grow_keeps_state_and_reduces_distance(rng):
     td = solve(frame.system, SOLVER)
     l2_before = mclachlan_distance(frame.system, td)
 
-    result = grow_once(frame, pool, growth, SOLVER, l2_before)
+    result = grow_once(frame, pool, augment_block(frame, pool.operators), growth, SOLVER, l2_before)
     assert result.added
     after_state = prepare_state(result.ansatz)
     assert fidelity(before_state, after_state) == pytest.approx(1.0, abs=1e-12)
@@ -211,7 +211,8 @@ def test_grow_stalls_on_hopeless_pool():
     frame = assemble_frame(Ansatz(StateVector.basis_state(2)), h)
     pool = OperatorPool(2, (g("ZI"), g("IZ"), g("ZZ")))
     td = solve(frame.system, SOLVER)
-    result = grow_once(frame, pool, GrowthConfig(), SOLVER, mclachlan_distance(frame.system, td))
+    border = augment_block(frame, pool.operators)
+    result = grow_once(frame, pool, border, GrowthConfig(), SOLVER, mclachlan_distance(frame.system, td))
     assert not result.added and not result.suppressed
 
 
@@ -250,6 +251,13 @@ def test_quench_start_grows_before_first_step():
     assert records[0].t == 0.0
     assert records[0].n_params > 0
     assert records[0].l2 < 1e-3
+
+
+def test_pool_on_other_qubits_than_the_hamiltonian_is_refused():
+    n = 4
+    with pytest.raises(ValueError, match="pool acts on 6 qubits, the Hamiltonian on 4"):
+        run_avqds(StateVector.basis_state(n), tfim(n), nearest_neighbour_pool(6), GrowthConfig(),
+                  StepConfig(t_final=0.01), SOLVER)
 
 
 def test_fixed_dt_in_every_record():

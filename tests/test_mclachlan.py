@@ -5,8 +5,9 @@ import pytest
 
 import avqds.engine as engine
 import avqds.mclachlan as mclachlan
-from avqds.ansatz import Ansatz, CircuitSlice, ansatz_layout, prepare_state, tangent_states
+from avqds.ansatz import Ansatz, ansatz_layout, prepare_state, tangent_states
 from avqds.baselines import build_hva
+from avqds.engine import AvqdsRun, GrowthConfig, StepConfig
 from avqds.experiment import preset_benchmark, run_single
 from avqds.mclachlan import (
     _split_frame,
@@ -14,16 +15,18 @@ from avqds.mclachlan import (
     _system,
     assemble_frame,
     augment_block,
+    border_columns,
     extend_frame,
     extend_system,
     mclachlan_distance,
 )
-from avqds.models import build_model, default_model, model_sublayers
+from avqds.models import build_model, default_model, hamiltonian_term_pool, model_sublayers
 from avqds.noise import NoiseConfig, noisy_system
 from avqds.pauli import PauliString, WeightedPauliSum
 from avqds.solvers import SolverConfig, solve
 from avqds.statevector import StateVector, _hamiltonian_rows, variance
 from conftest import (
+    bordered,
     dense_sum,
     random_hamiltonian,
     random_pauli,
@@ -153,15 +156,18 @@ def test_extended_frame_matches_a_fresh_assembly(rng):
     for new in ([PauliString.from_label("ZZII"), PauliString.from_label("IIIZ")],
                 [random_pauli(rng, 4) for _ in range(3)], []):
         grown = a.extended(new)
-        extended = extend_frame(frame, grown)
+        extended = extend_frame(frame, grown, augment_block(frame, new))
         assert extended.ansatz is grown
         assert np.array_equal(extended.tangents[: a.n_params], frame.tangents)
         assert np.array_equal(extended.psi, frame.psi)
         assert extended.h_psi is frame.h_psi and extended.energy == frame.energy
         assert extended.system.var_h == frame.system.var_h
         assert_frames_close(extended, assemble_frame(grown, h), 1e-13)
+    border = augment_block(frame, [PauliString.from_label("XIII")])
     with pytest.raises(ValueError):
-        extend_frame(frame, a.extended([PauliString.from_label("XIII")]).with_angles(np.full(a.n_params + 1, 0.1)))
+        extend_frame(frame, a.extended([PauliString.from_label("XIII")]).with_angles(np.full(a.n_params + 1, 0.1)), border)
+    with pytest.raises(ValueError, match="no row for the appended generator IYII"):
+        extend_frame(frame, a.extended([PauliString.from_label("XIII"), PauliString.from_label("IYII")]), border)
 
 
 # --- split sweep ----------------------------------------------------------
@@ -188,60 +194,83 @@ def test_split_frame_matches_the_reference_at_every_step_boundary(rng):
     for a, h in split_cases(rng):
         expected = reference_frame(a, h)
         pool = [random_pauli(rng, a.n_qubits) for _ in range(4)]
-        border = augment_block(expected, pool)
+        border = bordered(expected, pool)
         grown = a.extended(pool[:2])
         expected_grown = reference_frame(grown, h)
         psi = prepare_state(a).amplitudes
         for m in [first for first, _ in step_bounds(a.generators)] + [a.n_params]:
             frame = _split_frame(a, h, m)
-            assert frame.inverse_suffix.n_params == a.n_params - m
+            assert frame.split == m
             assert np.array_equal(frame.psi, psi)
             assert_frames_close(frame, expected, SPLIT_ATOL)
-            for got, want in zip(augment_block(frame, pool), border):
+            for got, want in zip(bordered(frame, pool), border):
                 np.testing.assert_allclose(got, want, rtol=0, atol=SPLIT_ATOL)
-            assert_frames_close(extend_frame(frame, grown), expected_grown, SPLIT_ATOL)
+            assert_frames_close(extend_frame(frame, grown, augment_block(frame, pool)), expected_grown, SPLIT_ATOL)
 
 
 def counted_births_and_carries(monkeypatch):
     """Counts of the births (``_run`` of prebuilt calls) and carries
-    (``CircuitSlice.apply``) that ``mclachlan`` makes from now on."""
+    (``apply_slice``) that ``mclachlan`` makes from now on."""
     counts = {"births": 0, "carries": 0}
 
     def counting(name, fn):
-        def wrapped(*args):
+        def wrapped(*args, **kwargs):
             counts[name] += 1
-            return fn(*args)
+            return fn(*args, **kwargs)
         return wrapped
 
     monkeypatch.setattr(mclachlan, "_run", counting("births", mclachlan._run))
-    monkeypatch.setattr(CircuitSlice, "apply", counting("carries", CircuitSlice.apply))
+    monkeypatch.setattr(mclachlan, "apply_slice", counting("carries", mclachlan.apply_slice))
     return counts
 
 
+def test_a_growth_step_births_and_carries_its_border_once(monkeypatch):
+    """A step of ``AvqdsRun`` whose growth runs several iterations, on an
+    8-qubit TFIM HVA split before its end, births the pool and carries it
+    back to the split once: each later iteration, and each extended frame,
+    reads the step's border."""
+    spec = default_model("tfim", 8)
+    _, h, psi0 = build_model(spec)
+    hva = build_hva(h, psi0, 4, model_sublayers(spec))
+    a = hva.with_angles(np.linspace(-1.0, 1.0, hva.n_params))
+    pool = hamiltonian_term_pool(spec)
+    assert _split_point(a, len(pool)) < a.n_params
+    run = AvqdsRun(h, a, StepConfig(), SolverConfig("truncation", epsilon=1e-6), pool,
+                   GrowthConfig(l2_cut=1e-3, method=1, max_grow_iters=3), compute_infidelity=False)
+    grows, real_grow = [], engine.grow_once
+
+    def recording(*args):
+        grows.append(real_grow(*args))
+        return grows[-1]
+
+    monkeypatch.setattr(engine, "grow_once", recording)
+    counts = counted_births_and_carries(monkeypatch)
+    run.step()
+    assert sum(bool(r.added) for r in grows) >= 2
+    assert counts == {"births": 1, "carries": 1}
+
+
 def test_border_rows_are_the_births_carried_bit_for_bit(rng, monkeypatch):
-    """At every step boundary, the carried rows the border memoises and the
-    rows ``extend_frame`` appends, from the memo or born without it, are
-    ``_pauli_into`` followed by ``CircuitSlice.apply`` bit for bit, sign bits
-    included; so are the forces. A second ``augment_block`` on the extended
-    frame births and carries nothing, and its columns are the reference
-    border's against the grown tangents."""
+    """At every step boundary, the border's carried rows and the rows
+    ``extend_frame`` appends from it are ``_pauli_into`` followed by the
+    rebuilt inverse pass bit for bit, sign bits included; so are the
+    forces. Extending the frame and forming the border's columns against
+    the extended frame births and carries nothing, and the columns are the
+    reference border's against the grown tangents."""
     for a, h in split_cases(rng):
         pool = [random_pauli(rng, a.n_qubits) for _ in range(6)]
         grown, n = a.extended(pool[1:4]), a.n_params
         for m in [first for first, _ in step_bounds(a.generators)] + [n]:
             frame = _split_frame(a, h, m)
-            _, diags, v_new = augment_block(frame, pool)
-            fresh_slice = replace(frame, inverse_suffix=CircuitSlice(a.circuit, a.angles, m, inverse=True), borders={})
-            rows, overlaps, forces = reference_carried(fresh_slice, pool)
-            assert frame.borders[tuple(pool)].rows.tobytes() == rows.tobytes()
-            assert v_new.tobytes() == forces.tobytes()
-            assert diags.tobytes() == (1.0 - np.abs(overlaps) ** 2).tobytes()
-            unmemoised = extend_frame(replace(frame, borders={}), grown)
-            assert unmemoised.tangents[n:].tobytes() == rows[1:4].tobytes()
+            border = augment_block(frame, pool)
+            rows, overlaps, forces = reference_carried(frame, pool)
+            assert border.rows.tobytes() == rows.tobytes()
+            assert border.v_new.tobytes() == forces.tobytes()
+            assert border.diags.tobytes() == (1.0 - np.abs(overlaps) ** 2).tobytes()
             counts = counted_births_and_carries(monkeypatch)
-            ext = extend_frame(frame, grown)
+            ext = extend_frame(frame, grown, border)
             assert ext.tangents[n:].tobytes() == rows[1:4].tobytes()
-            again = augment_block(ext, pool)
+            again = (border_columns(ext, border), border.diags, border.v_new)
             assert counts == {"births": 0, "carries": 0}
             monkeypatch.undo()
             for got, want in zip(again, reference_border(ext, pool), strict=True):
@@ -262,12 +291,13 @@ def test_one_frame_bordered_with_other_lists_keeps_its_own_rows(rng, monkeypatch
     first, second = [random_pauli(rng, 4) for _ in range(4)], [random_pauli(rng, 4) for _ in range(3)]
     for f, pool in [(frame, first), (frame, second), (other, first), (frame, first), (other, second),
                     (frame, second), (frame, first)]:
-        for got, want in zip(augment_block(f, pool), reference_border(f, pool), strict=True):
+        border = augment_block(f, pool)
+        for got, want in zip(bordered(f, pool), reference_border(f, pool), strict=True):
             np.testing.assert_allclose(got, want, rtol=0, atol=SPLIT_ATOL)
-        assert f.borders[tuple(pool)].rows.tobytes() == reference_carried(f, pool)[0].tobytes()
-    augment_block(other, first)  # births ``first`` again, into the block frame's border was born in
+        assert border.rows.tobytes() == reference_carried(f, pool)[0].tobytes()
+    augment_block(other, first)  # births ``first`` again, into the block the last border was born in
     counts = counted_births_and_carries(monkeypatch)
-    ext = extend_frame(frame, a.extended(first[:2]))
+    ext = extend_frame(frame, a.extended(first[:2]), border)
     assert counts == {"births": 0, "carries": 0}
     monkeypatch.undo()
     assert ext.tangents[a.n_params :].tobytes() == reference_carried(frame, first)[0][:2].tobytes()
@@ -279,7 +309,7 @@ def test_unsplit_frame_is_the_forward_sweep_bit_for_bit(rng):
     for a, h in split_cases(rng):
         frame = _split_frame(a, h, a.n_params)
         xi = tangent_states(a)
-        assert frame.inverse_suffix.n_params == 0
+        assert frame.split == a.n_params
         assert np.array_equal(frame.tangents, xi)
         assert np.array_equal(frame.frame_psi, frame.psi) and np.array_equal(frame.psi, swept_state(xi))
         assert np.array_equal(frame.frame_h_psi, frame.h_psi)
@@ -303,7 +333,7 @@ def test_split_point_is_a_step_boundary_after_the_pool():
         split = _split_point(a, pool_size)
         assert split == a.n_params or (split in starts and split >= pool_size)
     assert _split_point(a, a.n_params + 1) == a.n_params
-    assert assemble_frame(a, h, a.n_params).inverse_suffix.n_params == 0
+    assert assemble_frame(a, h, a.n_params).split == a.n_params
     spec = default_model("tfim", 4)
     _, h, psi0 = build_model(spec)
     small = build_hva(h, psi0, 2, model_sublayers(spec))
@@ -405,9 +435,9 @@ def test_metric_is_symmetric_by_construction(rng):
     ]
     assert _split_point(hva) < hva.n_params
     base = assemble_frame(rand, rand_h)
-    frames.append(extend_frame(base, grown))
+    frames.append(extend_frame(base, grown, augment_block(base, grown.generators[rand.n_params :])))
     systems = [f.system for f in frames]
-    cols, diags, v_new = augment_block(base, [random_pauli(rng, 4)])
+    cols, diags, v_new = bordered(base, [random_pauli(rng, 4)])
     systems.append(extend_system(base.system, cols[0], diags[0], v_new[0]))
     lo = ansatz_layout(hva)
     for d_c in (0, lo.depth // 2):
@@ -432,7 +462,7 @@ def test_augment_matches_full_assembly(rng):
         h = random_hamiltonian(rng, n)
         frame = assemble_frame(a, h)
         cand = random_pauli(rng, n)
-        cols, diags, v_new = augment_block(frame, [cand])
+        cols, diags, v_new = bordered(frame, [cand])
         full = assemble_frame(a.extended([cand]), h).system
         np.testing.assert_allclose(cols[0], full.m[:-1, -1], atol=1e-12)
         assert diags[0] == pytest.approx(full.m[-1, -1], abs=1e-12)
@@ -447,14 +477,14 @@ def test_augment_with_repeat_of_last_generator(rng):
     a = make_ansatz(rng, 3, 4)
     h = random_hamiltonian(rng, 3)
     frame = assemble_frame(a, h)
-    _, diags, _ = augment_block(frame, [a.generators[-1]])
+    _, diags, _ = bordered(frame, [a.generators[-1]])
     assert diags[0] == pytest.approx(frame.system.m[-1, -1], abs=1e-12)
 
 
 def test_augment_empty_ansatz_y_candidate():
     ref = StateVector.basis_state(1)
     frame = assemble_frame(Ansatz(ref), Z1)
-    cols, diags, v_new = augment_block(frame, [PauliString.from_label("Y")])
+    cols, diags, v_new = bordered(frame, [PauliString.from_label("Y")])
     # tangent -iY|0> = -i(i|1>) = |1>, orthogonal to |0>; force element vanishes
     assert cols.shape == (1, 0)
     assert diags[0] == pytest.approx(1.0)

@@ -69,3 +69,13 @@ def test_against_exits_one_when_a_path_moved_and_zero_when_none_did(trees, tmp_p
         monkeypatch.setattr(sys, "argv", ["output_digests.py", str(tmp_path / f"run{status}"), "--against", str(parent)])
         assert output_digests.main() == status
         assert bool(capsys.readouterr().out) == bool(status)
+
+
+def test_an_existing_file_as_out_exits_two_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "out.txt"
+    out.write_text("kept\n")
+    monkeypatch.setattr(output_digests, "write_outputs", lambda dest: pytest.fail("wrote outputs"))
+    monkeypatch.setattr(sys, "argv", ["output_digests.py", str(out)])
+    assert output_digests.main() == 2
+    assert capsys.readouterr().err == f"error: {out} is not a directory\n"
+    assert out.read_text() == "kept\n"

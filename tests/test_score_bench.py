@@ -5,10 +5,11 @@ bound-pruned ranking: a method-1 growth iteration on the 8-qubit TFIM with
 the 96-operator model pool, on an N-parameter ansatz that cycles through the
 pool at random angles.
 
-``test_border_speed`` times ``augment_block`` and ``score_bounds`` on a
-growth step's first iteration, whose frame is freshly assembled, and on its
-repeat, the frame that ``extend_frame`` gives after the first iteration's
-pick, at the sizes of two benchmark workloads (``BORDER_CASES``).
+``test_border_speed`` times ``augment_block``, ``border_columns`` and
+``score_bounds`` on a growth step's first iteration, whose frame is freshly
+assembled, and ``border_columns`` and ``score_bounds`` on its repeat, the
+frame that ``extend_frame`` gives after the first iteration's pick, with the
+step's border, at the sizes of two benchmark workloads (``BORDER_CASES``).
 
 ``pytest tests/test_score_bench.py --benchmark-enable`` prints the timings;
 every case first checks that the pruned scorer makes the selection of brute
@@ -20,7 +21,7 @@ import pytest
 
 from avqds.ansatz import Ansatz
 from avqds.engine import GrowthConfig, score_bounds, score_candidates, select_additions
-from avqds.mclachlan import assemble_frame, augment_block, extend_frame, mclachlan_distance
+from avqds.mclachlan import assemble_frame, augment_block, border_columns, extend_frame, mclachlan_distance
 from avqds.models import ModelSpec, build_model, hamiltonian_term_pool, model_pool
 from avqds.solvers import SolverConfig, solve
 from conftest import brute_force_scores, full_ranking, reference_border
@@ -66,22 +67,24 @@ def _brute_force(frame, pool, l2, growth=GROWTH, border=None):
     return select_additions(growth.method, full_ranking(scores), pool, frame.ansatz, growth.score_cut, growth.max_depth)
 
 
-def _pruned(frame, pool, l2, growth=GROWTH):
-    return score_candidates(frame, pool, growth, SOLVER, l2)
+def _pruned(frame, pool, l2, growth=GROWTH, border=None):
+    border = augment_block(frame, pool.operators) if border is None else border
+    return score_candidates(frame, pool, border, growth, SOLVER, l2)
 
 
 @pytest.mark.parametrize("scorer", [_brute_force, _pruned], ids=["brute_force", "pruned"])
 @pytest.mark.parametrize("n_params", [32, 64, 96])
 def test_growth_iteration_speed(benchmark, n_params, scorer):
-    """Each round scores a frame assembled afresh, so no round reads a border
-    that an earlier one memoised."""
+    """Each round scores a frame assembled afresh, and borders the pool
+    itself."""
     frame, pool, l2 = _growth_iteration(n_params)
     assert _pruned(frame, pool, l2) == _brute_force(frame, pool, l2)
     benchmark.pedantic(scorer, setup=lambda: (_growth_iteration(n_params), {}), rounds=5, iterations=1)
 
 
-def _border_and_bounds(frame, pool, l2):
-    return score_bounds(frame, pool, augment_block(frame, pool.operators), l2)
+def _border_and_bounds(frame, pool, l2, border=None):
+    border = augment_block(frame, pool.operators) if border is None else border
+    return score_bounds(frame, pool, (border_columns(frame, border), border.diags, border.v_new), l2)
 
 
 @pytest.mark.parametrize("iteration", ["first", "repeat"])
@@ -92,15 +95,17 @@ def test_border_speed(benchmark, case, iteration):
 
     def step_frame():
         frame, l2 = _solved(assemble_frame(a, h, len(pool)))
+        border = None
         if iteration == "repeat":
-            chosen, _ = _pruned(frame, pool, l2, growth)
+            border = augment_block(frame, pool.operators)
+            chosen, _ = _pruned(frame, pool, l2, growth, border)
             assert chosen
-            frame, l2 = _solved(extend_frame(frame, a.extended(pool.operators[i] for i in chosen)))
-        return (frame, pool, l2), {}
+            frame, l2 = _solved(extend_frame(frame, a.extended(pool.operators[i] for i in chosen), border))
+        return (frame, pool, l2, border), {}
 
-    (frame, _, l2), _ = step_frame()
-    split = frame.inverse_suffix.n_params
+    (frame, _, l2, border), _ = step_frame()
+    split = a.n_params - frame.split
     assert split > 0 if case == "hybrid" else split == 0
     want = _brute_force(frame, pool, l2, growth, reference_border(frame, pool.operators))
-    assert _pruned(frame, pool, l2, growth) == want
+    assert _pruned(frame, pool, l2, growth, border) == want
     benchmark.pedantic(_border_and_bounds, setup=step_frame, rounds=20, iterations=1)

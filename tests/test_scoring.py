@@ -28,7 +28,7 @@ from avqds.engine import (
     select_additions,
 )
 from avqds.experiment import preset_benchmark, run_single
-from avqds.mclachlan import assemble_frame, augment_block, mclachlan_distance
+from avqds.mclachlan import assemble_frame, augment_block, border_columns, mclachlan_distance
 from avqds.models import (
     ModelSpec,
     OperatorPool,
@@ -92,7 +92,7 @@ def test_bounds_hold_on_every_growth_event(monkeypatch, name):
     eigenvalues of M up to 1e-12·||M|| instead of 1e-15·||M|| makes the
     Heisenberg run's 8.1e-9.
 
-    The real product of ``augment_block`` moves the brute-force scores from
+    The real product of ``border_columns`` moves the brute-force scores from
     those on the reference border by at most 1.3e-12 (Heisenberg; 2.6e-13
     on wide_pool_m1 over its 73 events, 5.1e-13 on criterion 6), and no
     selection.
@@ -101,14 +101,14 @@ def test_bounds_hold_on_every_growth_event(monkeypatch, name):
     events = []
     real_grow = engine.grow_once
 
-    def spy(frame, pool, growth_cfg, solver_cfg, l2_before, *rest):
-        border = augment_block(frame, list(pool.operators))
-        bounds, slack = score_bounds(frame, pool, border, l2_before)
-        scores = np.array([s for _, s in brute_force_scores(frame, pool, solver_cfg, l2_before)])
+    def spy(frame, pool, border, growth_cfg, solver_cfg, l2_before, *rest):
+        entries = (border_columns(frame, border), border.diags, border.v_new)
+        bounds, slack = score_bounds(frame, pool, entries, l2_before)
+        scores = np.array([s for _, s in brute_force_scores(frame, pool, solver_cfg, l2_before, entries)])
         reference = brute_force_scores(frame, pool, solver_cfg, l2_before, reference_border(frame, pool.operators))
         want = select_additions(growth_cfg.method, full_ranking(reference), pool, frame.ansatz, growth_cfg.score_cut,
                                 growth_cfg.max_depth)
-        result = real_grow(frame, pool, growth_cfg, solver_cfg, l2_before, *rest)
+        result = real_grow(frame, pool, border, growth_cfg, solver_cfg, l2_before, *rest)
         assert (list(result.added), result.suppressed) == want
         events.append((bounds, slack, scores, np.array([s for _, s in reference])))
         return result
@@ -168,7 +168,7 @@ def test_pruned_selection_matches_brute_force_ranking(rng, monkeypatch, solver):
                     growth = GrowthConfig(l2_cut=1.0, method=method, score_cut=score_cut, max_depth=max_depth)
                     expected = select_additions(method, full_ranking(brute), pool, frame.ansatz, score_cut, max_depth)
                     calls.clear()
-                    assert score_candidates(frame, pool, growth, solver, l2) == expected
+                    assert score_candidates(frame, pool, augment_block(frame, pool.operators), growth, solver, l2) == expected
                     assert len(calls) < len(pool)
                     suppressed_seen += expected[1]
     assert suppressed_seen
@@ -191,7 +191,7 @@ def test_exact_score_ties_break_toward_the_lower_index():
         for method in (1, 2, 3):
             growth = GrowthConfig(l2_cut=1.0, method=method)
             expected = select_additions(method, full_ranking(brute), pool, frame.ansatz, growth.score_cut, None)
-            assert score_candidates(frame, pool, growth, TRUNC, l2) == expected
+            assert score_candidates(frame, pool, augment_block(frame, pool.operators), growth, TRUNC, l2) == expected
 
 
 def planted_tie_cases(rng, count=200):
@@ -248,7 +248,8 @@ def test_capped_candidates_go_unscored_once_suppression_is_flagged(monkeypatch):
     td = solve(frame.system, TRUNC)
     l2 = mclachlan_distance(frame.system, td)
     brute = brute_force_scores(frame, pool, TRUNC, l2)
-    bounds, slack = score_bounds(frame, pool, augment_block(frame, list(pool.operators)), l2)
+    border = augment_block(frame, pool.operators)
+    bounds, slack = score_bounds(frame, pool, (border_columns(frame, border), border.diags, border.v_new), l2)
     # scored: the candidates whose key tops the best score, then no more
     contenders = int(np.sum(bounds + slack >= max(s for _, s in brute)))
     assert contenders < len(pool) // 4
@@ -257,7 +258,7 @@ def test_capped_candidates_go_unscored_once_suppression_is_flagged(monkeypatch):
         expected = select_additions(method, full_ranking(brute), pool, frame.ansatz, 1e-6, 1)
         assert expected == ([], True)
         calls.clear()
-        assert score_candidates(frame, pool, GrowthConfig(method=method, max_depth=1), TRUNC, l2) == expected
+        assert score_candidates(frame, pool, border, GrowthConfig(method=method, max_depth=1), TRUNC, l2) == expected
         assert len(calls) <= contenders
 
 
@@ -327,7 +328,8 @@ def test_one_growth_iteration_decomposes_the_metric_once(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
     td = solve(frame.system, TRUNC)
-    result = grow_once(frame, pool, GrowthConfig(l2_cut=1e-3, method=3), TRUNC, mclachlan_distance(frame.system, td))
+    border = augment_block(frame, pool.operators)
+    result = grow_once(frame, pool, border, GrowthConfig(l2_cut=1e-3, method=3), TRUNC, mclachlan_distance(frame.system, td))
     assert result.added
     assert sum(a is frame.system.m for a in calls) == 1
     assert all(a.shape == (7, 7) for a in calls if a is not frame.system.m)
@@ -381,7 +383,7 @@ def test_growth_does_not_depend_on_the_split_assembly_rounding(monkeypatch):
 
     def recording(a, hamiltonian, pool_size=0):
         frame = assemble(a, hamiltonian, pool_size)
-        splits.append((a.n_params - frame.inverse_suffix.n_params, a.n_params, pool_size))
+        splits.append((frame.split, a.n_params, pool_size))
         return frame
 
     monkeypatch.setattr(engine, "assemble_frame", recording)
@@ -404,7 +406,7 @@ def _runs_with_reference_assembly(monkeypatch, cfgs):
         return reference_frame(a, hamiltonian)
 
     monkeypatch.setattr(engine, "assemble_frame", reference)
-    monkeypatch.setattr(engine, "extend_frame", lambda frame, grown: reference_frame(grown, h[0]))
+    monkeypatch.setattr(engine, "extend_frame", lambda frame, grown, border: reference_frame(grown, h[0]))
     return [run_single(cfg, 0) for cfg in cfgs]
 
 

@@ -152,6 +152,9 @@ def main() -> int:
     parser.add_argument("--against", type=Path, metavar="PARENT")
     args = parser.parse_args()
     out = args.out.resolve()
+    if out.exists() and not out.is_dir():
+        print(f"error: {out} is not a directory", file=sys.stderr)
+        return 2
     if out.exists() and any(out.iterdir()):
         print(f"error: {out} is not empty", file=sys.stderr)
         return 2
